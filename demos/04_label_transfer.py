@@ -12,7 +12,7 @@ than epsilon0 in total.
 
 import numpy as np
 
-from xmod.affinity import AffinityKind, homogeneous_affinity
+from xmod.affinity import homogeneous_affinity
 from xmod.clustering import ClusterAssignment
 from xmod.core import PipelineConfig
 from xmod.synth import GapMode, SynthSpec, generate
@@ -28,10 +28,10 @@ def main() -> None:
 
     he_vr, he_rv = heterogeneous_affinity(fv.data, fr.data, cfg.ot_lambda)
     aff = DirectionAffinities(
-        homogeneous_affinity(fv.data, cfg.kappa, AffinityKind.HOMOGENEOUS_V).values,
-        homogeneous_affinity(fr.data, cfg.kappa, AffinityKind.HOMOGENEOUS_R).values,
-        he_vr.values,
-        he_rv.values,
+        homogeneous_affinity(fv.data, cfg.kappa),
+        homogeneous_affinity(fr.data, cfg.kappa),
+        he_vr,
+        he_rv,
     )
     state, _ = init_labels(fv.data, fr.data, ClusterAssignment(gt.ids_v, 5), cfg)
 

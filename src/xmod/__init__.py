@@ -1,4 +1,21 @@
-"""Cross-modality pseudo-label association toolkit."""
+"""Cross-modality pseudo-label association toolkit.
+
+The XMOD_THREADS environment variable caps BLAS worker threads. BLAS reads
+its thread count when numpy is first imported, so the cap is applied here,
+before any submodule imports numpy.
+"""
+
+import os
+
+_threads = os.environ.get("XMOD_THREADS", "").strip()
+if _threads.isdigit() and int(_threads) > 0:
+    for _var in (
+        "OMP_NUM_THREADS",
+        "OPENBLAS_NUM_THREADS",
+        "MKL_NUM_THREADS",
+        "NUMEXPR_NUM_THREADS",
+    ):
+        os.environ.setdefault(_var, _threads)
 
 from .core import (
     FeatureMatrix,
@@ -11,7 +28,7 @@ from .core import (
     l2_normalize_rows,
 )
 from .clustering import ClusterAssignment, DistanceMetric, MemoryBank, centroids, dbscan
-from .affinity import AffinityKind, AffinityMatrix, homogeneous_affinity
+from .affinity import homogeneous_affinity
 from .transport import TransportPlan, TransportProblem, heterogeneous_affinity, otla_init, sinkhorn
 from .transfer import (
     AssociationResult,
@@ -30,8 +47,6 @@ from .pipeline import EpochResult, run_epoch, run_trace
 __version__ = "0.1.0"
 
 __all__ = [
-    "AffinityKind",
-    "AffinityMatrix",
     "AssociationResult",
     "Batch",
     "ClusterAssignment",

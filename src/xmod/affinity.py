@@ -6,41 +6,9 @@ transport plan (see transport.py). Both are consumed row-normalized.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from enum import Enum
-
 import numpy as np
 
-from .core import FeatureMatrix, ShapeMismatchError, pairwise_sq_dists
-
-
-class AffinityKind(Enum):
-    HOMOGENEOUS_V = "homogeneous_visible"
-    HOMOGENEOUS_R = "homogeneous_infrared"
-    HETERO_VR = "heterogeneous_visible_to_infrared"
-    HETERO_RV = "heterogeneous_infrared_to_visible"
-
-    @property
-    def homogeneous(self) -> bool:
-        return self in (AffinityKind.HOMOGENEOUS_V, AffinityKind.HOMOGENEOUS_R)
-
-
-@dataclass(frozen=True)
-class AffinityMatrix:
-    values: np.ndarray
-    kind: AffinityKind
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64)
-        if v.ndim != 2:
-            raise ShapeMismatchError("affinity must be 2-d")
-        if self.kind.homogeneous and v.shape[0] != v.shape[1]:
-            raise ShapeMismatchError("homogeneous affinity must be square")
-        object.__setattr__(self, "values", v)
-
-    @property
-    def shape(self):
-        return self.values.shape
+from .core import FeatureMatrix, pairwise_sq_dists
 
 
 def k_reciprocal_sets(features, kappa: int) -> list[np.ndarray]:
@@ -65,10 +33,8 @@ def k_reciprocal_sets(features, kappa: int) -> list[np.ndarray]:
     return [np.flatnonzero(mutual[i]) for i in range(n)]
 
 
-def jaccard_affinity(sets: list[np.ndarray], kind: AffinityKind) -> AffinityMatrix:
+def jaccard_affinity(sets: list[np.ndarray]) -> np.ndarray:
     """S_ij = |R(i) n R(j)| / |R(i) u R(j)|. Symmetric with unit diagonal."""
-    if not kind.homogeneous:
-        raise ShapeMismatchError("jaccard affinity is defined within one modality")
     n = len(sets)
     member = np.zeros((n, n), dtype=np.float64)
     for i, s in enumerate(sets):
@@ -76,17 +42,17 @@ def jaccard_affinity(sets: list[np.ndarray], kind: AffinityKind) -> AffinityMatr
     inter = member @ member.T
     sizes = member.sum(axis=1)
     union = sizes[:, None] + sizes[None, :] - inter
-    return AffinityMatrix(inter / union, kind)
+    return inter / union
 
 
-def row_normalize(aff: AffinityMatrix) -> AffinityMatrix:
+def row_normalize(values: np.ndarray, homogeneous: bool) -> np.ndarray:
     """Scale each row to sum 1.
 
-    An all-zero row cannot be scaled; homogeneous matrices fall back to the
-    self one-hot (the instance only trusts itself), heterogeneous ones to the
-    uniform row.
+    An all-zero row cannot be scaled; homogeneous (square, within-modality)
+    matrices fall back to the self one-hot (the instance only trusts itself),
+    heterogeneous ones to the uniform row.
     """
-    v = aff.values
+    v = np.asarray(values, dtype=np.float64)
     sums = v.sum(axis=1)
     zero = sums <= 0.0
     out = np.empty_like(v)
@@ -94,14 +60,14 @@ def row_normalize(aff: AffinityMatrix) -> AffinityMatrix:
     out[nz] = v[nz] / sums[nz, None]
     if zero.any():
         for i in np.flatnonzero(zero):
-            if aff.kind.homogeneous:
+            if homogeneous:
                 out[i] = 0.0
                 out[i, i] = 1.0
             else:
                 out[i] = 1.0 / v.shape[1]
-    return AffinityMatrix(out, aff.kind)
+    return out
 
 
-def homogeneous_affinity(features, kappa: int, kind: AffinityKind) -> AffinityMatrix:
+def homogeneous_affinity(features, kappa: int) -> np.ndarray:
     """Row-normalized Jaccard affinity of mutual k-reciprocal sets."""
-    return row_normalize(jaccard_affinity(k_reciprocal_sets(features, kappa), kind))
+    return row_normalize(jaccard_affinity(k_reciprocal_sets(features, kappa)), True)

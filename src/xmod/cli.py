@@ -3,26 +3,14 @@
 Subcommands: synth, cluster, associate, eval, loss-report, pipeline.
 Exit codes: 0 success, 1 usage errors, 2 data or numeric errors. Output
 files are written atomically (temp file + rename). The XMOD_THREADS
-environment variable caps BLAS worker threads; it must be applied before
-numpy is first imported, which is why it is handled at the top of this
-module.
+environment variable caps BLAS worker threads; the package __init__ applies
+it, since that runs before anything imports numpy.
 """
 from __future__ import annotations
 
-import os
-
-_threads = os.environ.get("XMOD_THREADS", "").strip()
-if _threads.isdigit() and int(_threads) > 0:
-    for _var in (
-        "OMP_NUM_THREADS",
-        "OPENBLAS_NUM_THREADS",
-        "MKL_NUM_THREADS",
-        "NUMEXPR_NUM_THREADS",
-    ):
-        os.environ.setdefault(_var, _threads)
-
 import argparse
 import json
+import os
 import sys
 
 import numpy as np

@@ -16,7 +16,7 @@ from .core import (
     l2_normalize_rows,
     pairwise_sq_dists,
 )
-from .affinity import AffinityKind, jaccard_affinity, k_reciprocal_sets
+from .affinity import jaccard_affinity, k_reciprocal_sets
 
 
 class DistanceMetric(Enum):
@@ -84,10 +84,7 @@ def _pairwise_distance(features, metric: DistanceMetric, kappa: int) -> np.ndarr
     data = features.data if isinstance(features, FeatureMatrix) else np.asarray(features)
     if metric is DistanceMetric.EUCLIDEAN:
         return np.sqrt(pairwise_sq_dists(data, data))
-    aff = jaccard_affinity(
-        k_reciprocal_sets(data, kappa), AffinityKind.HOMOGENEOUS_V
-    )
-    return 1.0 - aff.values
+    return 1.0 - jaccard_affinity(k_reciprocal_sets(data, kappa))
 
 
 def dbscan(
@@ -165,7 +162,3 @@ def memory_probabilities(features, bank: MemoryBank, tau: float | None = None) -
     p /= p.sum(axis=1, keepdims=True)
     return p
 
-
-def memory_probability(feature, bank: MemoryBank, tau: float | None = None) -> np.ndarray:
-    """Single-row convenience wrapper around memory_probabilities."""
-    return memory_probabilities(np.asarray(feature)[None, :], bank, tau)[0]

@@ -1,8 +1,8 @@
 """On-disk formats: MFV1 feature files, label/ground-truth CSVs, report JSON.
 
 MFV1 layout: magic ``MFV1``, then u32-LE N, u32-LE d, then N*d little-endian
-float32 values row-major. Feature CSVs carry a ``f0..f{d-1}`` header. All
-writes go through a temp file + rename so readers never observe partial files.
+float32 values row-major. All writes go through a temp file + rename so
+readers never observe partial files.
 """
 from __future__ import annotations
 
@@ -67,28 +67,6 @@ def read_features(path, modality: Modality) -> FeatureMatrix:
         )
     raw = np.frombuffer(blob, dtype="<f4", offset=_HEADER.size).reshape(n, d)
     return FeatureMatrix.from_raw(raw, modality)
-
-
-def write_features_csv(path, features) -> None:
-    data = features.data if isinstance(features, FeatureMatrix) else np.asarray(features)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow([f"f{i}" for i in range(data.shape[1])])
-    for row in data:
-        writer.writerow([repr(float(v)) for v in row])
-    atomic_write_text(path, buf.getvalue())
-
-
-def read_features_csv(path, modality: Modality) -> FeatureMatrix:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if not header or header[0] != "f0":
-            raise FileFormatError(f"{path}: expected a f0..f{{d-1}} header")
-        rows = [[float(v) for v in row] for row in reader if row]
-    if not rows:
-        raise FileFormatError(f"{path}: no feature rows")
-    return FeatureMatrix.from_raw(np.asarray(rows, dtype=np.float64), modality)
 
 
 def write_labels(path, hard: np.ndarray, soft: np.ndarray | None = None) -> None:
@@ -174,7 +152,3 @@ def read_ground_truth(path, n_visible: int) -> tuple[np.ndarray, np.ndarray]:
 def write_json(path, payload: dict) -> None:
     atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
-
-def read_json(path) -> dict:
-    with open(path) as fh:
-        return json.load(fh)

@@ -22,7 +22,7 @@ from .core import (
     SoftLabelMatrix,
     hard_from_soft,
 )
-from .affinity import AffinityKind, homogeneous_affinity
+from .affinity import homogeneous_affinity
 from .clustering import ClusterAssignment, centroids, memory_probabilities
 from .transport import heterogeneous_affinity, otla_init
 
@@ -117,7 +117,8 @@ def _pairwise_label_gap(aff: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
     row = aff.sum(axis=1) @ (a * a).sum(axis=1)
     col = aff.sum(axis=0) @ (b * b).sum(axis=1)
     mix = float((aff * (a @ b.T)).sum())
-    return float(row + col - 2.0 * mix)
+    # Cancellation can leave a tiny negative for near-identical rows.
+    return max(float(row + col - 2.0 * mix), 0.0)
 
 
 def inconsistency(state: TransferState, aff: DirectionAffinities, alpha: float) -> InconsistencyReport:
@@ -132,23 +133,15 @@ def inconsistency(state: TransferState, aff: DirectionAffinities, alpha: float) 
     return InconsistencyReport(ho_s, ho_t, he_s, he_t, self_s, self_t, total)
 
 
-def transfer_step(
-    state: TransferState,
-    aff: DirectionAffinities,
-    alpha: float,
-    use_updated_intra: bool = False,
-) -> TransferState:
+def transfer_step(state: TransferState, aff: DirectionAffinities, alpha: float) -> TransferState:
     """One alternation: pull each side toward the other's labels across the
     transport affinity, anchor on its own init, then smooth homogeneously.
 
-    The cross update reads the pre-update intra matrix; passing
-    ``use_updated_intra=True`` switches to the Gauss-Seidel variant (not the
-    default behavior).
+    Both updates read the pre-update labels of the other side.
     """
     z = (1.0 - alpha) * (aff.he_st @ state.cross) + alpha * state.intra0
     intra_new = _clamp_renorm(0.5 * (aff.ho_src @ z + z))
-    basis = intra_new if use_updated_intra else state.intra
-    w = (1.0 - alpha) * (aff.he_ts @ basis) + alpha * state.cross0
+    w = (1.0 - alpha) * (aff.he_ts @ state.intra) + alpha * state.cross0
     cross_new = _clamp_renorm(0.5 * (aff.ho_tgt @ w + w))
     eps = max(
         float(np.abs(intra_new - state.intra).sum()),
@@ -163,7 +156,6 @@ def run_transfer(
     state: TransferState,
     aff: DirectionAffinities,
     cfg: PipelineConfig,
-    use_updated_intra: bool = False,
     on_step=None,
 ) -> TransferState:
     """Iterate transfer_step until the larger entrywise-L1 update falls to
@@ -172,7 +164,7 @@ def run_transfer(
         if state.t >= cfg.max_transfer_iters:
             state = replace(state, cap_hit=True)
             break
-        state = transfer_step(state, aff, cfg.alpha, use_updated_intra)
+        state = transfer_step(state, aff, cfg.alpha)
         if on_step is not None:
             on_step(state)
     return state
@@ -245,6 +237,7 @@ def _transfer_one_direction(
     f_src: np.ndarray,
     assign_src: ClusterAssignment,
     f_tgt: np.ndarray,
+    aff: DirectionAffinities,
     cfg: PipelineConfig,
     collect_trace: bool = False,
 ):
@@ -255,11 +248,6 @@ def _transfer_one_direction(
     swaps the outputs bit for bit.
     """
     state, _ = init_labels(f_src, f_tgt, assign_src, cfg)
-    ho_src = homogeneous_affinity(f_src, cfg.kappa, AffinityKind.HOMOGENEOUS_V).values
-    ho_tgt = homogeneous_affinity(f_tgt, cfg.kappa, AffinityKind.HOMOGENEOUS_R).values
-    he_st, he_ts = heterogeneous_affinity(f_src, f_tgt, cfg.ot_lambda)
-    aff = DirectionAffinities(ho_src, ho_tgt, he_st.values, he_ts.values)
-
     trace: list[dict] = []
 
     def record(st: TransferState) -> None:
@@ -288,22 +276,34 @@ def mult_associate(
     """Full association pass. DBSCAN-noise instances sit out entirely.
 
     V2R treats visible as the source (labels live in the visible cluster
-    space); R2V is the same computation with the modalities swapped.
+    space); R2V is the same computation with the modalities swapped. Each
+    modality's graph and the cross-modality plan are built once and shared
+    by both directions. The plan is solved with the subset that sorts first
+    by (row count, bytes) on the rows, so swapping the modalities swaps the
+    outputs bit for bit.
     """
     idx_v, fv_sub, sub_v = _subset(features_v, assign_v)
     idx_r, fr_sub, sub_r = _subset(features_r, assign_r)
+    ho_v = homogeneous_affinity(fv_sub, cfg.kappa)
+    ho_r = homogeneous_affinity(fr_sub, cfg.kappa)
+    if (fv_sub.shape[0], fv_sub.tobytes()) <= (fr_sub.shape[0], fr_sub.tobytes()):
+        he_vr, he_rv = heterogeneous_affinity(fv_sub, fr_sub, cfg.ot_lambda)
+    else:
+        he_rv, he_vr = heterogeneous_affinity(fr_sub, fv_sub, cfg.ot_lambda)
     fields: dict = {}
     traces: dict = {}
     if direction in (Direction.V2R, Direction.BOTH):
+        aff = DirectionAffinities(ho_v, ho_r, he_vr, he_rv)
         intra, cross, trace = _transfer_one_direction(
-            fv_sub, sub_v, fr_sub, cfg, collect_trace
+            fv_sub, sub_v, fr_sub, aff, cfg, collect_trace
         )
         fields["intra_v"] = LabeledSubset(idx_v, intra)
         fields["cross_r"] = LabeledSubset(idx_r, cross)
         traces["v2r"] = trace
     if direction in (Direction.R2V, Direction.BOTH):
+        aff = DirectionAffinities(ho_r, ho_v, he_rv, he_vr)
         intra, cross, trace = _transfer_one_direction(
-            fr_sub, sub_r, fv_sub, cfg, collect_trace
+            fr_sub, sub_r, fv_sub, aff, cfg, collect_trace
         )
         fields["intra_r"] = LabeledSubset(idx_r, intra)
         fields["cross_v"] = LabeledSubset(idx_v, cross)

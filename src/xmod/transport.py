@@ -15,7 +15,7 @@ from .core import (
     SoftLabelMatrix,
     pairwise_sq_dists,
 )
-from .affinity import AffinityKind, AffinityMatrix, row_normalize
+from .affinity import row_normalize
 from .clustering import MemoryBank
 
 
@@ -189,12 +189,10 @@ def heterogeneous_plan(
 
 def heterogeneous_affinity(
     features_v, features_r, lam: float
-) -> tuple[AffinityMatrix, AffinityMatrix]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Row-normalized transport plan in both directions: (S_vr, S_rv)."""
     plan = heterogeneous_plan(features_v, features_r, lam).plan
-    s_vr = row_normalize(AffinityMatrix(plan, AffinityKind.HETERO_VR))
-    s_rv = row_normalize(AffinityMatrix(plan.T.copy(), AffinityKind.HETERO_RV))
-    return s_vr, s_rv
+    return row_normalize(plan, False), row_normalize(plan.T.copy(), False)
 
 
 def otla_init(features_tgt, bank_src: MemoryBank, lam: float) -> SoftLabelMatrix:

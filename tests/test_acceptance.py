@@ -18,7 +18,7 @@ import pytest
 import oracles
 from conftest import record_criterion, random_unit_rows
 
-from xmod.affinity import AffinityKind, homogeneous_affinity
+from xmod.affinity import homogeneous_affinity
 from xmod.baselines import associate_greedy_centroid, associate_otla_only
 from xmod.cli import main as cli_main
 from xmod.clustering import ClusterAssignment, MemoryBank, centroids, dbscan
@@ -162,19 +162,17 @@ def transfer_family():
         f_v, f_r, gt = generate(spec)
         if seed % 2 == 0:
             f_src, f_tgt, gt_src = f_v.data, f_r.data, gt.ids_v
-            kind_s, kind_t = AffinityKind.HOMOGENEOUS_V, AffinityKind.HOMOGENEOUS_R
         else:
             f_src, f_tgt, gt_src = f_r.data, f_v.data, gt.ids_r
-            kind_s, kind_t = AffinityKind.HOMOGENEOUS_R, AffinityKind.HOMOGENEOUS_V
         cfg = PipelineConfig(
             kappa=6, ot_lambda=20.0, epsilon0=1e-6, max_transfer_iters=10_000
         )
         he_st, he_ts = heterogeneous_affinity(f_src, f_tgt, cfg.ot_lambda)
         aff = DirectionAffinities(
-            homogeneous_affinity(f_src, cfg.kappa, kind_s).values,
-            homogeneous_affinity(f_tgt, cfg.kappa, kind_t).values,
-            he_st.values,
-            he_ts.values,
+            homogeneous_affinity(f_src, cfg.kappa),
+            homogeneous_affinity(f_tgt, cfg.kappa),
+            he_st,
+            he_ts,
         )
         state, _ = init_labels(f_src, f_tgt, ClusterAssignment(gt_src, ids), cfg)
         t0 = inconsistency(state, aff, cfg.alpha).weighted_total

@@ -2,8 +2,6 @@ import numpy as np
 import pytest
 
 from xmod.affinity import (
-    AffinityKind,
-    AffinityMatrix,
     homogeneous_affinity,
     jaccard_affinity,
     k_reciprocal_sets,
@@ -72,24 +70,24 @@ class TestKReciprocalSets:
 class TestJaccardAffinity:
     def test_identical_sets_give_one(self):
         sets = [np.array([0, 1]), np.array([0, 1])]
-        aff = jaccard_affinity(sets, AffinityKind.HOMOGENEOUS_V)
-        assert np.allclose(aff.values, 1.0)
+        aff = jaccard_affinity(sets)
+        assert np.allclose(aff, 1.0)
 
     def test_disjoint_sets_give_zero(self):
         sets = [np.array([0]), np.array([1])]
-        aff = jaccard_affinity(sets, AffinityKind.HOMOGENEOUS_V)
-        assert aff.values[0, 1] == 0.0 and aff.values[1, 0] == 0.0
+        aff = jaccard_affinity(sets)
+        assert aff[0, 1] == 0.0 and aff[1, 0] == 0.0
 
     def test_quarter_overlap_example(self):
         # |{0,1} n {1,2,3}| = 1, union has 4 members -> 1/4
         sets = [np.array([0, 1]), np.array([1]), np.array([1, 2, 3]), np.array([3])]
-        aff = jaccard_affinity(sets, AffinityKind.HOMOGENEOUS_V)
-        assert aff.values[0, 2] == 0.25 and aff.values[2, 0] == 0.25
+        aff = jaccard_affinity(sets)
+        assert aff[0, 2] == 0.25 and aff[2, 0] == 0.25
 
     def test_matches_python_set_oracle(self, rng):
         feats = rng.standard_normal((15, 4))
         sets = k_reciprocal_sets(feats, 5)
-        aff = jaccard_affinity(sets, AffinityKind.HOMOGENEOUS_V).values
+        aff = jaccard_affinity(sets)
         pysets = [set(s.tolist()) for s in sets]
         for i in range(15):
             for j in range(15):
@@ -98,7 +96,7 @@ class TestJaccardAffinity:
 
     def test_symmetric_unit_diag_in_range(self, rng):
         sets = k_reciprocal_sets(rng.standard_normal((12, 3)), 4)
-        v = jaccard_affinity(sets, AffinityKind.HOMOGENEOUS_R).values
+        v = jaccard_affinity(sets)
         assert np.allclose(v, v.T, atol=0)
         assert np.allclose(np.diag(v), 1.0)
         assert v.min() >= 0.0 and v.max() <= 1.0
@@ -106,26 +104,24 @@ class TestJaccardAffinity:
     def test_separated_blobs_are_block_diagonal(self):
         fv, _, gt = generate(SynthSpec(num_ids=2, per_id_v=10, per_id_r=10,
                                        dim=8, blob_std=0.02, seed=1))
-        aff = jaccard_affinity(k_reciprocal_sets(fv.data, 6),
-                               AffinityKind.HOMOGENEOUS_V).values
+        aff = jaccard_affinity(k_reciprocal_sets(fv.data, 6))
         cross = aff[gt.ids_v[:, None] != gt.ids_v[None, :]]
         assert np.all(cross == 0.0)
 
 
 class TestRowNormalize:
     def test_plain_rows(self):
-        aff = AffinityMatrix(np.array([[2.0, 2.0], [1.0, 3.0]]), AffinityKind.HOMOGENEOUS_V)
-        out = row_normalize(aff).values
+        aff = np.array([[2.0, 2.0], [1.0, 3.0]])
+        out = row_normalize(aff, homogeneous=True)
         assert np.allclose(out, [[0.5, 0.5], [0.25, 0.75]], atol=1e-15)
 
     def test_identity_unchanged(self):
-        aff = AffinityMatrix(np.eye(4), AffinityKind.HOMOGENEOUS_V)
-        assert np.allclose(row_normalize(aff).values, np.eye(4), atol=0)
+        assert np.allclose(row_normalize(np.eye(4), homogeneous=True), np.eye(4), atol=0)
 
     def test_homogeneous_zero_row_becomes_self_one_hot(self):
         v = np.ones((5, 5))
         v[3] = 0.0
-        out = row_normalize(AffinityMatrix(v, AffinityKind.HOMOGENEOUS_V)).values
+        out = row_normalize(v, homogeneous=True)
         want = np.zeros(5)
         want[3] = 1.0
         assert np.array_equal(out[3], want)
@@ -133,18 +129,18 @@ class TestRowNormalize:
     def test_heterogeneous_zero_row_becomes_uniform(self):
         v = np.ones((2, 4))
         v[1] = 0.0
-        out = row_normalize(AffinityMatrix(v, AffinityKind.HETERO_VR)).values
+        out = row_normalize(v, homogeneous=False)
         assert np.allclose(out[1], 0.25, atol=0)
 
     def test_row_sums_one(self, rng):
         v = rng.random((8, 8))
-        out = row_normalize(AffinityMatrix(v, AffinityKind.HOMOGENEOUS_R)).values
+        out = row_normalize(v, homogeneous=True)
         assert np.allclose(out.sum(axis=1), 1.0, atol=1e-12)
 
 
 class TestHomogeneousAffinity:
     def test_row_stochastic_and_self_positive(self, rng):
         feats = random_unit_rows(rng, 25, 6)
-        aff = homogeneous_affinity(feats, 5, AffinityKind.HOMOGENEOUS_V).values
+        aff = homogeneous_affinity(feats, 5)
         assert np.allclose(aff.sum(axis=1), 1.0, atol=1e-12)
         assert np.all(np.diag(aff) > 0.0)

@@ -1,11 +1,15 @@
 import json
+import os
 import shutil
+import subprocess
+import sys
 from importlib import resources
 
 import jsonschema
 import numpy as np
 import pytest
 
+import xmod
 from xmod.cli import main
 from xmod.core import Modality
 from xmod.fileio import read_features, read_labels
@@ -309,3 +313,25 @@ class TestErrors:
         ])
         assert code == 2
         assert "no_such_knob" in capsys.readouterr().err
+
+
+class TestThreads:
+    def test_xmod_threads_pins_blas(self):
+        if not os.access("/proc/self/status", os.R_OK):
+            pytest.skip("no /proc/self/status to count threads")
+        probe = (
+            "import xmod.cli, numpy as np\n"
+            "a = np.ones((512, 512)); a @ a\n"
+            "for line in open('/proc/self/status'):\n"
+            "    if line.startswith('Threads:'):\n"
+            "        print(line.split()[1])\n"
+        )
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                            "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")}
+        env["XMOD_THREADS"] = "1"
+        src = os.path.dirname(os.path.dirname(os.path.abspath(xmod.__file__)))
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out.split() == ["1"]

@@ -11,7 +11,6 @@ from xmod.clustering import (
     centroids,
     dbscan,
     memory_probabilities,
-    memory_probability,
 )
 from xmod.synth import SynthSpec, generate
 
@@ -140,20 +139,20 @@ class TestCentroids:
 class TestMemoryProbability:
     def test_orthogonal_feature_is_uniform(self):
         bank = MemoryBank(np.eye(3)[:2], tau=0.5, mu=0.1)
-        p = memory_probability(np.array([0.0, 0.0, 1.0]), bank)
-        assert np.allclose(p, [0.5, 0.5], atol=1e-15)
+        p = memory_probabilities(np.array([[0.0, 0.0, 1.0]]), bank)
+        assert np.allclose(p, [[0.5, 0.5]], atol=1e-15)
 
     def test_exact_prototype_tau_one(self):
         bank = MemoryBank(np.eye(2), tau=1.0, mu=0.1)
-        p = memory_probability(np.array([1.0, 0.0]), bank)
+        p = memory_probabilities(np.array([[1.0, 0.0]]), bank)[0]
         e = math.exp(1.0)
         assert np.allclose(p, [e / (e + 1.0), 1.0 / (e + 1.0)], atol=1e-12)
         assert abs(p[0] - 0.73106) < 1e-5
 
     def test_sharp_tau_dominates(self):
         bank = MemoryBank(np.eye(2), tau=0.05, mu=0.1)
-        p = memory_probability(np.array([1.0, 0.0]), bank)
-        assert p[0] >= 1.0 - 1e-8
+        p = memory_probabilities(np.array([[1.0, 0.0]]), bank)
+        assert p[0, 0] >= 1.0 - 1e-8
 
     def test_matches_scalar_softmax_oracle(self, rng):
         feats = random_unit_rows(rng, 6, 4)
@@ -176,4 +175,4 @@ class TestMemoryProbability:
     def test_dim_mismatch(self, rng):
         bank = MemoryBank(random_unit_rows(rng, 2, 4), tau=0.05, mu=0.1)
         with pytest.raises(ShapeMismatchError):
-            memory_probability(np.zeros(3), bank)
+            memory_probabilities(np.zeros((1, 3)), bank)

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+from xmod import transfer
 from xmod.core import NOISE, PipelineConfig, SoftLabelMatrix
 from xmod.clustering import ClusterAssignment
-from xmod.affinity import AffinityKind, homogeneous_affinity
+from xmod.affinity import homogeneous_affinity
 from xmod.metrics import full_report
 from xmod.synth import SynthSpec, generate
 from xmod.transfer import (
@@ -45,7 +46,7 @@ def random_instance(rng, ns=7, nt=5, k=3):
     return state, aff
 
 
-def step_oracle(state, aff, alpha, use_updated_intra=False):
+def step_oracle(state, aff, alpha):
     """transfer_step re-done with explicit python loops."""
 
     def matvec(mat, labels):
@@ -69,8 +70,7 @@ def step_oracle(state, aff, alpha, use_updated_intra=False):
 
     z = (1.0 - alpha) * matvec(aff.he_st, state.cross) + alpha * state.intra0
     intra_new = clamp_renorm(0.5 * (matvec(aff.ho_src, z) + z))
-    basis = intra_new if use_updated_intra else state.intra
-    w = (1.0 - alpha) * matvec(aff.he_ts, basis) + alpha * state.cross0
+    w = (1.0 - alpha) * matvec(aff.he_ts, state.intra) + alpha * state.cross0
     cross_new = clamp_renorm(0.5 * (matvec(aff.ho_tgt, w) + w))
     return intra_new, cross_new
 
@@ -179,6 +179,19 @@ class TestInconsistency:
             assert np.allclose(got, oracle, atol=1e-10)
             assert all(v >= 0.0 for v in got)
 
+    def test_near_identical_rows_never_negative(self):
+        # row + col - 2 * mix cancels to about -1.4e-14 here unless clamped
+        rng = np.random.default_rng(9)
+        he_st = random_stochastic(rng, 29, 2)
+        row = rng.random(3)
+        row /= row.sum()
+        intra = np.tile(row, (29, 1)) + 1e-9 * rng.random((29, 3))
+        cross = np.tile(row, (2, 1)) + 1e-9 * rng.random((2, 3))
+        aff = DirectionAffinities(np.eye(29), np.eye(2), he_st, he_st.T.copy())
+        state = TransferState(intra, cross, intra, cross)
+        rep = inconsistency(state, aff, alpha=0.2).to_dict()
+        assert all(v >= 0.0 for v in rep.values()), rep
+
     def test_report_round_trips_to_dict(self, rng):
         state, aff = random_instance(rng)
         d = inconsistency(state, aff, 0.2).to_dict()
@@ -190,16 +203,15 @@ class TestInconsistency:
 
 class TestTransferStep:
     def test_matches_loop_oracle(self, rng):
-        for gauss in (False, True):
-            state, aff = random_instance(rng)
-            new = transfer_step(state, aff, alpha=0.2, use_updated_intra=gauss)
-            intra_e, cross_e = step_oracle(state, aff, 0.2, use_updated_intra=gauss)
-            assert np.abs(new.intra - intra_e).max() < 1e-12
-            assert np.abs(new.cross - cross_e).max() < 1e-12
-            eps_e = max(np.abs(intra_e - state.intra).sum(),
-                        np.abs(cross_e - state.cross).sum())
-            assert new.epsilon == pytest.approx(eps_e, abs=1e-12)
-            assert new.t == 1
+        state, aff = random_instance(rng)
+        new = transfer_step(state, aff, alpha=0.2)
+        intra_e, cross_e = step_oracle(state, aff, 0.2)
+        assert np.abs(new.intra - intra_e).max() < 1e-12
+        assert np.abs(new.cross - cross_e).max() < 1e-12
+        eps_e = max(np.abs(intra_e - state.intra).sum(),
+                    np.abs(cross_e - state.cross).sum())
+        assert new.epsilon == pytest.approx(eps_e, abs=1e-12)
+        assert new.t == 1
 
     def test_alpha_one_ignores_cross(self, rng):
         state, aff = random_instance(rng)
@@ -330,8 +342,8 @@ class TestFuseLabels:
         assert isinstance(cross, SoftLabelMatrix)
 
 
-def blob_instance(seed, gap=0.0, num_ids=3):
-    spec = SynthSpec(num_ids=num_ids, per_id_v=8, per_id_r=8, dim=16,
+def blob_instance(seed, gap=0.0, num_ids=3, per_id_v=8, per_id_r=8):
+    spec = SynthSpec(num_ids=num_ids, per_id_v=per_id_v, per_id_r=per_id_r, dim=16,
                      blob_std=0.03, modality_gap=gap, seed=seed)
     fv, fr, gt = generate(spec)
     assign_v = ClusterAssignment(gt.ids_v.astype(np.int64), num_ids)
@@ -357,15 +369,44 @@ class TestMultAssociate:
         for subset in (result.intra_v, result.cross_r, result.intra_r, result.cross_v):
             assert np.allclose(subset.labels.probs, 1.0)
 
-    def test_swapped_modalities_swap_outputs_bitwise(self):
-        fv, fr, av, ar, _ = blob_instance(seed=11, gap=0.2)
+    @pytest.mark.parametrize(
+        "per_id_v, per_id_r, noise_v",
+        [(8, 8, False), (9, 7, False), (8, 8, True)],
+        ids=["equal-sizes", "unequal-sizes", "noise-row"],
+    )
+    def test_swapped_modalities_swap_outputs_bitwise(self, per_id_v, per_id_r, noise_v):
+        # The plan is solved once, with the subset that sorts first by (row
+        # count, bytes) on the rows; each case sees both orientations.
+        fv, fr, av, ar, _ = blob_instance(seed=11, gap=0.2, per_id_v=per_id_v,
+                                          per_id_r=per_id_r)
+        if noise_v:
+            labels_v = av.labels.copy()
+            labels_v[3] = NOISE
+            av = ClusterAssignment(labels_v, av.k)
         cfg = PipelineConfig(kappa=8)
         ab = mult_associate(fv, fr, av, ar, cfg, Direction.BOTH)
         ba = mult_associate(fr, fv, ar, av, cfg, Direction.BOTH)
-        assert np.array_equal(ab.intra_v.labels.probs, ba.intra_r.labels.probs)
-        assert np.array_equal(ab.cross_r.labels.probs, ba.cross_v.labels.probs)
-        assert np.array_equal(ab.intra_r.labels.probs, ba.intra_v.labels.probs)
-        assert np.array_equal(ab.cross_v.labels.probs, ba.cross_r.labels.probs)
+        for mine, theirs in ((ab.intra_v, ba.intra_r), (ab.cross_r, ba.cross_v),
+                             (ab.intra_r, ba.intra_v), (ab.cross_v, ba.cross_r)):
+            assert np.array_equal(mine.indices, theirs.indices)
+            assert np.array_equal(mine.labels.probs, theirs.labels.probs)
+
+    def test_each_affinity_built_once(self, monkeypatch):
+        calls = {"homogeneous": 0, "heterogeneous": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(transfer, "homogeneous_affinity",
+                            counted("homogeneous", transfer.homogeneous_affinity))
+        monkeypatch.setattr(transfer, "heterogeneous_affinity",
+                            counted("heterogeneous", transfer.heterogeneous_affinity))
+        fv, fr, av, ar, _ = blob_instance(seed=3)
+        mult_associate(fv, fr, av, ar, PipelineConfig(kappa=8), Direction.BOTH)
+        assert calls == {"homogeneous": 2, "heterogeneous": 1}
 
     def test_single_direction_leaves_other_empty(self):
         fv, fr, av, ar, _ = blob_instance(seed=3)
@@ -415,10 +456,10 @@ class TestStationarity:
         cfg = PipelineConfig(kappa=8, epsilon0=1e-6, max_transfer_iters=10_000)
         idx_v = av.clustered_indices()
         state, _ = init_labels(fv.data, fr.data, av, cfg)
-        ho_s = homogeneous_affinity(fv.data, cfg.kappa, AffinityKind.HOMOGENEOUS_V).values
-        ho_t = homogeneous_affinity(fr.data, cfg.kappa, AffinityKind.HOMOGENEOUS_R).values
+        ho_s = homogeneous_affinity(fv.data, cfg.kappa)
+        ho_t = homogeneous_affinity(fr.data, cfg.kappa)
         he_st, he_ts = heterogeneous_affinity(fv.data, fr.data, cfg.ot_lambda)
-        aff = DirectionAffinities(ho_s, ho_t, he_st.values, he_ts.values)
+        aff = DirectionAffinities(ho_s, ho_t, he_st, he_ts)
         out = run_transfer(state, aff, cfg)
         assert not out.cap_hit
         resid = (

@@ -169,14 +169,14 @@ class TestHeterogeneousAffinity:
     def test_single_cell(self, rng):
         f = random_unit_rows(rng, 1, 4)
         s_vr, s_rv = heterogeneous_affinity(f, f, lam=25.0)
-        assert s_vr.values.tolist() == [[1.0]]
-        assert s_rv.values.tolist() == [[1.0]]
+        assert s_vr.tolist() == [[1.0]]
+        assert s_rv.tolist() == [[1.0]]
 
     def test_identical_orthonormal_points_give_identity(self):
         f = np.eye(2)
         s_vr, s_rv = heterogeneous_affinity(f, f, lam=25.0)
-        assert np.allclose(s_vr.values, np.eye(2), atol=1e-4)
-        assert np.allclose(s_rv.values, np.eye(2), atol=1e-4)
+        assert np.allclose(s_vr, np.eye(2), atol=1e-4)
+        assert np.allclose(s_rv, np.eye(2), atol=1e-4)
 
     def test_pre_normalization_marginals(self, rng):
         fv = random_unit_rows(rng, 37, 8)
@@ -189,10 +189,10 @@ class TestHeterogeneousAffinity:
         fv = random_unit_rows(rng, 12, 6)
         fr = random_unit_rows(rng, 9, 6)
         s_vr, s_rv = heterogeneous_affinity(fv, fr, lam=25.0)
-        assert s_vr.values.shape == (12, 9)
-        assert s_rv.values.shape == (9, 12)
-        assert np.allclose(s_vr.values.sum(axis=1), 1.0, atol=1e-9)
-        assert np.allclose(s_rv.values.sum(axis=1), 1.0, atol=1e-9)
+        assert s_vr.shape == (12, 9)
+        assert s_rv.shape == (9, 12)
+        assert np.allclose(s_vr.sum(axis=1), 1.0, atol=1e-9)
+        assert np.allclose(s_rv.sum(axis=1), 1.0, atol=1e-9)
 
 
 class TestOtlaInit:
