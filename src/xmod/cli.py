@@ -230,7 +230,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-prototypes", required=True)
     p.set_defaults(func=_cmd_cluster)
 
-    p = sub.add_parser("associate", help="produce cross-modality pseudo-labels")
+    p = sub.add_parser(
+        "associate",
+        help="produce cross-modality pseudo-labels",
+        description=(
+            "Cluster both feature files and produce cross-modality pseudo-labels. "
+            "The clustering is done here, with DBSCAN at the config's dbscan_eps and "
+            "dbscan_min_samples and the Euclidean metric; the files written by "
+            "'xmod cluster' are not read. To associate over the same clusters that "
+            "'xmod cluster' wrote, give both commands those values through --config "
+            "and cluster with the Euclidean metric."
+        ),
+    )
     p.add_argument("--features-v", required=True)
     p.add_argument("--features-r", required=True)
     p.add_argument("--method", choices=["mult", "otla", "greedy"], default="mult")

@@ -67,10 +67,16 @@ def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
 
 
 def _dual_value(f, g, log_k, r, c) -> float:
-    """Entropic dual: f.r + g.c - total plan mass, to be maximized."""
+    """Entropic dual: f.r + g.c - total plan mass, to be maximized.
+
+    The dot products run over the support: a zero-mass entry has potential
+    -inf, and -inf * 0 would turn the whole dual into nan.
+    """
     with np.errstate(over="ignore"):
         total = np.exp(f[:, None] + log_k + g[None, :]).sum()
-    return float(f @ r + g @ c - total)
+    rs = r > 0.0
+    cs = c > 0.0
+    return float(f[rs] @ r[rs] + g[cs] @ c[cs] - total)
 
 
 def _newton_step(f, g, log_k, r, c):
@@ -110,7 +116,7 @@ def _newton_step(f, g, log_k, r, c):
     return None
 
 
-_NEWTON_WARMUP = 200  # plain scaling sweeps before Newton refinement kicks in
+_STALL = 0.5  # a plain sweep that keeps more than this share of the error has stalled
 
 
 def sinkhorn(problem: TransportProblem) -> TransportPlan:
@@ -118,13 +124,17 @@ def sinkhorn(problem: TransportProblem) -> TransportPlan:
 
     The returned plan is diag(u) exp(-lam*C) diag(v) with the potentials
     iterated in log domain, so lam*cost up to ~1e3 stays finite. Plain
-    alternating sweeps slow to a crawl on sharply regularized problems whose
-    unregularized optimum is nearly tied, so after a warmup the potentials
-    are polished by damped Newton steps on the dual (same fixed point, each
-    step falls back to a plain sweep if its line search fails). Stops when
-    the worse of the two marginal L1 errors drops below ``tol``; if the
-    iteration cap is hit with error above 10*tol a NotConvergedWarning is
-    emitted and the plan is returned anyway.
+    alternating sweeps contract fast on well-separated problems and slow to
+    a crawl on sharply regularized ones whose unregularized optimum is nearly
+    tied. So plain sweeps run until one of them shrinks the marginal error
+    by less than half (``_STALL``); from then on the potentials are polished
+    by damped Newton steps on the dual, which share the sweeps' fixed point.
+    A Newton step whose line search fails falls back to a plain sweep, and
+    the next attempt waits for more plain sweeps: one after the first
+    rejection, doubling with each consecutive rejection, back to one after
+    an accepted step. Stops when the worse of the two marginal L1 errors
+    drops below ``tol``; if the iteration cap is hit with error above
+    10*tol a NotConvergedWarning is emitted and the plan is returned anyway.
     """
     log_k = -problem.lam * problem.cost
     r = problem.row_marginal
@@ -136,14 +146,22 @@ def sinkhorn(problem: TransportProblem) -> TransportPlan:
     g = np.zeros_like(log_c)
     err = np.inf
     used = 0
+    stalled = False
+    wait = 0  # plain sweeps left before the next Newton attempt
+    backoff = 1  # plain sweeps to wait after the next rejection
     while used < problem.max_iters:
         used += 1
         step = None
-        if used > _NEWTON_WARMUP:
+        if stalled and wait == 0:
             step = _newton_step(f, g, log_k, r, c)
+            if step is None:
+                wait, backoff = backoff, 2 * backoff
+            else:
+                backoff = 1
         if step is not None:
             f, g = step
         else:
+            wait = max(wait - 1, 0)
             f = log_r - _logsumexp(log_k + g[None, :], axis=1)
             g = log_c - _logsumexp(log_k + f[:, None], axis=0)
         plan = np.exp(f[:, None] + log_k + g[None, :])
@@ -151,7 +169,8 @@ def sinkhorn(problem: TransportProblem) -> TransportPlan:
             raise NonFiniteError("transport plan")
         row_err = np.abs(plan.sum(axis=1) - r).sum()
         col_err = np.abs(plan.sum(axis=0) - c).sum()
-        err = max(row_err, col_err)
+        prev, err = err, max(row_err, col_err)
+        stalled = stalled or err > _STALL * prev
         if err < problem.tol:
             break
     converged = err < problem.tol

@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from xmod.core import NonFiniteError, NotConvergedWarning
+import xmod.transport as transport
+from xmod.core import NonFiniteError, NotConvergedWarning, pairwise_sq_dists
 from xmod.clustering import MemoryBank
+from xmod.synth import GapMode, SynthSpec, generate
 from xmod.transport import (
     TransportPlan,
     TransportProblem,
@@ -24,6 +26,32 @@ def uniform_problem(cost, lam, **kw) -> TransportProblem:
     cost = np.asarray(cost, dtype=np.float64)
     n, m = cost.shape
     return TransportProblem(cost, np.full(n, 1.0 / n), np.full(m, 1.0 / m), lam, **kw)
+
+
+def synth_cost(**spec) -> np.ndarray:
+    fv, fr, _ = generate(SynthSpec(num_ids=6, per_id_v=10, per_id_r=10, dim=32, seed=3, **spec))
+    return pairwise_sq_dists(fv.data, fr.data)
+
+
+def hard_cost() -> np.ndarray:
+    """60x60 per-identity-gap problem: plain sweeps stall within a few
+    sweeps at lam=25."""
+    return synth_cost(blob_std=0.08, modality_gap=1.2, gap_mode=GapMode.PER_ID_OFFSET)
+
+
+def count_newton(monkeypatch) -> dict:
+    """Wrap transport._newton_step; count its calls and its None returns."""
+    counts = {"calls": 0, "rejected": 0}
+    original = transport._newton_step
+
+    def counting(*args):
+        counts["calls"] += 1
+        step = original(*args)
+        counts["rejected"] += step is None
+        return step
+
+    monkeypatch.setattr(transport, "_newton_step", counting)
+    return counts
 
 
 def lp_optimal_plan(cost, row_marginal, col_marginal):
@@ -154,6 +182,41 @@ class TestSinkhorn:
         assert not result.converged
         assert result.iterations_used == 2
         assert isinstance(result, TransportPlan)
+
+    def test_stalled_sweeps_hand_over_to_newton(self):
+        # plain sweeps alone are still at 3e-5 marginal error after 10,000
+        # iterations here; Newton from the first stalled sweep needs a few steps
+        result = sinkhorn(uniform_problem(hard_cost(), lam=25.0))
+        assert result.converged
+        assert result.iterations_used <= 30
+
+    def test_fast_contraction_never_tries_newton(self, monkeypatch):
+        counts = count_newton(monkeypatch)
+        result = sinkhorn(uniform_problem(synth_cost(blob_std=0.03, modality_gap=0.3), lam=25.0))
+        assert result.converged
+        assert counts["calls"] == 0
+
+    def test_rejected_newton_backs_off(self, rng, monkeypatch):
+        # at lam=1000 the line search fails often near the optimum; retrying
+        # Newton on every sweep rejected it 222 times here
+        counts = count_newton(monkeypatch)
+        cost = pairwise_sq_dists(random_unit_rows(rng, 100, 32), random_unit_rows(rng, 100, 32))
+        result = sinkhorn(uniform_problem(cost, lam=1000.0))
+        assert result.converged
+        assert counts["rejected"] <= 10
+
+    def test_zero_mass_entry_keeps_newton_working(self):
+        cost = hard_cost()
+        r = np.full(60, 1.0 / 60)
+        r[0] = 0.0
+        r /= r.sum()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = sinkhorn(TransportProblem(cost, r, np.full(60, 1.0 / 60), 25.0))
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert result.converged
+        assert result.iterations_used <= 30
+        assert np.all(result.plan[0] == 0.0)
 
     def test_nonfinite_cost_rejected(self):
         with pytest.raises(NonFiniteError):
