@@ -45,12 +45,12 @@ def main() -> None:
         print()
 
     assign_v = dbscan(visible.data, cfg.dbscan_eps, cfg.dbscan_min_samples, kappa=cfg.kappa)
-    bank = centroids(visible.data, assign_v, cfg.tau, cfg.mu)
-    print(f"prototype bank: {bank.k} rows of dim {bank.prototypes.shape[1]}, tau {bank.tau}")
+    bank = centroids(visible.data, assign_v)
+    print(f"prototype bank: {bank.k} rows of dim {bank.prototypes.shape[1]}, tau {cfg.tau}")
     norms = np.linalg.norm(bank.prototypes, axis=1)
     print(f"prototype norms: [{norms.min():.9f}, {norms.max():.9f}]")
 
-    probs = memory_probabilities(visible.data, bank)
+    probs = memory_probabilities(visible.data, bank, cfg.tau)
     print(f"membership rows sum to one: {np.allclose(probs.sum(axis=1), 1.0)}")
     print(f"mean top membership {probs.max(axis=1).mean():.4f}"
           f" (sharp because tau {cfg.tau} is small)")

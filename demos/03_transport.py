@@ -40,7 +40,7 @@ def main() -> None:
     spec_big = SynthSpec(num_ids=4, per_id_v=10, per_id_r=10, dim=16,
                          blob_std=0.03, modality_gap=0.2, seed=5)
     fv, fr, gt_big = generate(spec_big)
-    bank = centroids(fv.data, ClusterAssignment(gt_big.ids_v, 4), tau=0.05, mu=0.1)
+    bank = centroids(fv.data, ClusterAssignment(gt_big.ids_v, 4))
     hard = otla_init(fr.data, bank, lam=25.0).probs.argmax(axis=1)
     counts = np.bincount(hard, minlength=4)
     print(f"balanced init over 4 prototypes, 40 infrared instances: counts {counts}")

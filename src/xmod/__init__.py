@@ -38,7 +38,7 @@ from .transfer import (
     mult_associate,
     run_transfer,
 )
-from .losses import Batch, LossReport, ModeBanks, TrainingMode, loss_report, momentum_update
+from .losses import Batch, LossReport, ModeBanks, TrainingMode, loss_report
 from .metrics import GroundTruth, MetricsReport, full_report, pair_accuracy, pair_recall
 from .synth import GapMode, SplitMix64, SynthSpec, generate
 from .baselines import associate_greedy_centroid, associate_otla_only
@@ -83,7 +83,6 @@ __all__ = [
     "homogeneous_affinity",
     "l2_normalize_rows",
     "loss_report",
-    "momentum_update",
     "mult_associate",
     "otla_init",
     "pair_accuracy",

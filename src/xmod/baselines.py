@@ -17,7 +17,7 @@ def _one_hot_intra(sub_assign: ClusterAssignment) -> SoftLabelMatrix:
     return SoftLabelMatrix.one_hot(sub_assign.labels, sub_assign.k)
 
 
-def _direction_fields(direction: Direction, intra, cross, idx_src, idx_tgt, swapped: bool):
+def _direction_fields(intra, cross, idx_src, idx_tgt, swapped: bool):
     if not swapped:
         return {
             "intra_v": LabeledSubset(idx_src, intra),
@@ -44,16 +44,16 @@ def associate_otla_only(
     idx_r, fr_sub, sub_r = _subset(features_r, assign_r)
     fields: dict = {}
     if direction in (Direction.V2R, Direction.BOTH):
-        bank = centroids(fv_sub, sub_v, cfg.tau, cfg.mu)
+        bank = centroids(fv_sub, sub_v)
         cross = otla_init(fr_sub, bank, cfg.ot_lambda)
         fields.update(
-            _direction_fields(direction, _one_hot_intra(sub_v), cross, idx_v, idx_r, False)
+            _direction_fields(_one_hot_intra(sub_v), cross, idx_v, idx_r, False)
         )
     if direction in (Direction.R2V, Direction.BOTH):
-        bank = centroids(fr_sub, sub_r, cfg.tau, cfg.mu)
+        bank = centroids(fr_sub, sub_r)
         cross = otla_init(fv_sub, bank, cfg.ot_lambda)
         fields.update(
-            _direction_fields(direction, _one_hot_intra(sub_r), cross, idx_r, idx_v, True)
+            _direction_fields(_one_hot_intra(sub_r), cross, idx_r, idx_v, True)
         )
     return AssociationResult(
         n_visible=len(assign_v.labels), n_infrared=len(assign_r.labels), **fields
@@ -95,8 +95,8 @@ def associate_greedy_centroid(
     instance inherits the source cluster its own cluster was matched to."""
     idx_v, fv_sub, sub_v = _subset(features_v, assign_v)
     idx_r, fr_sub, sub_r = _subset(features_r, assign_r)
-    bank_v = centroids(fv_sub, sub_v, cfg.tau, cfg.mu)
-    bank_r = centroids(fr_sub, sub_r, cfg.tau, cfg.mu)
+    bank_v = centroids(fv_sub, sub_v)
+    bank_r = centroids(fr_sub, sub_r)
 
     def one(bank_src, bank_tgt, sub_tgt) -> SoftLabelMatrix:
         dist = np.sqrt(pairwise_sq_dists(bank_tgt.prototypes, bank_src.prototypes))
@@ -107,12 +107,12 @@ def associate_greedy_centroid(
     if direction in (Direction.V2R, Direction.BOTH):
         cross = one(bank_v, bank_r, sub_r)
         fields.update(
-            _direction_fields(direction, _one_hot_intra(sub_v), cross, idx_v, idx_r, False)
+            _direction_fields(_one_hot_intra(sub_v), cross, idx_v, idx_r, False)
         )
     if direction in (Direction.R2V, Direction.BOTH):
         cross = one(bank_r, bank_v, sub_v)
         fields.update(
-            _direction_fields(direction, _one_hot_intra(sub_r), cross, idx_r, idx_v, True)
+            _direction_fields(_one_hot_intra(sub_r), cross, idx_r, idx_v, True)
         )
     return AssociationResult(
         n_visible=len(assign_v.labels), n_infrared=len(assign_r.labels), **fields

@@ -1,6 +1,10 @@
 """Command-line interface.
 
 Subcommands: synth, cluster, associate, eval, loss-report, pipeline.
+cluster, associate, loss-report and pipeline read their settings from an
+optional ``--config`` JSON object whose keys are PipelineConfig fields; an
+unknown key or a value of the wrong type is a data error. ``--seed`` belongs
+to synth alone: nothing after generation draws random numbers.
 Exit codes: 0 success, 1 usage errors, 2 data or numeric errors. Output
 files are written atomically (temp file + rename). The XMOD_THREADS
 environment variable caps BLAS worker threads; the package __init__ applies
@@ -16,7 +20,7 @@ import sys
 import numpy as np
 
 from .core import Modality, PipelineConfig, XmodError
-from .clustering import DistanceMetric, dbscan, centroids
+from .clustering import DistanceMetric, MemoryBank, centroids, dbscan
 from .baselines import associate_greedy_centroid, associate_otla_only
 from .fileio import (
     read_features,
@@ -32,7 +36,6 @@ from .metrics import GroundTruth, report_from_hard
 from .pipeline import run_trace
 from .synth import GapMode, SynthSpec, generate
 from .transfer import Direction, mult_associate
-from .clustering import MemoryBank
 
 _METRICS = {"euclidean": DistanceMetric.EUCLIDEAN, "jaccard": DistanceMetric.JACCARD_DISTANCE}
 _LABEL_FILES = ("intra_v", "cross_r", "intra_r", "cross_v")
@@ -43,8 +46,6 @@ def _load_config(args) -> PipelineConfig:
     if getattr(args, "config", None):
         with open(args.config) as fh:
             cfg = cfg.with_overrides(json.load(fh))
-    if getattr(args, "seed", None) is not None:
-        cfg = cfg.with_overrides({"seed": args.seed})
     return cfg
 
 
@@ -58,7 +59,7 @@ def _cmd_synth(args) -> int:
         blob_std=args.std,
         modality_gap=args.gap,
         gap_mode=GapMode(args.gap_mode),
-        seed=args.seed if args.seed is not None else 0,
+        seed=args.seed,
     )
     visible, infrared, gt = generate(spec)
     os.makedirs(args.out, exist_ok=True)
@@ -79,7 +80,7 @@ def _cmd_cluster(args) -> int:
         kappa=cfg.kappa,
     )
     write_labels(args.out_labels, assign.labels)
-    bank = centroids(features, assign, cfg.tau, cfg.mu)
+    bank = centroids(features, assign)
     write_features(args.out_prototypes, bank.prototypes)
     return 0
 
@@ -159,10 +160,10 @@ def _cmd_loss_report(args) -> int:
         labels[name] = (hard, soft)
     banks = ModeBanks(
         mode=TrainingMode(args.mode),
-        intra_v=MemoryBank(read_features(args.bank_intra_v, Modality.VISIBLE).data, cfg.tau, cfg.mu),
-        intra_r=MemoryBank(read_features(args.bank_intra_r, Modality.INFRARED).data, cfg.tau, cfg.mu),
-        shared=MemoryBank(read_features(args.bank_shared, Modality.VISIBLE).data, cfg.tau, cfg.mu),
-        intra_cross=MemoryBank(read_features(args.bank_intra_cross, Modality.VISIBLE).data, cfg.tau, cfg.mu),
+        intra_v=MemoryBank(read_features(args.bank_intra_v, Modality.VISIBLE).data),
+        intra_r=MemoryBank(read_features(args.bank_intra_r, Modality.INFRARED).data),
+        shared=MemoryBank(read_features(args.bank_shared, Modality.VISIBLE).data),
+        intra_cross=MemoryBank(read_features(args.bank_intra_cross, Modality.VISIBLE).data),
     )
     valid_v = (labels["intra_v"][0] >= 0) & (labels["cross_v"][0] >= 0)
     valid_r = (labels["intra_r"][0] >= 0) & (labels["cross_r"][0] >= 0)
@@ -225,7 +226,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min-samples", type=int)
     p.add_argument("--metric", choices=sorted(_METRICS), default="euclidean")
     p.add_argument("--config")
-    p.add_argument("--seed", type=int)
     p.add_argument("--out-labels", required=True)
     p.add_argument("--out-prototypes", required=True)
     p.set_defaults(func=_cmd_cluster)
@@ -247,7 +247,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=["mult", "otla", "greedy"], default="mult")
     p.add_argument("--direction", choices=[d.value for d in Direction], default="both")
     p.add_argument("--config")
-    p.add_argument("--seed", type=int)
     p.add_argument("--trace", help="directory for per-iteration disagreement JSONs")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_associate)
@@ -274,7 +273,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bank-intra-cross", required=True)
     p.add_argument("--mode", choices=[m.value for m in TrainingMode], required=True)
     p.add_argument("--config")
-    p.add_argument("--seed", type=int)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_loss_report)
 
@@ -282,7 +280,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--snapshots", required=True)
     p.add_argument("--gt", required=True)
     p.add_argument("--config")
-    p.add_argument("--seed", type=int)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_pipeline)
 

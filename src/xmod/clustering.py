@@ -55,11 +55,14 @@ class ClusterAssignment:
 
 @dataclass(frozen=True)
 class MemoryBank:
-    """K x d unit-row prototype matrix with its softmax temperature and momentum."""
+    """K x d unit-row prototype matrix, one row per cluster.
+
+    The banks are fixed for an epoch: only forward losses are computed here,
+    so the paper's momentum update never runs. The softmax temperature is an
+    argument of ``memory_probabilities``, not part of the bank.
+    """
 
     prototypes: np.ndarray
-    tau: float
-    mu: float
 
     def __post_init__(self):
         p = np.asarray(self.prototypes, dtype=np.float64)
@@ -67,8 +70,6 @@ class MemoryBank:
             raise ShapeMismatchError("prototype matrix must be nonempty 2-d")
         if not np.allclose(np.linalg.norm(p, axis=1), 1.0, atol=1e-6):
             raise ShapeMismatchError("prototypes are not unit-normalized")
-        if self.tau <= 0.0 or not (0.0 <= self.mu <= 1.0):
-            raise ValueError("bad bank parameters")
         object.__setattr__(self, "prototypes", p)
 
     @property
@@ -129,8 +130,9 @@ def dbscan(
     return ClusterAssignment(labels, cid)
 
 
-def centroids(features, assign: ClusterAssignment, tau: float, mu: float) -> MemoryBank:
-    """Mean feature per cluster, L2-normalized. Noise instances are ignored."""
+def centroids(features, assign: ClusterAssignment) -> MemoryBank:
+    """Bank of the mean feature per cluster, L2-normalized. Noise instances
+    are ignored."""
     data = features.data if isinstance(features, FeatureMatrix) else np.asarray(features)
     if data.shape[0] != assign.n:
         raise ShapeMismatchError("feature and assignment sizes differ")
@@ -142,21 +144,23 @@ def centroids(features, assign: ClusterAssignment, tau: float, mu: float) -> Mem
         if members.size == 0:
             raise EmptyClusterError(c)
         protos[c] = data[members].mean(axis=0)
-    return MemoryBank(l2_normalize_rows(protos), tau, mu)
+    return MemoryBank(l2_normalize_rows(protos))
 
 
-def memory_probabilities(features, bank: MemoryBank, tau: float | None = None) -> np.ndarray:
-    """Softmax over prototype similarities: row i is P(f_i | bank, tau).
+def memory_probabilities(features, bank: MemoryBank, tau: float) -> np.ndarray:
+    """Softmax over prototype similarities at temperature ``tau`` > 0: row i
+    is P(f_i | bank, tau).
 
     Computed with max subtraction so extreme temperatures stay finite.
     """
+    if not tau > 0.0:
+        raise ValueError(f"tau must be positive, got {tau!r}")
     data = features.data if isinstance(features, FeatureMatrix) else np.asarray(features)
     if data.ndim == 1:
         data = data[None, :]
     if data.shape[1] != bank.dim:
         raise ShapeMismatchError("feature dim does not match bank dim")
-    t = bank.tau if tau is None else float(tau)
-    logits = (data @ bank.prototypes.T) / t
+    logits = (data @ bank.prototypes.T) / float(tau)
     logits -= logits.max(axis=1, keepdims=True)
     p = np.exp(logits)
     p /= p.sum(axis=1, keepdims=True)

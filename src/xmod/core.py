@@ -8,6 +8,8 @@ modules can assume them.
 from __future__ import annotations
 
 import dataclasses
+import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 
@@ -205,7 +207,6 @@ class PipelineConfig:
     """Engine-wide knobs. Defaults are the operating point used throughout."""
 
     tau: float = 0.05              # memory softmax temperature
-    mu: float = 0.1                # memory momentum
     kappa: int = 30                # k-reciprocal neighborhood size
     ot_lambda: float = 25.0        # entropic OT weight
     alpha: float = 0.2             # init-anchor weight in the transfer updates
@@ -216,13 +217,20 @@ class PipelineConfig:
     max_transfer_iters: int = 100
     sharpen_divisor: float = 5.0   # target-temperature divisor in the refinement loss
     batch_size: int = 144          # 12 identities x 12 instances
-    seed: int = 0
 
     def __post_init__(self):
+        # Values arrive from JSON configs; f.type is the annotation string.
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if f.type == "int":
+                ok, kind = isinstance(value, numbers.Integral), "an integer"
+            else:
+                ok = isinstance(value, numbers.Real) and math.isfinite(value)
+                kind = "a finite number"
+            if isinstance(value, bool) or not ok:
+                raise ValueError(f"{f.name} must be {kind}, got {value!r}")
         if not (0.0 < self.tau):
             raise ValueError("tau must be positive")
-        if not (0.0 <= self.mu <= 1.0):
-            raise ValueError("mu must lie in [0, 1]")
         if self.kappa < 1:
             raise ValueError("kappa must be >= 1")
         if self.ot_lambda <= 0.0:
@@ -242,6 +250,8 @@ class PipelineConfig:
 
     def with_overrides(self, overrides: dict) -> "PipelineConfig":
         """Apply a {field: value} dict, accepting "lambda" for ot_lambda."""
+        if not isinstance(overrides, dict):
+            raise ValueError(f"config must be a JSON object, got {type(overrides).__name__}")
         clean = {}
         names = {f.name for f in dataclasses.fields(self)}
         for key, value in overrides.items():

@@ -93,7 +93,8 @@ def write_labels(path, hard: np.ndarray, soft: np.ndarray | None = None) -> None
 
 
 def read_labels(path) -> tuple[np.ndarray, np.ndarray | None]:
-    """Return (hard, soft-or-None); rows must be indexed 0..N-1 in order."""
+    """Return (hard, soft-or-None); rows must be indexed 0..N-1 in order and
+    soft values must be finite."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -113,6 +114,9 @@ def read_labels(path) -> tuple[np.ndarray, np.ndarray | None]:
         raise FileFormatError(f"{path}: no label rows")
     hard_arr = np.asarray(hard, dtype=np.int64)
     soft_arr = np.asarray(soft, dtype=np.float64) if has_soft else None
+    if soft_arr is not None and not np.isfinite(soft_arr).all():
+        row = int(np.argwhere(~np.isfinite(soft_arr))[0, 0])
+        raise FileFormatError(f"{path}: non-finite soft label at line {row + 2}")
     return hard_arr, soft_arr
 
 

@@ -8,12 +8,12 @@ R-based ones.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .core import LabelOutOfRangeError, ModeMismatchError, ShapeMismatchError, ZeroRowError
+from .core import ModeMismatchError, ShapeMismatchError
 from .clustering import MemoryBank, memory_probabilities
 
 # Floor inside the log so one-hot targets against zero predictions stay finite.
@@ -197,21 +197,3 @@ def loss_report(
     l_cm = loss_cm(batch, banks, tau)
     l_oclr_v, l_oclr_r = loss_oclr(batch, banks, tau, sharpen_divisor)
     return LossReport.assemble(l_im_v, l_im_r, l_cm, l_oclr_v, l_oclr_r)
-
-
-def momentum_update(bank: MemoryBank, feature, label: int, mu: float | None = None) -> MemoryBank:
-    """New bank with prototype ``label`` moved toward ``feature``:
-    m <- mu * m + (1 - mu) * f, then re-normalized."""
-    f = np.asarray(feature, dtype=np.float64).reshape(-1)
-    if f.shape[0] != bank.dim:
-        raise ShapeMismatchError("feature dim does not match bank dim")
-    if not (0 <= label < bank.k):
-        raise LabelOutOfRangeError(f"label {label} outside [0, {bank.k})")
-    m = mu if mu is not None else bank.mu
-    protos = bank.prototypes.copy()
-    updated = m * protos[label] + (1.0 - m) * f
-    norm = np.linalg.norm(updated)
-    if norm < 1e-12:
-        raise ZeroRowError(label)
-    protos[label] = updated / norm
-    return replace(bank, prototypes=protos)

@@ -44,8 +44,8 @@ def make_banks(
 ) -> ModeBanks:
     """Fresh banks for one epoch. The shared and intra-cross banks start as
     copies of the mode's source-modality prototypes."""
-    intra_v = centroids(features_v, assign_v, cfg.tau, cfg.mu)
-    intra_r = centroids(features_r, assign_r, cfg.tau, cfg.mu)
+    intra_v = centroids(features_v, assign_v)
+    intra_r = centroids(features_r, assign_r)
     source = intra_v if mode is TrainingMode.V_BASED else intra_r
     return ModeBanks(mode=mode, intra_v=intra_v, intra_r=intra_r,
                      shared=source, intra_cross=source)

@@ -105,7 +105,7 @@ def init_labels(features_src, features_tgt, assign_src: ClusterAssignment, cfg: 
     own cluster prototypes; cross labels are the balanced one-hot transport
     assignment of target instances onto those prototypes.
     """
-    bank_src = centroids(features_src, assign_src, cfg.tau, cfg.mu)
+    bank_src = centroids(features_src, assign_src)
     intra0 = memory_probabilities(features_src, bank_src, cfg.tau)
     cross0 = otla_init(features_tgt, bank_src, cfg.ot_lambda).probs
     state = TransferState(intra0.copy(), cross0.copy(), intra0, cross0)

@@ -183,9 +183,7 @@ def sinkhorn(problem: TransportProblem) -> TransportPlan:
     return TransportPlan(plan, used, float(err), converged)
 
 
-def heterogeneous_plan(
-    features_v, features_r, lam: float, max_iters: int = 10_000, tol: float = 1e-9
-) -> TransportPlan:
+def heterogeneous_plan(features_v, features_r, lam: float) -> TransportPlan:
     """Uniform-marginal transport between the two modalities' instances.
 
     Cost is squared Euclidean distance; rows carry mass 1/Nv each, columns
@@ -195,14 +193,7 @@ def heterogeneous_plan(
     fr = features_r.data if isinstance(features_r, FeatureMatrix) else np.asarray(features_r)
     cost = pairwise_sq_dists(fv, fr)
     nv, nr = cost.shape
-    problem = TransportProblem(
-        cost,
-        np.full(nv, 1.0 / nv),
-        np.full(nr, 1.0 / nr),
-        lam,
-        max_iters=max_iters,
-        tol=tol,
-    )
+    problem = TransportProblem(cost, np.full(nv, 1.0 / nv), np.full(nr, 1.0 / nr), lam)
     return sinkhorn(problem)
 
 

@@ -256,7 +256,7 @@ def test_soft_labels_stay_row_stochastic():
                 result.intra_r.labels,
                 result.cross_v.labels,
             ]
-        bank = centroids(f_v.data, a_v, cfg.tau, cfg.mu)
+        bank = centroids(f_v.data, a_v)
         emitted.append(otla_init(f_r.data, bank, cfg.ot_lambda))
         for matrix in emitted:
             count += 1
@@ -396,10 +396,10 @@ def test_losses_match_term_oracle():
         src_k = k_v if mode is TrainingMode.V_BASED else k_r
         banks = ModeBanks(
             mode=mode,
-            intra_v=MemoryBank(random_unit_rows(rng, k_v, d), tau=0.05, mu=0.1),
-            intra_r=MemoryBank(random_unit_rows(rng, k_r, d), tau=0.05, mu=0.1),
-            shared=MemoryBank(random_unit_rows(rng, src_k, d), tau=0.05, mu=0.1),
-            intra_cross=MemoryBank(random_unit_rows(rng, src_k, d), tau=0.05, mu=0.1),
+            intra_v=MemoryBank(random_unit_rows(rng, k_v, d)),
+            intra_r=MemoryBank(random_unit_rows(rng, k_r, d)),
+            shared=MemoryBank(random_unit_rows(rng, src_k, d)),
+            intra_cross=MemoryBank(random_unit_rows(rng, src_k, d)),
         )
         report = loss_report(batch, banks, tau=0.05, sharpen_divisor=5.0)
         want = oracles.loss_report_oracle(batch, banks, 0.05, 5.0)

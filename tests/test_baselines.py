@@ -54,7 +54,7 @@ class TestOtlaOnly:
             k = int(rng.integers(2, 7))
             f = random_unit_rows(rng, n, 8)
             protos = random_unit_rows(rng, k, 8)
-            bank = MemoryBank(protos, tau=0.05, mu=0.1)
+            bank = MemoryBank(protos)
             hard = np.argmax(otla_init(f, bank, lam=25.0).probs, axis=1)
             counts = np.bincount(hard, minlength=k)
             slack = math.ceil(n / k) - math.floor(n / k) + 1
@@ -119,8 +119,8 @@ class TestGreedyCentroid:
         fv, fr, av, ar, _ = blob_instance(seed=15, gap=0.2)
         cfg = PipelineConfig()
         result = associate_greedy_centroid(fv, fr, av, ar, cfg)
-        bank_v = centroids(fv.data, av, cfg.tau, cfg.mu)
-        bank_r = centroids(fr.data, ar, cfg.tau, cfg.mu)
+        bank_v = centroids(fv.data, av)
+        bank_r = centroids(fr.data, ar)
         d = np.sqrt(((bank_r.prototypes[:, None] - bank_v.prototypes[None, :]) ** 2).sum(-1))
         match = _greedy_match(d)
         hard = np.argmax(result.cross_r.labels.probs, axis=1)

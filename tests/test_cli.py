@@ -191,42 +191,59 @@ class TestEval:
                             load_schema("metrics_report.schema.json"))
 
 
+def loss_report_argv(workdir, labels, out):
+    """Cluster both modalities for banks; return a loss-report command line."""
+    banks = {}
+    for tag, source in (("v", "visible"), ("r", "infrared")):
+        banks[tag] = workdir / f"protos_{tag}.mfv1"
+        code = main([
+            "cluster", "--features", str(workdir / "data" / f"{source}.mfv1"),
+            "--min-samples", "3", "--config", str(workdir / "config.json"),
+            "--out-labels", str(workdir / f"scratch_{tag}.csv"),
+            "--out-prototypes", str(banks[tag]),
+        ])
+        assert code == 0
+    return [
+        "loss-report",
+        "--features-v", str(workdir / "data" / "visible.mfv1"),
+        "--features-r", str(workdir / "data" / "infrared.mfv1"),
+        "--labels-intra-v", str(labels / "intra_v.csv"),
+        "--labels-cross-r", str(labels / "cross_r.csv"),
+        "--labels-intra-r", str(labels / "intra_r.csv"),
+        "--labels-cross-v", str(labels / "cross_v.csv"),
+        "--bank-intra-v", str(banks["v"]),
+        "--bank-intra-r", str(banks["r"]),
+        "--bank-shared", str(banks["v"]),
+        "--bank-intra-cross", str(banks["v"]),
+        "--mode", "v",
+        "--config", str(workdir / "config.json"),
+        "--out", str(out),
+    ]
+
+
 class TestLossReport:
     def test_report_validates_and_sums(self, workdir):
         _, labels = run_associate(workdir)
-        banks = {}
-        for tag, source in (("v", "visible"), ("r", "infrared")):
-            banks[tag] = workdir / f"protos_{tag}.mfv1"
-            code = main([
-                "cluster", "--features", str(workdir / "data" / f"{source}.mfv1"),
-                "--min-samples", "3", "--config", str(workdir / "config.json"),
-                "--out-labels", str(workdir / f"scratch_{tag}.csv"),
-                "--out-prototypes", str(banks[tag]),
-            ])
-            assert code == 0
         out = workdir / "losses.json"
-        code = main([
-            "loss-report",
-            "--features-v", str(workdir / "data" / "visible.mfv1"),
-            "--features-r", str(workdir / "data" / "infrared.mfv1"),
-            "--labels-intra-v", str(labels / "intra_v.csv"),
-            "--labels-cross-r", str(labels / "cross_r.csv"),
-            "--labels-intra-r", str(labels / "intra_r.csv"),
-            "--labels-cross-v", str(labels / "cross_v.csv"),
-            "--bank-intra-v", str(banks["v"]),
-            "--bank-intra-r", str(banks["r"]),
-            "--bank-shared", str(banks["v"]),
-            "--bank-intra-cross", str(banks["v"]),
-            "--mode", "v",
-            "--config", str(workdir / "config.json"),
-            "--out", str(out),
-        ])
-        assert code == 0
+        assert main(loss_report_argv(workdir, labels, out)) == 0
         payload = json.loads(out.read_text())
         jsonschema.validate(payload, load_schema("loss_report.schema.json"))
         parts = (payload["l_im_v"] + payload["l_im_r"] + payload["l_cm"]
                  + payload["l_oclr_v"] + payload["l_oclr_r"])
         assert payload["total"] == pytest.approx(parts, rel=1e-12)
+
+    def test_non_finite_soft_label_exit_2_and_no_report(self, workdir, capsys):
+        _, labels = run_associate(workdir)
+        path = labels / "intra_v.csv"
+        lines = path.read_text().splitlines()
+        fields = lines[1].split(",")
+        fields[2] = "nan"
+        lines[1] = ",".join(fields)
+        path.write_text("\n".join(lines) + "\n")
+        out = workdir / "losses.json"
+        assert main(loss_report_argv(workdir, labels, out)) == 2
+        assert "line 2" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestPipelineCommand:
@@ -313,6 +330,35 @@ class TestErrors:
         ])
         assert code == 2
         assert "no_such_knob" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "config",
+        [{"kappa": "30"}, {"kappa": 2.5}, {"batch_size": True}, [1, 2],
+         {"mu": 0.1}, {"seed": 0}],
+        ids=["str-int", "float-int", "bool-int", "list", "mu", "seed"],
+    )
+    def test_bad_config_value_exit_2_one_line(self, workdir, capsys, config):
+        bad = workdir / "bad.json"
+        bad.write_text(json.dumps(config))
+        code = main([
+            "associate",
+            "--features-v", str(workdir / "data" / "visible.mfv1"),
+            "--features-r", str(workdir / "data" / "infrared.mfv1"),
+            "--config", str(bad), "--out", str(workdir / "x"),
+        ])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "command,has_seed",
+        [("synth", True), ("cluster", False), ("associate", False),
+         ("loss-report", False), ("pipeline", False)],
+    )
+    def test_seed_flag_only_on_synth(self, command, has_seed, capsys):
+        assert main([command, "--help"]) == 0
+        assert ("--seed" in capsys.readouterr().out) is has_seed
 
 
 class TestThreads:

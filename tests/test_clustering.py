@@ -105,18 +105,18 @@ class TestClusterAssignment:
 class TestCentroids:
     def test_two_member_example(self):
         feats = np.array([[1.0, 0.0], [0.0, 1.0]])
-        bank = centroids(feats, ClusterAssignment(np.array([0, 0]), 1), 0.05, 0.1)
+        bank = centroids(feats, ClusterAssignment(np.array([0, 0]), 1))
         assert np.allclose(bank.prototypes, [[math.sqrt(0.5), math.sqrt(0.5)]], atol=1e-12)
 
     def test_single_member_equals_feature(self, rng):
         feats = random_unit_rows(rng, 3, 4)
-        bank = centroids(feats, ClusterAssignment(np.array([0, 1, 2]), 3), 0.05, 0.1)
+        bank = centroids(feats, ClusterAssignment(np.array([0, 1, 2]), 3))
         assert np.allclose(bank.prototypes, feats, atol=1e-12)
 
     def test_matches_mean_then_normalize_oracle(self, rng):
         feats = random_unit_rows(rng, 9, 5)
         labels = np.array([0, 0, 0, 1, 1, 1, 2, 2, 2])
-        bank = centroids(feats, ClusterAssignment(labels, 3), 0.05, 0.1)
+        bank = centroids(feats, ClusterAssignment(labels, 3))
         for c in range(3):
             mean = feats[labels == c].sum(axis=0) / 3.0
             want = mean / math.sqrt(float((mean ** 2).sum()))
@@ -125,7 +125,7 @@ class TestCentroids:
     def test_noise_excluded(self, rng):
         feats = random_unit_rows(rng, 5, 4)
         labels = np.array([0, 0, NOISE, 0, 0])
-        bank = centroids(feats, ClusterAssignment(labels, 1), 0.05, 0.1)
+        bank = centroids(feats, ClusterAssignment(labels, 1))
         mean = feats[[0, 1, 3, 4]].mean(axis=0)
         assert np.allclose(bank.prototypes[0], mean / np.linalg.norm(mean), atol=1e-12)
 
@@ -133,31 +133,31 @@ class TestCentroids:
         feats = random_unit_rows(rng, 2, 3)
         with pytest.raises(EmptyClusterError):
             # all points are noise
-            centroids(feats, ClusterAssignment(np.array([NOISE, NOISE]), 0), 0.05, 0.1)
+            centroids(feats, ClusterAssignment(np.array([NOISE, NOISE]), 0))
 
 
 class TestMemoryProbability:
     def test_orthogonal_feature_is_uniform(self):
-        bank = MemoryBank(np.eye(3)[:2], tau=0.5, mu=0.1)
-        p = memory_probabilities(np.array([[0.0, 0.0, 1.0]]), bank)
+        bank = MemoryBank(np.eye(3)[:2])
+        p = memory_probabilities(np.array([[0.0, 0.0, 1.0]]), bank, 0.5)
         assert np.allclose(p, [[0.5, 0.5]], atol=1e-15)
 
     def test_exact_prototype_tau_one(self):
-        bank = MemoryBank(np.eye(2), tau=1.0, mu=0.1)
-        p = memory_probabilities(np.array([[1.0, 0.0]]), bank)[0]
+        bank = MemoryBank(np.eye(2))
+        p = memory_probabilities(np.array([[1.0, 0.0]]), bank, 1.0)[0]
         e = math.exp(1.0)
         assert np.allclose(p, [e / (e + 1.0), 1.0 / (e + 1.0)], atol=1e-12)
         assert abs(p[0] - 0.73106) < 1e-5
 
     def test_sharp_tau_dominates(self):
-        bank = MemoryBank(np.eye(2), tau=0.05, mu=0.1)
-        p = memory_probabilities(np.array([[1.0, 0.0]]), bank)
+        bank = MemoryBank(np.eye(2))
+        p = memory_probabilities(np.array([[1.0, 0.0]]), bank, 0.05)
         assert p[0, 0] >= 1.0 - 1e-8
 
     def test_matches_scalar_softmax_oracle(self, rng):
         feats = random_unit_rows(rng, 6, 4)
-        bank = MemoryBank(random_unit_rows(rng, 3, 4), tau=0.07, mu=0.1)
-        got = memory_probabilities(feats, bank)
+        bank = MemoryBank(random_unit_rows(rng, 3, 4))
+        got = memory_probabilities(feats, bank, 0.07)
         for i in range(6):
             logits = [float(feats[i] @ bank.prototypes[k]) / 0.07 for k in range(3)]
             z = sum(math.exp(v) for v in logits)
@@ -167,12 +167,12 @@ class TestMemoryProbability:
 
     def test_extreme_temperature_stays_finite(self, rng):
         feats = random_unit_rows(rng, 4, 8)
-        bank = MemoryBank(random_unit_rows(rng, 5, 8), tau=1e-4, mu=0.1)
-        p = memory_probabilities(feats, bank)
+        bank = MemoryBank(random_unit_rows(rng, 5, 8))
+        p = memory_probabilities(feats, bank, 1e-4)
         assert np.isfinite(p).all()
         assert np.allclose(p.sum(axis=1), 1.0, atol=1e-9)
 
     def test_dim_mismatch(self, rng):
-        bank = MemoryBank(random_unit_rows(rng, 2, 4), tau=0.05, mu=0.1)
+        bank = MemoryBank(random_unit_rows(rng, 2, 4))
         with pytest.raises(ShapeMismatchError):
-            memory_probabilities(np.zeros((1, 3)), bank)
+            memory_probabilities(np.zeros((1, 3)), bank, 0.05)

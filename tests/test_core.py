@@ -112,7 +112,6 @@ class TestPipelineConfig:
     def test_defaults(self):
         cfg = PipelineConfig()
         assert cfg.tau == 0.05
-        assert cfg.mu == 0.1
         assert cfg.kappa == 30
         assert cfg.ot_lambda == 25.0
         assert cfg.alpha == 0.2
@@ -134,10 +133,16 @@ class TestPipelineConfig:
 
     @pytest.mark.parametrize(
         "field,value",
-        [("tau", 0.0), ("mu", 1.5), ("alpha", -0.1), ("beta", 2.0),
+        [("tau", 0.0), ("alpha", -0.1), ("beta", 2.0),
          ("kappa", 0), ("ot_lambda", 0.0), ("epsilon0", 0.0),
-         ("sharpen_divisor", 0.0), ("batch_size", 0)],
+         ("sharpen_divisor", 0.0), ("batch_size", 0),
+         ("kappa", "30"), ("kappa", 2.5), ("kappa", True), ("batch_size", None),
+         ("tau", "0.05"), ("tau", False), ("ot_lambda", [25.0]),
+         ("dbscan_eps", float("nan")), ("epsilon0", float("inf"))],
     )
     def test_validation(self, field, value):
         with pytest.raises(ValueError):
             PipelineConfig(**{field: value})
+
+    def test_int_accepted_for_float_field(self):
+        assert PipelineConfig(ot_lambda=25).ot_lambda == 25

@@ -73,6 +73,13 @@ class TestLabelFiles:
         with pytest.raises(FileFormatError):
             fileio.read_labels(path)
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_soft_value_rejected(self, tmp_path, bad):
+        path = tmp_path / "labels.csv"
+        path.write_text(f"index,hard_label,p0,p1\n0,0,1.0,0.0\n1,1,{bad},1.0\n")
+        with pytest.raises(FileFormatError, match="line 3"):
+            fileio.read_labels(path)
+
 
 class TestGroundTruthFiles:
     def test_concatenated_round_trip(self, tmp_path):

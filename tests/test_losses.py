@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from xmod.core import LabelOutOfRangeError, ModeMismatchError, ShapeMismatchError
+from xmod.core import ModeMismatchError, ShapeMismatchError
 from xmod.clustering import MemoryBank, memory_probabilities
 from xmod.losses import (
     Batch,
@@ -15,7 +15,6 @@ from xmod.losses import (
     loss_oclr,
     loss_report,
     mean_reports,
-    momentum_update,
     soft_cross_entropy,
 )
 
@@ -28,8 +27,8 @@ def random_soft(rng, n, k):
     return a / a.sum(axis=1, keepdims=True)
 
 
-def make_bank(rng, k, d, tau=0.05, mu=0.1):
-    return MemoryBank(random_unit_rows(rng, k, d), tau=tau, mu=mu)
+def make_bank(rng, k, d):
+    return MemoryBank(random_unit_rows(rng, k, d))
 
 
 def random_batch(rng, b=8, d=6, kv=3, kr=4):
@@ -102,10 +101,10 @@ class TestLossIm:
     def test_single_instance_matching_prototype(self):
         banks = ModeBanks(
             mode=TrainingMode.V_BASED,
-            intra_v=MemoryBank(np.eye(2), tau=1.0, mu=0.1),
-            intra_r=MemoryBank(np.eye(2), tau=1.0, mu=0.1),
-            shared=MemoryBank(np.eye(2), tau=1.0, mu=0.1),
-            intra_cross=MemoryBank(np.eye(2), tau=1.0, mu=0.1),
+            intra_v=MemoryBank(np.eye(2)),
+            intra_r=MemoryBank(np.eye(2)),
+            shared=MemoryBank(np.eye(2)),
+            intra_cross=MemoryBank(np.eye(2)),
         )
         batch = Batch(
             features_v=np.array([[1.0, 0.0]]),
@@ -120,7 +119,7 @@ class TestLossIm:
     def test_uniform_everything(self, rng):
         # identical prototypes predict uniformly whatever the feature is
         proto = random_unit_rows(rng, 1, 5)
-        bank = MemoryBank(np.tile(proto, (4, 1)), tau=0.05, mu=0.1)
+        bank = MemoryBank(np.tile(proto, (4, 1)))
         banks = ModeBanks(TrainingMode.V_BASED, bank, bank, bank, bank)
         b = 3
         batch = Batch(
@@ -181,7 +180,7 @@ class TestLossIm:
 class TestLossCm:
     def test_identical_modalities_sharp_tau(self):
         protos = np.eye(3)
-        bank = MemoryBank(protos, tau=0.01, mu=0.1)
+        bank = MemoryBank(protos)
         banks = ModeBanks(TrainingMode.V_BASED, bank, bank, bank, bank)
         batch = Batch(
             features_v=protos.copy(),
@@ -194,7 +193,7 @@ class TestLossCm:
 
     def test_uniform_k3(self, rng):
         proto = random_unit_rows(rng, 1, 4)
-        bank = MemoryBank(np.tile(proto, (3, 1)), tau=0.05, mu=0.1)
+        bank = MemoryBank(np.tile(proto, (3, 1)))
         banks = ModeBanks(TrainingMode.V_BASED, bank, bank, bank, bank)
         batch = Batch(
             features_v=random_unit_rows(rng, 2, 4),
@@ -305,49 +304,3 @@ class TestLossReport:
                 shared=make_bank(rng, 4, 5),  # must match K=3 of intra_v
                 intra_cross=make_bank(rng, 3, 5),
             )
-
-
-class TestMomentumUpdate:
-    def test_hand_example(self):
-        bank = MemoryBank(np.array([[1.0, 0.0], [0.0, 1.0]]), tau=0.05, mu=0.1)
-        out = momentum_update(bank, np.array([0.0, 1.0]), label=0, mu=0.1)
-        norm = math.hypot(0.1, 0.9)
-        assert norm == pytest.approx(0.905539, abs=1e-6)
-        assert np.allclose(out.prototypes[0], [0.110432, 0.993884], atol=1e-6)
-        assert np.array_equal(out.prototypes[1], bank.prototypes[1])
-
-    def test_mu_one_keeps_prototype(self, rng):
-        bank = make_bank(rng, 3, 4)
-        f = random_unit_rows(rng, 1, 4)[0]
-        out = momentum_update(bank, f, label=1, mu=1.0)
-        assert np.allclose(out.prototypes, bank.prototypes)
-
-    def test_mu_zero_replaces_prototype(self, rng):
-        bank = make_bank(rng, 3, 4)
-        f = random_unit_rows(rng, 1, 4)[0]
-        out = momentum_update(bank, f, label=2, mu=0.0)
-        assert np.allclose(out.prototypes[2], f, atol=1e-12)
-
-    def test_default_mu_comes_from_bank(self, rng):
-        bank = make_bank(rng, 2, 4, mu=0.3)
-        f = random_unit_rows(rng, 1, 4)[0]
-        assert np.allclose(
-            momentum_update(bank, f, 0).prototypes,
-            momentum_update(bank, f, 0, mu=0.3).prototypes,
-        )
-
-    def test_unit_norm_preserved(self, rng):
-        bank = make_bank(rng, 4, 6)
-        for label in range(4):
-            bank = momentum_update(bank, random_unit_rows(rng, 1, 6)[0], label)
-        assert np.abs(np.linalg.norm(bank.prototypes, axis=1) - 1.0).max() < 1e-12
-
-    def test_label_out_of_range(self, rng):
-        bank = make_bank(rng, 2, 4)
-        with pytest.raises(LabelOutOfRangeError):
-            momentum_update(bank, random_unit_rows(rng, 1, 4)[0], label=2)
-
-    def test_dim_mismatch(self, rng):
-        bank = make_bank(rng, 2, 4)
-        with pytest.raises(ShapeMismatchError):
-            momentum_update(bank, np.ones(3), label=0)

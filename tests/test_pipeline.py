@@ -1,9 +1,11 @@
+import dataclasses
+import hashlib
 import os
 
 import numpy as np
 import pytest
 
-from xmod.core import MissingSnapshotError, PipelineConfig
+from xmod.core import FeatureMatrix, MissingSnapshotError, Modality, PipelineConfig
 from xmod.fileio import write_features
 from xmod.losses import TrainingMode
 from xmod.metrics import GroundTruth, MetricsReport
@@ -84,6 +86,53 @@ class TestRunEpoch:
             epsilon0=1e-4, max_transfer_iters=500), gt).losses
         assert whole.total == pytest.approx(split.total, rel=1e-9)
         assert whole.l_cm == pytest.approx(split.l_cm, rel=1e-9)
+
+
+# One non-default value per PipelineConfig field, each chosen to move the
+# epoch below. A new field without an entry here fails the test.
+PERTURBED = {
+    "tau": 0.1, "kappa": 5, "ot_lambda": 10.0, "alpha": 0.5, "beta": 0.3,
+    "dbscan_eps": 0.9, "dbscan_min_samples": 1, "epsilon0": 0.5,
+    "max_transfer_iters": 1, "sharpen_divisor": 2.0, "batch_size": 7,
+}
+
+
+def epoch_digest(fv, fr, gt, cfg):
+    """Hash of one epoch's labels, losses and metrics."""
+    result = run_epoch(fv, fr, 0, cfg, gt)
+    h = hashlib.sha256()
+    totals = {"intra_v": fv.n, "cross_v": fv.n, "intra_r": fr.n, "cross_r": fr.n}
+    for name, total in totals.items():
+        subset = getattr(result.labels, name)
+        h.update(subset.hard_full(total).tobytes())
+        h.update(subset.soft_full(total).tobytes())
+    h.update(repr(sorted(result.losses.to_dict().items())).encode())
+    h.update(repr(sorted(result.metrics.to_dict().items())).encode())
+    return h.hexdigest()
+
+
+@pytest.fixture(scope="module")
+def sensitive_instance():
+    """Per-identity gap plus one visible outlier row, so noise handling, the
+    transfer loop and every loss term all have work to do."""
+    spec = SynthSpec(num_ids=4, per_id_v=10, per_id_r=12, dim=16, blob_std=0.05,
+                     modality_gap=0.5, gap_mode=GapMode.PER_ID_OFFSET, seed=3)
+    fv, fr, raw = generate(spec)
+    outlier = -fv.data.mean(axis=0)
+    fv = FeatureMatrix(np.vstack([fv.data, outlier / np.linalg.norm(outlier)]),
+                       Modality.VISIBLE)
+    gt = GroundTruth(np.append(raw.ids_v, 99), raw.ids_r)
+    return fv, fr, gt, epoch_digest(fv, fr, gt, PipelineConfig())
+
+
+class TestConfigFieldsMatter:
+    @pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(PipelineConfig)])
+    def test_field_moves_epoch_output(self, field, sensitive_instance):
+        assert field in PERTURBED, f"no perturbation for config field {field!r}"
+        fv, fr, gt, default = sensitive_instance
+        assert PERTURBED[field] != getattr(PipelineConfig(), field)
+        cfg = PipelineConfig(**{field: PERTURBED[field]})
+        assert epoch_digest(fv, fr, gt, cfg) != default
 
 
 class TestMakeBanks:

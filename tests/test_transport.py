@@ -261,13 +261,13 @@ class TestHeterogeneousAffinity:
 class TestOtlaInit:
     def test_single_everything(self, rng):
         f = random_unit_rows(rng, 3, 4)
-        bank = MemoryBank(random_unit_rows(rng, 1, 4), tau=0.05, mu=0.1)
+        bank = MemoryBank(random_unit_rows(rng, 1, 4))
         labels = otla_init(f, bank, lam=25.0)
         assert np.allclose(labels.probs, 1.0)
 
     def test_rows_one_hot(self, rng):
         f = random_unit_rows(rng, 10, 5)
-        bank = MemoryBank(random_unit_rows(rng, 3, 5), tau=0.05, mu=0.1)
+        bank = MemoryBank(random_unit_rows(rng, 3, 5))
         probs = otla_init(f, bank, lam=25.0).probs
         assert set(np.unique(probs)) <= {0.0, 1.0}
         assert np.allclose(probs.sum(axis=1), 1.0)
@@ -279,7 +279,7 @@ class TestOtlaInit:
             [0.001, 0.999], [0.002, 0.998],   # near prototype 1
         ])
         pts = pts / np.linalg.norm(pts, axis=1, keepdims=True)
-        bank = MemoryBank(protos, tau=0.05, mu=0.1)
+        bank = MemoryBank(protos)
         hard = np.argmax(otla_init(pts, bank, lam=25.0).probs, axis=1)
         assert hard.tolist() == [0, 0, 1, 1]
 
@@ -295,7 +295,7 @@ class TestOtlaInit:
         protos = np.stack([base, np.array([-1.0, 0.0, 0.0])])
         cost = pairwise_sq_dists(pts, protos)
         assert np.bincount(np.argmin(cost, axis=1), minlength=2).tolist() == [6, 0]
-        bank = MemoryBank(protos, tau=0.05, mu=0.1)
+        bank = MemoryBank(protos)
         hard = np.argmax(otla_init(pts, bank, lam=25.0).probs, axis=1)
         assert np.bincount(hard, minlength=2).tolist() == [3, 3]
 
@@ -309,7 +309,7 @@ class TestOtlaInit:
             k = int(rng.integers(2, 6))
             f = random_unit_rows(rng, n, 6)
             protos = random_unit_rows(rng, k, 6)
-            bank = MemoryBank(protos, tau=0.05, mu=0.1)
+            bank = MemoryBank(protos)
             got = otla_init(f, bank, lam=25.0).probs
             prob = TransportProblem(
                 pairwise_sq_dists(f, protos), np.full(n, 1.0 / n),
