@@ -35,11 +35,11 @@ def main() -> None:
     )
     state, _ = init_labels(fv.data, fr.data, ClusterAssignment(gt.ids_v, 5), cfg)
 
-    energies = [inconsistency(state, aff, cfg.alpha).weighted_total]
+    energies = [inconsistency(state, aff, cfg.alpha)["weighted_total"]]
     steps = []
 
     def watch(s):
-        energies.append(inconsistency(s, aff, cfg.alpha).weighted_total)
+        energies.append(inconsistency(s, aff, cfg.alpha)["weighted_total"])
         steps.append(s)
 
     init_acc = (state.cross.argmax(axis=1) == gt.ids_r).mean()

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import FeatureMatrix, pairwise_sq_dists
+from .core import feature_data, pairwise_sq_dists
 
 
 def k_reciprocal_sets(features, kappa: int) -> list[np.ndarray]:
@@ -17,7 +17,7 @@ def k_reciprocal_sets(features, kappa: int) -> list[np.ndarray]:
     kNN(i, kappa) always contains i itself; remaining slots are filled by
     Euclidean distance with ties at the cutoff broken toward lower index.
     """
-    data = features.data if isinstance(features, FeatureMatrix) else np.asarray(features)
+    data = feature_data(features)
     n = data.shape[0]
     if kappa < 1:
         raise ValueError("kappa must be >= 1")

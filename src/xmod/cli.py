@@ -79,6 +79,8 @@ def _cmd_cluster(args) -> int:
         _METRICS[args.metric],
         kappa=cfg.kappa,
     )
+    if assign.k == 0:
+        raise XmodError("every instance is noise; no cluster to write")
     write_labels(args.out_labels, assign.labels)
     bank = centroids(features, assign)
     write_features(args.out_prototypes, bank.prototypes)

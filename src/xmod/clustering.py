@@ -9,10 +9,10 @@ import numpy as np
 
 from .core import (
     EmptyClusterError,
-    FeatureMatrix,
     LabelOutOfRangeError,
     NOISE,
     ShapeMismatchError,
+    feature_data,
     l2_normalize_rows,
     pairwise_sq_dists,
 )
@@ -82,7 +82,7 @@ class MemoryBank:
 
 
 def _pairwise_distance(features, metric: DistanceMetric, kappa: int) -> np.ndarray:
-    data = features.data if isinstance(features, FeatureMatrix) else np.asarray(features)
+    data = feature_data(features)
     if metric is DistanceMetric.EUCLIDEAN:
         return np.sqrt(pairwise_sq_dists(data, data))
     return 1.0 - jaccard_affinity(k_reciprocal_sets(data, kappa))
@@ -133,7 +133,7 @@ def dbscan(
 def centroids(features, assign: ClusterAssignment) -> MemoryBank:
     """Bank of the mean feature per cluster, L2-normalized. Noise instances
     are ignored."""
-    data = features.data if isinstance(features, FeatureMatrix) else np.asarray(features)
+    data = feature_data(features)
     if data.shape[0] != assign.n:
         raise ShapeMismatchError("feature and assignment sizes differ")
     if assign.k == 0:
@@ -155,7 +155,7 @@ def memory_probabilities(features, bank: MemoryBank, tau: float) -> np.ndarray:
     """
     if not tau > 0.0:
         raise ValueError(f"tau must be positive, got {tau!r}")
-    data = features.data if isinstance(features, FeatureMatrix) else np.asarray(features)
+    data = feature_data(features)
     if data.ndim == 1:
         data = data[None, :]
     if data.shape[1] != bank.dim:

@@ -153,6 +153,11 @@ class FeatureMatrix:
         return self.data.shape[1]
 
 
+def feature_data(features) -> np.ndarray:
+    """The row matrix of a FeatureMatrix, or any other array-like as an array."""
+    return features.data if isinstance(features, FeatureMatrix) else np.asarray(features)
+
+
 @dataclass(frozen=True)
 class SoftLabelMatrix:
     """N x K row-stochastic matrix of per-instance label distributions."""
@@ -249,14 +254,11 @@ class PipelineConfig:
             raise ValueError("batch_size must be >= 1")
 
     def with_overrides(self, overrides: dict) -> "PipelineConfig":
-        """Apply a {field: value} dict, accepting "lambda" for ot_lambda."""
+        """Apply a {field: value} dict whose keys are field names."""
         if not isinstance(overrides, dict):
             raise ValueError(f"config must be a JSON object, got {type(overrides).__name__}")
-        clean = {}
         names = {f.name for f in dataclasses.fields(self)}
-        for key, value in overrides.items():
-            name = "ot_lambda" if key == "lambda" else key
-            if name not in names:
+        for key in overrides:
+            if key not in names:
                 raise ValueError(f"unknown config field {key!r}")
-            clean[name] = value
-        return dataclasses.replace(self, **clean)
+        return dataclasses.replace(self, **overrides)

@@ -15,7 +15,7 @@ import tempfile
 
 import numpy as np
 
-from .core import FeatureMatrix, FileFormatError, Modality, NOISE
+from .core import FeatureMatrix, FileFormatError, Modality, feature_data
 
 _MAGIC = b"MFV1"
 _HEADER = struct.Struct("<4sII")
@@ -41,7 +41,7 @@ def atomic_write_text(path, text: str) -> None:
 
 
 def write_features(path, features) -> None:
-    data = features.data if isinstance(features, FeatureMatrix) else np.asarray(features)
+    data = feature_data(features)
     if data.ndim != 2:
         raise FileFormatError(f"feature payload must be 2-d, got shape {data.shape}")
     n, d = data.shape

@@ -16,10 +16,10 @@ import numpy as np
 
 from .core import (
     NOISE,
-    FeatureMatrix,
     PipelineConfig,
     ShapeMismatchError,
     SoftLabelMatrix,
+    feature_data,
     hard_from_soft,
 )
 from .affinity import homogeneous_affinity
@@ -71,28 +71,6 @@ class TransferState:
     cap_hit: bool = False
 
 
-@dataclass(frozen=True)
-class InconsistencyReport:
-    homogeneous_src: float
-    homogeneous_tgt: float
-    heterogeneous_src: float
-    heterogeneous_tgt: float
-    self_src: float
-    self_tgt: float
-    weighted_total: float
-
-    def to_dict(self) -> dict:
-        return {
-            "homogeneous_src": self.homogeneous_src,
-            "homogeneous_tgt": self.homogeneous_tgt,
-            "heterogeneous_src": self.heterogeneous_src,
-            "heterogeneous_tgt": self.heterogeneous_tgt,
-            "self_src": self.self_src,
-            "self_tgt": self.self_tgt,
-            "weighted_total": self.weighted_total,
-        }
-
-
 def _clamp_renorm(probs: np.ndarray) -> np.ndarray:
     out = np.where(probs < _CLAMP, 0.0, probs)
     return out / out.sum(axis=1, keepdims=True)
@@ -121,8 +99,9 @@ def _pairwise_label_gap(aff: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
     return max(float(row + col - 2.0 * mix), 0.0)
 
 
-def inconsistency(state: TransferState, aff: DirectionAffinities, alpha: float) -> InconsistencyReport:
-    """Current disagreement energies plus their weighted combination."""
+def inconsistency(state: TransferState, aff: DirectionAffinities, alpha: float) -> dict:
+    """Current disagreement energies plus their weighted combination, keyed
+    as in the ``--trace`` JSON (inconsistency_report.schema.json)."""
     ho_s = _pairwise_label_gap(aff.ho_src, state.intra, state.intra)
     ho_t = _pairwise_label_gap(aff.ho_tgt, state.cross, state.cross)
     he_s = _pairwise_label_gap(aff.he_st, state.intra, state.cross)
@@ -130,7 +109,15 @@ def inconsistency(state: TransferState, aff: DirectionAffinities, alpha: float) 
     self_s = float(((state.intra - state.intra0) ** 2).sum())
     self_t = float(((state.cross - state.cross0) ** 2).sum())
     total = (ho_s + ho_t) + alpha * (self_s + self_t) + (1.0 - alpha) * (he_s + he_t)
-    return InconsistencyReport(ho_s, ho_t, he_s, he_t, self_s, self_t, total)
+    return {
+        "homogeneous_src": ho_s,
+        "homogeneous_tgt": ho_t,
+        "heterogeneous_src": he_s,
+        "heterogeneous_tgt": he_t,
+        "self_src": self_s,
+        "self_tgt": self_t,
+        "weighted_total": total,
+    }
 
 
 def transfer_step(state: TransferState, aff: DirectionAffinities, alpha: float) -> TransferState:
@@ -229,7 +216,7 @@ def _subset(features, assign: ClusterAssignment):
     if idx.size == 0:
         raise ShapeMismatchError("every instance is noise; nothing to associate")
     sub_assign = ClusterAssignment(assign.labels[idx], assign.k)
-    data = features.data if isinstance(features, FeatureMatrix) else np.asarray(features)
+    data = feature_data(features)
     return idx, data[idx], sub_assign
 
 
@@ -251,12 +238,12 @@ def _transfer_one_direction(
     trace: list[dict] = []
 
     def record(st: TransferState) -> None:
-        entry = inconsistency(st, aff, cfg.alpha).to_dict()
+        entry = inconsistency(st, aff, cfg.alpha)
         entry.update(t=st.t, epsilon=float(st.epsilon))
         trace.append(entry)
 
     if collect_trace:
-        init_entry = inconsistency(state, aff, cfg.alpha).to_dict()
+        init_entry = inconsistency(state, aff, cfg.alpha)
         init_entry.update(t=0, epsilon=None)
         trace.append(init_entry)
     state = run_transfer(state, aff, cfg, on_step=record if collect_trace else None)
@@ -308,11 +295,9 @@ def mult_associate(
         fields["intra_r"] = LabeledSubset(idx_r, intra)
         fields["cross_v"] = LabeledSubset(idx_v, cross)
         traces["r2v"] = trace
-    n_v = features_v.n if isinstance(features_v, FeatureMatrix) else len(features_v)
-    n_r = features_r.n if isinstance(features_r, FeatureMatrix) else len(features_r)
     return AssociationResult(
-        n_visible=n_v,
-        n_infrared=n_r,
+        n_visible=assign_v.n,
+        n_infrared=assign_r.n,
         traces=traces if collect_trace else None,
         **fields,
     )

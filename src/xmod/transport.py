@@ -8,11 +8,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    FeatureMatrix,
     NonFiniteError,
     NotConvergedWarning,
     ShapeMismatchError,
     SoftLabelMatrix,
+    feature_data,
     pairwise_sq_dists,
 )
 from .affinity import row_normalize
@@ -189,8 +189,8 @@ def heterogeneous_plan(features_v, features_r, lam: float) -> TransportPlan:
     Cost is squared Euclidean distance; rows carry mass 1/Nv each, columns
     1/Nr each, so every instance contributes equal total affinity.
     """
-    fv = features_v.data if isinstance(features_v, FeatureMatrix) else np.asarray(features_v)
-    fr = features_r.data if isinstance(features_r, FeatureMatrix) else np.asarray(features_r)
+    fv = feature_data(features_v)
+    fr = feature_data(features_r)
     cost = pairwise_sq_dists(fv, fr)
     nv, nr = cost.shape
     problem = TransportProblem(cost, np.full(nv, 1.0 / nv), np.full(nr, 1.0 / nr), lam)
@@ -213,7 +213,7 @@ def otla_init(features_tgt, bank_src: MemoryBank, lam: float) -> SoftLabelMatrix
     equal column marginals spread the instances across clusters instead of
     letting one prototype absorb everything.
     """
-    ft = features_tgt.data if isinstance(features_tgt, FeatureMatrix) else np.asarray(features_tgt)
+    ft = feature_data(features_tgt)
     cost = pairwise_sq_dists(ft, bank_src.prototypes)
     n, k = cost.shape
     problem = TransportProblem(

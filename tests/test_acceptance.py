@@ -175,9 +175,9 @@ def transfer_family():
             he_ts,
         )
         state, _ = init_labels(f_src, f_tgt, ClusterAssignment(gt_src, ids), cfg)
-        t0 = inconsistency(state, aff, cfg.alpha).weighted_total
+        t0 = inconsistency(state, aff, cfg.alpha)["weighted_total"]
         final_state = run_transfer(state, aff, cfg)
-        final = inconsistency(final_state, aff, cfg.alpha).weighted_total
+        final = inconsistency(final_state, aff, cfg.alpha)["weighted_total"]
 
         a = cfg.alpha
         res_src = (

@@ -102,6 +102,19 @@ class TestCluster:
         assert protos.data.shape == (3, 16)
         assert np.allclose(np.linalg.norm(protos.data, axis=1), 1.0, atol=1e-5)
 
+    def test_all_noise_exit_2_and_writes_nothing(self, workdir, capsys):
+        labels_path = workdir / "labels.csv"
+        protos_path = workdir / "protos.mfv1"
+        code = main([
+            "cluster", "--features", str(workdir / "data" / "visible.mfv1"),
+            "--eps", "0.0001",
+            "--out-labels", str(labels_path),
+            "--out-prototypes", str(protos_path),
+        ])
+        assert code == 2
+        assert "noise" in capsys.readouterr().err
+        assert not labels_path.exists() and not protos_path.exists()
+
 
 class TestAssociate:
     def test_mult_writes_four_label_files(self, workdir):
@@ -334,8 +347,8 @@ class TestErrors:
     @pytest.mark.parametrize(
         "config",
         [{"kappa": "30"}, {"kappa": 2.5}, {"batch_size": True}, [1, 2],
-         {"mu": 0.1}, {"seed": 0}],
-        ids=["str-int", "float-int", "bool-int", "list", "mu", "seed"],
+         {"mu": 0.1}, {"seed": 0}, {"lambda": 10.0, "ot_lambda": 20.0}],
+        ids=["str-int", "float-int", "bool-int", "list", "mu", "seed", "lambda"],
     )
     def test_bad_config_value_exit_2_one_line(self, workdir, capsys, config):
         bad = workdir / "bad.json"

@@ -1,6 +1,10 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+from xmod.affinity import k_reciprocal_sets
+from xmod.clustering import DistanceMetric, centroids, dbscan, memory_probabilities
 from xmod.core import (
     FeatureMatrix,
     LabelOutOfRangeError,
@@ -14,6 +18,10 @@ from xmod.core import (
     l2_normalize_rows,
     pairwise_sq_dists,
 )
+from xmod.fileio import write_features
+from xmod.synth import SynthSpec, generate
+from xmod.transfer import mult_associate
+from xmod.transport import heterogeneous_plan, otla_init
 
 
 class TestL2NormalizeRows:
@@ -123,9 +131,16 @@ class TestPipelineConfig:
         assert cfg.sharpen_divisor == 5.0
         assert cfg.batch_size == 144
 
-    def test_overrides_accept_lambda_alias(self):
-        cfg = PipelineConfig().with_overrides({"lambda": 50.0, "tau": 0.1})
+    def test_overrides_set_fields(self):
+        cfg = PipelineConfig().with_overrides({"ot_lambda": 50.0, "tau": 0.1})
         assert cfg.ot_lambda == 50.0 and cfg.tau == 0.1
+
+    @pytest.mark.parametrize(
+        "overrides", [{"lambda": 10.0}, {"lambda": 10.0, "ot_lambda": 20.0}]
+    )
+    def test_lambda_is_not_a_field(self, overrides):
+        with pytest.raises(ValueError, match="'lambda'"):
+            PipelineConfig().with_overrides(overrides)
 
     def test_unknown_field_rejected(self):
         with pytest.raises(ValueError):
@@ -146,3 +161,59 @@ class TestPipelineConfig:
 
     def test_int_accepted_for_float_field(self):
         assert PipelineConfig(ot_lambda=25).ot_lambda == 25
+
+
+def _mult_arrays(fv, fr, ctx):
+    res = mult_associate(fv, fr, ctx.assign_v, ctx.assign_r, PipelineConfig(kappa=5))
+    out = [np.array([res.n_visible, res.n_infrared])]
+    for name in ("intra_v", "cross_r", "intra_r", "cross_v"):
+        subset = getattr(res, name)
+        out += [subset.indices, subset.labels.probs]
+    return out
+
+
+def _written_bytes(fv, fr, ctx):
+    path = ctx.tmp / f"{type(fv).__name__}.mfv1"
+    write_features(path, fv)
+    return [np.frombuffer(path.read_bytes(), dtype=np.uint8)]
+
+
+# Every function that accepts a FeatureMatrix or a plain array, called on
+# (visible, infrared) inputs; each returns the list of arrays it produced.
+FEATURE_SITES = {
+    "dbscan": lambda fv, fr, ctx: [
+        dbscan(fv, 0.6, 3).labels,
+        dbscan(fv, 0.6, 3, DistanceMetric.JACCARD_DISTANCE, kappa=5).labels,
+    ],
+    "centroids": lambda fv, fr, ctx: [centroids(fv, ctx.assign_v).prototypes],
+    "memory_probabilities": lambda fv, fr, ctx: [
+        memory_probabilities(fv, ctx.bank_v, 0.05)
+    ],
+    "k_reciprocal_sets": lambda fv, fr, ctx: k_reciprocal_sets(fv, 5),
+    "heterogeneous_plan": lambda fv, fr, ctx: [heterogeneous_plan(fv, fr, 25.0).plan],
+    "otla_init": lambda fv, fr, ctx: [otla_init(fr, ctx.bank_v, 25.0).probs],
+    "mult_associate": _mult_arrays,
+    "write_features": _written_bytes,
+}
+
+
+@pytest.mark.parametrize("site", sorted(FEATURE_SITES))
+def test_feature_matrix_and_its_data_agree_bitwise(site, tmp_path):
+    fv, fr, _ = generate(SynthSpec(
+        num_ids=3, per_id_v=8, per_id_r=8, dim=16, blob_std=0.02,
+        modality_gap=0.3, seed=5,
+    ))
+    assign_v = dbscan(fv.data, 0.6, 3)
+    ctx = SimpleNamespace(
+        assign_v=assign_v,
+        assign_r=dbscan(fr.data, 0.6, 3),
+        bank_v=centroids(fv.data, assign_v),
+        tmp=tmp_path,
+    )
+    assert ctx.assign_v.k == 3 and ctx.assign_r.k == 3
+    wrapped = FEATURE_SITES[site](fv, fr, ctx)
+    plain = FEATURE_SITES[site](fv.data, fr.data, ctx)
+    assert len(wrapped) == len(plain)
+    for a, b in zip(wrapped, plain):
+        assert (a.dtype, a.shape) == (b.dtype, b.shape)
+        assert a.tobytes() == b.tobytes()

@@ -146,16 +146,16 @@ class TestInconsistency:
         uniform = np.tile(row, (4, 1))
         state = TransferState(uniform, uniform, uniform, uniform)
         rep = inconsistency(state, aff, alpha=0.2)
-        assert rep.homogeneous_src == 0.0
-        assert rep.homogeneous_tgt == 0.0
-        assert rep.heterogeneous_src == 0.0
-        assert rep.heterogeneous_tgt == 0.0
+        assert rep["homogeneous_src"] == 0.0
+        assert rep["homogeneous_tgt"] == 0.0
+        assert rep["heterogeneous_src"] == 0.0
+        assert rep["heterogeneous_tgt"] == 0.0
 
     def test_initial_state_has_zero_self_terms(self, rng):
         state, aff = random_instance(rng)
         rep = inconsistency(state, aff, alpha=0.2)
-        assert rep.self_src == 0.0
-        assert rep.self_tgt == 0.0
+        assert rep["self_src"] == 0.0
+        assert rep["self_tgt"] == 0.0
 
     def test_two_instance_hand_example(self, rng):
         labels = np.array([[1.0, 0.0], [0.0, 1.0]])
@@ -163,7 +163,7 @@ class TestInconsistency:
         state = TransferState(labels, labels.copy(), labels, labels.copy())
         aff = DirectionAffinities(swap, swap, np.eye(2), np.eye(2))
         rep = inconsistency(state, aff, alpha=0.2)
-        assert rep.homogeneous_src == pytest.approx(4.0, abs=1e-12)
+        assert rep["homogeneous_src"] == pytest.approx(4.0, abs=1e-12)
 
     def test_matches_triple_loop_oracle(self, rng):
         for _ in range(5):
@@ -172,9 +172,9 @@ class TestInconsistency:
             rep = inconsistency(state, aff, alpha=0.2)
             oracle = inconsistency_oracle(state, aff, alpha=0.2)
             got = (
-                rep.homogeneous_src, rep.homogeneous_tgt,
-                rep.heterogeneous_src, rep.heterogeneous_tgt,
-                rep.self_src, rep.self_tgt, rep.weighted_total,
+                rep["homogeneous_src"], rep["homogeneous_tgt"],
+                rep["heterogeneous_src"], rep["heterogeneous_tgt"],
+                rep["self_src"], rep["self_tgt"], rep["weighted_total"],
             )
             assert np.allclose(got, oracle, atol=1e-10)
             assert all(v >= 0.0 for v in got)
@@ -189,12 +189,12 @@ class TestInconsistency:
         cross = np.tile(row, (2, 1)) + 1e-9 * rng.random((2, 3))
         aff = DirectionAffinities(np.eye(29), np.eye(2), he_st, he_st.T.copy())
         state = TransferState(intra, cross, intra, cross)
-        rep = inconsistency(state, aff, alpha=0.2).to_dict()
+        rep = inconsistency(state, aff, alpha=0.2)
         assert all(v >= 0.0 for v in rep.values()), rep
 
-    def test_report_round_trips_to_dict(self, rng):
+    def test_report_has_the_seven_trace_keys(self, rng):
         state, aff = random_instance(rng)
-        d = inconsistency(state, aff, 0.2).to_dict()
+        d = inconsistency(state, aff, 0.2)
         assert set(d) == {
             "homogeneous_src", "homogeneous_tgt", "heterogeneous_src",
             "heterogeneous_tgt", "self_src", "self_tgt", "weighted_total",
@@ -284,10 +284,10 @@ class TestRunTransfer:
     def test_weighted_total_descends(self, rng):
         for _ in range(5):
             state, aff = random_instance(rng, ns=10, nt=10, k=3)
-            before = inconsistency(state, aff, 0.2).weighted_total
+            before = inconsistency(state, aff, 0.2)["weighted_total"]
             out = run_transfer(state, aff, PipelineConfig(epsilon0=1e-6,
                                                           max_transfer_iters=500))
-            after = inconsistency(out, aff, 0.2).weighted_total
+            after = inconsistency(out, aff, 0.2)["weighted_total"]
             assert after <= before + 1e-12
 
     def test_cap_hit_flag(self, rng):
