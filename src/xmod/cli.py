@@ -31,9 +31,9 @@ from .fileio import (
     write_json,
     write_labels,
 )
-from .losses import Batch, ModeBanks, TrainingMode, loss_report, mean_reports
+from .losses import ModeBanks, TrainingMode, loss_report, mean_reports, pass_batches
 from .metrics import GroundTruth, report_from_hard
-from .pipeline import run_trace
+from .pipeline import discover_snapshots, run_trace
 from .synth import GapMode, SynthSpec, generate
 from .transfer import Direction, mult_associate
 
@@ -70,14 +70,13 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_cluster(args) -> int:
-    cfg = _load_config(args)
+    flags = {"dbscan_eps": args.eps, "dbscan_min_samples": args.min_samples}
+    cfg = _load_config(args).with_overrides(
+        {name: value for name, value in flags.items() if value is not None}
+    )
     features = read_features(args.features, Modality.VISIBLE)
     assign = dbscan(
-        features,
-        args.eps if args.eps is not None else cfg.dbscan_eps,
-        args.min_samples if args.min_samples is not None else cfg.dbscan_min_samples,
-        _METRICS[args.metric],
-        kappa=cfg.kappa,
+        features, cfg.dbscan_eps, cfg.dbscan_min_samples, _METRICS[args.metric], kappa=cfg.kappa
     )
     if assign.k == 0:
         raise XmodError("every instance is noise; no cluster to write")
@@ -167,26 +166,13 @@ def _cmd_loss_report(args) -> int:
         shared=MemoryBank(read_features(args.bank_shared, Modality.VISIBLE).data),
         intra_cross=MemoryBank(read_features(args.bank_intra_cross, Modality.VISIBLE).data),
     )
-    valid_v = (labels["intra_v"][0] >= 0) & (labels["cross_v"][0] >= 0)
-    valid_r = (labels["intra_r"][0] >= 0) & (labels["cross_r"][0] >= 0)
-    idx_v = np.flatnonzero(valid_v)
-    idx_r = np.flatnonzero(valid_r)
-    n = min(idx_v.shape[0], idx_r.shape[0])
-    if n == 0:
-        raise XmodError("no labeled instances to report on")
-    reports = []
-    for start in range(0, n, cfg.batch_size):
-        pick_v = idx_v[start : min(start + cfg.batch_size, n)]
-        pick_r = idx_r[start : min(start + cfg.batch_size, n)]
-        batch = Batch(
-            features_v=fv.data[pick_v],
-            features_r=fr.data[pick_r],
-            intra_v=labels["intra_v"][1][pick_v],
-            cross_v=labels["cross_v"][1][pick_v],
-            intra_r=labels["intra_r"][1][pick_r],
-            cross_r=labels["cross_r"][1][pick_r],
-        )
-        reports.append(loss_report(batch, banks, cfg.tau, cfg.sharpen_divisor))
+    rows = {}
+    for side, features in (("v", fv.data), ("r", fr.data)):
+        intra, cross = labels[f"intra_{side}"], labels[f"cross_{side}"]
+        idx = np.flatnonzero((intra[0] >= 0) & (cross[0] >= 0))
+        rows[side] = (features[idx], intra[1][idx], cross[1][idx])
+    batches = pass_batches(rows["v"], rows["r"], cfg.batch_size)
+    reports = [loss_report(b, banks, cfg.tau, cfg.sharpen_divisor) for b in batches]
     write_json(args.out, mean_reports(reports).to_dict())
     return 0
 
@@ -194,8 +180,6 @@ def _cmd_loss_report(args) -> int:
 def _cmd_pipeline(args) -> int:
     cfg = _load_config(args)
     # Ground-truth split needs the visible instance count from epoch 0.
-    from .pipeline import discover_snapshots
-
     epochs = discover_snapshots(args.snapshots)
     first_v = read_features(epochs[0][1], Modality.VISIBLE)
     ids_v, ids_r = read_ground_truth(args.gt, first_v.n)
@@ -297,10 +281,7 @@ def main(argv=None) -> int:
         return 0 if exc.code == 0 else 1
     try:
         return args.func(args)
-    except XmodError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (XmodError, OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -8,12 +8,13 @@ R-based ones.
 """
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .core import ModeMismatchError, ShapeMismatchError
+from .core import ModeMismatchError, ShapeMismatchError, XmodError
 from .clustering import MemoryBank, memory_probabilities
 
 # Floor inside the log so one-hot targets against zero predictions stay finite.
@@ -58,6 +59,24 @@ class Batch:
         if arr is None:
             raise ModeMismatchError(f"batch is missing {name} labels")
         return arr
+
+
+def pass_batches(rows_v, rows_r, batch_size: int) -> Iterator[Batch]:
+    """The batches of one loss pass.
+
+    rows_v and rows_r are each side's (features, intra, cross) rows, already
+    in slot order: slot i pairs the i-th visible row with the i-th infrared
+    row. The pass stops at the shorter side and is cut into batch_size slices.
+    """
+    features_v, intra_v, cross_v = rows_v
+    features_r, intra_r, cross_r = rows_r
+    n = min(features_v.shape[0], features_r.shape[0])
+    if n == 0:
+        raise XmodError("no labeled instances to report on")
+    for start in range(0, n, batch_size):
+        sl = slice(start, min(start + batch_size, n))
+        yield Batch(features_v[sl], features_r[sl], intra_v[sl], intra_r[sl],
+                    cross_v[sl], cross_r[sl])
 
 
 @dataclass(frozen=True)

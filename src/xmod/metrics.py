@@ -88,6 +88,12 @@ def pair_recall(pred_a, pred_b, gt_a, gt_b, include_self: bool = True) -> float 
     return hits / pred_pairs if pred_pairs else None
 
 
+def _accuracy_and_recall(pred_a, pred_b, gt_a, gt_b, include_self: bool):
+    """(pair_accuracy, pair_recall) from one count of the pairs."""
+    hits, gt_pairs, pred_pairs = _pair_counts(pred_a, pred_b, gt_a, gt_b, include_self)
+    return (hits / gt_pairs if gt_pairs else None), (hits / pred_pairs if pred_pairs else None)
+
+
 def report_from_hard(
     intra_v: np.ndarray,
     cross_r: np.ndarray,
@@ -104,16 +110,14 @@ def report_from_hard(
     """
     if intra_v.shape != cross_v.shape or intra_r.shape != cross_r.shape:
         raise ShapeMismatchError("per-modality label vectors must have equal length")
-    return MetricsReport(
-        intra_acc_v=pair_accuracy(cross_v, cross_v, gt.ids_v, gt.ids_v, include_self),
-        intra_acc_r=pair_accuracy(cross_r, cross_r, gt.ids_r, gt.ids_r, include_self),
-        cross_acc_v=pair_accuracy(intra_v, cross_r, gt.ids_v, gt.ids_r),
-        cross_acc_r=pair_accuracy(cross_v, intra_r, gt.ids_v, gt.ids_r),
-        intra_re_v=pair_recall(cross_v, cross_v, gt.ids_v, gt.ids_v, include_self),
-        intra_re_r=pair_recall(cross_r, cross_r, gt.ids_r, gt.ids_r, include_self),
-        cross_re_v=pair_recall(intra_v, cross_r, gt.ids_v, gt.ids_r),
-        cross_re_r=pair_recall(cross_v, intra_r, gt.ids_v, gt.ids_r),
-    )
+    intra_acc_v, intra_re_v = _accuracy_and_recall(
+        cross_v, cross_v, gt.ids_v, gt.ids_v, include_self)
+    intra_acc_r, intra_re_r = _accuracy_and_recall(
+        cross_r, cross_r, gt.ids_r, gt.ids_r, include_self)
+    cross_acc_v, cross_re_v = _accuracy_and_recall(intra_v, cross_r, gt.ids_v, gt.ids_r, True)
+    cross_acc_r, cross_re_r = _accuracy_and_recall(cross_v, intra_r, gt.ids_v, gt.ids_r, True)
+    return MetricsReport(intra_acc_v, intra_acc_r, cross_acc_v, cross_acc_r,
+                         intra_re_v, intra_re_r, cross_re_v, cross_re_r)
 
 
 def full_report(

@@ -13,12 +13,12 @@ import os
 import re
 from dataclasses import dataclass
 
-import numpy as np
-
 from .core import MissingSnapshotError, Modality, PipelineConfig
 from .clustering import ClusterAssignment, centroids, dbscan
 from .fileio import atomic_write_text, read_features
-from .losses import Batch, LossReport, ModeBanks, TrainingMode, loss_report, mean_reports
+from .losses import (
+    LossReport, ModeBanks, TrainingMode, loss_report, mean_reports, pass_batches,
+)
 from .metrics import GroundTruth, MetricsReport, full_report
 from .transfer import AssociationResult, Direction, mult_associate
 
@@ -54,32 +54,16 @@ def make_banks(
 def epoch_loss_report(
     result: AssociationResult, banks: ModeBanks, features_v, features_r, cfg: PipelineConfig
 ) -> LossReport:
-    """One full pass in batches of cfg.batch_size, averaged evenly.
-
-    Slot i pairs the i-th clustered visible instance with the i-th clustered
-    infrared instance; the pass stops at the shorter modality.
-    """
-    idx_v = result.intra_v.indices
-    idx_r = result.intra_r.indices
-    n = min(idx_v.shape[0], idx_r.shape[0])
-    fv = features_v.data[idx_v[:n]]
-    fr = features_r.data[idx_r[:n]]
-    lab = {
-        "intra_v": result.intra_v.labels.probs[:n],
-        "cross_v": result.cross_v.labels.probs[:n],
-        "intra_r": result.intra_r.labels.probs[:n],
-        "cross_r": result.cross_r.labels.probs[:n],
-    }
-    reports = []
-    for start in range(0, n, cfg.batch_size):
-        sl = slice(start, min(start + cfg.batch_size, n))
-        batch = Batch(
-            features_v=fv[sl],
-            features_r=fr[sl],
-            **{name: rows[sl] for name, rows in lab.items()},
-        )
-        reports.append(loss_report(batch, banks, cfg.tau, cfg.sharpen_divisor))
-    return mean_reports(reports)
+    """One pass over the clustered instances (see losses.pass_batches),
+    batch reports averaged evenly."""
+    batches = pass_batches(
+        (features_v.data[result.intra_v.indices],
+         result.intra_v.labels.probs, result.cross_v.labels.probs),
+        (features_r.data[result.intra_r.indices],
+         result.intra_r.labels.probs, result.cross_r.labels.probs),
+        cfg.batch_size,
+    )
+    return mean_reports([loss_report(b, banks, cfg.tau, cfg.sharpen_divisor) for b in batches])
 
 
 def run_epoch(

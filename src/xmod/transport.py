@@ -184,10 +184,10 @@ def sinkhorn(problem: TransportProblem) -> TransportPlan:
 
 
 def heterogeneous_plan(features_v, features_r, lam: float) -> TransportPlan:
-    """Uniform-marginal transport between the two modalities' instances.
+    """Uniform-marginal transport between two row sets.
 
     Cost is squared Euclidean distance; rows carry mass 1/Nv each, columns
-    1/Nr each, so every instance contributes equal total affinity.
+    1/Nr each, so every row of either set contributes equal total mass.
     """
     fv = feature_data(features_v)
     fr = feature_data(features_r)
@@ -213,14 +213,5 @@ def otla_init(features_tgt, bank_src: MemoryBank, lam: float) -> SoftLabelMatrix
     equal column marginals spread the instances across clusters instead of
     letting one prototype absorb everything.
     """
-    ft = feature_data(features_tgt)
-    cost = pairwise_sq_dists(ft, bank_src.prototypes)
-    n, k = cost.shape
-    problem = TransportProblem(
-        cost, np.full(n, 1.0 / n), np.full(k, 1.0 / k), lam
-    )
-    plan = sinkhorn(problem).plan
-    hard = np.argmax(plan, axis=1)
-    probs = np.zeros((n, k), dtype=np.float64)
-    probs[np.arange(n), hard] = 1.0
-    return SoftLabelMatrix(probs)
+    plan = heterogeneous_plan(features_tgt, bank_src.prototypes, lam).plan
+    return SoftLabelMatrix.one_hot(np.argmax(plan, axis=1), plan.shape[1])

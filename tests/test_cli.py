@@ -11,8 +11,10 @@ import pytest
 
 import xmod
 from xmod.cli import main
-from xmod.core import Modality
-from xmod.fileio import read_features, read_labels
+from xmod.core import NOISE, Modality, PipelineConfig
+from xmod.fileio import read_features, read_labels, write_labels
+from xmod.losses import TrainingMode
+from xmod.pipeline import run_epoch
 
 # knobs sized for 3 tight blobs of 8 instances per modality
 CONFIG = {
@@ -115,6 +117,24 @@ class TestCluster:
         assert "noise" in capsys.readouterr().err
         assert not labels_path.exists() and not protos_path.exists()
 
+    @pytest.mark.parametrize(
+        "flag,value",
+        [("--eps", "inf"), ("--eps", "nan"), ("--eps", "-1"), ("--min-samples", "-5")],
+    )
+    def test_out_of_range_flag_exit_2_and_writes_nothing(self, workdir, capsys, flag, value):
+        labels_path = workdir / "labels.csv"
+        protos_path = workdir / "protos.mfv1"
+        code = main([
+            "cluster", "--features", str(workdir / "data" / "visible.mfv1"),
+            f"{flag}={value}",
+            "--out-labels", str(labels_path),
+            "--out-prototypes", str(protos_path),
+        ])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:") and "noise" not in err
+        assert not labels_path.exists() and not protos_path.exists()
+
 
 class TestAssociate:
     def test_mult_writes_four_label_files(self, workdir):
@@ -204,8 +224,12 @@ class TestEval:
                             load_schema("metrics_report.schema.json"))
 
 
-def loss_report_argv(workdir, labels, out):
-    """Cluster both modalities for banks; return a loss-report command line."""
+def loss_report_argv(workdir, labels, out, mode="v"):
+    """Cluster both modalities for banks; return a loss-report command line.
+
+    The shared and intra-cross banks are the prototypes of the mode's source
+    modality, as in pipeline.make_banks.
+    """
     banks = {}
     for tag, source in (("v", "visible"), ("r", "infrared")):
         banks[tag] = workdir / f"protos_{tag}.mfv1"
@@ -226,9 +250,9 @@ def loss_report_argv(workdir, labels, out):
         "--labels-cross-v", str(labels / "cross_v.csv"),
         "--bank-intra-v", str(banks["v"]),
         "--bank-intra-r", str(banks["r"]),
-        "--bank-shared", str(banks["v"]),
-        "--bank-intra-cross", str(banks["v"]),
-        "--mode", "v",
+        "--bank-shared", str(banks[mode]),
+        "--bank-intra-cross", str(banks[mode]),
+        "--mode", mode,
         "--config", str(workdir / "config.json"),
         "--out", str(out),
     ]
@@ -244,6 +268,28 @@ class TestLossReport:
         parts = (payload["l_im_v"] + payload["l_im_r"] + payload["l_cm"]
                  + payload["l_oclr_v"] + payload["l_oclr_r"])
         assert payload["total"] == pytest.approx(parts, rel=1e-12)
+
+    @pytest.mark.parametrize("mode,epoch", [("v", 0), ("r", 1)])
+    def test_matches_run_epoch_losses(self, workdir, mode, epoch):
+        _, labels = run_associate(workdir)
+        out = workdir / "losses.json"
+        assert main(loss_report_argv(workdir, labels, out, mode)) == 0
+        fv = read_features(workdir / "data" / "visible.mfv1", Modality.VISIBLE)
+        fr = read_features(workdir / "data" / "infrared.mfv1", Modality.INFRARED)
+        result = run_epoch(fv, fr, epoch, PipelineConfig().with_overrides(CONFIG))
+        assert result.mode is TrainingMode(mode)
+        # The CLI's banks went through float32 MFV1 files; run_epoch's did not.
+        assert json.loads(out.read_text()) == pytest.approx(result.losses.to_dict(), rel=1e-5)
+
+    def test_no_labeled_instance_exit_2_and_no_report(self, workdir, capsys):
+        _, labels = run_associate(workdir)
+        path = labels / "intra_v.csv"
+        hard, soft = read_labels(path)
+        write_labels(path, np.full_like(hard, NOISE), np.zeros_like(soft))
+        out = workdir / "losses.json"
+        assert main(loss_report_argv(workdir, labels, out)) == 2
+        assert "no labeled instances" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_non_finite_soft_label_exit_2_and_no_report(self, workdir, capsys):
         _, labels = run_associate(workdir)
