@@ -1,7 +1,9 @@
 """Reference associators the transfer engine is measured against.
 
-Both produce the same AssociationResult shape as the full engine so the
-metrics and the CLI treat all methods uniformly.
+Each supplies only its cross-label rule for one direction to
+``transfer.associate_directions``, the shell the full engine runs in, so
+noise handling and result assembly are the same for every method. Intra
+labels are the one-hot cluster ids.
 """
 from __future__ import annotations
 
@@ -10,23 +12,17 @@ import numpy as np
 from .core import PipelineConfig, SoftLabelMatrix, pairwise_sq_dists
 from .clustering import ClusterAssignment, centroids
 from .transport import otla_init
-from .transfer import AssociationResult, Direction, LabeledSubset, _subset
+from .transfer import (
+    AssociationResult,
+    ClusteredSide,
+    Direction,
+    associate_directions,
+    clustered_side,
+)
 
 
-def _one_hot_intra(sub_assign: ClusterAssignment) -> SoftLabelMatrix:
-    return SoftLabelMatrix.one_hot(sub_assign.labels, sub_assign.k)
-
-
-def _direction_fields(intra, cross, idx_src, idx_tgt, swapped: bool):
-    if not swapped:
-        return {
-            "intra_v": LabeledSubset(idx_src, intra),
-            "cross_r": LabeledSubset(idx_tgt, cross),
-        }
-    return {
-        "intra_r": LabeledSubset(idx_src, intra),
-        "cross_v": LabeledSubset(idx_tgt, cross),
-    }
+def _one_hot_intra(side: ClusteredSide) -> SoftLabelMatrix:
+    return SoftLabelMatrix.one_hot(side.assign.labels, side.assign.k)
 
 
 def associate_otla_only(
@@ -40,24 +36,14 @@ def associate_otla_only(
     """No transfer: intra labels are the one-hot cluster ids, cross labels are
     the balanced transport assignment onto the source prototypes (the exact
     matrices the full engine starts from, minus the intra softening)."""
-    idx_v, fv_sub, sub_v = _subset(features_v, assign_v)
-    idx_r, fr_sub, sub_r = _subset(features_r, assign_r)
-    fields: dict = {}
-    if direction in (Direction.V2R, Direction.BOTH):
-        bank = centroids(fv_sub, sub_v)
-        cross = otla_init(fr_sub, bank, cfg.ot_lambda)
-        fields.update(
-            _direction_fields(_one_hot_intra(sub_v), cross, idx_v, idx_r, False)
-        )
-    if direction in (Direction.R2V, Direction.BOTH):
-        bank = centroids(fr_sub, sub_r)
-        cross = otla_init(fv_sub, bank, cfg.ot_lambda)
-        fields.update(
-            _direction_fields(_one_hot_intra(sub_r), cross, idx_r, idx_v, True)
-        )
-    return AssociationResult(
-        n_visible=len(assign_v.labels), n_infrared=len(assign_r.labels), **fields
-    )
+
+    def one_way(src, tgt, v2r):
+        bank = centroids(src.rows, src.assign)
+        return _one_hot_intra(src), otla_init(tgt.rows, bank, cfg.ot_lambda), None
+
+    v = clustered_side(features_v, assign_v)
+    r = clustered_side(features_r, assign_r)
+    return associate_directions(v, r, direction, one_way)
 
 
 def _greedy_match(dist: np.ndarray) -> np.ndarray:
@@ -93,27 +79,16 @@ def associate_greedy_centroid(
 ) -> AssociationResult:
     """Cluster-level greedy matching on centroid distances: every target
     instance inherits the source cluster its own cluster was matched to."""
-    idx_v, fv_sub, sub_v = _subset(features_v, assign_v)
-    idx_r, fr_sub, sub_r = _subset(features_r, assign_r)
-    bank_v = centroids(fv_sub, sub_v)
-    bank_r = centroids(fr_sub, sub_r)
+    v = clustered_side(features_v, assign_v)
+    r = clustered_side(features_r, assign_r)
+    bank_v = centroids(v.rows, v.assign)
+    bank_r = centroids(r.rows, r.assign)
 
-    def one(bank_src, bank_tgt, sub_tgt) -> SoftLabelMatrix:
+    def one_way(src, tgt, v2r):
+        bank_src, bank_tgt = (bank_v, bank_r) if v2r else (bank_r, bank_v)
         dist = np.sqrt(pairwise_sq_dists(bank_tgt.prototypes, bank_src.prototypes))
         match = _greedy_match(dist)
-        return SoftLabelMatrix.one_hot(match[sub_tgt.labels], bank_src.k)
+        cross = SoftLabelMatrix.one_hot(match[tgt.assign.labels], bank_src.k)
+        return _one_hot_intra(src), cross, None
 
-    fields: dict = {}
-    if direction in (Direction.V2R, Direction.BOTH):
-        cross = one(bank_v, bank_r, sub_r)
-        fields.update(
-            _direction_fields(_one_hot_intra(sub_v), cross, idx_v, idx_r, False)
-        )
-    if direction in (Direction.R2V, Direction.BOTH):
-        cross = one(bank_r, bank_v, sub_v)
-        fields.update(
-            _direction_fields(_one_hot_intra(sub_r), cross, idx_r, idx_v, True)
-        )
-    return AssociationResult(
-        n_visible=len(assign_v.labels), n_infrared=len(assign_r.labels), **fields
-    )
+    return associate_directions(v, r, direction, one_way)

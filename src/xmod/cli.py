@@ -107,6 +107,9 @@ def _write_association(out_dir, result) -> None:
 
 
 def _cmd_associate(args) -> int:
+    if args.trace and args.method != "mult":
+        print(f"error: --trace is for --method mult only, not {args.method}", file=sys.stderr)
+        return 1
     cfg = _load_config(args)
     fv = read_features(args.features_v, Modality.VISIBLE)
     fr = read_features(args.features_r, Modality.INFRARED)
@@ -122,7 +125,7 @@ def _cmd_associate(args) -> int:
     else:
         result = associate_greedy_centroid(fv, fr, assign_v, assign_r, cfg, direction)
     _write_association(args.out, result)
-    if args.trace and result.traces:
+    if args.trace:
         os.makedirs(args.trace, exist_ok=True)
         for tag, entries in result.traces.items():
             for entry in entries:
@@ -155,9 +158,16 @@ def _cmd_loss_report(args) -> int:
     fr = read_features(args.features_r, Modality.INFRARED)
     labels = {}
     for name in _LABEL_FILES:
-        hard, soft = read_labels(getattr(args, f"labels_{name}"))
+        path = getattr(args, f"labels_{name}")
+        hard, soft = read_labels(path)
         if soft is None:
             raise XmodError(f"label file for {name} has no soft columns")
+        side = name[-1]
+        n = (fv if side == "v" else fr).n
+        if hard.shape[0] != n:
+            raise XmodError(
+                f"{path}: {hard.shape[0]} label rows, but --features-{side} has {n} rows"
+            )
         labels[name] = (hard, soft)
     banks = ModeBanks(
         mode=TrainingMode(args.mode),
@@ -225,7 +235,8 @@ def build_parser() -> argparse.ArgumentParser:
             "dbscan_min_samples and the Euclidean metric; the files written by "
             "'xmod cluster' are not read. To associate over the same clusters that "
             "'xmod cluster' wrote, give both commands those values through --config "
-            "and cluster with the Euclidean metric."
+            "and cluster with the Euclidean metric. --trace works with --method mult "
+            "only: the baselines run no transfer iterations."
         ),
     )
     p.add_argument("--features-v", required=True)
@@ -233,7 +244,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=["mult", "otla", "greedy"], default="mult")
     p.add_argument("--direction", choices=[d.value for d in Direction], default="both")
     p.add_argument("--config")
-    p.add_argument("--trace", help="directory for per-iteration disagreement JSONs")
+    p.add_argument("--trace", help="directory for per-iteration disagreement JSONs "
+                   "(--method mult only)")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_associate)
 

@@ -105,6 +105,10 @@ def read_labels(path) -> tuple[np.ndarray, np.ndarray | None]:
         for lineno, row in enumerate(reader):
             if not row:
                 continue
+            if len(row) != len(header):
+                raise FileFormatError(
+                    f"{path}: line {lineno + 2} has {len(row)} fields, the header {len(header)}"
+                )
             if int(row[0]) != lineno:
                 raise FileFormatError(f"{path}: non-contiguous index at line {lineno + 2}")
             hard.append(int(row[1]))

@@ -211,44 +211,47 @@ class AssociationResult:
     traces: dict | None = None
 
 
-def _subset(features, assign: ClusterAssignment):
+@dataclass(frozen=True)
+class ClusteredSide:
+    """The clustered (non-noise) instances of one modality: their indices
+    among all ``total`` instances, their feature rows and their cluster ids."""
+
+    indices: np.ndarray
+    rows: np.ndarray
+    assign: ClusterAssignment
+    total: int
+
+
+def clustered_side(features, assign: ClusterAssignment) -> ClusteredSide:
     idx = assign.clustered_indices()
     if idx.size == 0:
         raise ShapeMismatchError("every instance is noise; nothing to associate")
     sub_assign = ClusterAssignment(assign.labels[idx], assign.k)
-    data = feature_data(features)
-    return idx, data[idx], sub_assign
+    return ClusteredSide(idx, feature_data(features)[idx], sub_assign, assign.n)
 
 
-def _transfer_one_direction(
-    f_src: np.ndarray,
-    assign_src: ClusterAssignment,
-    f_tgt: np.ndarray,
-    aff: DirectionAffinities,
-    cfg: PipelineConfig,
-    collect_trace: bool = False,
-):
-    """Run one direction end to end on pre-filtered instances.
-
-    Returns (intra SoftLabelMatrix, cross SoftLabelMatrix, trace list). Both
-    directions go through this exact routine, so swapping the modality roles
-    swaps the outputs bit for bit.
-    """
-    state, _ = init_labels(f_src, f_tgt, assign_src, cfg)
-    trace: list[dict] = []
-
-    def record(st: TransferState) -> None:
-        entry = inconsistency(st, aff, cfg.alpha)
-        entry.update(t=st.t, epsilon=float(st.epsilon))
-        trace.append(entry)
-
-    if collect_trace:
-        init_entry = inconsistency(state, aff, cfg.alpha)
-        init_entry.update(t=0, epsilon=None)
-        trace.append(init_entry)
-    state = run_transfer(state, aff, cfg, on_step=record if collect_trace else None)
-    intra, cross = fuse_labels(state, cfg.beta)
-    return intra, cross, trace
+def associate_directions(
+    v: ClusteredSide, r: ClusteredSide, direction: Direction, one_way
+) -> AssociationResult:
+    """Run ``one_way(src, tgt, v2r) -> (intra, cross, trace or None)`` for
+    each requested direction (V2R has visible as the source) and place its
+    labels, both in the source cluster space. ``traces`` stays None unless a
+    direction returned one."""
+    fields: dict = {}
+    traces: dict = {}
+    for way, src, tgt, intra_name, cross_name in (
+        (Direction.V2R, v, r, "intra_v", "cross_r"),
+        (Direction.R2V, r, v, "intra_r", "cross_v"),
+    ):
+        if direction in (way, Direction.BOTH):
+            intra, cross, trace = one_way(src, tgt, way is Direction.V2R)
+            fields[intra_name] = LabeledSubset(src.indices, intra)
+            fields[cross_name] = LabeledSubset(tgt.indices, cross)
+            if trace is not None:
+                traces[way.value] = trace
+    return AssociationResult(
+        n_visible=v.total, n_infrared=r.total, traces=traces or None, **fields
+    )
 
 
 def mult_associate(
@@ -269,35 +272,33 @@ def mult_associate(
     by (row count, bytes) on the rows, so swapping the modalities swaps the
     outputs bit for bit.
     """
-    idx_v, fv_sub, sub_v = _subset(features_v, assign_v)
-    idx_r, fr_sub, sub_r = _subset(features_r, assign_r)
-    ho_v = homogeneous_affinity(fv_sub, cfg.kappa)
-    ho_r = homogeneous_affinity(fr_sub, cfg.kappa)
-    if (fv_sub.shape[0], fv_sub.tobytes()) <= (fr_sub.shape[0], fr_sub.tobytes()):
-        he_vr, he_rv = heterogeneous_affinity(fv_sub, fr_sub, cfg.ot_lambda)
+    v = clustered_side(features_v, assign_v)
+    r = clustered_side(features_r, assign_r)
+    ho_v = homogeneous_affinity(v.rows, cfg.kappa)
+    ho_r = homogeneous_affinity(r.rows, cfg.kappa)
+    if (v.rows.shape[0], v.rows.tobytes()) <= (r.rows.shape[0], r.rows.tobytes()):
+        he_vr, he_rv = heterogeneous_affinity(v.rows, r.rows, cfg.ot_lambda)
     else:
-        he_rv, he_vr = heterogeneous_affinity(fr_sub, fv_sub, cfg.ot_lambda)
-    fields: dict = {}
-    traces: dict = {}
-    if direction in (Direction.V2R, Direction.BOTH):
-        aff = DirectionAffinities(ho_v, ho_r, he_vr, he_rv)
-        intra, cross, trace = _transfer_one_direction(
-            fv_sub, sub_v, fr_sub, aff, cfg, collect_trace
-        )
-        fields["intra_v"] = LabeledSubset(idx_v, intra)
-        fields["cross_r"] = LabeledSubset(idx_r, cross)
-        traces["v2r"] = trace
-    if direction in (Direction.R2V, Direction.BOTH):
-        aff = DirectionAffinities(ho_r, ho_v, he_rv, he_vr)
-        intra, cross, trace = _transfer_one_direction(
-            fr_sub, sub_r, fv_sub, aff, cfg, collect_trace
-        )
-        fields["intra_r"] = LabeledSubset(idx_r, intra)
-        fields["cross_v"] = LabeledSubset(idx_v, cross)
-        traces["r2v"] = trace
-    return AssociationResult(
-        n_visible=assign_v.n,
-        n_infrared=assign_r.n,
-        traces=traces if collect_trace else None,
-        **fields,
-    )
+        he_rv, he_vr = heterogeneous_affinity(r.rows, v.rows, cfg.ot_lambda)
+    affs = {
+        True: DirectionAffinities(ho_v, ho_r, he_vr, he_rv),
+        False: DirectionAffinities(ho_r, ho_v, he_rv, he_vr),
+    }
+
+    def one_way(src: ClusteredSide, tgt: ClusteredSide, v2r: bool):
+        # Both directions run this one routine on their own affinities.
+        aff = affs[v2r]
+        state, _ = init_labels(src.rows, tgt.rows, src.assign, cfg)
+        trace = on_step = None
+        if collect_trace:
+            trace = [dict(inconsistency(state, aff, cfg.alpha), t=0, epsilon=None)]
+
+            def on_step(st: TransferState) -> None:
+                entry = inconsistency(st, aff, cfg.alpha)
+                trace.append(dict(entry, t=st.t, epsilon=float(st.epsilon)))
+
+        state = run_transfer(state, aff, cfg, on_step=on_step)
+        intra, cross = fuse_labels(state, cfg.beta)
+        return intra, cross, trace
+
+    return associate_directions(v, r, direction, one_way)

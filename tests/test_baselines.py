@@ -8,7 +8,7 @@ from xmod.baselines import associate_greedy_centroid, associate_otla_only, _gree
 from xmod.clustering import ClusterAssignment, MemoryBank, centroids
 from xmod.metrics import full_report
 from xmod.synth import SynthSpec, generate
-from xmod.transfer import Direction, init_labels
+from xmod.transfer import init_labels
 from xmod.transport import otla_init
 
 from conftest import random_unit_rows
@@ -59,12 +59,6 @@ class TestOtlaOnly:
             counts = np.bincount(hard, minlength=k)
             slack = math.ceil(n / k) - math.floor(n / k) + 1
             assert np.abs(counts - n / k).max() <= slack
-
-    def test_single_direction(self):
-        fv, fr, av, ar, _ = blob_instance(seed=4)
-        result = associate_otla_only(fv, fr, av, ar, PipelineConfig(), Direction.R2V)
-        assert result.intra_v is None and result.cross_r is None
-        assert result.intra_r is not None and result.cross_v is not None
 
 
 class TestGreedyMatch:

@@ -188,6 +188,15 @@ class TestAssociate:
             first = json.loads(files[0].read_text())
             assert first["epsilon"] is None
 
+    @pytest.mark.parametrize("method", ["otla", "greedy"])
+    def test_trace_with_baseline_exit_1_and_writes_nothing(self, workdir, capsys, method):
+        trace_dir = workdir / "trace"
+        code, out = run_associate(workdir, method=method, trace=trace_dir)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:") and err.count("\n") == 1 and "--trace" in err
+        assert not out.exists() and not trace_dir.exists()
+
 
 class TestEval:
     def test_metrics_json_validates_and_is_perfect(self, workdir):
@@ -289,6 +298,23 @@ class TestLossReport:
         out = workdir / "losses.json"
         assert main(loss_report_argv(workdir, labels, out)) == 2
         assert "no labeled instances" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name, rows", [("intra_v", 32), ("cross_r", 16)],
+                             ids=["visible-longer", "infrared-shorter"])
+    def test_label_rows_differ_from_features_exit_2_and_no_report(
+        self, workdir, capsys, name, rows
+    ):
+        _, labels = run_associate(workdir)
+        path = labels / f"{name}.csv"
+        hard, soft = read_labels(path)
+        picked = np.arange(rows) % hard.shape[0]
+        write_labels(path, hard[picked], soft[picked])
+        out = workdir / "losses.json"
+        assert main(loss_report_argv(workdir, labels, out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert f"{name}.csv" in err and f"{rows} label rows" in err and "24 rows" in err
         assert not out.exists()
 
     def test_non_finite_soft_label_exit_2_and_no_report(self, workdir, capsys):

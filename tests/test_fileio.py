@@ -81,6 +81,20 @@ class TestLabelFiles:
             fileio.read_labels(path)
 
 
+    @pytest.mark.parametrize(
+        "rows, line",
+        [(["0,0,1.0,0.0", "1,1,0.0,1.0"], 2),
+         (["0,0,1.0,0.0,0.0,0.0", "1,1,0.0,1.0,0.0,0.0"], 2),
+         (["0,0,1.0,0.0,0.0", "1,1,0.0,1.0"], 3)],
+        ids=["short", "long", "ragged"],
+    )
+    def test_row_field_count_must_match_header(self, tmp_path, rows, line):
+        path = tmp_path / "labels.csv"
+        path.write_text("\n".join(["index,hard_label,p0,p1,p2"] + rows) + "\n")
+        with pytest.raises(FileFormatError, match=f"labels.csv: line {line} "):
+            fileio.read_labels(path)
+
+
 class TestGroundTruthFiles:
     def test_concatenated_round_trip(self, tmp_path):
         ids_v = np.array([0, 0, 1])

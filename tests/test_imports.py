@@ -1,4 +1,5 @@
-"""Every module-level import in the package is used by its module."""
+"""Every module-level import in the package is used by its module, and no
+module imports another module's private (``_``-prefixed) name."""
 import ast
 from pathlib import Path
 
@@ -23,6 +24,16 @@ def unused_imports(source: str) -> list[str]:
     return [f"{name} (line {line})" for name, line in imported.items() if name not in used]
 
 
+def private_imports(source: str) -> list[str]:
+    return [
+        f"{node.module}.{alias.name} (line {node.lineno})"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+        if alias.name.startswith("_") and node.module != "__future__"
+    ]
+
+
 def test_detects_an_unused_import():
     assert unused_imports("import os\nimport sys\nsys.exit()\n") == ["os (line 1)"]
 
@@ -30,3 +41,13 @@ def test_detects_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_module_level_import_is_used(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_detects_a_private_import():
+    source = "from __future__ import annotations\nfrom .transfer import Direction, _subset\n"
+    assert private_imports(source) == ["transfer._subset (line 2)"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_module_imports_a_private_name(path):
+    assert private_imports(path.read_text()) == []

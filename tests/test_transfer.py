@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from xmod import transfer
+from xmod.baselines import associate_greedy_centroid, associate_otla_only
 from xmod.core import NOISE, PipelineConfig, SoftLabelMatrix
 from xmod.clustering import ClusterAssignment
 from xmod.affinity import homogeneous_affinity
@@ -351,6 +352,15 @@ def blob_instance(seed, gap=0.0, num_ids=3, per_id_v=8, per_id_r=8):
     return fv, fr, assign_v, assign_r, gt
 
 
+METHODS = {
+    "mult": mult_associate,
+    "otla": associate_otla_only,
+    "greedy": associate_greedy_centroid,
+}
+SWAP_CASES = {"equal-sizes": (8, 8, False), "unequal-sizes": (9, 7, False),
+              "noise-row": (8, 8, True)}
+
+
 class TestMultAssociate:
     def test_zero_gap_blobs_associate_perfectly(self):
         fv, fr, av, ar, gt = blob_instance(seed=5)
@@ -370,12 +380,13 @@ class TestMultAssociate:
             assert np.allclose(subset.labels.probs, 1.0)
 
     @pytest.mark.parametrize(
-        "per_id_v, per_id_r, noise_v",
-        [(8, 8, False), (9, 7, False), (8, 8, True)],
-        ids=["equal-sizes", "unequal-sizes", "noise-row"],
+        "method, per_id_v, per_id_r, noise_v",
+        [pytest.param(method, *case, id=name if method == "mult" else f"{method}-{name}")
+         for method in METHODS for name, case in SWAP_CASES.items()],
     )
-    def test_swapped_modalities_swap_outputs_bitwise(self, per_id_v, per_id_r, noise_v):
-        # The plan is solved once, with the subset that sorts first by (row
+    def test_swapped_modalities_swap_outputs_bitwise(self, method, per_id_v, per_id_r,
+                                                     noise_v):
+        # mult solves the plan once, with the subset that sorts first by (row
         # count, bytes) on the rows; each case sees both orientations.
         fv, fr, av, ar, _ = blob_instance(seed=11, gap=0.2, per_id_v=per_id_v,
                                           per_id_r=per_id_r)
@@ -384,8 +395,8 @@ class TestMultAssociate:
             labels_v[3] = NOISE
             av = ClusterAssignment(labels_v, av.k)
         cfg = PipelineConfig(kappa=8)
-        ab = mult_associate(fv, fr, av, ar, cfg, Direction.BOTH)
-        ba = mult_associate(fr, fv, ar, av, cfg, Direction.BOTH)
+        ab = METHODS[method](fv, fr, av, ar, cfg, Direction.BOTH)
+        ba = METHODS[method](fr, fv, ar, av, cfg, Direction.BOTH)
         for mine, theirs in ((ab.intra_v, ba.intra_r), (ab.cross_r, ba.cross_v),
                              (ab.intra_r, ba.intra_v), (ab.cross_v, ba.cross_r)):
             assert np.array_equal(mine.indices, theirs.indices)
@@ -408,12 +419,17 @@ class TestMultAssociate:
         mult_associate(fv, fr, av, ar, PipelineConfig(kappa=8), Direction.BOTH)
         assert calls == {"homogeneous": 2, "heterogeneous": 1}
 
-    def test_single_direction_leaves_other_empty(self):
+    @pytest.mark.parametrize("direction", [Direction.V2R, Direction.R2V], ids=["v2r", "r2v"])
+    @pytest.mark.parametrize("method", METHODS)
+    def test_single_direction_leaves_other_empty(self, method, direction):
         fv, fr, av, ar, _ = blob_instance(seed=3)
-        result = mult_associate(fv, fr, av, ar, PipelineConfig(kappa=8),
-                                Direction.V2R)
-        assert result.intra_v is not None and result.cross_r is not None
-        assert result.intra_r is None and result.cross_v is None
+        result = METHODS[method](fv, fr, av, ar, PipelineConfig(kappa=8), direction)
+        run = (result.intra_v, result.cross_r)
+        idle = (result.intra_r, result.cross_v)
+        if direction is Direction.R2V:
+            run, idle = idle, run
+        assert all(subset is not None for subset in run)
+        assert all(subset is None for subset in idle)
 
     def test_noise_instances_sit_out(self):
         fv, fr, av, ar, _ = blob_instance(seed=7)
