@@ -101,17 +101,18 @@ def read_labels(path) -> tuple[np.ndarray, np.ndarray | None]:
         if not header or header[:2] != ["index", "hard_label"]:
             raise FileFormatError(f"{path}: expected an index,hard_label header")
         has_soft = len(header) > 2
-        hard, soft = [], []
-        for lineno, row in enumerate(reader):
+        hard, soft, lines = [], [], []
+        for row in reader:
             if not row:
                 continue
             if len(row) != len(header):
                 raise FileFormatError(
-                    f"{path}: line {lineno + 2} has {len(row)} fields, the header {len(header)}"
+                    f"{path}: line {reader.line_num} has {len(row)} fields, the header {len(header)}"
                 )
-            if int(row[0]) != lineno:
-                raise FileFormatError(f"{path}: non-contiguous index at line {lineno + 2}")
+            if int(row[0]) != len(hard):
+                raise FileFormatError(f"{path}: non-contiguous index at line {reader.line_num}")
             hard.append(int(row[1]))
+            lines.append(reader.line_num)
             if has_soft:
                 soft.append([float(v) for v in row[2:]])
     if not hard:
@@ -120,7 +121,7 @@ def read_labels(path) -> tuple[np.ndarray, np.ndarray | None]:
     soft_arr = np.asarray(soft, dtype=np.float64) if has_soft else None
     if soft_arr is not None and not np.isfinite(soft_arr).all():
         row = int(np.argwhere(~np.isfinite(soft_arr))[0, 0])
-        raise FileFormatError(f"{path}: non-finite soft label at line {row + 2}")
+        raise FileFormatError(f"{path}: non-finite soft label at line {lines[row]}")
     return hard_arr, soft_arr
 
 
@@ -143,11 +144,11 @@ def read_ground_truth(path, n_visible: int) -> tuple[np.ndarray, np.ndarray]:
         if not header or header[:2] != ["index", "identity"]:
             raise FileFormatError(f"{path}: expected an index,identity header")
         idents = []
-        for lineno, row in enumerate(reader):
+        for row in reader:
             if not row:
                 continue
-            if int(row[0]) != lineno:
-                raise FileFormatError(f"{path}: non-contiguous index at line {lineno + 2}")
+            if int(row[0]) != len(idents):
+                raise FileFormatError(f"{path}: non-contiguous index at line {reader.line_num}")
             idents.append(int(row[1]))
     if len(idents) < n_visible:
         raise FileFormatError(

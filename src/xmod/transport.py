@@ -66,50 +66,66 @@ def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
     return out
 
 
-def _dual_value(f, g, log_k, r, c) -> float:
+def _dual_value(f, g, r, c, mass) -> float:
     """Entropic dual: f.r + g.c - total plan mass, to be maximized.
 
     The dot products run over the support: a zero-mass entry has potential
     -inf, and -inf * 0 would turn the whole dual into nan.
     """
-    with np.errstate(over="ignore"):
-        total = np.exp(f[:, None] + log_k + g[None, :]).sum()
     rs = r > 0.0
     cs = c > 0.0
-    return float(f[rs] @ r[rs] + g[cs] @ c[cs] - total)
+    return float(f[rs] @ r[rs] + g[cs] @ c[cs] - mass)
 
 
-def _newton_step(f, g, log_k, r, c):
-    """One damped Newton step on the dual potentials, or None if it fails.
+def _newton_direction(plan, r, c):
+    """Newton direction (df, dg) of the dual at ``plan``, by block elimination.
 
-    The dual Hessian is -[[diag(P1), P], [P^T, diag(P^T 1)]]; it is singular
-    along the constant shift (f+s, g-s), so a tiny ridge pins the solve. A
-    halving line search accepts the first step that strictly increases the
-    dual, which keeps the plan mass finite at every accepted state.
+    The ridged system is ([[diag a, P], [P^T, diag b]] + ridge*I) [df; dg] =
+    [r - a; c - b] with a = P1 and b = P^T 1. Eliminating the diagonal block
+    of the longer side leaves the min(n, m)-square Schur complement: for
+    n >= m, S = diag(b + ridge) - P^T diag(1/(a + ridge)) P solves for dg,
+    and df follows by back-substitution. No (n+m)-square array is formed.
     """
-    plan = np.exp(f[:, None] + log_k + g[None, :])
     a = plan.sum(axis=1)
     b = plan.sum(axis=0)
-    grad = np.concatenate([r - a, c - b])
-    n, m = plan.shape
-    h = np.zeros((n + m, n + m))
-    h[:n, :n] = np.diag(a)
-    h[n:, n:] = np.diag(b)
-    h[:n, n:] = plan
-    h[n:, :n] = plan.T
-    h[np.diag_indices(n + m)] += 1e-12 * max(a.max(), b.max()) + 1e-300
+    ridge = 1e-12 * max(a.max(), b.max()) + 1e-300
+    flip = plan.shape[0] < plan.shape[1]
+    if flip:
+        plan, a, b, r, c = plan.T, b, a, c, r
+    da = a + ridge
+    scaled = plan / da[:, None]
+    s = -(plan.T @ scaled)
+    s[np.diag_indices_from(s)] += b + ridge
+    y = np.linalg.solve(s, (c - b) - plan.T @ ((r - a) / da))
+    x = ((r - a) - plan @ y) / da
+    return (y, x) if flip else (x, y)
+
+
+def _newton_step(f, g, log_k, r, c, plan):
+    """One damped Newton step on the dual potentials, or None if it fails.
+
+    ``plan`` is exp(f + log_k + g), the plan at the current potentials, so
+    the step neither rebuilds it nor recomputes the dual's base value. The
+    dual Hessian is -[[diag(P1), P], [P^T, diag(P^T 1)]]; it is singular
+    along the constant shift (f+s, g-s), so a tiny ridge pins the solve
+    (``_newton_direction``). A halving line search accepts the first step
+    that strictly increases the dual, which keeps the plan mass finite at
+    every accepted state.
+    """
     try:
-        delta = np.linalg.solve(h, grad)
+        df, dg = _newton_direction(plan, r, c)
     except np.linalg.LinAlgError:
         return None
-    if not np.isfinite(delta).all():
+    if not (np.isfinite(df).all() and np.isfinite(dg).all()):
         return None
-    base = _dual_value(f, g, log_k, r, c)
+    base = _dual_value(f, g, r, c, plan.sum())
     t = 1.0
     while t > 1e-8:
-        f_new = f + t * delta[:n]
-        g_new = g + t * delta[n:]
-        val = _dual_value(f_new, g_new, log_k, r, c)
+        f_new = f + t * df
+        g_new = g + t * dg
+        with np.errstate(over="ignore"):
+            mass = np.exp(f_new[:, None] + log_k + g_new[None, :]).sum()
+        val = _dual_value(f_new, g_new, r, c, mass)
         if np.isfinite(val) and val > base:
             return f_new, g_new
         t *= 0.5
@@ -129,6 +145,9 @@ def sinkhorn(problem: TransportProblem) -> TransportPlan:
     tied. So plain sweeps run until one of them shrinks the marginal error
     by less than half (``_STALL``); from then on the potentials are polished
     by damped Newton steps on the dual, which share the sweeps' fixed point.
+    Each Newton step starts from the plan the previous error check built and
+    solves a min(n, m)-square system (``_newton_step``), so a K-column OTLA
+    init solves K x K systems however many rows it has.
     A Newton step whose line search fails falls back to a plain sweep, and
     the next attempt waits for more plain sweeps: one after the first
     rejection, doubling with each consecutive rejection, back to one after
@@ -153,7 +172,7 @@ def sinkhorn(problem: TransportProblem) -> TransportPlan:
         used += 1
         step = None
         if stalled and wait == 0:
-            step = _newton_step(f, g, log_k, r, c)
+            step = _newton_step(f, g, log_k, r, c, plan)
             if step is None:
                 wait, backoff = backoff, 2 * backoff
             else:

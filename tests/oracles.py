@@ -1,10 +1,13 @@
-"""Scalar re-implementations of loss and metric arithmetic, used as oracles.
+"""Independent re-implementations of library arithmetic, used as oracles.
 
-Everything here works element by element with python floats and math.exp so
-the library's vectorized code is checked against a genuinely independent
-route.
+The loss and metric oracles work element by element with python floats and
+math.exp, so the library's vectorized code is checked against a genuinely
+independent route. The Newton oracle solves the transport dual's full
+Hessian directly, the route the library's block elimination replaces.
 """
 import math
+
+import numpy as np
 
 from xmod.losses import TrainingMode
 
@@ -109,3 +112,23 @@ def loss_report_oracle(batch, banks, tau, sharpen_divisor):
     l_oclr_v = oclr_one(fv)
     l_oclr_r = oclr_one(fr)
     return l_im_v, l_im_r, l_cm, l_oclr_v, l_oclr_r
+
+
+def newton_direction_dense(plan, r, c):
+    """Newton direction (df, dg) of the entropic transport dual at ``plan``.
+
+    Builds the dense (n+m)-square Hessian [[diag a, P], [P^T, diag b]] with
+    a = P1 and b = P^T 1, adds the solver's ridge 1e-12 * max(a, b) + 1e-300
+    on the diagonal, and solves it against the marginal residual [r - a; c - b].
+    """
+    a = plan.sum(axis=1)
+    b = plan.sum(axis=0)
+    n, m = plan.shape
+    h = np.zeros((n + m, n + m))
+    h[:n, :n] = np.diag(a)
+    h[n:, n:] = np.diag(b)
+    h[:n, n:] = plan
+    h[n:, :n] = plan.T
+    h[np.diag_indices(n + m)] += 1e-12 * max(a.max(), b.max()) + 1e-300
+    delta = np.linalg.solve(h, np.concatenate([r - a, c - b]))
+    return delta[:n], delta[n:]

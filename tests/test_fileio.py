@@ -80,6 +80,25 @@ class TestLabelFiles:
         with pytest.raises(FileFormatError, match="line 3"):
             fileio.read_labels(path)
 
+    def test_blank_rows_are_skipped(self, tmp_path):
+        path = tmp_path / "labels.csv"
+        path.write_text("index,hard_label,p0,p1\n0,1,0.0,1.0\n\n1,0,1.0,0.0\n\n")
+        hard, soft = fileio.read_labels(path)
+        assert hard.tolist() == [1, 0]
+        assert soft.tolist() == [[0.0, 1.0], [1.0, 0.0]]
+
+    @pytest.mark.parametrize(
+        "row, error",
+        [("2,1,0.0,1.0", "non-contiguous index at line 4"),
+         ("1,1,nan,1.0", "non-finite soft label at line 4"),
+         ("1,1,0.0", "line 4 has 3 fields")],
+        ids=["gap-in-index", "non-finite", "short"],
+    )
+    def test_error_after_blank_row_names_its_file_line(self, tmp_path, row, error):
+        path = tmp_path / "labels.csv"
+        path.write_text(f"index,hard_label,p0,p1\n0,0,1.0,0.0\n\n{row}\n")
+        with pytest.raises(FileFormatError, match=f"labels.csv: {error}"):
+            fileio.read_labels(path)
 
     @pytest.mark.parametrize(
         "rows, line",
@@ -105,6 +124,19 @@ class TestGroundTruthFiles:
         back_v, back_r = fileio.read_ground_truth(path, n_visible=3)
         assert back_v.tolist() == [0, 0, 1]
         assert back_r.tolist() == [1, 0]
+
+    def test_blank_rows_are_skipped(self, tmp_path):
+        path = tmp_path / "gt.csv"
+        path.write_text("index,identity\n0,3\n\n1,4\n\n2,5\n")
+        back_v, back_r = fileio.read_ground_truth(path, n_visible=2)
+        assert back_v.tolist() == [3, 4]
+        assert back_r.tolist() == [5]
+
+    def test_index_gap_after_blank_row_names_its_file_line(self, tmp_path):
+        path = tmp_path / "gt.csv"
+        path.write_text("index,identity\n0,3\n\n2,4\n")
+        with pytest.raises(FileFormatError, match="gt.csv: non-contiguous index at line 4"):
+            fileio.read_ground_truth(path, n_visible=1)
 
     def test_too_few_rows(self, tmp_path):
         path = tmp_path / "gt.csv"

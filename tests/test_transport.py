@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -20,6 +21,7 @@ from xmod.transport import (
 )
 
 from conftest import random_unit_rows
+from oracles import newton_direction_dense
 
 
 def uniform_problem(cost, lam, **kw) -> TransportProblem:
@@ -33,10 +35,40 @@ def synth_cost(**spec) -> np.ndarray:
     return pairwise_sq_dists(fv.data, fr.data)
 
 
+def hard_snapshot(num_ids: int, per_id_v: int, per_id_r: int):
+    """Per-identity-gap features whose solves at lam=25 stall into Newton."""
+    return generate(SynthSpec(num_ids=num_ids, per_id_v=per_id_v, per_id_r=per_id_r, dim=32,
+                              blob_std=0.08, modality_gap=1.2,
+                              gap_mode=GapMode.PER_ID_OFFSET, seed=3))
+
+
 def hard_cost() -> np.ndarray:
     """60x60 per-identity-gap problem: plain sweeps stall within a few
     sweeps at lam=25."""
-    return synth_cost(blob_std=0.08, modality_gap=1.2, gap_mode=GapMode.PER_ID_OFFSET)
+    fv, fr, _ = hard_snapshot(num_ids=6, per_id_v=10, per_id_r=10)
+    return pairwise_sq_dists(fv.data, fr.data)
+
+
+def record_solve_shapes(monkeypatch) -> list:
+    """Wrap np.linalg.solve; record the shape of every system it solves."""
+    shapes = []
+    solve = np.linalg.solve
+
+    def recording(a, b):
+        shapes.append(a.shape)
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", recording)
+    return shapes
+
+
+def shift_free(df, dg, r, c) -> np.ndarray:
+    """(df, dg) on the marginals' support, with its component along the
+    dual's null direction (f + s, g - s) removed; the plan does not depend
+    on that component."""
+    df, dg = df[r > 0.0], dg[c > 0.0]
+    s = (df.sum() - dg.sum()) / (df.size + dg.size)
+    return np.concatenate([df - s, dg + s])
 
 
 def count_newton(monkeypatch) -> dict:
@@ -226,6 +258,61 @@ class TestSinkhorn:
         cost = rng.random((3, 3))
         with pytest.raises(ValueError):
             TransportProblem(cost, np.array([0.5, 0.5, 0.5]), np.full(3, 1 / 3), 10.0)
+
+
+class TestNewtonStep:
+    @pytest.mark.parametrize(
+        "shape, zero_mass",
+        [((40, 7), False), ((7, 40), False), ((12, 12), False), ((12, 12), True)],
+        ids=["n>m", "n<m", "n=m", "zero-mass"],
+    )
+    def test_direction_matches_dense_hessian_oracle(self, rng, shape, zero_mass):
+        n, m = shape
+        plan = rng.random(shape)
+        plan /= 1.3 * plan.sum()  # off both marginals, so the residual is nonzero
+        r = np.full(n, 1.0 / n)
+        c = np.full(m, 1.0 / m)
+        if zero_mass:
+            plan[0] = 0.0
+            r[0] = 0.0
+            r /= r.sum()
+        got = transport._newton_direction(plan, r, c)
+        want = newton_direction_dense(plan, r, c)
+        assert not got[0][r == 0.0].any() and not want[0][r == 0.0].any()
+        # the 1e-12 ridge pins the null direction only to rounding / ridge,
+        # so each solver may land anywhere along it by ~1e-5
+        got, want = shift_free(*got, r, c), shift_free(*want, r, c)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_otla_init_solves_k_by_k_systems(self, monkeypatch):
+        fv, fr, gt = hard_snapshot(num_ids=20, per_id_v=20, per_id_r=20)
+        protos = np.stack([fv.data[gt.ids_v == i].mean(axis=0) for i in range(20)])
+        protos /= np.linalg.norm(protos, axis=1, keepdims=True)
+        shapes = record_solve_shapes(monkeypatch)
+        otla_init(fr, MemoryBank(protos), lam=25.0)
+        assert shapes
+        assert max(a * b for a, b in shapes) <= 20 * 20
+
+    def test_unequal_sides_solve_the_shorter_side(self, monkeypatch):
+        fv, fr, _ = hard_snapshot(num_ids=5, per_id_v=6, per_id_r=10)
+        shapes = record_solve_shapes(monkeypatch)
+        result = heterogeneous_plan(fv, fr, lam=25.0)
+        assert result.plan.shape == (30, 50) and result.converged
+        assert shapes
+        assert max(a * b for a, b in shapes) <= 30 * 30
+
+    def test_hard_solve_peak_memory_stays_near_the_plan(self, monkeypatch):
+        fv, fr, _ = hard_snapshot(num_ids=20, per_id_v=20, per_id_r=20)
+        problem = uniform_problem(pairwise_sq_dists(fv.data, fr.data), lam=25.0)
+        counts = count_newton(monkeypatch)
+        tracemalloc.start()
+        try:
+            result = sinkhorn(problem)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.converged and counts["calls"] > 0
+        assert peak < 8 * result.plan.nbytes
 
 
 class TestHeterogeneousAffinity:
