@@ -33,7 +33,7 @@ def main() -> None:
         he_vr,
         he_rv,
     )
-    state, _ = init_labels(fv.data, fr.data, ClusterAssignment(gt.ids_v, 5), cfg)
+    state = init_labels(fv.data, fr.data, ClusterAssignment(gt.ids_v, 5), cfg)
 
     energies = [inconsistency(state, aff, cfg.alpha)["weighted_total"]]
     steps = []

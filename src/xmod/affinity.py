@@ -45,29 +45,22 @@ def jaccard_affinity(sets: list[np.ndarray]) -> np.ndarray:
     return inter / union
 
 
-def row_normalize(values: np.ndarray, homogeneous: bool) -> np.ndarray:
-    """Scale each row to sum 1.
+def row_normalize(values: np.ndarray) -> np.ndarray:
+    """Scale each row to sum 1; an all-zero row becomes the uniform row.
 
-    An all-zero row cannot be scaled; homogeneous (square, within-modality)
-    matrices fall back to the self one-hot (the instance only trusts itself),
-    heterogeneous ones to the uniform row.
+    Only a transport plan can have one. A Jaccard affinity has a unit
+    diagonal, because every instance is in its own k-reciprocal set
+    (test_affinity pins this in test_self_included_even_with_duplicates and
+    test_symmetric_unit_diag_in_range).
     """
     v = np.asarray(values, dtype=np.float64)
     sums = v.sum(axis=1)
     zero = sums <= 0.0
-    out = np.empty_like(v)
-    nz = ~zero
-    out[nz] = v[nz] / sums[nz, None]
-    if zero.any():
-        for i in np.flatnonzero(zero):
-            if homogeneous:
-                out[i] = 0.0
-                out[i, i] = 1.0
-            else:
-                out[i] = 1.0 / v.shape[1]
+    out = v / np.where(zero, 1.0, sums)[:, None]
+    out[zero] = 1.0 / v.shape[1]
     return out
 
 
 def homogeneous_affinity(features, kappa: int) -> np.ndarray:
     """Row-normalized Jaccard affinity of mutual k-reciprocal sets."""
-    return row_normalize(jaccard_affinity(k_reciprocal_sets(features, kappa)), True)
+    return row_normalize(jaccard_affinity(k_reciprocal_sets(features, kappa)))

@@ -156,8 +156,6 @@ def memory_probabilities(features, bank: MemoryBank, tau: float) -> np.ndarray:
     if not tau > 0.0:
         raise ValueError(f"tau must be positive, got {tau!r}")
     data = feature_data(features)
-    if data.ndim == 1:
-        data = data[None, :]
     if data.shape[1] != bank.dim:
         raise ShapeMismatchError("feature dim does not match bank dim")
     logits = (data @ bank.prototypes.T) / float(tau)

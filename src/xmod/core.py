@@ -148,10 +148,6 @@ class FeatureMatrix:
     def n(self) -> int:
         return self.data.shape[0]
 
-    @property
-    def dim(self) -> int:
-        return self.data.shape[1]
-
 
 def feature_data(features) -> np.ndarray:
     """The row matrix of a FeatureMatrix, or any other array-like as an array."""
@@ -201,7 +197,7 @@ class SoftLabelMatrix:
 
 def hard_from_soft(y) -> np.ndarray:
     """Argmax per row, ties broken toward the lowest index."""
-    p = y.probs if isinstance(y, SoftLabelMatrix) else np.asarray(y, dtype=np.float64)
+    p = np.asarray(y, dtype=np.float64)
     if p.ndim != 2:
         raise ShapeMismatchError("expected a 2-d label matrix")
     return np.argmax(p, axis=1).astype(np.int64)

@@ -92,33 +92,52 @@ def write_labels(path, hard: np.ndarray, soft: np.ndarray | None = None) -> None
     atomic_write_text(path, buf.getvalue())
 
 
-def read_labels(path) -> tuple[np.ndarray, np.ndarray | None]:
-    """Return (hard, soft-or-None); rows must be indexed 0..N-1 in order and
-    soft values must be finite."""
+def _indexed_rows(path, column: str):
+    """Yield (line, value, extra fields) for each data row of an
+    ``index,<column>[,...]`` CSV.
+
+    Blank rows are skipped. Every other row has the header's field count, an
+    integer index counting 0..N-1 in order and an integer value; errors name
+    the file and line.
+    """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
-        if not header or header[:2] != ["index", "hard_label"]:
-            raise FileFormatError(f"{path}: expected an index,hard_label header")
-        has_soft = len(header) > 2
-        hard, soft, lines = [], [], []
+        if not header or header[:2] != ["index", column]:
+            raise FileFormatError(f"{path}: expected an index,{column} header")
+        expected = 0
         for row in reader:
             if not row:
                 continue
+            line = reader.line_num
             if len(row) != len(header):
                 raise FileFormatError(
-                    f"{path}: line {reader.line_num} has {len(row)} fields, the header {len(header)}"
+                    f"{path}: line {line} has {len(row)} fields, the header {len(header)}"
                 )
-            if int(row[0]) != len(hard):
-                raise FileFormatError(f"{path}: non-contiguous index at line {reader.line_num}")
-            hard.append(int(row[1]))
-            lines.append(reader.line_num)
-            if has_soft:
-                soft.append([float(v) for v in row[2:]])
+            try:
+                index, value = int(row[0]), int(row[1])
+            except ValueError:
+                raise FileFormatError(
+                    f"{path}: line {line} needs an integer index and {column}"
+                ) from None
+            if index != expected:
+                raise FileFormatError(f"{path}: non-contiguous index at line {line}")
+            expected += 1
+            yield line, value, row[2:]
+
+
+def read_labels(path) -> tuple[np.ndarray, np.ndarray | None]:
+    """Return (hard, soft-or-None); soft values must be finite."""
+    hard, soft, lines = [], [], []
+    for line, label, extra in _indexed_rows(path, "hard_label"):
+        hard.append(label)
+        lines.append(line)
+        if extra:
+            soft.append([float(v) for v in extra])
     if not hard:
         raise FileFormatError(f"{path}: no label rows")
     hard_arr = np.asarray(hard, dtype=np.int64)
-    soft_arr = np.asarray(soft, dtype=np.float64) if has_soft else None
+    soft_arr = np.asarray(soft, dtype=np.float64) if soft else None
     if soft_arr is not None and not np.isfinite(soft_arr).all():
         row = int(np.argwhere(~np.isfinite(soft_arr))[0, 0])
         raise FileFormatError(f"{path}: non-finite soft label at line {lines[row]}")
@@ -138,23 +157,12 @@ def write_ground_truth(path, ids_v: np.ndarray, ids_r: np.ndarray) -> None:
 
 def read_ground_truth(path, n_visible: int) -> tuple[np.ndarray, np.ndarray]:
     """Split the concatenated ground-truth CSV back into per-modality vectors."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if not header or header[:2] != ["index", "identity"]:
-            raise FileFormatError(f"{path}: expected an index,identity header")
-        idents = []
-        for row in reader:
-            if not row:
-                continue
-            if int(row[0]) != len(idents):
-                raise FileFormatError(f"{path}: non-contiguous index at line {reader.line_num}")
-            idents.append(int(row[1]))
-    if len(idents) < n_visible:
+    ids = np.asarray([ident for _, ident, _ in _indexed_rows(path, "identity")],
+                     dtype=np.int64)
+    if ids.shape[0] < n_visible:
         raise FileFormatError(
-            f"{path}: {len(idents)} rows but {n_visible} visible instances expected"
+            f"{path}: {ids.shape[0]} rows but {n_visible} visible instances expected"
         )
-    ids = np.asarray(idents, dtype=np.int64)
     return ids[:n_visible], ids[n_visible:]
 
 

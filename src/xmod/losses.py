@@ -9,7 +9,7 @@ R-based ones.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
 
 import numpy as np
@@ -28,37 +28,23 @@ class TrainingMode(Enum):
 
 @dataclass(frozen=True)
 class Batch:
-    """Paired feature rows plus the label rows each objective may need.
-
-    Label fields are per-instance rows taken from the association outputs and
-    may be None when the active mode does not use them.
-    """
+    """Paired feature rows plus each side's label rows, taken from the
+    association outputs."""
 
     features_v: np.ndarray
     features_r: np.ndarray
-    intra_v: np.ndarray | None = None   # visible labels, visible cluster space
-    intra_r: np.ndarray | None = None   # infrared labels, infrared cluster space
-    cross_v: np.ndarray | None = None   # visible labels, infrared cluster space
-    cross_r: np.ndarray | None = None   # infrared labels, visible cluster space
+    intra_v: np.ndarray   # visible labels, visible cluster space
+    intra_r: np.ndarray   # infrared labels, infrared cluster space
+    cross_v: np.ndarray   # visible labels, infrared cluster space
+    cross_r: np.ndarray   # infrared labels, visible cluster space
 
     def __post_init__(self):
         b = self.features_v.shape[0]
         if self.features_r.shape[0] != b:
             raise ShapeMismatchError("modal feature counts differ within a batch")
         for name in ("intra_v", "intra_r", "cross_v", "cross_r"):
-            arr = getattr(self, name)
-            if arr is not None and arr.shape[0] != b:
+            if getattr(self, name).shape[0] != b:
                 raise ShapeMismatchError(f"{name} rows do not match the batch size")
-
-    @property
-    def size(self) -> int:
-        return self.features_v.shape[0]
-
-    def _require(self, name: str) -> np.ndarray:
-        arr = getattr(self, name)
-        if arr is None:
-            raise ModeMismatchError(f"batch is missing {name} labels")
-        return arr
 
 
 def pass_batches(rows_v, rows_r, batch_size: int) -> Iterator[Batch]:
@@ -116,14 +102,7 @@ class LossReport:
         return cls(*parts, total=float(sum(parts)))
 
     def to_dict(self) -> dict:
-        return {
-            "l_im_v": self.l_im_v,
-            "l_im_r": self.l_im_r,
-            "l_cm": self.l_cm,
-            "l_oclr_v": self.l_oclr_v,
-            "l_oclr_r": self.l_oclr_r,
-            "total": self.total,
-        }
+        return asdict(self)
 
 
 def mean_reports(reports: list[LossReport]) -> LossReport:
@@ -161,29 +140,25 @@ def _mean_ce(features: np.ndarray, bank: MemoryBank, tau: float, target: np.ndar
 def loss_im(batch: Batch, banks: ModeBanks, tau: float) -> tuple[float, float]:
     """Intra-modality objectives (l_im_v, l_im_r) for the active mode."""
     if banks.mode is TrainingMode.V_BASED:
-        l_v = _mean_ce(batch.features_v, banks.intra_v, tau, batch._require("intra_v"))
-        l_r = _mean_ce(
-            batch.features_r, banks.intra_r, tau, batch._require("intra_r")
-        ) + _mean_ce(batch.features_r, banks.intra_cross, tau, batch._require("cross_r"))
+        l_v = _mean_ce(batch.features_v, banks.intra_v, tau, batch.intra_v)
+        l_r = (_mean_ce(batch.features_r, banks.intra_r, tau, batch.intra_r)
+               + _mean_ce(batch.features_r, banks.intra_cross, tau, batch.cross_r))
     else:
         # The visible term scores infrared features against the visible intra
         # bank; the auxiliary term scores visible features in the infrared space.
-        l_v = _mean_ce(
-            batch.features_r, banks.intra_v, tau, batch._require("intra_v")
-        ) + _mean_ce(batch.features_v, banks.intra_cross, tau, batch._require("cross_v"))
-        l_r = _mean_ce(batch.features_r, banks.intra_r, tau, batch._require("intra_r"))
+        l_v = (_mean_ce(batch.features_r, banks.intra_v, tau, batch.intra_v)
+               + _mean_ce(batch.features_v, banks.intra_cross, tau, batch.cross_v))
+        l_r = _mean_ce(batch.features_r, banks.intra_r, tau, batch.intra_r)
     return l_v, l_r
 
 
 def loss_cm(batch: Batch, banks: ModeBanks, tau: float) -> float:
     """Cross-modality objective: both modalities scored on the shared bank."""
     if banks.mode is TrainingMode.V_BASED:
-        return _mean_ce(
-            batch.features_v, banks.shared, tau, batch._require("intra_v")
-        ) + _mean_ce(batch.features_r, banks.shared, tau, batch._require("cross_r"))
-    return _mean_ce(
-        batch.features_v, banks.shared, tau, batch._require("cross_v")
-    ) + _mean_ce(batch.features_r, banks.shared, tau, batch._require("intra_r"))
+        return (_mean_ce(batch.features_v, banks.shared, tau, batch.intra_v)
+                + _mean_ce(batch.features_r, banks.shared, tau, batch.cross_r))
+    return (_mean_ce(batch.features_v, banks.shared, tau, batch.cross_v)
+            + _mean_ce(batch.features_r, banks.shared, tau, batch.intra_r))
 
 
 def loss_oclr(

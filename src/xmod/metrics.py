@@ -8,7 +8,7 @@ whose denominator is empty is undefined (None).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -43,19 +43,11 @@ class MetricsReport:
     cross_re_v: float | None
     cross_re_r: float | None
 
-    NAMES = (
-        "intra_acc_v",
-        "intra_acc_r",
-        "cross_acc_v",
-        "cross_acc_r",
-        "intra_re_v",
-        "intra_re_r",
-        "cross_re_v",
-        "cross_re_r",
-    )
-
     def to_dict(self) -> dict:
-        return {name: getattr(self, name) for name in self.NAMES}
+        return asdict(self)
+
+
+MetricsReport.NAMES = tuple(f.name for f in fields(MetricsReport))
 
 
 def _pair_counts(pred_a, pred_b, gt_a, gt_b, include_self: bool):
@@ -76,20 +68,10 @@ def _pair_counts(pred_a, pred_b, gt_a, gt_b, include_self: bool):
     return hits, int(gt_match.sum()), int(pred_match.sum())
 
 
-def pair_accuracy(pred_a, pred_b, gt_a, gt_b, include_self: bool = True) -> float | None:
-    """Fraction of same-identity pairs that received the same label."""
-    hits, gt_pairs, _ = _pair_counts(pred_a, pred_b, gt_a, gt_b, include_self)
-    return hits / gt_pairs if gt_pairs else None
-
-
-def pair_recall(pred_a, pred_b, gt_a, gt_b, include_self: bool = True) -> float | None:
-    """Fraction of same-label pairs that are truly the same identity."""
-    hits, _, pred_pairs = _pair_counts(pred_a, pred_b, gt_a, gt_b, include_self)
-    return hits / pred_pairs if pred_pairs else None
-
-
-def _accuracy_and_recall(pred_a, pred_b, gt_a, gt_b, include_self: bool):
-    """(pair_accuracy, pair_recall) from one count of the pairs."""
+def pair_accuracy_recall(pred_a, pred_b, gt_a, gt_b, include_self: bool):
+    """(accuracy, recall) from one count of the pairs: the fraction of
+    same-identity pairs that received the same label, and the fraction of
+    same-label pairs that are truly the same identity."""
     hits, gt_pairs, pred_pairs = _pair_counts(pred_a, pred_b, gt_a, gt_b, include_self)
     return (hits / gt_pairs if gt_pairs else None), (hits / pred_pairs if pred_pairs else None)
 
@@ -110,12 +92,12 @@ def report_from_hard(
     """
     if intra_v.shape != cross_v.shape or intra_r.shape != cross_r.shape:
         raise ShapeMismatchError("per-modality label vectors must have equal length")
-    intra_acc_v, intra_re_v = _accuracy_and_recall(
+    intra_acc_v, intra_re_v = pair_accuracy_recall(
         cross_v, cross_v, gt.ids_v, gt.ids_v, include_self)
-    intra_acc_r, intra_re_r = _accuracy_and_recall(
+    intra_acc_r, intra_re_r = pair_accuracy_recall(
         cross_r, cross_r, gt.ids_r, gt.ids_r, include_self)
-    cross_acc_v, cross_re_v = _accuracy_and_recall(intra_v, cross_r, gt.ids_v, gt.ids_r, True)
-    cross_acc_r, cross_re_r = _accuracy_and_recall(cross_v, intra_r, gt.ids_v, gt.ids_r, True)
+    cross_acc_v, cross_re_v = pair_accuracy_recall(intra_v, cross_r, gt.ids_v, gt.ids_r, True)
+    cross_acc_r, cross_re_r = pair_accuracy_recall(cross_v, intra_r, gt.ids_v, gt.ids_r, True)
     return MetricsReport(intra_acc_v, intra_acc_r, cross_acc_v, cross_acc_r,
                          intra_re_v, intra_re_r, cross_re_v, cross_re_r)
 

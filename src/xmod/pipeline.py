@@ -40,7 +40,6 @@ def make_banks(
     features_r,
     assign_v: ClusterAssignment,
     assign_r: ClusterAssignment,
-    cfg: PipelineConfig,
 ) -> ModeBanks:
     """Fresh banks for one epoch. The shared and intra-cross banks start as
     copies of the mode's source-modality prototypes."""
@@ -73,7 +72,7 @@ def run_epoch(
     assign_r = dbscan(features_r, cfg.dbscan_eps, cfg.dbscan_min_samples, kappa=cfg.kappa)
     result = mult_associate(features_v, features_r, assign_v, assign_r, cfg, Direction.BOTH)
     mode = TrainingMode.V_BASED if epoch_index % 2 == 0 else TrainingMode.R_BASED
-    banks = make_banks(mode, features_v, features_r, assign_v, assign_r, cfg)
+    banks = make_banks(mode, features_v, features_r, assign_v, assign_r)
     losses = epoch_loss_report(result, banks, features_v, features_r, cfg)
     metrics = full_report(result, gt) if gt is not None else None
     return EpochResult(epoch_index, mode, result, losses, metrics)

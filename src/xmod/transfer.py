@@ -76,8 +76,10 @@ def _clamp_renorm(probs: np.ndarray) -> np.ndarray:
     return out / out.sum(axis=1, keepdims=True)
 
 
-def init_labels(features_src, features_tgt, assign_src: ClusterAssignment, cfg: PipelineConfig):
-    """Initial label state for one direction: (state, source bank).
+def init_labels(
+    features_src, features_tgt, assign_src: ClusterAssignment, cfg: PipelineConfig
+) -> TransferState:
+    """Initial label state for one direction.
 
     Intra labels are the source instances' memory probabilities against their
     own cluster prototypes; cross labels are the balanced one-hot transport
@@ -86,8 +88,7 @@ def init_labels(features_src, features_tgt, assign_src: ClusterAssignment, cfg: 
     bank_src = centroids(features_src, assign_src)
     intra0 = memory_probabilities(features_src, bank_src, cfg.tau)
     cross0 = otla_init(features_tgt, bank_src, cfg.ot_lambda).probs
-    state = TransferState(intra0.copy(), cross0.copy(), intra0, cross0)
-    return state, bank_src
+    return TransferState(intra0.copy(), cross0.copy(), intra0, cross0)
 
 
 def _pairwise_label_gap(aff: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
@@ -184,7 +185,7 @@ class LabeledSubset:
     def hard_full(self, total: int) -> np.ndarray:
         """Hard labels over all ``total`` instances, NOISE where unlabeled."""
         out = np.full(total, NOISE, dtype=np.int64)
-        out[self.indices] = hard_from_soft(self.labels)
+        out[self.indices] = hard_from_soft(self.labels.probs)
         return out
 
     def soft_full(self, total: int) -> np.ndarray:
@@ -288,7 +289,7 @@ def mult_associate(
     def one_way(src: ClusteredSide, tgt: ClusteredSide, v2r: bool):
         # Both directions run this one routine on their own affinities.
         aff = affs[v2r]
-        state, _ = init_labels(src.rows, tgt.rows, src.assign, cfg)
+        state = init_labels(src.rows, tgt.rows, src.assign, cfg)
         trace = on_step = None
         if collect_trace:
             trace = [dict(inconsistency(state, aff, cfg.alpha), t=0, epsilon=None)]

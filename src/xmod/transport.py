@@ -221,7 +221,7 @@ def heterogeneous_affinity(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Row-normalized transport plan in both directions: (S_vr, S_rv)."""
     plan = heterogeneous_plan(features_v, features_r, lam).plan
-    return row_normalize(plan, False), row_normalize(plan.T.copy(), False)
+    return row_normalize(plan), row_normalize(plan.T.copy())
 
 
 def otla_init(features_tgt, bank_src: MemoryBank, lam: float) -> SoftLabelMatrix:

@@ -174,7 +174,7 @@ def transfer_family():
             he_st,
             he_ts,
         )
-        state, _ = init_labels(f_src, f_tgt, ClusterAssignment(gt_src, ids), cfg)
+        state = init_labels(f_src, f_tgt, ClusterAssignment(gt_src, ids), cfg)
         t0 = inconsistency(state, aff, cfg.alpha)["weighted_total"]
         final_state = run_transfer(state, aff, cfg)
         final = inconsistency(final_state, aff, cfg.alpha)["weighted_total"]

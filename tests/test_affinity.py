@@ -112,29 +112,21 @@ class TestJaccardAffinity:
 class TestRowNormalize:
     def test_plain_rows(self):
         aff = np.array([[2.0, 2.0], [1.0, 3.0]])
-        out = row_normalize(aff, homogeneous=True)
+        out = row_normalize(aff)
         assert np.allclose(out, [[0.5, 0.5], [0.25, 0.75]], atol=1e-15)
 
     def test_identity_unchanged(self):
-        assert np.allclose(row_normalize(np.eye(4), homogeneous=True), np.eye(4), atol=0)
-
-    def test_homogeneous_zero_row_becomes_self_one_hot(self):
-        v = np.ones((5, 5))
-        v[3] = 0.0
-        out = row_normalize(v, homogeneous=True)
-        want = np.zeros(5)
-        want[3] = 1.0
-        assert np.array_equal(out[3], want)
+        assert np.allclose(row_normalize(np.eye(4)), np.eye(4), atol=0)
 
     def test_heterogeneous_zero_row_becomes_uniform(self):
         v = np.ones((2, 4))
         v[1] = 0.0
-        out = row_normalize(v, homogeneous=False)
+        out = row_normalize(v)
         assert np.allclose(out[1], 0.25, atol=0)
 
     def test_row_sums_one(self, rng):
         v = rng.random((8, 8))
-        out = row_normalize(v, homogeneous=True)
+        out = row_normalize(v)
         assert np.allclose(out.sum(axis=1), 1.0, atol=1e-12)
 
 

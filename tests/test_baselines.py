@@ -42,7 +42,7 @@ class TestOtlaOnly:
         fv, fr, av, ar, _ = blob_instance(seed=8, gap=0.2)
         cfg = PipelineConfig()
         result = associate_otla_only(fv, fr, av, ar, cfg)
-        state, _ = init_labels(fv.data, fr.data, av, cfg)
+        state = init_labels(fv.data, fr.data, av, cfg)
         assert np.array_equal(result.cross_r.labels.probs, state.cross0)
 
     def test_occupancy_stays_near_balanced(self, rng):

@@ -232,6 +232,25 @@ class TestEval:
         jsonschema.validate(json.loads(out.read_text()),
                             load_schema("metrics_report.schema.json"))
 
+    def test_short_ground_truth_row_exit_2_and_writes_nothing(self, workdir, capsys):
+        _, labels = run_associate(workdir)
+        gt = workdir / "short_gt.csv"
+        gt.write_text("index,identity\n0\n")
+        out = workdir / "metrics_short.json"
+        code = main([
+            "eval",
+            "--labels-intra-v", str(labels / "intra_v.csv"),
+            "--labels-cross-r", str(labels / "cross_r.csv"),
+            "--labels-intra-r", str(labels / "intra_r.csv"),
+            "--labels-cross-v", str(labels / "cross_v.csv"),
+            "--gt", str(gt), "--out", str(out),
+        ])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "short_gt.csv: line 2 has 1 fields" in err
+        assert not out.exists()
+
 
 def loss_report_argv(workdir, labels, out, mode="v"):
     """Cluster both modalities for banks; return a loss-report command line.

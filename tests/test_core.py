@@ -68,10 +68,6 @@ class TestHardFromSoft:
         y = np.array([[0.1, 0.2, 0.7], [0.9, 0.05, 0.05]])
         assert hard_from_soft(y).tolist() == [2, 0]
 
-    def test_accepts_wrapper(self):
-        y = SoftLabelMatrix(np.array([[0.25, 0.75]]))
-        assert hard_from_soft(y).tolist() == [1]
-
 
 class TestSoftLabelMatrix:
     def test_rejects_bad_row_sum(self):
@@ -96,7 +92,7 @@ class TestFeatureMatrix:
     def test_from_raw_normalizes(self, rng):
         fm = FeatureMatrix.from_raw(rng.standard_normal((4, 6)) * 3.0, Modality.VISIBLE)
         assert np.allclose(np.linalg.norm(fm.data, axis=1), 1.0, atol=1e-12)
-        assert fm.n == 4 and fm.dim == 6
+        assert fm.data.shape == (4, 6)
 
     def test_rejects_unnormalized(self):
         with pytest.raises(ShapeMismatchError):

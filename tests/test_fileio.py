@@ -113,6 +113,13 @@ class TestLabelFiles:
         with pytest.raises(FileFormatError, match=f"labels.csv: line {line} "):
             fileio.read_labels(path)
 
+    @pytest.mark.parametrize("row", ["1,1.5", "x,1", "1,"], ids=["label", "index", "empty"])
+    def test_non_integer_field_names_its_file_line(self, tmp_path, row):
+        path = tmp_path / "labels.csv"
+        path.write_text(f"index,hard_label\n0,1\n{row}\n")
+        with pytest.raises(FileFormatError, match="labels.csv: line 3 needs an integer"):
+            fileio.read_labels(path)
+
 
 class TestGroundTruthFiles:
     def test_concatenated_round_trip(self, tmp_path):
@@ -136,6 +143,19 @@ class TestGroundTruthFiles:
         path = tmp_path / "gt.csv"
         path.write_text("index,identity\n0,3\n\n2,4\n")
         with pytest.raises(FileFormatError, match="gt.csv: non-contiguous index at line 4"):
+            fileio.read_ground_truth(path, n_visible=1)
+
+    @pytest.mark.parametrize("row", ["x,1", "1,one"], ids=["index", "identity"])
+    def test_non_integer_field_names_its_file_line(self, tmp_path, row):
+        path = tmp_path / "gt.csv"
+        path.write_text(f"index,identity\n0,3\n{row}\n")
+        with pytest.raises(FileFormatError, match="gt.csv: line 3 needs an integer"):
+            fileio.read_ground_truth(path, n_visible=1)
+
+    def test_short_row_names_its_file_line(self, tmp_path):
+        path = tmp_path / "gt.csv"
+        path.write_text("index,identity\n0,3\n1\n")
+        with pytest.raises(FileFormatError, match="gt.csv: line 3 has 1 fields, the header 2"):
             fileio.read_ground_truth(path, n_visible=1)
 
     def test_too_few_rows(self, tmp_path):

@@ -1,5 +1,6 @@
-"""Every module-level import in the package is used by its module, and no
-module imports another module's private (``_``-prefixed) name."""
+"""Every module-level import in the package is used by its module, no
+module imports another module's private (``_``-prefixed) name, and every
+public top-level function or class is used outside the tests."""
 import ast
 from pathlib import Path
 
@@ -8,6 +9,7 @@ import pytest
 import xmod
 
 MODULES = sorted(Path(xmod.__file__).parent.glob("*.py"))
+REPO = Path(__file__).resolve().parents[1]
 
 
 def unused_imports(source: str) -> list[str]:
@@ -34,6 +36,52 @@ def private_imports(source: str) -> list[str]:
     ]
 
 
+def _docstrings(tree) -> set[int]:
+    """ids of the docstring nodes of a module and of its classes and functions."""
+    return {
+        id(node.body[0].value)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+        and node.body and isinstance(node.body[0], ast.Expr)
+        and isinstance(node.body[0].value, ast.Constant)
+        and isinstance(node.body[0].value.value, str)
+    }
+
+
+def _references(node, docstrings: set[int]) -> set[str]:
+    """Names, attribute names and (non-docstring) strings under ``node``;
+    strings count because the benchmark hooks functions by name."""
+    refs = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            refs.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            refs.add(sub.attr)
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str) and id(sub) not in docstrings:
+            refs.add(sub.value)
+    return refs
+
+
+def unreferenced_public_names(package: dict, users: dict) -> list[str]:
+    """Public top-level functions and classes of ``package`` that no
+    top-level statement other than their own definition refers to, in
+    ``package`` or ``users``. Both map a file name to its source."""
+    refs, defs = {}, []
+    for name, source in {**package, **users}.items():
+        tree = ast.parse(source)
+        docstrings = _docstrings(tree)
+        for i, stmt in enumerate(tree.body):
+            refs[name, i] = _references(stmt, docstrings)
+            if (name in package and isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+                    and not stmt.name.startswith("_")):
+                defs.append((name, i, stmt.name))
+    return [
+        f"{name}: {defined}"
+        for name, i, defined in defs
+        if not any(defined in found for key, found in refs.items() if key != (name, i))
+    ]
+
+
 def test_detects_an_unused_import():
     assert unused_imports("import os\nimport sys\nsys.exit()\n") == ["os (line 1)"]
 
@@ -51,3 +99,24 @@ def test_detects_a_private_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_module_imports_a_private_name(path):
     assert private_imports(path.read_text()) == []
+
+
+def test_detects_an_unreferenced_public_name():
+    package = {"a.py": (
+        "def used():\n    return helper()\n\n"
+        "def helper():\n    pass\n\n"
+        "def hooked():\n    pass\n\n"
+        'def planted(n):\n    """planted"""\n    return planted(n - 1)\n\n'
+        "class _Private:\n    pass\n"
+    )}
+    users = {"demo.py": '"""planted"""\nused()\nHook("a", "hooked")\n'}
+    assert unreferenced_public_names(package, users) == ["a.py: planted"]
+
+
+def test_every_public_name_is_used_outside_the_tests():
+    users = sorted(REPO.glob("demos/*.py")) + sorted(REPO.glob("xbench/*.py"))
+    assert users, "demos/ and xbench/ not found beside tests/"
+    assert unreferenced_public_names(
+        {p.name: p.read_text() for p in MODULES},
+        {str(p.relative_to(REPO)): p.read_text() for p in users},
+    ) == []

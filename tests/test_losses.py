@@ -42,6 +42,12 @@ def random_batch(rng, b=8, d=6, kv=3, kr=4):
     )
 
 
+def uniform_batch(features_v, features_r, k):
+    """A batch whose four label fields are uniform over k clusters."""
+    u = np.full((features_v.shape[0], k), 1.0 / k)
+    return Batch(features_v, features_r, u, u, u, u)
+
+
 def banks_for(rng, mode, d=6, kv=3, kr=4):
     src_k = kv if mode is TrainingMode.V_BASED else kr
     return ModeBanks(
@@ -111,6 +117,7 @@ class TestLossIm:
             features_r=np.array([[1.0, 0.0]]),
             intra_v=np.array([[1.0, 0.0]]),
             intra_r=np.array([[1.0, 0.0]]),
+            cross_v=np.array([[1.0, 0.0]]),
             cross_r=np.array([[1.0, 0.0]]),
         )
         l_v, _ = loss_im(batch, banks, tau=1.0)
@@ -127,6 +134,7 @@ class TestLossIm:
             features_r=random_unit_rows(rng, b, 5),
             intra_v=np.full((b, 4), 0.25),
             intra_r=np.full((b, 4), 0.25),
+            cross_v=np.full((b, 4), 0.25),
             cross_r=np.full((b, 4), 0.25),
         )
         l_v, l_r = loss_im(batch, banks, tau=0.05)
@@ -155,15 +163,6 @@ class TestLossIm:
         assert l_v == pytest.approx(expect_v, abs=1e-9)
         assert l_r == pytest.approx(expect_r, abs=1e-9)
 
-    def test_missing_labels_raise(self, rng):
-        batch = Batch(
-            features_v=random_unit_rows(rng, 2, 6),
-            features_r=random_unit_rows(rng, 2, 6),
-            intra_v=random_soft(rng, 2, 3),
-        )
-        with pytest.raises(ModeMismatchError):
-            loss_im(batch, banks_for(rng, TrainingMode.V_BASED), tau=0.05)
-
     def test_wrong_label_space_raises(self, rng):
         batch = random_batch(rng, kv=3, kr=4)
         bad = Batch(
@@ -171,6 +170,7 @@ class TestLossIm:
             features_r=batch.features_r,
             intra_v=random_soft(rng, 8, 5),  # five columns against a K=3 bank
             intra_r=batch.intra_r,
+            cross_v=batch.cross_v,
             cross_r=batch.cross_r,
         )
         with pytest.raises(ModeMismatchError):
@@ -187,6 +187,7 @@ class TestLossCm:
             features_r=protos.copy(),
             intra_v=np.eye(3),
             intra_r=np.eye(3),
+            cross_v=np.eye(3),
             cross_r=np.eye(3),
         )
         assert loss_cm(batch, banks, tau=0.01) < 1e-6
@@ -200,6 +201,7 @@ class TestLossCm:
             features_r=random_unit_rows(rng, 2, 4),
             intra_v=np.full((2, 3), 1 / 3),
             intra_r=np.full((2, 3), 1 / 3),
+            cross_v=np.full((2, 3), 1 / 3),
             cross_r=np.full((2, 3), 1 / 3),
         )
         assert loss_cm(batch, banks, tau=0.05) == pytest.approx(2.0 * math.log(3.0), abs=1e-9)
@@ -224,10 +226,7 @@ class TestLossOclr:
     def test_identical_banks_divisor_one_gives_entropy(self, rng):
         bank = make_bank(rng, 3, 5)
         banks = ModeBanks(TrainingMode.V_BASED, bank, bank, bank, bank)
-        batch = Batch(
-            features_v=random_unit_rows(rng, 4, 5),
-            features_r=random_unit_rows(rng, 4, 5),
-        )
+        batch = uniform_batch(random_unit_rows(rng, 4, 5), random_unit_rows(rng, 4, 5), 3)
         l_v, l_r = loss_oclr(batch, banks, tau=0.05, sharpen_divisor=1.0)
         for feats, got in ((batch.features_v, l_v), (batch.features_r, l_r)):
             pred = memory_probabilities(feats, bank, 0.05)
@@ -236,10 +235,7 @@ class TestLossOclr:
 
     def test_huge_divisor_hits_argmax_limit(self, rng):
         banks = banks_for(rng, TrainingMode.V_BASED, kv=3, kr=3)
-        batch = Batch(
-            features_v=random_unit_rows(rng, 4, 6),
-            features_r=random_unit_rows(rng, 4, 6),
-        )
+        batch = uniform_batch(random_unit_rows(rng, 4, 6), random_unit_rows(rng, 4, 6), 3)
         l_v, _ = loss_oclr(batch, banks, tau=0.05, sharpen_divisor=1e6)
         base = memory_probabilities(batch.features_v, banks.shared, 0.05)
         t1 = np.argmax(memory_probabilities(batch.features_v, banks.intra_v, 0.05), axis=1)

@@ -7,8 +7,7 @@ from xmod.metrics import (
     GroundTruth,
     MetricsReport,
     full_report,
-    pair_accuracy,
-    pair_recall,
+    pair_accuracy_recall,
     report_from_hard,
 )
 from xmod.synth import SynthSpec, generate
@@ -19,6 +18,14 @@ import oracles
 
 def ids(*values):
     return np.asarray(values, dtype=np.int64)
+
+
+def pair_accuracy(pred_a, pred_b, gt_a, gt_b, include_self=True):
+    return pair_accuracy_recall(pred_a, pred_b, gt_a, gt_b, include_self)[0]
+
+
+def pair_recall(pred_a, pred_b, gt_a, gt_b, include_self=True):
+    return pair_accuracy_recall(pred_a, pred_b, gt_a, gt_b, include_self)[1]
 
 
 class TestPairAccuracy:

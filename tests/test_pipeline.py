@@ -142,7 +142,7 @@ class TestMakeBanks:
         ar = dbscan(fr, CFG.dbscan_eps, CFG.dbscan_min_samples, kappa=CFG.kappa)
         for mode, source_features in ((TrainingMode.V_BASED, fv),
                                       (TrainingMode.R_BASED, fr)):
-            banks = make_banks(mode, fv, fr, av, ar, CFG)
+            banks = make_banks(mode, fv, fr, av, ar)
             source = banks.intra_v if mode is TrainingMode.V_BASED else banks.intra_r
             assert np.array_equal(banks.shared.prototypes, source.prototypes)
             assert np.array_equal(banks.intra_cross.prototypes, source.prototypes)

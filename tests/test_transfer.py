@@ -4,7 +4,7 @@ import pytest
 from xmod import transfer
 from xmod.baselines import associate_greedy_centroid, associate_otla_only
 from xmod.core import NOISE, PipelineConfig, SoftLabelMatrix
-from xmod.clustering import ClusterAssignment
+from xmod.clustering import ClusterAssignment, centroids
 from xmod.affinity import homogeneous_affinity
 from xmod.metrics import full_report
 from xmod.synth import SynthSpec, generate
@@ -101,23 +101,23 @@ class TestInitLabels:
         f_src = random_unit_rows(rng, 5, 4)
         f_tgt = random_unit_rows(rng, 3, 4)
         assign = ClusterAssignment(np.zeros(5, dtype=np.int64), 1)
-        state, bank = init_labels(f_src, f_tgt, assign, PipelineConfig())
+        state = init_labels(f_src, f_tgt, assign, PipelineConfig())
+        assert state.intra0.shape == (5, 1) and state.cross0.shape == (3, 1)
         assert np.allclose(state.intra0, 1.0)
         assert np.allclose(state.cross0, 1.0)
-        assert bank.k == 1
 
     def test_orthonormal_prototypes_give_one_hot_intra(self, rng):
         f_src = np.eye(3)
         f_tgt = random_unit_rows(rng, 4, 3)
         assign = ClusterAssignment(np.arange(3, dtype=np.int64), 3)
-        state, _ = init_labels(f_src, f_tgt, assign, PipelineConfig(tau=0.05))
+        state = init_labels(f_src, f_tgt, assign, PipelineConfig(tau=0.05))
         assert np.abs(state.intra0 - np.eye(3)).max() < 1e-8
 
     def test_intra_rows_sum_to_one(self, rng):
         f_src = random_unit_rows(rng, 20, 6)
         f_tgt = random_unit_rows(rng, 15, 6)
         assign = ClusterAssignment(rng.integers(0, 4, size=20).astype(np.int64), 4)
-        state, _ = init_labels(f_src, f_tgt, assign, PipelineConfig())
+        state = init_labels(f_src, f_tgt, assign, PipelineConfig())
         assert np.abs(state.intra0.sum(axis=1) - 1.0).max() < 1e-9
 
     def test_cross_matches_transport_init(self, rng):
@@ -125,14 +125,14 @@ class TestInitLabels:
         f_tgt = random_unit_rows(rng, 9, 5)
         assign = ClusterAssignment(rng.integers(0, 3, size=12).astype(np.int64), 3)
         cfg = PipelineConfig()
-        state, bank = init_labels(f_src, f_tgt, assign, cfg)
-        expect = otla_init(f_tgt, bank, cfg.ot_lambda).probs
+        state = init_labels(f_src, f_tgt, assign, cfg)
+        expect = otla_init(f_tgt, centroids(f_src, assign), cfg.ot_lambda).probs
         assert np.array_equal(state.cross0, expect)
 
     def test_state_starts_fresh(self, rng):
         f = random_unit_rows(rng, 6, 4)
         assign = ClusterAssignment(rng.integers(0, 2, size=6).astype(np.int64), 2)
-        state, _ = init_labels(f, f, assign, PipelineConfig())
+        state = init_labels(f, f, assign, PipelineConfig())
         assert state.t == 0
         assert state.epsilon == 1e6
         assert not state.cap_hit
@@ -471,7 +471,7 @@ class TestStationarity:
         fv, fr, av, ar, _ = blob_instance(seed=13, gap=0.3)
         cfg = PipelineConfig(kappa=8, epsilon0=1e-6, max_transfer_iters=10_000)
         idx_v = av.clustered_indices()
-        state, _ = init_labels(fv.data, fr.data, av, cfg)
+        state = init_labels(fv.data, fr.data, av, cfg)
         ho_s = homogeneous_affinity(fv.data, cfg.kappa)
         ho_t = homogeneous_affinity(fr.data, cfg.kappa)
         he_st, he_ts = heterogeneous_affinity(fv.data, fr.data, cfg.ot_lambda)
