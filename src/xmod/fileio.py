@@ -133,7 +133,10 @@ def read_labels(path) -> tuple[np.ndarray, np.ndarray | None]:
         hard.append(label)
         lines.append(line)
         if extra:
-            soft.append([float(v) for v in extra])
+            try:
+                soft.append([float(v) for v in extra])
+            except ValueError:
+                raise FileFormatError(f"{path}: non-numeric soft label at line {line}") from None
     if not hard:
         raise FileFormatError(f"{path}: no label rows")
     hard_arr = np.asarray(hard, dtype=np.int64)

@@ -6,10 +6,16 @@ the source memory probabilities (intra) and a balanced transport assignment
 of target instances onto source clusters (cross), then the two matrices are
 alternately pulled toward their cross-modality counterparts and smoothed
 over the within-modality affinity graph until the updates stall.
+
+The smoothing is linear, so it is folded into the transport operator once
+per association: A_st = ½(ho_src + I)·he_st and A_ts = ½(ho_tgt + I)·he_ts.
+The reverse direction uses the same two composites with their roles swapped,
+so one association builds two N×N·N×N products, and each transfer step is
+two N×N·N×K products.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 import numpy as np
@@ -39,18 +45,31 @@ class Direction(Enum):
     BOTH = "both"
 
 
+def smoothed_transport(ho: np.ndarray, he: np.ndarray) -> np.ndarray:
+    """½(ho + I)·he, built in place so the product is the only N×N temporary."""
+    out = ho @ he
+    out += he
+    out *= 0.5
+    return out
+
+
 @dataclass(frozen=True)
 class DirectionAffinities:
     """Row-stochastic affinities for one direction of transfer.
 
     ho_src / ho_tgt are within-modality; he_st maps target rows onto source
-    instances (shape Nsrc x Ntgt) and he_ts the reverse.
+    instances (shape Nsrc x Ntgt) and he_ts the reverse. a_st / a_ts are the
+    composites smoothed_transport(ho_src, he_st) / (ho_tgt, he_ts) that the
+    transfer step applies; they are built after the shape checks unless
+    given, which only swapped() does.
     """
 
     ho_src: np.ndarray
     ho_tgt: np.ndarray
     he_st: np.ndarray
     he_ts: np.ndarray
+    a_st: np.ndarray | None = field(default=None, repr=False)
+    a_ts: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
         ns, nt = self.he_st.shape
@@ -58,6 +77,17 @@ class DirectionAffinities:
             raise ShapeMismatchError("homogeneous affinity shapes do not match")
         if self.he_ts.shape != (nt, ns):
             raise ShapeMismatchError("heterogeneous affinity shapes do not match")
+        if self.a_st is None:
+            object.__setattr__(self, "a_st", smoothed_transport(self.ho_src, self.he_st))
+        if self.a_ts is None:
+            object.__setattr__(self, "a_ts", smoothed_transport(self.ho_tgt, self.he_ts))
+        if self.a_st.shape != (ns, nt) or self.a_ts.shape != (nt, ns):
+            raise ShapeMismatchError("composite affinity shapes do not match")
+
+    def swapped(self) -> DirectionAffinities:
+        """The reverse direction over the same arrays: nothing is rebuilt."""
+        return DirectionAffinities(self.ho_tgt, self.ho_src, self.he_ts, self.he_st,
+                                   a_st=self.a_ts, a_ts=self.a_st)
 
 
 @dataclass(frozen=True)
@@ -121,16 +151,29 @@ def inconsistency(state: TransferState, aff: DirectionAffinities, alpha: float) 
     }
 
 
-def transfer_step(state: TransferState, aff: DirectionAffinities, alpha: float) -> TransferState:
+def _anchors(state: TransferState, aff: DirectionAffinities, alpha: float):
+    """α·½(ho + I)·init for each side: the part of a step that never changes."""
+    return (alpha * (0.5 * (aff.ho_src @ state.intra0 + state.intra0)),
+            alpha * (0.5 * (aff.ho_tgt @ state.cross0 + state.cross0)))
+
+
+def transfer_step(
+    state: TransferState, aff: DirectionAffinities, alpha: float, anchors=None
+) -> TransferState:
     """One alternation: pull each side toward the other's labels across the
     transport affinity, anchor on its own init, then smooth homogeneously.
 
-    Both updates read the pre-update labels of the other side.
+    Smoothing ½(ho + I)·z with z = (1−α)·he·other + α·init is linear, so it
+    is applied as (1−α)·a·other + α·½(ho + I)·init: two N×N·N×K products
+    with the composites and the anchors. run_transfer computes the anchors
+    once per run; without them this step computes its own. Both updates read
+    the pre-update labels of the other side.
     """
-    z = (1.0 - alpha) * (aff.he_st @ state.cross) + alpha * state.intra0
-    intra_new = _clamp_renorm(0.5 * (aff.ho_src @ z + z))
-    w = (1.0 - alpha) * (aff.he_ts @ state.intra) + alpha * state.cross0
-    cross_new = _clamp_renorm(0.5 * (aff.ho_tgt @ w + w))
+    if anchors is None:
+        anchors = _anchors(state, aff, alpha)
+    anchor_intra, anchor_cross = anchors
+    intra_new = _clamp_renorm((1.0 - alpha) * (aff.a_st @ state.cross) + anchor_intra)
+    cross_new = _clamp_renorm((1.0 - alpha) * (aff.a_ts @ state.intra) + anchor_cross)
     eps = max(
         float(np.abs(intra_new - state.intra).sum()),
         float(np.abs(cross_new - state.cross).sum()),
@@ -148,11 +191,12 @@ def run_transfer(
 ) -> TransferState:
     """Iterate transfer_step until the larger entrywise-L1 update falls to
     cfg.epsilon0, or cfg.max_transfer_iters steps have run (cap_hit is set)."""
+    anchors = _anchors(state, aff, cfg.alpha)
     while state.epsilon > cfg.epsilon0:
         if state.t >= cfg.max_transfer_iters:
             state = replace(state, cap_hit=True)
             break
-        state = transfer_step(state, aff, cfg.alpha)
+        state = transfer_step(state, aff, cfg.alpha, anchors)
         if on_step is not None:
             on_step(state)
     return state
@@ -268,10 +312,10 @@ def mult_associate(
 
     V2R treats visible as the source (labels live in the visible cluster
     space); R2V is the same computation with the modalities swapped. Each
-    modality's graph and the cross-modality plan are built once and shared
-    by both directions. The plan is solved with the subset that sorts first
-    by (row count, bytes) on the rows, so swapping the modalities swaps the
-    outputs bit for bit.
+    modality's graph, the cross-modality plan and the two composites are
+    built once and shared by both directions. The plan is solved with the
+    subset that sorts first by (row count, bytes) on the rows, so swapping
+    the modalities swaps the outputs bit for bit.
     """
     v = clustered_side(features_v, assign_v)
     r = clustered_side(features_r, assign_r)
@@ -281,10 +325,8 @@ def mult_associate(
         he_vr, he_rv = heterogeneous_affinity(v.rows, r.rows, cfg.ot_lambda)
     else:
         he_rv, he_vr = heterogeneous_affinity(r.rows, v.rows, cfg.ot_lambda)
-    affs = {
-        True: DirectionAffinities(ho_v, ho_r, he_vr, he_rv),
-        False: DirectionAffinities(ho_r, ho_v, he_rv, he_vr),
-    }
+    aff_v2r = DirectionAffinities(ho_v, ho_r, he_vr, he_rv)
+    affs = {True: aff_v2r, False: aff_v2r.swapped()}
 
     def one_way(src: ClusteredSide, tgt: ClusteredSide, v2r: bool):
         # Both directions run this one routine on their own affinities.

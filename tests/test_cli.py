@@ -349,6 +349,21 @@ class TestLossReport:
         assert "line 2" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_non_numeric_soft_label_exit_2_and_no_report(self, workdir, capsys):
+        _, labels = run_associate(workdir)
+        path = labels / "cross_r.csv"
+        lines = path.read_text().splitlines()
+        fields = lines[3].split(",")
+        fields[2] = "abc"
+        lines[3] = ",".join(fields)
+        path.write_text("\n".join(lines) + "\n")
+        out = workdir / "losses.json"
+        assert main(loss_report_argv(workdir, labels, out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "cross_r.csv: non-numeric soft label at line 4" in err
+        assert not out.exists()
+
 
 class TestPipelineCommand:
     def test_trace_csv_deterministic(self, workdir):

@@ -80,6 +80,13 @@ class TestLabelFiles:
         with pytest.raises(FileFormatError, match="line 3"):
             fileio.read_labels(path)
 
+    @pytest.mark.parametrize("bad", ["abc", "", "0.5.1"], ids=["word", "empty", "two-points"])
+    def test_non_numeric_soft_value_names_its_file_line(self, tmp_path, bad):
+        path = tmp_path / "labels.csv"
+        path.write_text(f"index,hard_label,p0,p1\n0,1,0.0,1.0\n1,1,{bad},0.5\n")
+        with pytest.raises(FileFormatError, match="labels.csv: non-numeric soft label at line 3"):
+            fileio.read_labels(path)
+
     def test_blank_rows_are_skipped(self, tmp_path):
         path = tmp_path / "labels.csv"
         path.write_text("index,hard_label,p0,p1\n0,1,0.0,1.0\n\n1,0,1.0,0.0\n\n")

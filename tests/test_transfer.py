@@ -1,13 +1,15 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from xmod import transfer
 from xmod.baselines import associate_greedy_centroid, associate_otla_only
-from xmod.core import NOISE, PipelineConfig, SoftLabelMatrix
+from xmod.core import NOISE, PipelineConfig, ShapeMismatchError, SoftLabelMatrix
 from xmod.clustering import ClusterAssignment, centroids
 from xmod.affinity import homogeneous_affinity
 from xmod.metrics import full_report
-from xmod.synth import SynthSpec, generate
+from xmod.synth import GapMode, SynthSpec, generate
 from xmod.transfer import (
     AssociationResult,
     Direction,
@@ -18,11 +20,13 @@ from xmod.transfer import (
     init_labels,
     mult_associate,
     run_transfer,
+    smoothed_transport,
     transfer_step,
 )
 from xmod.transport import heterogeneous_affinity, otla_init
 
 from conftest import random_unit_rows
+from oracles import transfer_step_factored
 
 
 def random_stochastic(rng, n, m):
@@ -202,11 +206,27 @@ class TestInconsistency:
         }
 
 
+class TestDirectionAffinities:
+    def test_shape_mismatch_raises_before_any_composite(self, rng, monkeypatch):
+        built = []
+        monkeypatch.setattr(transfer, "smoothed_transport",
+                            lambda ho, he: built.append(he.shape))
+        with pytest.raises(ShapeMismatchError):
+            DirectionAffinities(random_stochastic(rng, 3, 3), random_stochastic(rng, 5, 5),
+                                random_stochastic(rng, 4, 5), random_stochastic(rng, 5, 4))
+        assert built == []
+
+
 class TestTransferStep:
-    def test_matches_loop_oracle(self, rng):
-        state, aff = random_instance(rng)
-        new = transfer_step(state, aff, alpha=0.2)
-        intra_e, cross_e = step_oracle(state, aff, 0.2)
+    @pytest.mark.parametrize(
+        "alpha, ns, nt, k",
+        [(0.0, 7, 5, 3), (0.2, 7, 5, 3), (1.0, 7, 5, 3), (0.2, 7, 5, 1), (0.2, 4, 9, 3)],
+        ids=["alpha-0", "alpha-0.2", "alpha-1", "k-1", "ns-lt-nt"],
+    )
+    def test_matches_loop_oracle(self, rng, alpha, ns, nt, k):
+        state, aff = random_instance(rng, ns=ns, nt=nt, k=k)
+        new = transfer_step(state, aff, alpha=alpha)
+        intra_e, cross_e = step_oracle(state, aff, alpha)
         assert np.abs(new.intra - intra_e).max() < 1e-12
         assert np.abs(new.cross - cross_e).max() < 1e-12
         eps_e = max(np.abs(intra_e - state.intra).sum(),
@@ -298,6 +318,29 @@ class TestRunTransfer:
         assert out.cap_hit
         assert out.t == 2
 
+    @pytest.mark.parametrize("gap_mode", [GapMode.SHARED_OFFSET, GapMode.PER_ID_OFFSET],
+                             ids=["shared-gap", "per-id-gap"])
+    def test_matches_factored_step_loop(self, gap_mode):
+        fv, fr, av, ar, _ = blob_instance(seed=17, gap=0.4, gap_mode=gap_mode,
+                                          per_id_v=9, per_id_r=7)
+        cfg = PipelineConfig(kappa=8, epsilon0=1e-9)
+        aff = DirectionAffinities(
+            homogeneous_affinity(fv.data, cfg.kappa), homogeneous_affinity(fr.data, cfg.kappa),
+            *heterogeneous_affinity(fv.data, fr.data, cfg.ot_lambda))
+        start = init_labels(fv.data, fr.data, av, cfg)
+        expect = start
+        while expect.epsilon > cfg.epsilon0:
+            if expect.t >= cfg.max_transfer_iters:
+                expect = replace(expect, cap_hit=True)
+                break
+            expect = transfer_step_factored(expect, aff, cfg.alpha)
+        got = run_transfer(start, aff, cfg)
+        assert expect.t > 1
+        assert (got.t, got.cap_hit) == (expect.t, expect.cap_hit)
+        for mine, theirs in ((got.intra, expect.intra), (got.cross, expect.cross)):
+            assert np.array_equal(mine.argmax(axis=1), theirs.argmax(axis=1))
+            assert np.abs(mine - theirs).max() <= 1e-12
+
     def test_alpha_zero_rows_collapse_together(self, rng):
         # without the self anchor, smoothing over connected graphs drags
         # every row toward a common distribution
@@ -343,9 +386,10 @@ class TestFuseLabels:
         assert isinstance(cross, SoftLabelMatrix)
 
 
-def blob_instance(seed, gap=0.0, num_ids=3, per_id_v=8, per_id_r=8):
+def blob_instance(seed, gap=0.0, num_ids=3, per_id_v=8, per_id_r=8,
+                  gap_mode=GapMode.SHARED_OFFSET):
     spec = SynthSpec(num_ids=num_ids, per_id_v=per_id_v, per_id_r=per_id_r, dim=16,
-                     blob_std=0.03, modality_gap=gap, seed=seed)
+                     blob_std=0.03, modality_gap=gap, gap_mode=gap_mode, seed=seed)
     fv, fr, gt = generate(spec)
     assign_v = ClusterAssignment(gt.ids_v.astype(np.int64), num_ids)
     assign_r = ClusterAssignment(gt.ids_r.astype(np.int64), num_ids)
@@ -418,6 +462,27 @@ class TestMultAssociate:
         fv, fr, av, ar, _ = blob_instance(seed=3)
         mult_associate(fv, fr, av, ar, PipelineConfig(kappa=8), Direction.BOTH)
         assert calls == {"homogeneous": 2, "heterogeneous": 1}
+
+    @pytest.mark.parametrize("direction", list(Direction), ids=lambda d: d.value)
+    def test_each_composite_built_once(self, monkeypatch, direction):
+        built, used = [], []
+
+        def counted(ho, he):
+            built.append(he.shape)
+            return smoothed_transport(ho, he)
+
+        def recorded(state, aff, cfg, on_step=None):
+            used.append(aff)
+            return run_transfer(state, aff, cfg, on_step)
+
+        monkeypatch.setattr(transfer, "smoothed_transport", counted)
+        monkeypatch.setattr(transfer, "run_transfer", recorded)
+        fv, fr, av, ar, _ = blob_instance(seed=3, per_id_v=9, per_id_r=7)
+        mult_associate(fv, fr, av, ar, PipelineConfig(kappa=8), direction)
+        assert built == [(27, 21), (21, 27)]
+        if direction is Direction.BOTH:
+            v2r, r2v = used
+            assert r2v.a_st is v2r.a_ts and r2v.a_ts is v2r.a_st
 
     @pytest.mark.parametrize("direction", [Direction.V2R, Direction.R2V], ids=["v2r", "r2v"])
     @pytest.mark.parametrize("method", METHODS)
