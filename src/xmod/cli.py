@@ -137,7 +137,7 @@ def _cmd_associate(args) -> int:
 def _cmd_eval(args) -> int:
     hard = {}
     for name in _LABEL_FILES:
-        hard[name], _ = read_labels(getattr(args, f"labels_{name}"))
+        hard[name], _ = read_labels(getattr(args, f"labels_{name}"), soft=False)
     n_visible = hard["intra_v"].shape[0]
     ids_v, ids_r = read_ground_truth(args.gt, n_visible)
     report = report_from_hard(
@@ -249,7 +249,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_associate)
 
-    p = sub.add_parser("eval", help="score label files against ground truth")
+    p = sub.add_parser(
+        "eval",
+        help="score label files' hard labels against ground truth; soft columns are not read",
+        description=(
+            "Score the hard labels of four label files against ground truth. "
+            "Soft columns are checked for their count but not read."
+        ),
+    )
     for name in _LABEL_FILES:
         p.add_argument(f"--labels-{name.replace('_', '-')}", required=True,
                        dest=f"labels_{name}")

@@ -3,11 +3,13 @@
 MFV1 layout: magic ``MFV1``, then u32-LE N, u32-LE d, then N*d little-endian
 float32 values row-major. All writes go through a temp file + rename so
 readers never observe partial files.
+
+CSV dialect: comma-separated, unquoted fields; xmod writes LF line ends and
+reads LF or CRLF. A quote anywhere in a file is a ``FileFormatError`` naming
+its line, since no field xmod writes needs one.
 """
 from __future__ import annotations
 
-import csv
-import io
 import json
 import os
 import struct
@@ -69,93 +71,112 @@ def read_features(path, modality: Modality) -> FeatureMatrix:
     return FeatureMatrix.from_raw(raw, modality)
 
 
+def _write_csv(path, header: list[str], rows: list[str]) -> None:
+    """Write ``header`` and the already-joined ``rows``, one per LF-ended line."""
+    atomic_write_text(path, "\n".join([",".join(header), *rows, ""]))
+
+
 def write_labels(path, hard: np.ndarray, soft: np.ndarray | None = None) -> None:
     """Label CSV: ``index,hard_label`` plus optional ``p0..p{K-1}`` columns.
 
-    Rows without a label (hard == NOISE) get all-zero soft columns.
+    Rows without a label (hard == NOISE) get all-zero soft columns. Soft
+    values are written with ``repr`` so they read back bit for bit; a
+    non-finite one raises ``FileFormatError`` before anything is written,
+    since ``read_labels`` would reject the file.
     """
-    hard = np.asarray(hard)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
+    hard = np.asarray(hard).astype(np.int64).tolist()
     header = ["index", "hard_label"]
+    soft_rows = [()] * len(hard)
     if soft is not None:
         soft = np.asarray(soft, dtype=np.float64)
-        if soft.shape[0] != hard.shape[0]:
+        if soft.shape[0] != len(hard):
             raise FileFormatError("soft label row count does not match hard labels")
+        finite = np.isfinite(soft).all(axis=1)
+        if not finite.all():
+            row = int(np.argmin(finite))
+            raise FileFormatError(f"{path}: non-finite soft label in row {row}")
         header += [f"p{k}" for k in range(soft.shape[1])]
-    writer.writerow(header)
-    for i, h in enumerate(hard):
-        row = [i, int(h)]
-        if soft is not None:
-            row += [repr(float(v)) for v in soft[i]]
-        writer.writerow(row)
-    atomic_write_text(path, buf.getvalue())
+        soft_rows = soft.tolist()
+    rows = [",".join([f"{i},{h}", *map(repr, values)])
+            for i, (h, values) in enumerate(zip(hard, soft_rows))]
+    _write_csv(path, header, rows)
 
 
 def _indexed_rows(path, column: str):
-    """Yield (line, value, extra fields) for each data row of an
-    ``index,<column>[,...]`` CSV.
+    """Yield (line, value, rest) for each data row of an
+    ``index,<column>[,...]`` CSV; ``rest`` is the unsplit text after the
+    second field, or None when the header has two fields.
 
     Blank rows are skipped. Every other row has the header's field count, an
     integer index counting 0..N-1 in order and an integer value; errors name
     the file and line.
     """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if not header or header[:2] != ["index", column]:
-            raise FileFormatError(f"{path}: expected an index,{column} header")
-        expected = 0
-        for row in reader:
-            if not row:
-                continue
-            line = reader.line_num
-            if len(row) != len(header):
-                raise FileFormatError(
-                    f"{path}: line {line} has {len(row)} fields, the header {len(header)}"
-                )
-            try:
-                index, value = int(row[0]), int(row[1])
-            except ValueError:
-                raise FileFormatError(
-                    f"{path}: line {line} needs an integer index and {column}"
-                ) from None
-            if index != expected:
-                raise FileFormatError(f"{path}: non-contiguous index at line {line}")
-            expected += 1
-            yield line, value, row[2:]
+    with open(path) as fh:
+        text = fh.read()
+    if '"' in text:
+        line = text.count("\n", 0, text.index('"')) + 1
+        raise FileFormatError(f"{path}: line {line} has a quote; xmod CSVs are unquoted")
+    lines = text.split("\n")
+    header = lines[0].split(",")
+    if header[:2] != ["index", column]:
+        raise FileFormatError(f"{path}: expected an index,{column} header")
+    commas = len(header) - 1
+    expected = 0
+    for line, row in enumerate(lines[1:], start=2):
+        if not row:
+            continue
+        if row.count(",") != commas:
+            raise FileFormatError(
+                f"{path}: line {line} has {row.count(',') + 1} fields, the header {len(header)}"
+            )
+        fields = row.split(",", 2)
+        try:
+            index, value = int(fields[0]), int(fields[1])
+        except ValueError:
+            raise FileFormatError(
+                f"{path}: line {line} needs an integer index and {column}"
+            ) from None
+        if index != expected:
+            raise FileFormatError(f"{path}: non-contiguous index at line {line}")
+        expected += 1
+        yield line, value, fields[2] if commas > 1 else None
 
 
-def read_labels(path) -> tuple[np.ndarray, np.ndarray | None]:
-    """Return (hard, soft-or-None); soft values must be finite."""
-    hard, soft, lines = [], [], []
-    for line, label, extra in _indexed_rows(path, "hard_label"):
+def read_labels(path, soft: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
+    """Return (hard, soft-or-None); soft values must be finite.
+
+    ``soft=False`` checks every row's structure but leaves the soft columns
+    unparsed and returns None for them.
+    """
+    hard, values, lines = [], [], []
+    for line, label, rest in _indexed_rows(path, "hard_label"):
         hard.append(label)
-        lines.append(line)
-        if extra:
+        if soft and rest is not None:
+            lines.append(line)
             try:
-                soft.append([float(v) for v in extra])
+                values.extend(map(float, rest.split(",")))
             except ValueError:
                 raise FileFormatError(f"{path}: non-numeric soft label at line {line}") from None
     if not hard:
         raise FileFormatError(f"{path}: no label rows")
     hard_arr = np.asarray(hard, dtype=np.int64)
-    soft_arr = np.asarray(soft, dtype=np.float64) if soft else None
-    if soft_arr is not None and not np.isfinite(soft_arr).all():
-        row = int(np.argwhere(~np.isfinite(soft_arr))[0, 0])
-        raise FileFormatError(f"{path}: non-finite soft label at line {lines[row]}")
+    if not lines:
+        return hard_arr, None
+    soft_arr = np.asarray(values, dtype=np.float64).reshape(len(lines), -1)
+    finite = np.isfinite(soft_arr).all(axis=1)
+    if not finite.all():
+        raise FileFormatError(
+            f"{path}: non-finite soft label at line {lines[int(np.argmin(finite))]}"
+        )
     return hard_arr, soft_arr
 
 
 def write_ground_truth(path, ids_v: np.ndarray, ids_r: np.ndarray) -> None:
     """Ground-truth CSV ``index,identity`` over the concatenated instance index
     (visible rows 0..Nv-1, then infrared rows Nv..Nv+Nr-1)."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["index", "identity"])
-    for i, ident in enumerate(list(np.asarray(ids_v)) + list(np.asarray(ids_r))):
-        writer.writerow([i, int(ident)])
-    atomic_write_text(path, buf.getvalue())
+    ids = [*np.asarray(ids_v).astype(np.int64).tolist(),
+           *np.asarray(ids_r).astype(np.int64).tolist()]
+    _write_csv(path, ["index", "identity"], [f"{i},{ident}" for i, ident in enumerate(ids)])
 
 
 def read_ground_truth(path, n_visible: int) -> tuple[np.ndarray, np.ndarray]:

@@ -5,13 +5,18 @@ math.exp, so the library's vectorized code is checked against a genuinely
 independent route. The Newton oracle solves the transport dual's full
 Hessian directly, the route the library's block elimination replaces, and
 the factored transfer step applies the four affinities one by one, the route
-the library's composite operators replace.
+the library's composite operators replace. The label CSV writer and reader
+go through the ``csv`` module, the route the library's split-and-join code
+replaces.
 """
+import csv
+import io
 import math
 from dataclasses import replace
 
 import numpy as np
 
+from xmod.core import FileFormatError
 from xmod.losses import TrainingMode
 
 NOISE = -1
@@ -159,3 +164,66 @@ def transfer_step_factored(state, aff, alpha):
         float(np.abs(cross_new - state.cross).sum()),
     )
     return replace(state, intra=intra_new, cross=cross_new, t=state.t + 1, epsilon=eps)
+
+
+def write_labels_csv(path, hard, soft=None):
+    """Label CSV through ``csv.writer``: ``index,hard_label`` plus ``p0..``
+    columns holding ``repr(float(v))``, LF line ends."""
+    hard = np.asarray(hard)
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    header = ["index", "hard_label"]
+    if soft is not None:
+        soft = np.asarray(soft, dtype=np.float64)
+        header += [f"p{k}" for k in range(soft.shape[1])]
+    writer.writerow(header)
+    for i, h in enumerate(hard):
+        row = [i, int(h)]
+        if soft is not None:
+            row += [repr(float(v)) for v in soft[i]]
+        writer.writerow(row)
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(buf.getvalue())
+
+
+def read_labels_csv(path):
+    """(hard, soft-or-None) of a label CSV read through ``csv.reader``, with
+    the library's checks: header, field count, integer index and label,
+    contiguous index, numeric and finite soft values; blank rows skipped."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if not header or header[:2] != ["index", "hard_label"]:
+            raise FileFormatError(f"{path}: expected an index,hard_label header")
+        hard, soft = [], []
+        for row in reader:
+            if not row:
+                continue
+            line = reader.line_num
+            if len(row) != len(header):
+                raise FileFormatError(
+                    f"{path}: line {line} has {len(row)} fields, the header {len(header)}"
+                )
+            try:
+                index, label = int(row[0]), int(row[1])
+            except ValueError:
+                raise FileFormatError(
+                    f"{path}: line {line} needs an integer index and hard_label"
+                ) from None
+            if index != len(hard):
+                raise FileFormatError(f"{path}: non-contiguous index at line {line}")
+            hard.append(label)
+            if row[2:]:
+                try:
+                    values = [float(v) for v in row[2:]]
+                except ValueError:
+                    raise FileFormatError(
+                        f"{path}: non-numeric soft label at line {line}"
+                    ) from None
+                if not all(math.isfinite(v) for v in values):
+                    raise FileFormatError(f"{path}: non-finite soft label at line {line}")
+                soft.append(values)
+    if not hard:
+        raise FileFormatError(f"{path}: no label rows")
+    return (np.asarray(hard, dtype=np.int64),
+            np.asarray(soft, dtype=np.float64) if soft else None)

@@ -198,19 +198,27 @@ class TestAssociate:
         assert not out.exists() and not trace_dir.exists()
 
 
+def eval_argv(workdir, labels, out, gt=None):
+    argv = ["eval"]
+    for name in ("intra_v", "cross_r", "intra_r", "cross_v"):
+        argv += [f"--labels-{name.replace('_', '-')}", str(labels / f"{name}.csv")]
+    return argv + ["--gt", str(gt or workdir / "data" / "ground_truth.csv"), "--out", str(out)]
+
+
+def replace_soft_value(path, line, value):
+    """Rewrite the first soft field on 1-based ``line`` of a label CSV."""
+    lines = path.read_text().splitlines()
+    fields = lines[line - 1].split(",")
+    fields[2] = value
+    lines[line - 1] = ",".join(fields)
+    path.write_text("\n".join(lines) + "\n")
+
+
 class TestEval:
     def test_metrics_json_validates_and_is_perfect(self, workdir):
         _, labels = run_associate(workdir)
         out = workdir / "metrics.json"
-        code = main([
-            "eval",
-            "--labels-intra-v", str(labels / "intra_v.csv"),
-            "--labels-cross-r", str(labels / "cross_r.csv"),
-            "--labels-intra-r", str(labels / "intra_r.csv"),
-            "--labels-cross-v", str(labels / "cross_v.csv"),
-            "--gt", str(workdir / "data" / "ground_truth.csv"),
-            "--out", str(out),
-        ])
+        code = main(eval_argv(workdir, labels, out))
         assert code == 0
         payload = json.loads(out.read_text())
         jsonschema.validate(payload, load_schema("metrics_report.schema.json"))
@@ -219,32 +227,27 @@ class TestEval:
     def test_exclude_self_flag(self, workdir):
         _, labels = run_associate(workdir)
         out = workdir / "metrics_noself.json"
-        code = main([
-            "eval",
-            "--labels-intra-v", str(labels / "intra_v.csv"),
-            "--labels-cross-r", str(labels / "cross_r.csv"),
-            "--labels-intra-r", str(labels / "intra_r.csv"),
-            "--labels-cross-v", str(labels / "cross_v.csv"),
-            "--gt", str(workdir / "data" / "ground_truth.csv"),
-            "--exclude-self", "--out", str(out),
-        ])
+        code = main(eval_argv(workdir, labels, out) + ["--exclude-self"])
         assert code == 0
         jsonschema.validate(json.loads(out.read_text()),
                             load_schema("metrics_report.schema.json"))
+
+    def test_soft_columns_are_not_read(self, workdir):
+        _, labels = run_associate(workdir)
+        clean = workdir / "metrics_clean.json"
+        assert main(eval_argv(workdir, labels, clean)) == 0
+        replace_soft_value(labels / "intra_v.csv", 2, "abc")
+        replace_soft_value(labels / "cross_r.csv", 4, "nan")
+        out = workdir / "metrics.json"
+        assert main(eval_argv(workdir, labels, out)) == 0
+        assert out.read_bytes() == clean.read_bytes()
 
     def test_short_ground_truth_row_exit_2_and_writes_nothing(self, workdir, capsys):
         _, labels = run_associate(workdir)
         gt = workdir / "short_gt.csv"
         gt.write_text("index,identity\n0\n")
         out = workdir / "metrics_short.json"
-        code = main([
-            "eval",
-            "--labels-intra-v", str(labels / "intra_v.csv"),
-            "--labels-cross-r", str(labels / "cross_r.csv"),
-            "--labels-intra-r", str(labels / "intra_r.csv"),
-            "--labels-cross-v", str(labels / "cross_v.csv"),
-            "--gt", str(gt), "--out", str(out),
-        ])
+        code = main(eval_argv(workdir, labels, out, gt))
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("error:") and err.count("\n") == 1

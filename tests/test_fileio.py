@@ -1,5 +1,6 @@
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from xmod.core import FileFormatError, Modality
 from xmod import fileio
 
 from conftest import random_unit_rows
+from oracles import read_labels_csv, write_labels_csv
 
 
 class TestFeatureFiles:
@@ -128,6 +130,130 @@ class TestLabelFiles:
             fileio.read_labels(path)
 
 
+def _bitwise_equal(a, b):
+    if a is None or b is None:
+        return a is None and b is None
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _oracle_cases():
+    rng = np.random.default_rng(11)
+    random_soft = rng.dirichlet(np.full(7, 0.3), size=40)
+    random_hard = random_soft.argmax(axis=1)
+    random_hard[::5] = -1
+    random_soft[::5] = 0.0
+    return {
+        "special-values": (np.array([0, 1, 2]),
+                           np.array([[0.0, -0.0, 5e-324],
+                                     [1e-05, 1e16, 1 / 3],
+                                     [0.1, 2.5e-300, 1.0]])),
+        "k1": (np.array([0, 0, -1, 0]), np.array([[1.0], [1.0], [0.0], [1.0]])),
+        "k0": (np.array([4, -1]), np.zeros((2, 0))),
+        "noise-zero-rows": (np.array([-1, 1, -1, 0]),
+                            np.array([[0.0, 0.0], [0.2, 0.8], [0.0, 0.0], [0.6, 0.4]])),
+        "hard-only": (np.array([0, 2, -1, 1, 10, 123456]), None),
+        "single-row": (np.array([3]), np.array([[0.25, 0.75]])),
+        "single-row-hard-only": (np.array([-1]), None),
+        "random": (random_hard, random_soft),
+    }
+
+
+ORACLE_CASES = _oracle_cases()
+
+
+class TestLabelFilesMatchCsvModule:
+    """The split/join reader and writer against the ``csv``-module oracle."""
+
+    @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+    def test_written_bytes_equal(self, tmp_path, case):
+        hard, soft = ORACLE_CASES[case]
+        fileio.write_labels(tmp_path / "new.csv", hard, soft)
+        write_labels_csv(tmp_path / "ref.csv", hard, soft)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+    def test_read_back_bitwise_equal(self, tmp_path, case):
+        hard, soft = ORACLE_CASES[case]
+        path = tmp_path / "labels.csv"
+        write_labels_csv(path, hard, soft)
+        back_hard, back_soft = fileio.read_labels(path)
+        ref_hard, ref_soft = read_labels_csv(path)
+        assert _bitwise_equal(back_hard, ref_hard)
+        assert _bitwise_equal(back_soft, ref_soft)
+        if soft is not None and soft.shape[1]:
+            assert _bitwise_equal(back_soft, soft.astype(np.float64))
+        hard_only, none = fileio.read_labels(path, soft=False)
+        assert _bitwise_equal(hard_only, ref_hard) and none is None
+
+    @pytest.mark.parametrize("case", ["special-values", "hard-only", "random"])
+    def test_crlf_reads_as_lf(self, tmp_path, case):
+        hard, soft = ORACLE_CASES[case]
+        lf, crlf = tmp_path / "lf.csv", tmp_path / "crlf.csv"
+        fileio.write_labels(lf, hard, soft)
+        crlf.write_bytes(lf.read_bytes().replace(b"\n", b"\r\n"))
+        for soft_wanted in (True, False):
+            new = fileio.read_labels(crlf, soft=soft_wanted)
+            ref = fileio.read_labels(lf, soft=soft_wanted)
+            assert all(_bitwise_equal(a, b) for a, b in zip(new, ref))
+        assert all(_bitwise_equal(a, b) for a, b in zip(fileio.read_labels(crlf),
+                                                          read_labels_csv(crlf)))
+
+
+# (file text, the FileFormatError message after "<path>: "); the csv-module
+# oracle raises the same message on each, except that it unquotes fields.
+STRUCTURAL_ERRORS = {
+    "ragged": ("index,hard_label,p0,p1,p2\n0,0,1.0,0.0,0.0\n1,1,0.0,1.0\n",
+               "line 3 has 4 fields, the header 5"),
+    "short": ("index,hard_label,p0,p1\n0,0,1.0\n", "line 2 has 3 fields, the header 4"),
+    "long": ("index,hard_label,p0\n0,0,1.0,0.0\n", "line 2 has 4 fields, the header 3"),
+    "non-integer-label": ("index,hard_label,p0\n0,1.5,1.0\n",
+                          "line 2 needs an integer index and hard_label"),
+    "non-integer-index": ("index,hard_label,p0\nx,1,1.0\n",
+                          "line 2 needs an integer index and hard_label"),
+    "gap-in-index": ("index,hard_label,p0\n0,0,1.0\n2,0,1.0\n",
+                     "non-contiguous index at line 3"),
+    "bad-header": ("index,label,p0\n0,0,1.0\n", "expected an index,hard_label header"),
+    "empty-file": ("", "expected an index,hard_label header"),
+    "no-rows": ("index,hard_label,p0\n\n", "no label rows"),
+    "gap-after-blank": ("index,hard_label,p0,p1\n0,0,1.0,0.0\n\n2,1,0.0,1.0\n",
+                        "non-contiguous index at line 4"),
+    "short-after-blank": ("index,hard_label,p0,p1\n0,0,1.0,0.0\n\n1,1,0.0\n",
+                          "line 4 has 3 fields, the header 4"),
+    "quoted": ('index,hard_label,p0\n0,0,1.0\n1,1,"0.5"\n', "line 3 has a quote; xmod CSVs are unquoted"),
+}
+
+
+class TestLabelFileStructure:
+    @pytest.mark.parametrize("soft", [True, False], ids=["soft", "hard"])
+    @pytest.mark.parametrize("case", sorted(STRUCTURAL_ERRORS))
+    def test_same_error_with_or_without_soft(self, tmp_path, case, soft):
+        text, error = STRUCTURAL_ERRORS[case]
+        path = tmp_path / "labels.csv"
+        path.write_text(text)
+        with pytest.raises(FileFormatError) as info:
+            fileio.read_labels(path, soft=soft)
+        assert str(info.value) == f"{path}: {error}"
+        if case != "quoted":
+            with pytest.raises(FileFormatError, match=f"^{re.escape(str(info.value))}$"):
+                read_labels_csv(path)
+
+    @pytest.mark.parametrize("bad", ["abc", "", "nan", "inf", "-inf"])
+    def test_hard_only_read_leaves_soft_values_unparsed(self, tmp_path, bad):
+        path = tmp_path / "labels.csv"
+        path.write_text(f"index,hard_label,p0,p1\n0,1,0.0,1.0\n1,0,{bad},0.5\n")
+        hard, soft = fileio.read_labels(path, soft=False)
+        assert hard.tolist() == [1, 0] and soft is None
+        with pytest.raises(FileFormatError, match="line 3"):
+            fileio.read_labels(path)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_soft_value_is_not_written(self, tmp_path, bad):
+        soft = np.array([[0.5, 0.5], [1.0, 0.0], [bad, 0.0], [bad, bad]])
+        with pytest.raises(FileFormatError, match="labels.csv: non-finite soft label in row 2"):
+            fileio.write_labels(tmp_path / "labels.csv", np.array([0, 0, 1, 1]), soft)
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestGroundTruthFiles:
     def test_concatenated_round_trip(self, tmp_path):
         ids_v = np.array([0, 0, 1])
@@ -164,6 +290,11 @@ class TestGroundTruthFiles:
         path.write_text("index,identity\n0,3\n1\n")
         with pytest.raises(FileFormatError, match="gt.csv: line 3 has 1 fields, the header 2"):
             fileio.read_ground_truth(path, n_visible=1)
+
+    def test_bytes(self, tmp_path):
+        path = tmp_path / "gt.csv"
+        fileio.write_ground_truth(path, np.array([0, 0, 7]), np.array([7, 12]))
+        assert path.read_bytes() == b"index,identity\n0,0\n1,0\n2,7\n3,7\n4,12\n"
 
     def test_too_few_rows(self, tmp_path):
         path = tmp_path / "gt.csv"
