@@ -15,6 +15,7 @@ from .core import (
     feature_data,
     l2_normalize_rows,
     pairwise_sq_dists,
+    row_nonzeros,
 )
 from .affinity import jaccard_affinity, k_reciprocal_sets
 
@@ -84,8 +85,10 @@ class MemoryBank:
 def _pairwise_distance(features, metric: DistanceMetric, kappa: int) -> np.ndarray:
     data = feature_data(features)
     if metric is DistanceMetric.EUCLIDEAN:
-        return np.sqrt(pairwise_sq_dists(data, data))
-    return 1.0 - jaccard_affinity(k_reciprocal_sets(data, kappa))
+        dist = pairwise_sq_dists(data, data)
+        return np.sqrt(dist, out=dist)
+    dist = jaccard_affinity(k_reciprocal_sets(data, kappa))
+    return np.subtract(1.0, dist, out=dist)
 
 
 def dbscan(
@@ -104,7 +107,7 @@ def dbscan(
     """
     dist = _pairwise_distance(features, metric, kappa)
     n = dist.shape[0]
-    neighborhoods = [np.flatnonzero(dist[i] <= eps) for i in range(n)]
+    neighborhoods = row_nonzeros(dist <= eps)
     labels = np.full(n, NOISE, dtype=np.int64)
     visited = np.zeros(n, dtype=bool)
     cid = 0

@@ -115,10 +115,22 @@ def pairwise_sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     b = np.asarray(b, dtype=np.float64)
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1]:
         raise ShapeMismatchError(f"incompatible shapes {a.shape} and {b.shape}")
-    sq = (a * a).sum(axis=1)[:, None] + (b * b).sum(axis=1)[None, :] - 2.0 * (a @ b.T)
+    # (|a|² + |b|²) − 2·(a·bᵀ), with the sum and the product in their own
+    # arrays and every later operation in place.
+    sq = np.add.outer((a * a).sum(axis=1), (b * b).sum(axis=1))
+    prod = a @ b.T
+    prod *= 2.0
+    sq -= prod
     # Gram-trick rounding can leave tiny negatives on near-duplicate rows.
     np.maximum(sq, 0.0, out=sq)
     return sq
+
+
+def row_nonzeros(mask: np.ndarray) -> list[np.ndarray]:
+    """The column indices of each row's True entries, ascending, from one
+    ``np.nonzero`` over the whole matrix."""
+    rows, cols = np.nonzero(mask)
+    return np.split(cols, np.cumsum(np.bincount(rows, minlength=mask.shape[0]))[:-1])
 
 
 @dataclass(frozen=True)

@@ -106,6 +106,21 @@ def _clamp_renorm(probs: np.ndarray) -> np.ndarray:
     return out / out.sum(axis=1, keepdims=True)
 
 
+def _pull(a: np.ndarray, other: np.ndarray, alpha: float, anchor: np.ndarray) -> np.ndarray:
+    """_clamp_renorm((1−α)·(a·other) + anchor), in the product's own array."""
+    out = a @ other
+    out *= 1.0 - alpha
+    out += anchor
+    out[out < _CLAMP] = 0.0
+    out /= out.sum(axis=1, keepdims=True)
+    return out
+
+
+def _l1_gap(new: np.ndarray, old: np.ndarray) -> float:
+    gap = new - old
+    return float(np.abs(gap, out=gap).sum())
+
+
 def init_labels(
     features_src, features_tgt, assign_src: ClusterAssignment, cfg: PipelineConfig
 ) -> TransferState:
@@ -172,12 +187,9 @@ def transfer_step(
     if anchors is None:
         anchors = _anchors(state, aff, alpha)
     anchor_intra, anchor_cross = anchors
-    intra_new = _clamp_renorm((1.0 - alpha) * (aff.a_st @ state.cross) + anchor_intra)
-    cross_new = _clamp_renorm((1.0 - alpha) * (aff.a_ts @ state.intra) + anchor_cross)
-    eps = max(
-        float(np.abs(intra_new - state.intra).sum()),
-        float(np.abs(cross_new - state.cross).sum()),
-    )
+    intra_new = _pull(aff.a_st, state.cross, alpha, anchor_intra)
+    cross_new = _pull(aff.a_ts, state.intra, alpha, anchor_cross)
+    eps = max(_l1_gap(intra_new, state.intra), _l1_gap(cross_new, state.cross))
     return replace(
         state, intra=intra_new, cross=cross_new, t=state.t + 1, epsilon=eps
     )

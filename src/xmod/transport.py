@@ -59,11 +59,28 @@ class TransportPlan:
     converged: bool
 
 
-def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
-    m = a.max(axis=axis, keepdims=True)
-    m = np.where(np.isfinite(m), m, 0.0)  # rows of all -inf stay -inf below
-    out = np.log(np.exp(a - m).sum(axis=axis)) + np.squeeze(m, axis=axis)
-    return out
+def _log_scaling(log_k, other, log_marginal, axis: int, buf) -> np.ndarray:
+    """log_marginal - logsumexp(log_k + other, axis), for a row (axis=1,
+    other = g) or a column (axis=0, other = f) update of the potentials.
+
+    Every N x M intermediate is written into ``buf``. A row or column whose
+    entries are all -inf keeps its -inf.
+    """
+    np.add(log_k, np.expand_dims(other, 1 - axis), out=buf)
+    top = buf.max(axis=axis, keepdims=True)
+    top[~np.isfinite(top)] = 0.0
+    buf -= top
+    np.exp(buf, out=buf)
+    out = np.log(buf.sum(axis=axis))
+    out += np.squeeze(top, axis=axis)
+    return np.subtract(log_marginal, out, out=out)
+
+
+def _gibbs(f, log_k, g, out) -> np.ndarray:
+    """exp(f + log_k + g) written into ``out``."""
+    np.add(f[:, None], log_k, out=out)
+    out += g[None, :]
+    return np.exp(out, out=out)
 
 
 def _dual_value(f, g, r, c, mass) -> float:
@@ -77,7 +94,12 @@ def _dual_value(f, g, r, c, mass) -> float:
     return float(f[rs] @ r[rs] + g[cs] @ c[cs] - mass)
 
 
-def _newton_direction(plan, r, c):
+# Plan entries below the smallest normal float64 are flushed to zero before
+# the Schur product: they slow BLAS several-fold and carry nothing it resolves.
+_TINY = np.finfo(np.float64).tiny
+
+
+def _newton_direction(plan, r, c, work):
     """Newton direction (df, dg) of the dual at ``plan``, by block elimination.
 
     The ridged system is ([[diag a, P], [P^T, diag b]] + ridge*I) [df; dg] =
@@ -85,15 +107,19 @@ def _newton_direction(plan, r, c):
     of the longer side leaves the min(n, m)-square Schur complement: for
     n >= m, S = diag(b + ridge) - P^T diag(1/(a + ridge)) P solves for dg,
     and df follows by back-substitution. No (n+m)-square array is formed.
+    After a and b are summed, the subnormal entries of ``plan`` are flushed
+    to zero in place; diag(1/(a + ridge)) P is written into ``work``, a
+    plan-sized buffer.
     """
     a = plan.sum(axis=1)
     b = plan.sum(axis=0)
     ridge = 1e-12 * max(a.max(), b.max()) + 1e-300
+    plan[plan < _TINY] = 0.0
     flip = plan.shape[0] < plan.shape[1]
     if flip:
         plan, a, b, r, c = plan.T, b, a, c, r
     da = a + ridge
-    scaled = plan / da[:, None]
+    scaled = np.divide(plan, da[:, None], out=work.reshape(plan.shape))
     s = -(plan.T @ scaled)
     s[np.diag_indices_from(s)] += b + ridge
     y = np.linalg.solve(s, (c - b) - plan.T @ ((r - a) / da))
@@ -101,7 +127,7 @@ def _newton_direction(plan, r, c):
     return (y, x) if flip else (x, y)
 
 
-def _newton_step(f, g, log_k, r, c, plan):
+def _newton_step(f, g, log_k, r, c, plan, buf):
     """One damped Newton step on the dual potentials, or None if it fails.
 
     ``plan`` is exp(f + log_k + g), the plan at the current potentials, so
@@ -110,21 +136,23 @@ def _newton_step(f, g, log_k, r, c, plan):
     along the constant shift (f+s, g-s), so a tiny ridge pins the solve
     (``_newton_direction``). A halving line search accepts the first step
     that strictly increases the dual, which keeps the plan mass finite at
-    every accepted state.
+    every accepted state. The direction flushes ``plan``'s subnormals, which
+    the caller rebuilds after every step, and works in ``buf``, as does each
+    trial plan.
     """
+    base = _dual_value(f, g, r, c, plan.sum())
     try:
-        df, dg = _newton_direction(plan, r, c)
+        df, dg = _newton_direction(plan, r, c, buf)
     except np.linalg.LinAlgError:
         return None
     if not (np.isfinite(df).all() and np.isfinite(dg).all()):
         return None
-    base = _dual_value(f, g, r, c, plan.sum())
     t = 1.0
     while t > 1e-8:
         f_new = f + t * df
         g_new = g + t * dg
         with np.errstate(over="ignore"):
-            mass = np.exp(f_new[:, None] + log_k + g_new[None, :]).sum()
+            mass = _gibbs(f_new, log_k, g_new, buf).sum()
         val = _dual_value(f_new, g_new, r, c, mass)
         if np.isfinite(val) and val > base:
             return f_new, g_new
@@ -154,6 +182,9 @@ def sinkhorn(problem: TransportProblem) -> TransportPlan:
     an accepted step. Stops when the worse of the two marginal L1 errors
     drops below ``tol``; if the iteration cap is hit with error above
     10*tol a NotConvergedWarning is emitted and the plan is returned anyway.
+    Besides ``log_k`` the solve holds two N x M arrays: the plan, which is
+    rebuilt from f and g after every sweep or step, and one buffer that every
+    sweep and Newton step works in.
     """
     log_k = -problem.lam * problem.cost
     r = problem.row_marginal
@@ -163,6 +194,8 @@ def sinkhorn(problem: TransportProblem) -> TransportPlan:
         log_c = np.log(c)
     f = np.zeros_like(log_r)
     g = np.zeros_like(log_c)
+    buf = np.empty_like(log_k)
+    plan = np.empty_like(log_k)
     err = np.inf
     used = 0
     stalled = False
@@ -172,7 +205,7 @@ def sinkhorn(problem: TransportProblem) -> TransportPlan:
         used += 1
         step = None
         if stalled and wait == 0:
-            step = _newton_step(f, g, log_k, r, c, plan)
+            step = _newton_step(f, g, log_k, r, c, plan, buf)
             if step is None:
                 wait, backoff = backoff, 2 * backoff
             else:
@@ -181,9 +214,9 @@ def sinkhorn(problem: TransportProblem) -> TransportPlan:
             f, g = step
         else:
             wait = max(wait - 1, 0)
-            f = log_r - _logsumexp(log_k + g[None, :], axis=1)
-            g = log_c - _logsumexp(log_k + f[:, None], axis=0)
-        plan = np.exp(f[:, None] + log_k + g[None, :])
+            f = _log_scaling(log_k, g, log_r, 1, buf)
+            g = _log_scaling(log_k, f, log_c, 0, buf)
+        _gibbs(f, log_k, g, plan)
         if not np.isfinite(plan).all():
             raise NonFiniteError("transport plan")
         row_err = np.abs(plan.sum(axis=1) - r).sum()

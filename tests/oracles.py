@@ -7,7 +7,11 @@ Hessian directly, the route the library's block elimination replaces, and
 the factored transfer step applies the four affinities one by one, the route
 the library's composite operators replace. The label CSV writer and reader
 go through the ``csv`` module, the route the library's split-and-join code
-replaces.
+replaces. The k-reciprocal sets come from a full stable argsort, the Jaccard
+matrix from a dense float64 product, and the distances, the Sinkhorn loop and
+the transfer step allocate every temporary: the routes the library's
+partition, exact-count and in-place code replaces with the same arithmetic,
+so those are compared bit for bit.
 """
 import csv
 import io
@@ -16,7 +20,8 @@ from dataclasses import replace
 
 import numpy as np
 
-from xmod.core import FileFormatError
+from xmod import transport
+from xmod.core import FileFormatError, NonFiniteError, feature_data
 from xmod.losses import TrainingMode
 
 NOISE = -1
@@ -227,3 +232,129 @@ def read_labels_csv(path):
         raise FileFormatError(f"{path}: no label rows")
     return (np.asarray(hard, dtype=np.int64),
             np.asarray(soft, dtype=np.float64) if soft else None)
+
+
+def pairwise_sq_dists_broadcast(a, b):
+    """|a_i|² + |b_j|² − 2·a_i·b_j by broadcasting, floored at 0."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    sq = (a * a).sum(axis=1)[:, None] + (b * b).sum(axis=1)[None, :] - 2.0 * (a @ b.T)
+    return np.maximum(sq, 0.0)
+
+
+def transfer_step_allocating(state, aff, alpha, anchors=None):
+    """The library's composite transfer step with a fresh array per operation."""
+    if anchors is None:
+        anchors = (alpha * (0.5 * (aff.ho_src @ state.intra0 + state.intra0)),
+                   alpha * (0.5 * (aff.ho_tgt @ state.cross0 + state.cross0)))
+
+    def clamp_renorm(probs):
+        out = np.where(probs < 1e-12, 0.0, probs)
+        return out / out.sum(axis=1, keepdims=True)
+
+    intra_new = clamp_renorm((1.0 - alpha) * (aff.a_st @ state.cross) + anchors[0])
+    cross_new = clamp_renorm((1.0 - alpha) * (aff.a_ts @ state.intra) + anchors[1])
+    eps = max(float(np.abs(intra_new - state.intra).sum()),
+              float(np.abs(cross_new - state.cross).sum()))
+    return replace(state, intra=intra_new, cross=cross_new, t=state.t + 1, epsilon=eps)
+
+
+def k_reciprocal_sets_argsort(features, kappa):
+    """Mutual k-reciprocal sets from a full stable argsort of each row.
+
+    Self is forced to rank 0 (diagonal -1), the other kappa - 1 slots go by
+    squared distance with ties broken toward the lower index.
+    """
+    data = feature_data(features)
+    n = data.shape[0]
+    k = min(kappa, n)
+    d = pairwise_sq_dists_broadcast(data, data)
+    np.fill_diagonal(d, -1.0)
+    order = np.argsort(d, axis=1, kind="stable")
+    member = np.zeros((n, n), dtype=bool)
+    member[np.repeat(np.arange(n), k), order[:, :k].ravel()] = True
+    mutual = member & member.T
+    return [np.flatnonzero(mutual[i]) for i in range(n)]
+
+
+def jaccard_affinity_dense(sets):
+    """|R(i) n R(j)| / |R(i) u R(j)| from a float64 0/1 membership product."""
+    n = len(sets)
+    member = np.zeros((n, n), dtype=np.float64)
+    for i, s in enumerate(sets):
+        member[i, s] = 1.0
+    inter = member @ member.T
+    sizes = member.sum(axis=1)
+    union = sizes[:, None] + sizes[None, :] - inter
+    return inter / union
+
+
+def _logsumexp(a, axis):
+    m = a.max(axis=axis, keepdims=True)
+    m = np.where(np.isfinite(m), m, 0.0)
+    return np.log(np.exp(a - m).sum(axis=axis)) + np.squeeze(m, axis=axis)
+
+
+def _newton_step_allocating(f, g, log_k, r, c, plan):
+    """The library's damped Newton step with every trial plan allocated anew.
+
+    The direction itself comes from ``transport._newton_direction``, which
+    ``newton_direction_dense`` checks on its own; like the library's step,
+    this takes the base value before the direction flushes ``plan``.
+    """
+    base = transport._dual_value(f, g, r, c, plan.sum())
+    try:
+        df, dg = transport._newton_direction(plan, r, c, np.empty_like(plan))
+    except np.linalg.LinAlgError:
+        return None
+    if not (np.isfinite(df).all() and np.isfinite(dg).all()):
+        return None
+    t = 1.0
+    while t > 1e-8:
+        f_new = f + t * df
+        g_new = g + t * dg
+        with np.errstate(over="ignore"):
+            mass = np.exp(f_new[:, None] + log_k + g_new[None, :]).sum()
+        val = transport._dual_value(f_new, g_new, r, c, mass)
+        if np.isfinite(val) and val > base:
+            return f_new, g_new
+        t *= 0.5
+    return None
+
+
+def sinkhorn_allocating(problem):
+    """The TransportPlan of the library's Sinkhorn schedule,
+    written with a fresh array for every sweep, plan and trial mass: plain
+    log-domain sweeps until one keeps more than half of the error, then
+    Newton steps with the same back-off on rejection."""
+    log_k = -problem.lam * problem.cost
+    r, c = problem.row_marginal, problem.col_marginal
+    with np.errstate(divide="ignore"):
+        log_r, log_c = np.log(r), np.log(c)
+    f, g = np.zeros_like(log_r), np.zeros_like(log_c)
+    err, used, stalled, wait, backoff = np.inf, 0, False, 0, 1
+    while used < problem.max_iters:
+        used += 1
+        step = None
+        if stalled and wait == 0:
+            step = _newton_step_allocating(f, g, log_k, r, c, plan)
+            if step is None:
+                wait, backoff = backoff, 2 * backoff
+            else:
+                backoff = 1
+        if step is not None:
+            f, g = step
+        else:
+            wait = max(wait - 1, 0)
+            f = log_r - _logsumexp(log_k + g[None, :], axis=1)
+            g = log_c - _logsumexp(log_k + f[:, None], axis=0)
+        plan = np.exp(f[:, None] + log_k + g[None, :])
+        if not np.isfinite(plan).all():
+            raise NonFiniteError("transport plan")
+        row_err = np.abs(plan.sum(axis=1) - r).sum()
+        col_err = np.abs(plan.sum(axis=0) - c).sum()
+        prev, err = err, max(row_err, col_err)
+        stalled = stalled or err > 0.5 * prev
+        if err < problem.tol:
+            break
+    return transport.TransportPlan(plan, used, float(err), err < problem.tol)

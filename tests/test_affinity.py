@@ -10,6 +10,7 @@ from xmod.affinity import (
 from xmod.synth import SynthSpec, generate
 
 from conftest import random_unit_rows
+from oracles import jaccard_affinity_dense, k_reciprocal_sets_argsort
 
 
 def embed_1d(points) -> np.ndarray:
@@ -65,6 +66,55 @@ class TestKReciprocalSets:
         feats = rng.standard_normal((4, 2))
         sets = k_reciprocal_sets(feats, 99)
         assert all(s.tolist() == [0, 1, 2, 3] for s in sets)
+
+
+def lattice(side: int) -> np.ndarray:
+    """The side x side integer grid: every point has up to four neighbors
+    tied at distance 1, eight within distance 2, so kappa cuts through ties."""
+    return np.array([(i, j) for i in range(side) for j in range(side)], dtype=np.float64)
+
+
+def with_duplicates(rng) -> np.ndarray:
+    """Random rows where rows 1, 2 and 7 repeat row 0 and row 9 repeats row 4."""
+    feats = random_unit_rows(rng, 30, 5)
+    feats[[1, 2, 7]] = feats[0]
+    feats[9] = feats[4]
+    return feats
+
+
+INPUTS = {
+    "random": lambda rng: random_unit_rows(rng, 40, 6),
+    "duplicates": with_duplicates,
+    "lattice": lambda rng: lattice(6),
+}
+KAPPAS = {
+    "1": lambda n: 1, "3": lambda n: 3, "5": lambda n: 5, "9": lambda n: 9,
+    "n-1": lambda n: n - 1, "n": lambda n: n, "n+5": lambda n: n + 5,
+}
+
+
+class TestMatchesArgsortOracle:
+    """The partition k-NN and the exact-count Jaccard give the bits of a full
+    stable argsort and a dense float64 product."""
+
+    @pytest.mark.parametrize("kind", INPUTS)
+    @pytest.mark.parametrize("kappa", KAPPAS)
+    def test_sets_and_jaccard_bitwise(self, rng, kind, kappa):
+        feats = INPUTS[kind](rng)
+        n = feats.shape[0]
+        k = KAPPAS[kappa](n)
+        got = k_reciprocal_sets(feats, k)
+        want = k_reciprocal_sets_argsort(feats, k)
+        assert len(got) == len(want) == n
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and np.array_equal(g, w)
+        assert np.array_equal(jaccard_affinity(got), jaccard_affinity_dense(want))
+
+    def test_lattice_ties_reach_the_cutoff(self):
+        # kappa=3 on the grid: an interior point has four neighbors at
+        # distance 1 and room for two, so the tie rule decides its set
+        d = ((lattice(6)[:, None] - lattice(6)[None]) ** 2).sum(axis=2)
+        assert (np.sort(d, axis=1)[:, 2] == np.sort(d, axis=1)[:, 3]).any()
 
 
 class TestJaccardAffinity:

@@ -12,7 +12,7 @@ import pytest
 import xmod
 from xmod.cli import main
 from xmod.core import NOISE, Modality, PipelineConfig
-from xmod.fileio import read_features, read_labels, write_labels
+from xmod.fileio import read_features, read_labels, write_features, write_labels
 from xmod.losses import TrainingMode
 from xmod.pipeline import run_epoch
 
@@ -170,6 +170,35 @@ class TestAssociate:
         for name in ("intra_v", "cross_v", "intra_r", "cross_r"):
             assert (workdir / "first" / f"{name}.csv").read_bytes() == \
                    (out_b / f"{name}.csv").read_bytes()
+
+    def test_duplicate_rows_finite_stochastic_and_swap_byte_identical(self, workdir):
+        # visible rows 1, 2 repeat row 0; infrared rows 0-2 repeat visible
+        # rows 0-2 and infrared row 9 repeats row 8
+        v = read_features(workdir / "data" / "visible.mfv1", Modality.VISIBLE).data.copy()
+        r = read_features(workdir / "data" / "infrared.mfv1", Modality.INFRARED).data.copy()
+        v[[1, 2]] = v[0]
+        r[:3] = v[:3]
+        r[9] = r[8]
+        write_features(workdir / "dup_v.mfv1", v)
+        write_features(workdir / "dup_r.mfv1", r)
+        outs = []
+        for first, second in (("dup_v", "dup_r"), ("dup_r", "dup_v")):
+            out = workdir / f"labels_{first}"
+            assert main([
+                "associate", "--features-v", str(workdir / f"{first}.mfv1"),
+                "--features-r", str(workdir / f"{second}.mfv1"),
+                "--config", str(workdir / "config.json"), "--out", str(out),
+            ]) == 0
+            outs.append(out)
+        for name in ("intra_v", "cross_v", "intra_r", "cross_r"):
+            hard, soft = read_labels(outs[0] / f"{name}.csv")
+            labeled = hard >= 0
+            assert labeled.any() and np.isfinite(soft).all()
+            assert np.allclose(soft[labeled].sum(axis=1), 1.0, atol=1e-9)
+        for mine, theirs in (("intra_v", "intra_r"), ("cross_r", "cross_v"),
+                             ("intra_r", "intra_v"), ("cross_v", "cross_r")):
+            assert (outs[0] / f"{mine}.csv").read_bytes() == \
+                   (outs[1] / f"{theirs}.csv").read_bytes()
 
     def test_trace_json_validates(self, workdir):
         schema = load_schema("inconsistency_report.schema.json")

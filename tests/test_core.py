@@ -23,6 +23,8 @@ from xmod.synth import SynthSpec, generate
 from xmod.transfer import mult_associate
 from xmod.transport import heterogeneous_plan, otla_init
 
+from oracles import pairwise_sq_dists_broadcast
+
 
 class TestL2NormalizeRows:
     def test_three_four_five_triangle(self):
@@ -110,6 +112,13 @@ class TestPairwiseSqDists:
     def test_nonnegative_on_duplicates(self):
         a = np.ones((3, 5))
         assert pairwise_sq_dists(a, a).min() >= 0.0
+
+    @pytest.mark.parametrize("n, m, d", [(1, 1, 1), (399, 20, 32), (20, 399, 32), (64, 64, 7)])
+    def test_in_place_matches_broadcast_bitwise(self, rng, n, m, d):
+        a = rng.standard_normal((n, d))
+        b = rng.standard_normal((m, d))
+        for x, y in ((a, b), (a, a)):
+            assert np.array_equal(pairwise_sq_dists(x, y), pairwise_sq_dists_broadcast(x, y))
 
 
 class TestPipelineConfig:

@@ -88,6 +88,40 @@ class TestRunEpoch:
         assert whole.l_cm == pytest.approx(split.l_cm, rel=1e-9)
 
 
+def duplicated(fv, fr, where):
+    """Copies of (fv, fr) with exact duplicate rows: within each modality
+    (visible rows 1, 2 repeat row 0, infrared row 5 repeats row 4), across
+    the two (infrared rows 0-2 repeat visible rows 0-2), or both."""
+    v, r = fv.data.copy(), fr.data.copy()
+    if where in ("within", "both"):
+        v[[1, 2]] = v[0]
+        r[5] = r[4]
+    if where in ("across", "both"):
+        r[:3] = v[:3]
+    return FeatureMatrix(v, fv.modality), FeatureMatrix(r, fr.modality)
+
+
+def assert_finite_row_stochastic(labels):
+    for name in ("intra_v", "cross_r", "intra_r", "cross_v"):
+        probs = getattr(labels, name).labels.probs
+        assert np.isfinite(probs).all() and probs.min() >= 0.0
+        assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-12)
+
+
+class TestDuplicateRows:
+    @pytest.mark.parametrize("where", ["within", "across", "both"])
+    def test_finite_stochastic_and_swap_bitwise(self, where):
+        fv, fr = duplicated(*make_instance(seed=7, gap=0.5, per_v=9, per_r=11, std=0.05)[:2],
+                            where)
+        a = run_epoch(fv, fr, 0, CFG).labels
+        b = run_epoch(fr, fv, 0, CFG).labels
+        assert_finite_row_stochastic(a)
+        for mine, theirs in ((a.intra_v, b.intra_r), (a.cross_r, b.cross_v),
+                             (a.intra_r, b.intra_v), (a.cross_v, b.cross_r)):
+            assert np.array_equal(mine.indices, theirs.indices)
+            assert np.array_equal(mine.labels.probs, theirs.labels.probs)
+
+
 # One non-default value per PipelineConfig field, each chosen to move the
 # epoch below. A new field without an entry here fails the test.
 PERTURBED = {

@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from xmod import transfer
+from xmod import affinity, transfer, transport
 from xmod.baselines import associate_greedy_centroid, associate_otla_only
 from xmod.core import NOISE, PipelineConfig, ShapeMismatchError, SoftLabelMatrix
 from xmod.clustering import ClusterAssignment, centroids
@@ -26,6 +26,7 @@ from xmod.transfer import (
 from xmod.transport import heterogeneous_affinity, otla_init
 
 from conftest import random_unit_rows
+import oracles
 from oracles import transfer_step_factored
 
 
@@ -445,6 +446,38 @@ class TestMultAssociate:
                              (ab.intra_r, ba.intra_v), (ab.cross_v, ba.cross_r)):
             assert np.array_equal(mine.indices, theirs.indices)
             assert np.array_equal(mine.labels.probs, theirs.labels.probs)
+
+    @pytest.mark.parametrize("gap, std, gap_mode, per_id", [
+        (0.3, 0.03, GapMode.SHARED_OFFSET, 10),
+        (1.2, 0.08, GapMode.PER_ID_OFFSET, 20),
+    ], ids=["easy", "hard"])
+    def test_matches_allocating_oracles_bitwise(self, monkeypatch, gap, std, gap_mode, per_id):
+        spec = SynthSpec(num_ids=10, per_id_v=per_id, per_id_r=per_id, dim=32,
+                         blob_std=std, modality_gap=gap, gap_mode=gap_mode, seed=4)
+        fv, fr, gt = generate(spec)
+        av = ClusterAssignment(gt.ids_v.astype(np.int64), 10)
+        ar = ClusterAssignment(gt.ids_r.astype(np.int64), 10)
+        cfg = PipelineConfig(kappa=12)
+        fast = mult_associate(fv, fr, av, ar, cfg)
+        calls = []
+
+        def patch(module, name, oracle):
+            def counted(*args):
+                calls.append(name)
+                return oracle(*args)
+            monkeypatch.setattr(module, name, counted)
+
+        patch(affinity, "k_reciprocal_sets", oracles.k_reciprocal_sets_argsort)
+        patch(affinity, "jaccard_affinity", oracles.jaccard_affinity_dense)
+        patch(transport, "pairwise_sq_dists", oracles.pairwise_sq_dists_broadcast)
+        patch(transport, "sinkhorn", oracles.sinkhorn_allocating)
+        patch(transfer, "transfer_step", oracles.transfer_step_allocating)
+        slow = mult_associate(fv, fr, av, ar, cfg)
+        assert set(calls) == {"k_reciprocal_sets", "jaccard_affinity", "pairwise_sq_dists",
+                              "sinkhorn", "transfer_step"}
+        for name in ("intra_v", "cross_r", "intra_r", "cross_v"):
+            assert np.array_equal(getattr(fast, name).labels.probs,
+                                  getattr(slow, name).labels.probs)
 
     def test_each_affinity_built_once(self, monkeypatch):
         calls = {"homogeneous": 0, "heterogeneous": 0}

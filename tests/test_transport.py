@@ -21,7 +21,7 @@ from xmod.transport import (
 )
 
 from conftest import random_unit_rows
-from oracles import newton_direction_dense
+from oracles import newton_direction_dense, sinkhorn_allocating
 
 
 def uniform_problem(cost, lam, **kw) -> TransportProblem:
@@ -260,6 +260,56 @@ class TestSinkhorn:
             TransportProblem(cost, np.array([0.5, 0.5, 0.5]), np.full(3, 1 / 3), 10.0)
 
 
+def hard_400_cost() -> np.ndarray:
+    fv, fr, _ = hard_snapshot(num_ids=20, per_id_v=20, per_id_r=20)
+    return pairwise_sq_dists(fv.data, fr.data)
+
+
+def random_100_cost() -> np.ndarray:
+    rng = np.random.default_rng(0)
+    return pairwise_sq_dists(random_unit_rows(rng, 100, 32), random_unit_rows(rng, 100, 32))
+
+
+class TestOwnedBuffers:
+    """Sweeps, plans and trial masses written into the solve's two buffers
+    give the bits of the loop that allocates each of them."""
+
+    @pytest.mark.parametrize("cost, lam, newton", [
+        pytest.param(lambda: synth_cost(blob_std=0.03, modality_gap=0.3), 25.0, False,
+                     id="plain-sweeps"),
+        pytest.param(hard_400_cost, 25.0, True, id="hard-400-newton"),
+        pytest.param(random_100_cost, 1000.0, True, id="lambda-1000"),
+    ])
+    def test_matches_allocating_loop_bitwise(self, monkeypatch, cost, lam, newton):
+        problem = uniform_problem(cost(), lam=lam)
+        counts = count_newton(monkeypatch)
+        got = sinkhorn(problem)
+        want = sinkhorn_allocating(problem)
+        assert (counts["calls"] > 0) == newton
+        assert got.converged and want.converged
+        assert got.iterations_used == want.iterations_used
+        assert got.marginal_error == want.marginal_error
+        assert np.array_equal(got.plan, want.plan)
+
+    def test_newton_flushes_subnormals_that_the_returned_plan_keeps(self, monkeypatch):
+        problem = uniform_problem(random_100_cost(), lam=1000.0)
+        tiny = np.finfo(np.float64).tiny
+        flushed = []
+        direction = transport._newton_direction
+
+        def recording(plan, r, c, work):
+            had = ((plan > 0.0) & (plan < tiny)).sum()
+            out = direction(plan, r, c, work)
+            flushed.append((had, ((plan > 0.0) & (plan < tiny)).sum()))
+            return out
+
+        monkeypatch.setattr(transport, "_newton_direction", recording)
+        result = sinkhorn(problem)
+        assert flushed[0][0] > 0
+        assert all(after == 0 for _, after in flushed)
+        assert ((result.plan > 0.0) & (result.plan < tiny)).any()
+
+
 class TestNewtonStep:
     @pytest.mark.parametrize(
         "shape, zero_mass",
@@ -276,7 +326,7 @@ class TestNewtonStep:
             plan[0] = 0.0
             r[0] = 0.0
             r /= r.sum()
-        got = transport._newton_direction(plan, r, c)
+        got = transport._newton_direction(plan, r, c, np.empty_like(plan))
         want = newton_direction_dense(plan, r, c)
         assert not got[0][r == 0.0].any() and not want[0][r == 0.0].any()
         # the 1e-12 ridge pins the null direction only to rounding / ridge,
