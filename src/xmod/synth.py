@@ -2,8 +2,18 @@
 
 The generator is deliberately self-contained: a splitmix64 counter feeds
 Box-Muller normals, so the same spec + seed reproduces the same bytes on
-any platform (and the algorithm is simple enough to port for fixtures in
-other languages). Draw order is fixed and documented in ``generate``.
+any platform with the same libm (and the algorithm is simple enough to port
+for fixtures in other languages). Draw order is fixed and documented in
+``generate``.
+
+splitmix64 is a counter RNG, so ``normal_vector`` draws a whole block of
+u64s in one wrapping ``np.uint64`` expression. Every array operation it uses
+(the uint64 arithmetic, float ``*`` and ``sqrt``) is exact or correctly
+rounded elementwise, so a block equals the scalar ``normal`` loop bit for
+bit. The logarithm and cosine go through ``math.log`` and ``math.cos`` one
+value at a time, as the scalar path does: ``np.log`` and ``np.cos`` may run
+numpy's own SIMD kernels, which need not agree with libm (``np.log`` differs
+from ``math.log`` in the last bit on some inputs).
 """
 from __future__ import annotations
 
@@ -25,9 +35,16 @@ _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
+_GAMMA_U64, _MIX1_U64, _MIX2_U64 = (np.uint64(c) for c in (_GAMMA, _MIX1, _MIX2))
 
 # Candidate draws allowed per identity center before giving up.
 _MAX_CENTER_TRIES = 1000
+
+# Center distances are summed in another order than np.linalg.norm sums them,
+# which moves them by at most ~dim ulps. One within this relative distance of
+# id_separation is recomputed with np.linalg.norm, so the decision is exact
+# for any dim below ~10^6.
+_TIE_RTOL = 1e-9
 
 
 class GapMode(Enum):
@@ -52,6 +69,9 @@ class SynthSpec:
             raise ValueError("counts must be >= 1")
         if self.dim < 2:
             raise ValueError("dim must be >= 2")
+        for name in ("id_separation", "blob_std", "modality_gap"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.id_separation < 0.0 or self.blob_std < 0.0 or self.modality_gap < 0.0:
             raise ValueError("scales must be nonnegative")
         if self.id_separation > 2.0:
@@ -62,7 +82,11 @@ class SynthSpec:
 
 
 class SplitMix64:
-    """splitmix64 counter RNG; uniform doubles use the top 53 bits."""
+    """splitmix64 counter RNG; uniform doubles use the top 53 bits.
+
+    ``next_u64``, ``uniform`` and ``normal`` are the scalar reference;
+    ``normal_vector`` draws the same stream in one batch.
+    """
 
     def __init__(self, seed: int):
         self._state = seed & _MASK
@@ -85,30 +109,77 @@ class SplitMix64:
         u2 = self.uniform()
         return math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
 
-    def normal_vector(self, dim: int) -> np.ndarray:
-        return np.array([self.normal() for _ in range(dim)], dtype=np.float64)
+    def normal_vector(self, n: int) -> np.ndarray:
+        """``n`` successive ``normal()`` draws, bit for bit, in one batch.
+
+        Draw k of the stream is mix(state + (k+1)·γ mod 2⁶⁴), so the 2n
+        uniforms come from one wrapping uint64 expression. If any u1 is 0.0,
+        ``normal`` would redraw it; the scalar loop then runs instead, from
+        the same state.
+        """
+        z = np.arange(1, 2 * n + 1, dtype=np.uint64) * _GAMMA_U64
+        z += np.uint64(self._state)
+        z ^= z >> 30
+        z *= _MIX1_U64
+        z ^= z >> 27
+        z *= _MIX2_U64
+        z ^= z >> 31
+        u = (z >> 11).astype(np.float64) * (2.0 ** -53)
+        u1, u2 = u[0::2], u[1::2]
+        if not u1.all():
+            return np.array([self.normal() for _ in range(n)], dtype=np.float64)
+        self._state = (self._state + 2 * n * _GAMMA) & _MASK
+        log_u1 = np.fromiter(map(math.log, u1.tolist()), np.float64, n)
+        cos_u2 = np.fromiter(map(math.cos, ((2.0 * math.pi) * u2).tolist()), np.float64, n)
+        return np.sqrt(-2.0 * log_u1) * cos_u2
 
 
 def _unit(v: np.ndarray) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
+def _far_enough(candidate: np.ndarray, centers: np.ndarray, separation: float) -> bool:
+    """Whether ``np.linalg.norm(candidate - c) >= separation`` for every row c
+    of ``centers``; rows not placed yet are inf, so they never reject."""
+    dist = np.linalg.norm(centers - candidate, axis=1)
+    if (dist < separation * (1.0 - _TIE_RTOL)).any():
+        return False
+    close = np.flatnonzero(dist < separation * (1.0 + _TIE_RTOL))
+    return all(np.linalg.norm(candidate - centers[i]) >= separation for i in close)
+
+
 def _draw_centers(rng: SplitMix64, spec: SynthSpec) -> np.ndarray:
-    centers: list[np.ndarray] = []
+    # Every test works on all num_ids rows: numpy keeps freed small arrays
+    # for reuse by size, so distance arrays growing one row per placed center
+    # would each leave a block behind (~0.1 MiB at 120 identities).
+    centers = np.full((spec.num_ids, spec.dim), np.inf)
     for g in range(spec.num_ids):
         for _ in range(_MAX_CENTER_TRIES):
             candidate = _unit(rng.normal_vector(spec.dim))
-            if all(
-                np.linalg.norm(candidate - c) >= spec.id_separation for c in centers
-            ):
-                centers.append(candidate)
+            if _far_enough(candidate, centers, spec.id_separation):
+                centers[g] = candidate
                 break
         else:
             raise InfeasibleSeparationError(
                 f"could not place center {g} of {spec.num_ids} in dim {spec.dim} "
                 f"with separation {spec.id_separation} after {_MAX_CENTER_TRIES} tries"
             )
-    return np.stack(centers)
+    return centers
+
+
+def _blob(rng: SplitMix64, bases: np.ndarray, per_id: int, blob_std: float) -> np.ndarray:
+    """normalize(base + blob_std * noise) rows, ``per_id`` per base, in order.
+
+    Each identity's noise is one ``per_id × dim`` draw, scaled and shifted in
+    place; a draw for the whole modality would hold its u64s all at once.
+    """
+    num_ids, dim = bases.shape
+    out = np.empty((num_ids * per_id, dim))
+    for g in range(num_ids):
+        rows = out[g * per_id:(g + 1) * per_id]
+        np.multiply(rng.normal_vector(per_id * dim).reshape(per_id, dim), blob_std, out=rows)
+        rows += bases[g]
+    return l2_normalize_rows(out)
 
 
 def generate(spec: SynthSpec) -> tuple[FeatureMatrix, FeatureMatrix, GroundTruth]:
@@ -127,17 +198,9 @@ def generate(spec: SynthSpec) -> tuple[FeatureMatrix, FeatureMatrix, GroundTruth
         [spec.modality_gap * _unit(rng.normal_vector(spec.dim)) for _ in range(n_offsets)]
     )
 
-    def blob(gap_row) -> np.ndarray:
-        rows = []
-        per_id = spec.per_id_v if gap_row is None else spec.per_id_r
-        for g in range(spec.num_ids):
-            base = centers[g] if gap_row is None else centers[g] + offsets[gap_row(g)]
-            for _ in range(per_id):
-                rows.append(base + spec.blob_std * rng.normal_vector(spec.dim))
-        return l2_normalize_rows(np.stack(rows))
-
-    visible = blob(None)
-    infrared = blob((lambda g: 0) if spec.gap_mode is GapMode.SHARED_OFFSET else (lambda g: g))
+    # One offset row broadcasts to every identity; G rows pair up with the G centers.
+    visible = _blob(rng, centers, spec.per_id_v, spec.blob_std)
+    infrared = _blob(rng, centers + offsets, spec.per_id_r, spec.blob_std)
 
     ids_v = np.repeat(np.arange(spec.num_ids, dtype=np.int64), spec.per_id_v)
     ids_r = np.repeat(np.arange(spec.num_ids, dtype=np.int64), spec.per_id_r)

@@ -11,7 +11,10 @@ replaces. The k-reciprocal sets come from a full stable argsort, the Jaccard
 matrix from a dense float64 product, and the distances, the Sinkhorn loop and
 the transfer step allocate every temporary: the routes the library's
 partition, exact-count and in-place code replaces with the same arithmetic,
-so those are compared bit for bit.
+so those are compared bit for bit. The synthetic generator draws one
+Box-Muller normal at a time through the splitmix64 scalar reference, the
+route the library's batch draw and vectorised center rejection replace, so
+its bytes are compared too.
 """
 import csv
 import io
@@ -21,8 +24,18 @@ from dataclasses import replace
 import numpy as np
 
 from xmod import transport
-from xmod.core import FileFormatError, NonFiniteError, feature_data
+from xmod.core import (
+    FeatureMatrix,
+    FileFormatError,
+    InfeasibleSeparationError,
+    Modality,
+    NonFiniteError,
+    feature_data,
+    l2_normalize_rows,
+)
 from xmod.losses import TrainingMode
+from xmod.metrics import GroundTruth
+from xmod.synth import GapMode, SplitMix64
 
 NOISE = -1
 
@@ -358,3 +371,63 @@ def sinkhorn_allocating(problem):
         if err < problem.tol:
             break
     return transport.TransportPlan(plan, used, float(err), err < problem.tol)
+
+
+def _scalar_normal_vector(rng, dim):
+    return np.array([rng.normal() for _ in range(dim)], dtype=np.float64)
+
+
+def _unit(v):
+    return v / np.linalg.norm(v)
+
+
+def _draw_centers_scalar(rng, spec, max_tries=1000):
+    centers = []
+    for g in range(spec.num_ids):
+        for _ in range(max_tries):
+            candidate = _unit(_scalar_normal_vector(rng, spec.dim))
+            if all(
+                np.linalg.norm(candidate - c) >= spec.id_separation for c in centers
+            ):
+                centers.append(candidate)
+                break
+        else:
+            raise InfeasibleSeparationError(
+                f"could not place center {g} of {spec.num_ids} in dim {spec.dim} "
+                f"with separation {spec.id_separation} after {max_tries} tries"
+            )
+    return np.stack(centers)
+
+
+def generate_scalar(spec):
+    """``synth.generate`` drawing one ``SplitMix64.normal()`` at a time and
+    testing each candidate center against each placed one with
+    ``np.linalg.norm``, in the documented draw order."""
+    rng = SplitMix64(spec.seed)
+    centers = _draw_centers_scalar(rng, spec)
+
+    n_offsets = 1 if spec.gap_mode is GapMode.SHARED_OFFSET else spec.num_ids
+    offsets = np.stack(
+        [spec.modality_gap * _unit(_scalar_normal_vector(rng, spec.dim))
+         for _ in range(n_offsets)]
+    )
+
+    def blob(gap_row):
+        rows = []
+        per_id = spec.per_id_v if gap_row is None else spec.per_id_r
+        for g in range(spec.num_ids):
+            base = centers[g] if gap_row is None else centers[g] + offsets[gap_row(g)]
+            for _ in range(per_id):
+                rows.append(base + spec.blob_std * _scalar_normal_vector(rng, spec.dim))
+        return l2_normalize_rows(np.stack(rows))
+
+    visible = blob(None)
+    infrared = blob((lambda g: 0) if spec.gap_mode is GapMode.SHARED_OFFSET else (lambda g: g))
+
+    ids_v = np.repeat(np.arange(spec.num_ids, dtype=np.int64), spec.per_id_v)
+    ids_r = np.repeat(np.arange(spec.num_ids, dtype=np.int64), spec.per_id_r)
+    return (
+        FeatureMatrix(visible, Modality.VISIBLE),
+        FeatureMatrix(infrared, Modality.INFRARED),
+        GroundTruth(ids_v, ids_r),
+    )

@@ -82,6 +82,23 @@ class TestSynth:
         assert (tmp_path / "a" / "visible.mfv1").read_bytes() != \
                (tmp_path / "b" / "visible.mfv1").read_bytes()
 
+    @pytest.mark.parametrize(
+        "flag,value,field",
+        [("--std", "nan", "blob_std"), ("--std", "inf", "blob_std"),
+         ("--gap", "nan", "modality_gap"), ("--gap", "inf", "modality_gap"),
+         ("--separation", "nan", "id_separation")],
+    )
+    def test_non_finite_scale_exit_2_before_drawing(
+        self, tmp_path, capsys, monkeypatch, flag, value, field
+    ):
+        monkeypatch.setattr("xmod.cli.generate", lambda spec: pytest.fail("drew a dataset"))
+        out = tmp_path / "data"
+        code = main(["synth", "--ids", "3", f"{flag}={value}", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == f"error: {field} must be finite, got {float(value)}\n"
+        assert not out.exists()
+
 
 class TestCluster:
     @pytest.mark.parametrize("metric", ["euclidean", "jaccard"])
@@ -225,6 +242,64 @@ class TestAssociate:
         assert code == 1
         assert err.startswith("error:") and err.count("\n") == 1 and "--trace" in err
         assert not out.exists() and not trace_dir.exists()
+
+
+@pytest.fixture(scope="module")
+def hard_set(tmp_path_factory):
+    """100 + 100 rows, 10 identities, per-identity gap: the edge matrix's input."""
+    data = tmp_path_factory.mktemp("hard") / "data"
+    assert main([
+        "synth", "--ids", "10", "--per-id-v", "10", "--per-id-r", "10",
+        "--std", "0.08", "--gap", "1.2", "--gap-mode", "per-id", "--seed", "3",
+        "--out", str(data),
+    ]) == 0
+    return data
+
+
+def associate_with(hard_set, tmp_path, overrides):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(overrides))
+    out = tmp_path / "labels"
+    code = main([
+        "associate",
+        "--features-v", str(hard_set / "visible.mfv1"),
+        "--features-r", str(hard_set / "infrared.mfv1"),
+        "--config", str(config), "--out", str(out),
+    ])
+    return code, out
+
+
+class TestEdgeMatrix:
+    """Extreme config values through ``xmod associate`` on the hard set."""
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [{"dbscan_eps": 10.0}, {"kappa": 1}, {"alpha": 0.0}, {"alpha": 1.0},
+         {"tau": 1e-6}, {"tau": 1e6}, {"ot_lambda": 1e-3}, {"epsilon0": 1e-300}],
+        ids=["one-cluster", "kappa-1", "alpha-0", "alpha-1", "tau-1e-6", "tau-1e6",
+             "lambda-1e-3", "epsilon0-1e-300"],
+    )
+    def test_extreme_value_writes_row_stochastic_labels(self, hard_set, tmp_path, overrides):
+        code, out = associate_with(hard_set, tmp_path, overrides)
+        assert code == 0
+        assert sorted(p.name for p in out.iterdir()) == [
+            "cross_r.csv", "cross_v.csv", "intra_r.csv", "intra_v.csv",
+        ]
+        for path in out.iterdir():
+            hard, soft = read_labels(path)
+            labeled = hard >= 0
+            assert hard.shape == (100,) and labeled.any()
+            assert soft.shape[1] == (1 if "dbscan_eps" in overrides else 10)
+            assert np.isfinite(soft).all() and (soft >= 0.0).all()
+            assert np.allclose(soft[labeled].sum(axis=1), 1.0, atol=1e-9)
+            assert np.array_equal(soft[labeled].argmax(axis=1), hard[labeled])
+
+    def test_all_noise_exit_2_and_writes_nothing(self, hard_set, tmp_path, capsys):
+        code, out = associate_with(hard_set, tmp_path, {"dbscan_eps": 1e-4})
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert not out.exists()
 
 
 def eval_argv(workdir, labels, out, gt=None):

@@ -3,8 +3,25 @@ import math
 import numpy as np
 import pytest
 
+from oracles import generate_scalar
 from xmod.core import InfeasibleSeparationError
 from xmod.synth import GapMode, SplitMix64, SynthSpec, generate
+
+GAMMA = 0x9E3779B97F4A7C15
+
+
+def zero_at(k):
+    """A seed whose draw k (0-based) is exactly 0: mix(0) == 0."""
+    return -(k + 1) * GAMMA % 2 ** 64
+
+
+def assert_same_bytes(spec):
+    fv, fr, gt = generate(spec)
+    ov, orr, ogt = generate_scalar(spec)
+    assert fv.data.tobytes() == ov.data.tobytes()
+    assert fr.data.tobytes() == orr.data.tobytes()
+    assert gt.ids_v.tobytes() == ogt.ids_v.tobytes()
+    assert gt.ids_r.tobytes() == ogt.ids_r.tobytes()
 
 
 class TestSplitMix64:
@@ -38,6 +55,25 @@ class TestSplitMix64:
         assert v.shape == (5,)
         assert v.dtype == np.float64
 
+    @pytest.mark.parametrize(
+        "seed,n",
+        [(0, 1), (7, 64), (2 ** 64 - 1, 33), (-12345, 1000),
+         (zero_at(0), 5), (zero_at(1), 5), (zero_at(6), 5), (zero_at(9), 5)],
+        ids=["seed0", "seed7", "max", "negative", "u1-first", "u2-first",
+             "u1-inside", "u2-last"],
+    )
+    def test_normal_vector_equals_scalar_draws_and_state(self, seed, n):
+        batch, scalar = SplitMix64(seed), SplitMix64(seed)
+        drawn = batch.normal_vector(n)
+        expected = np.array([scalar.normal() for _ in range(n)])
+        assert drawn.tobytes() == expected.tobytes()
+        assert batch._state == scalar._state
+        assert batch.next_u64() == scalar.next_u64()
+
+    def test_zero_seed_draws_zero(self):
+        s = SplitMix64(zero_at(4))
+        assert [s.next_u64() == 0 for _ in range(6)] == [False] * 4 + [True, False]
+
 
 class TestSynthSpecValidation:
     def test_rejects_bad_counts(self):
@@ -59,6 +95,12 @@ class TestSynthSpecValidation:
     def test_separation_beyond_diameter(self):
         with pytest.raises(InfeasibleSeparationError):
             SynthSpec(num_ids=2, id_separation=2.5)
+
+    @pytest.mark.parametrize("field", ["id_separation", "blob_std", "modality_gap"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_scales_naming_the_field(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            SynthSpec(num_ids=2, **{field: value})
 
 
 class TestGenerate:
@@ -178,3 +220,55 @@ class TestGenerate:
         fv, fr, _ = generate(spec)
         assert np.abs(fv.data - np.stack(vis)).max() < 1e-15
         assert np.abs(fr.data - np.stack(infra)).max() < 1e-15
+
+
+XBENCH_SPECS = {
+    "easy-epoch": SynthSpec(num_ids=50, per_id_v=20, per_id_r=20, dim=64, blob_std=0.03,
+                            modality_gap=0.3, gap_mode=GapMode.SHARED_OFFSET, seed=101),
+    "hard-epoch": SynthSpec(num_ids=20, per_id_v=20, per_id_r=20, dim=32, blob_std=0.08,
+                            modality_gap=1.2, gap_mode=GapMode.PER_ID_OFFSET, seed=102),
+    "cli-roundtrip": SynthSpec(num_ids=120, per_id_v=5, per_id_r=5, dim=64, blob_std=0.03,
+                               modality_gap=0.3, gap_mode=GapMode.SHARED_OFFSET, seed=103),
+}
+
+
+class TestMatchesScalarOracle:
+    """``generate`` against the one-normal-at-a-time route, byte for byte."""
+
+    @pytest.mark.parametrize("name", sorted(XBENCH_SPECS))
+    def test_benchmark_workload_specs(self, name):
+        assert_same_bytes(XBENCH_SPECS[name])
+
+    @pytest.mark.parametrize("gap_mode", list(GapMode))
+    def test_crowded_rejection(self, gap_mode):
+        # 6 centers in dim 4 at separation 1.2 take 34 candidates
+        assert_same_bytes(SynthSpec(num_ids=6, per_id_v=3, per_id_r=2, dim=4,
+                                    id_separation=1.2, blob_std=0.2, modality_gap=0.5,
+                                    gap_mode=gap_mode, seed=4))
+
+    # Separation 0 accepts every candidate, so the draw index of each normal is
+    # known. 2 ids x dim 3: draws 0-11 are the centers, 12-17 the shared offset,
+    # 18-41 the visible noise (2 x 2 x 3 normals) and 42-65 the infrared noise.
+    # Even draws are u1 (a zero is redrawn), odd draws u2 (cos(0) = 1).
+    @pytest.mark.parametrize(
+        "k", [0, 13, 18, 32, 33, 41, 42, 64, 65],
+        ids=["center-u1", "offset-u2", "visible-first-u1", "visible-u1", "visible-u2",
+             "visible-last-u2", "infrared-first-u1", "infrared-last-u1", "infrared-last-u2"],
+    )
+    def test_zero_draw(self, k):
+        spec = SynthSpec(num_ids=2, per_id_v=2, per_id_r=2, dim=3, id_separation=0.0,
+                         blob_std=0.5, modality_gap=0.4, seed=zero_at(k))
+        assert_same_bytes(spec)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_separation_tie(self, seed):
+        # Set id_separation to the first two candidates' exact distance, then
+        # one ulp above it: the second is accepted, then rejected, as
+        # np.linalg.norm's own rounding decides.
+        rng = SplitMix64(seed)
+        first, second = (v / np.linalg.norm(v) for v in (rng.normal_vector(64),
+                                                         rng.normal_vector(64)))
+        dist = float(np.linalg.norm(second - first))
+        base = dict(num_ids=2, per_id_v=1, per_id_r=1, dim=64, blob_std=0.0, seed=seed)
+        for separation in (dist, np.nextafter(dist, 3.0)):
+            assert_same_bytes(SynthSpec(id_separation=float(separation), **base))
