@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 
 import numpy as np
@@ -128,6 +129,11 @@ def _cmd_associate(args) -> int:
     if args.trace:
         os.makedirs(args.trace, exist_ok=True)
         for tag, entries in result.traces.items():
+            # A longer earlier run of this direction must not leave its later steps.
+            stale = re.compile(rf"{tag}_t\d{{3,}}\.json")
+            for name in os.listdir(args.trace):
+                if stale.fullmatch(name):
+                    os.remove(os.path.join(args.trace, name))
             for entry in entries:
                 path = os.path.join(args.trace, f"{tag}_t{entry['t']:03d}.json")
                 write_json(path, entry)

@@ -1,7 +1,7 @@
 """Forward-only training objectives over memory-bank predictions.
 
-Nothing here backpropagates; the functions report what the objectives would
-be for a batch of features and the label matrices the association step
+Nothing here backpropagates; loss_report gives what the objectives would be
+for a batch of features and the label matrices the association step
 produced. The active mode decides which cluster space the shared and
 auxiliary banks live in: visible clusters in V-based epochs, infrared in
 R-based ones.
@@ -128,8 +128,7 @@ def soft_cross_entropy(pred, target):
     return float(ce) if ce.ndim == 0 else ce
 
 
-def _mean_ce(features: np.ndarray, bank: MemoryBank, tau: float, target: np.ndarray) -> float:
-    pred = memory_probabilities(features, bank, tau)
+def _mean_ce(pred: np.ndarray, target: np.ndarray) -> float:
     if pred.shape[1] != target.shape[1]:
         raise ModeMismatchError(
             f"bank space {pred.shape[1]} does not match label space {target.shape[1]}"
@@ -137,57 +136,39 @@ def _mean_ce(features: np.ndarray, bank: MemoryBank, tau: float, target: np.ndar
     return float(soft_cross_entropy(pred, target).mean())
 
 
-def loss_im(batch: Batch, banks: ModeBanks, tau: float) -> tuple[float, float]:
-    """Intra-modality objectives (l_im_v, l_im_r) for the active mode."""
-    if banks.mode is TrainingMode.V_BASED:
-        l_v = _mean_ce(batch.features_v, banks.intra_v, tau, batch.intra_v)
-        l_r = (_mean_ce(batch.features_r, banks.intra_r, tau, batch.intra_r)
-               + _mean_ce(batch.features_r, banks.intra_cross, tau, batch.cross_r))
-    else:
-        # The visible term scores infrared features against the visible intra
-        # bank; the auxiliary term scores visible features in the infrared space.
-        l_v = (_mean_ce(batch.features_r, banks.intra_v, tau, batch.intra_v)
-               + _mean_ce(batch.features_v, banks.intra_cross, tau, batch.cross_v))
-        l_r = _mean_ce(batch.features_r, banks.intra_r, tau, batch.intra_r)
-    return l_v, l_r
-
-
-def loss_cm(batch: Batch, banks: ModeBanks, tau: float) -> float:
-    """Cross-modality objective: both modalities scored on the shared bank."""
-    if banks.mode is TrainingMode.V_BASED:
-        return (_mean_ce(batch.features_v, banks.shared, tau, batch.intra_v)
-                + _mean_ce(batch.features_r, banks.shared, tau, batch.cross_r))
-    return (_mean_ce(batch.features_v, banks.shared, tau, batch.cross_v)
-            + _mean_ce(batch.features_r, banks.shared, tau, batch.intra_r))
-
-
-def loss_oclr(
-    batch: Batch, banks: ModeBanks, tau: float, sharpen_divisor: float
-) -> tuple[float, float]:
-    """Online refinement objective (visible, infrared).
-
-    Shared-bank predictions are pulled toward the sharper (tau / divisor)
-    predictions of the mode's intra and intra-cross banks; both banks live in
-    the source cluster space, so the same pair serves both modalities.
-    """
-    intra = banks.intra_v if banks.mode is TrainingMode.V_BASED else banks.intra_r
-    sharp = tau / sharpen_divisor
-
-    def one(features: np.ndarray) -> float:
-        base = memory_probabilities(features, banks.shared, tau)
-        t1 = memory_probabilities(features, intra, sharp)
-        t2 = memory_probabilities(features, banks.intra_cross, sharp)
-        return float(
-            soft_cross_entropy(base, t1).mean() + soft_cross_entropy(base, t2).mean()
-        )
-
-    return one(batch.features_v), one(batch.features_r)
-
-
 def loss_report(
     batch: Batch, banks: ModeBanks, tau: float, sharpen_divisor: float
 ) -> LossReport:
-    l_im_v, l_im_r = loss_im(batch, banks, tau)
-    l_cm = loss_cm(batch, banks, tau)
-    l_oclr_v, l_oclr_r = loss_oclr(batch, banks, tau, sharpen_divisor)
-    return LossReport.assemble(l_im_v, l_im_r, l_cm, l_oclr_v, l_oclr_r)
+    """All five objectives of one batch for the active mode.
+
+    l_im_v / l_im_r are the intra-modality objectives and l_cm scores both
+    modalities on the shared bank. l_oclr_v / l_oclr_r pull each modality's
+    shared-bank prediction toward the sharper (tau / divisor) predictions of
+    the mode's intra and intra-cross banks; both banks live in the source
+    cluster space, so the same pair serves both modalities. Each shared-bank
+    prediction is computed once and feeds both l_cm and l_oclr.
+    """
+    def ce(features: np.ndarray, bank: MemoryBank, target: np.ndarray) -> float:
+        return _mean_ce(memory_probabilities(features, bank, tau), target)
+
+    fv, fr = batch.features_v, batch.features_r
+    if banks.mode is TrainingMode.V_BASED:
+        intra, cm_v, cm_r = banks.intra_v, batch.intra_v, batch.cross_r
+        l_im_v = ce(fv, banks.intra_v, batch.intra_v)
+        l_im_r = ce(fr, banks.intra_r, batch.intra_r) + ce(fr, banks.intra_cross, batch.cross_r)
+    else:
+        intra, cm_v, cm_r = banks.intra_r, batch.cross_v, batch.intra_r
+        # The visible term scores infrared features against the visible intra
+        # bank; the auxiliary term scores visible features in the infrared space.
+        l_im_v = ce(fr, banks.intra_v, batch.intra_v) + ce(fv, banks.intra_cross, batch.cross_v)
+        l_im_r = ce(fr, banks.intra_r, batch.intra_r)
+    shared_v = memory_probabilities(fv, banks.shared, tau)
+    shared_r = memory_probabilities(fr, banks.shared, tau)
+    l_cm = _mean_ce(shared_v, cm_v) + _mean_ce(shared_r, cm_r)
+    sharp = tau / sharpen_divisor
+
+    def oclr(features: np.ndarray, base: np.ndarray) -> float:
+        return (_mean_ce(base, memory_probabilities(features, intra, sharp))
+                + _mean_ce(base, memory_probabilities(features, banks.intra_cross, sharp)))
+
+    return LossReport.assemble(l_im_v, l_im_r, l_cm, oclr(fv, shared_v), oclr(fr, shared_r))

@@ -50,7 +50,10 @@ class MetricsReport:
 MetricsReport.NAMES = tuple(f.name for f in fields(MetricsReport))
 
 
-def _pair_counts(pred_a, pred_b, gt_a, gt_b, include_self: bool):
+def pair_accuracy_recall(pred_a, pred_b, gt_a, gt_b, include_self: bool):
+    """(accuracy, recall) from one count of the pairs: the fraction of
+    same-identity pairs that received the same label, and the fraction of
+    same-label pairs that are truly the same identity."""
     pa = np.asarray(pred_a, dtype=np.int64)
     pb = np.asarray(pred_b, dtype=np.int64)
     ga = np.asarray(gt_a, dtype=np.int64)
@@ -65,14 +68,7 @@ def _pair_counts(pred_a, pred_b, gt_a, gt_b, include_self: bool):
         np.fill_diagonal(pred_match, False)
         np.fill_diagonal(gt_match, False)
     hits = int((pred_match & gt_match).sum())
-    return hits, int(gt_match.sum()), int(pred_match.sum())
-
-
-def pair_accuracy_recall(pred_a, pred_b, gt_a, gt_b, include_self: bool):
-    """(accuracy, recall) from one count of the pairs: the fraction of
-    same-identity pairs that received the same label, and the fraction of
-    same-label pairs that are truly the same identity."""
-    hits, gt_pairs, pred_pairs = _pair_counts(pred_a, pred_b, gt_a, gt_b, include_self)
+    gt_pairs, pred_pairs = int(gt_match.sum()), int(pred_match.sum())
     return (hits / gt_pairs if gt_pairs else None), (hits / pred_pairs if pred_pairs else None)
 
 
@@ -102,9 +98,7 @@ def report_from_hard(
                          intra_re_v, intra_re_r, cross_re_v, cross_re_r)
 
 
-def full_report(
-    result: AssociationResult, gt: GroundTruth, include_self: bool = True
-) -> MetricsReport:
+def full_report(result: AssociationResult, gt: GroundTruth) -> MetricsReport:
     """Harden all four association outputs and score them against identities."""
     for name in ("intra_v", "cross_r", "intra_r", "cross_v"):
         if getattr(result, name) is None:
@@ -117,5 +111,4 @@ def full_report(
         result.intra_r.hard_full(result.n_infrared),
         result.cross_v.hard_full(result.n_visible),
         gt,
-        include_self,
     )

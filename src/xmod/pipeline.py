@@ -7,8 +7,6 @@ truth is available, the metrics report.
 """
 from __future__ import annotations
 
-import io
-import csv
 import os
 import re
 from dataclasses import dataclass
@@ -103,14 +101,11 @@ def _format_metric(value: float | None) -> str:
 
 
 def trace_csv_text(rows: list[tuple[int, MetricsReport]]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(("epoch",) + MetricsReport.NAMES)
-    for epoch, report in rows:
-        writer.writerow(
-            [epoch] + [_format_metric(getattr(report, n)) for n in MetricsReport.NAMES]
-        )
-    return buf.getvalue()
+    """The trace CSV: a header, then one LF-ended line per epoch."""
+    lines = [",".join([str(epoch)] + [_format_metric(getattr(report, n))
+                                      for n in MetricsReport.NAMES])
+             for epoch, report in rows]
+    return "\n".join([",".join(("epoch",) + MetricsReport.NAMES), *lines, ""])
 
 
 def run_trace(

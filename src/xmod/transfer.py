@@ -311,6 +311,13 @@ def associate_directions(
     )
 
 
+def _row_order(a: np.ndarray, b: np.ndarray) -> int:
+    """-1, 0 or 1 as a sorts before, ties with or sorts after b by (row
+    count, bytes); the byte copies are freed on return."""
+    key_a, key_b = (a.shape[0], a.tobytes()), (b.shape[0], b.tobytes())
+    return (key_a > key_b) - (key_a < key_b)
+
+
 def mult_associate(
     features_v,
     features_r,
@@ -327,14 +334,20 @@ def mult_associate(
     modality's graph, the cross-modality plan and the two composites are
     built once and shared by both directions. The plan is solved with the
     subset that sorts first by (row count, bytes) on the rows, so swapping
-    the modalities swaps the outputs bit for bit.
+    the modalities swaps the outputs bit for bit; when the two subsets are
+    byte-identical, both directions use the plan's row normalization.
     """
     v = clustered_side(features_v, assign_v)
     r = clustered_side(features_r, assign_r)
     ho_v = homogeneous_affinity(v.rows, cfg.kappa)
     ho_r = homogeneous_affinity(r.rows, cfg.kappa)
-    if (v.rows.shape[0], v.rows.tobytes()) <= (r.rows.shape[0], r.rows.tobytes()):
+    order = _row_order(v.rows, r.rows)
+    if order <= 0:
         he_vr, he_rv = heterogeneous_affinity(v.rows, r.rows, cfg.ot_lambda)
+        if order == 0:
+            # Identical modalities: the plan is symmetric only up to rounding,
+            # so both directions read the one row-normalized plan.
+            he_rv = he_vr
     else:
         he_rv, he_vr = heterogeneous_affinity(r.rows, v.rows, cfg.ot_lambda)
     aff_v2r = DirectionAffinities(ho_v, ho_r, he_vr, he_rv)

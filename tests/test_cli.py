@@ -217,6 +217,16 @@ class TestAssociate:
             assert (outs[0] / f"{mine}.csv").read_bytes() == \
                    (outs[1] / f"{theirs}.csv").read_bytes()
 
+    def test_same_file_twice_gives_identical_sides(self, workdir):
+        visible = str(workdir / "data" / "visible.mfv1")
+        out = workdir / "labels_same"
+        assert main([
+            "associate", "--features-v", visible, "--features-r", visible,
+            "--config", str(workdir / "config.json"), "--out", str(out),
+        ]) == 0
+        assert (out / "intra_v.csv").read_bytes() == (out / "intra_r.csv").read_bytes()
+        assert (out / "cross_r.csv").read_bytes() == (out / "cross_v.csv").read_bytes()
+
     def test_trace_json_validates(self, workdir):
         schema = load_schema("inconsistency_report.schema.json")
         trace_dir = workdir / "trace"
@@ -233,6 +243,31 @@ class TestAssociate:
             assert steps == list(range(len(steps)))
             first = json.loads(files[0].read_text())
             assert first["epsilon"] is None
+
+    def test_trace_rerun_replaces_only_its_directions_steps(self, workdir):
+        def associate(trace_dir, epsilon0, direction="both"):
+            cfg = workdir / f"config_{epsilon0}.json"
+            cfg.write_text(json.dumps(dict(CONFIG, epsilon0=epsilon0)))
+            assert main([
+                "associate", "--features-v", str(workdir / "data" / "visible.mfv1"),
+                "--features-r", str(workdir / "data" / "infrared.mfv1"),
+                "--direction", direction, "--config", str(cfg),
+                "--trace", str(trace_dir), "--out", str(workdir / "labels"),
+            ]) == 0
+            return {p.name: p.read_bytes() for p in trace_dir.iterdir()}
+
+        fresh = associate(workdir / "fresh", 1e-2)
+        reused = workdir / "reused"
+        longer = associate(reused, 1e-6)
+        assert set(fresh) < set(longer)
+        (reused / "notes.txt").write_text("kept")
+        (reused / "v2r_t999.json.bak").write_text("kept")
+        rerun = associate(reused, 1e-2)
+        assert rerun.pop("notes.txt") == rerun.pop("v2r_t999.json.bak") == b"kept"
+        assert rerun == fresh
+        split = workdir / "split"
+        associate(split, 1e-2, "v2r")
+        assert associate(split, 1e-2, "r2v") == fresh
 
     @pytest.mark.parametrize("method", ["otla", "greedy"])
     def test_trace_with_baseline_exit_1_and_writes_nothing(self, workdir, capsys, method):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from xmod import losses
 from xmod.core import ModeMismatchError, ShapeMismatchError
 from xmod.clustering import MemoryBank, memory_probabilities
 from xmod.losses import (
@@ -10,9 +11,6 @@ from xmod.losses import (
     LossReport,
     ModeBanks,
     TrainingMode,
-    loss_cm,
-    loss_im,
-    loss_oclr,
     loss_report,
     mean_reports,
     soft_cross_entropy,
@@ -120,7 +118,7 @@ class TestLossIm:
             cross_v=np.array([[1.0, 0.0]]),
             cross_r=np.array([[1.0, 0.0]]),
         )
-        l_v, _ = loss_im(batch, banks, tau=1.0)
+        l_v = loss_report(batch, banks, tau=1.0, sharpen_divisor=5.0).l_im_v
         assert l_v == pytest.approx(0.31326, abs=1e-5)
 
     def test_uniform_everything(self, rng):
@@ -137,14 +135,15 @@ class TestLossIm:
             cross_v=np.full((b, 4), 0.25),
             cross_r=np.full((b, 4), 0.25),
         )
-        l_v, l_r = loss_im(batch, banks, tau=0.05)
+        rep = loss_report(batch, banks, tau=0.05, sharpen_divisor=5.0)
+        l_v, l_r = rep.l_im_v, rep.l_im_r
         assert l_v == pytest.approx(math.log(4.0), abs=1e-9)
         assert l_r == pytest.approx(2.0 * math.log(4.0), abs=1e-9)
 
     def test_v_based_infrared_has_two_terms(self, rng):
         batch = random_batch(rng)
         banks = banks_for(rng, TrainingMode.V_BASED)
-        _, l_r = loss_im(batch, banks, tau=0.05)
+        l_r = loss_report(batch, banks, tau=0.05, sharpen_divisor=5.0).l_im_r
         expect = (
             oracles.mean_ce(batch.features_r, banks.intra_r.prototypes, 0.05, batch.intra_r)
             + oracles.mean_ce(batch.features_r, banks.intra_cross.prototypes, 0.05, batch.cross_r)
@@ -154,7 +153,8 @@ class TestLossIm:
     def test_r_based_visible_terms(self, rng):
         batch = random_batch(rng)
         banks = banks_for(rng, TrainingMode.R_BASED)
-        l_v, l_r = loss_im(batch, banks, tau=0.05)
+        rep = loss_report(batch, banks, tau=0.05, sharpen_divisor=5.0)
+        l_v, l_r = rep.l_im_v, rep.l_im_r
         expect_v = (
             oracles.mean_ce(batch.features_r, banks.intra_v.prototypes, 0.05, batch.intra_v)
             + oracles.mean_ce(batch.features_v, banks.intra_cross.prototypes, 0.05, batch.cross_v)
@@ -174,7 +174,7 @@ class TestLossIm:
             cross_r=batch.cross_r,
         )
         with pytest.raises(ModeMismatchError):
-            loss_im(bad, banks_for(rng, TrainingMode.V_BASED), tau=0.05)
+            loss_report(bad, banks_for(rng, TrainingMode.V_BASED), tau=0.05, sharpen_divisor=5.0)
 
 
 class TestLossCm:
@@ -190,7 +190,7 @@ class TestLossCm:
             cross_v=np.eye(3),
             cross_r=np.eye(3),
         )
-        assert loss_cm(batch, banks, tau=0.01) < 1e-6
+        assert loss_report(batch, banks, tau=0.01, sharpen_divisor=5.0).l_cm < 1e-6
 
     def test_uniform_k3(self, rng):
         proto = random_unit_rows(rng, 1, 4)
@@ -204,14 +204,15 @@ class TestLossCm:
             cross_v=np.full((2, 3), 1 / 3),
             cross_r=np.full((2, 3), 1 / 3),
         )
-        assert loss_cm(batch, banks, tau=0.05) == pytest.approx(2.0 * math.log(3.0), abs=1e-9)
-        assert loss_cm(batch, banks, tau=0.05) == pytest.approx(2.19722, abs=1e-5)
+        l_cm = loss_report(batch, banks, tau=0.05, sharpen_divisor=5.0).l_cm
+        assert l_cm == pytest.approx(2.0 * math.log(3.0), abs=1e-9)
+        assert l_cm == pytest.approx(2.19722, abs=1e-5)
 
     def test_matches_oracle_both_modes(self, rng):
         for mode in TrainingMode:
             batch = random_batch(rng)
             banks = banks_for(rng, mode)
-            got = loss_cm(batch, banks, tau=0.05)
+            got = loss_report(batch, banks, tau=0.05, sharpen_divisor=5.0).l_cm
             sh = banks.shared.prototypes
             if mode is TrainingMode.V_BASED:
                 expect = (oracles.mean_ce(batch.features_v, sh, 0.05, batch.intra_v)
@@ -227,7 +228,8 @@ class TestLossOclr:
         bank = make_bank(rng, 3, 5)
         banks = ModeBanks(TrainingMode.V_BASED, bank, bank, bank, bank)
         batch = uniform_batch(random_unit_rows(rng, 4, 5), random_unit_rows(rng, 4, 5), 3)
-        l_v, l_r = loss_oclr(batch, banks, tau=0.05, sharpen_divisor=1.0)
+        rep = loss_report(batch, banks, tau=0.05, sharpen_divisor=1.0)
+        l_v, l_r = rep.l_oclr_v, rep.l_oclr_r
         for feats, got in ((batch.features_v, l_v), (batch.features_r, l_r)):
             pred = memory_probabilities(feats, bank, 0.05)
             entropy = float((-(pred * np.log(pred)).sum(axis=1)).mean())
@@ -236,7 +238,7 @@ class TestLossOclr:
     def test_huge_divisor_hits_argmax_limit(self, rng):
         banks = banks_for(rng, TrainingMode.V_BASED, kv=3, kr=3)
         batch = uniform_batch(random_unit_rows(rng, 4, 6), random_unit_rows(rng, 4, 6), 3)
-        l_v, _ = loss_oclr(batch, banks, tau=0.05, sharpen_divisor=1e6)
+        l_v = loss_report(batch, banks, tau=0.05, sharpen_divisor=1e6).l_oclr_v
         base = memory_probabilities(batch.features_v, banks.shared, 0.05)
         t1 = np.argmax(memory_probabilities(batch.features_v, banks.intra_v, 0.05), axis=1)
         t2 = np.argmax(memory_probabilities(batch.features_v, banks.intra_cross, 0.05), axis=1)
@@ -248,7 +250,8 @@ class TestLossOclr:
         for mode in TrainingMode:
             batch = random_batch(rng)
             banks = banks_for(rng, mode)
-            got_v, got_r = loss_oclr(batch, banks, tau=0.05, sharpen_divisor=5.0)
+            rep = loss_report(batch, banks, tau=0.05, sharpen_divisor=5.0)
+            got_v, got_r = rep.l_oclr_v, rep.l_oclr_r
             *_, exp_v, exp_r = oracles.loss_report_oracle(batch, banks, 0.05, 5.0)
             assert got_v == pytest.approx(exp_v, abs=1e-9)
             assert got_r == pytest.approx(exp_r, abs=1e-9)
@@ -281,6 +284,21 @@ class TestLossReport:
             expect = oracles.loss_report_oracle(batch, banks, 0.05, 5.0)
             got = (rep.l_im_v, rep.l_im_r, rep.l_cm, rep.l_oclr_v, rep.l_oclr_r)
             assert np.allclose(got, expect, atol=1e-9)
+
+    @pytest.mark.parametrize("mode", list(TrainingMode), ids=lambda m: m.value)
+    def test_each_prediction_computed_once(self, rng, monkeypatch, mode):
+        # three intra-modality, two shared-bank and four sharpened predictions;
+        # each shared-bank one feeds both l_cm and its modality's l_oclr
+        calls = []
+
+        def counted(features, bank, tau):
+            calls.append(tau)
+            return memory_probabilities(features, bank, tau)
+
+        monkeypatch.setattr(losses, "memory_probabilities", counted)
+        loss_report(random_batch(rng), banks_for(rng, mode), tau=0.05, sharpen_divisor=5.0)
+        assert len(calls) == 9
+        assert calls.count(0.05) == 5 and calls.count(0.05 / 5.0) == 4
 
     def test_mean_reports(self):
         a = LossReport.assemble(1.0, 2.0, 3.0, 4.0, 5.0)

@@ -91,8 +91,11 @@ class TestRunEpoch:
 def duplicated(fv, fr, where):
     """Copies of (fv, fr) with exact duplicate rows: within each modality
     (visible rows 1, 2 repeat row 0, infrared row 5 repeats row 4), across
-    the two (infrared rows 0-2 repeat visible rows 0-2), or both."""
+    the two (infrared rows 0-2 repeat visible rows 0-2), both, or everywhere
+    (the infrared rows are a copy of the visible ones)."""
     v, r = fv.data.copy(), fr.data.copy()
+    if where == "identical":
+        r = v.copy()
     if where in ("within", "both"):
         v[[1, 2]] = v[0]
         r[5] = r[4]
@@ -109,7 +112,7 @@ def assert_finite_row_stochastic(labels):
 
 
 class TestDuplicateRows:
-    @pytest.mark.parametrize("where", ["within", "across", "both"])
+    @pytest.mark.parametrize("where", ["within", "across", "both", "identical"])
     def test_finite_stochastic_and_swap_bitwise(self, where):
         fv, fr = duplicated(*make_instance(seed=7, gap=0.5, per_v=9, per_r=11, std=0.05)[:2],
                             where)
