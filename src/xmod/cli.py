@@ -134,8 +134,10 @@ def _cmd_associate(args) -> int:
             for name in os.listdir(args.trace):
                 if stale.fullmatch(name):
                     os.remove(os.path.join(args.trace, name))
+            # Zero-padded to the last step's width, so names sort in step order.
+            width = max(3, len(str(entries[-1]["t"])))
             for entry in entries:
-                path = os.path.join(args.trace, f"{tag}_t{entry['t']:03d}.json")
+                path = os.path.join(args.trace, f"{tag}_t{entry['t']:0{width}d}.json")
                 write_json(path, entry)
     return 0
 

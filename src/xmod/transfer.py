@@ -332,15 +332,14 @@ def mult_associate(
     V2R treats visible as the source (labels live in the visible cluster
     space); R2V is the same computation with the modalities swapped. Each
     modality's graph, the cross-modality plan and the two composites are
-    built once and shared by both directions. The plan is solved with the
+    built once and shared by both directions. The plan is solved first, so
+    neither graph is alive during the solve. It is solved with the
     subset that sorts first by (row count, bytes) on the rows, so swapping
     the modalities swaps the outputs bit for bit; when the two subsets are
     byte-identical, both directions use the plan's row normalization.
     """
     v = clustered_side(features_v, assign_v)
     r = clustered_side(features_r, assign_r)
-    ho_v = homogeneous_affinity(v.rows, cfg.kappa)
-    ho_r = homogeneous_affinity(r.rows, cfg.kappa)
     order = _row_order(v.rows, r.rows)
     if order <= 0:
         he_vr, he_rv = heterogeneous_affinity(v.rows, r.rows, cfg.ot_lambda)
@@ -350,6 +349,8 @@ def mult_associate(
             he_rv = he_vr
     else:
         he_rv, he_vr = heterogeneous_affinity(r.rows, v.rows, cfg.ot_lambda)
+    ho_v = homogeneous_affinity(v.rows, cfg.kappa)
+    ho_r = homogeneous_affinity(r.rows, cfg.kappa)
     aff_v2r = DirectionAffinities(ho_v, ho_r, he_vr, he_rv)
     affs = {True: aff_v2r, False: aff_v2r.swapped()}
 

@@ -3,7 +3,7 @@ the cross-modality instance affinity and the balanced cluster-label init."""
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -21,15 +21,18 @@ from .clustering import MemoryBank
 
 @dataclass(frozen=True)
 class TransportProblem:
-    cost: np.ndarray
+    """Positive marginals and the log-kernel -lam * cost; the cost is not kept."""
+
+    cost: InitVar[np.ndarray]
     row_marginal: np.ndarray
     col_marginal: np.ndarray
     lam: float
     max_iters: int = 10_000
     tol: float = 1e-9
+    log_k: np.ndarray = field(init=False)
 
-    def __post_init__(self):
-        c = np.asarray(self.cost, dtype=np.float64)
+    def __post_init__(self, cost):
+        c = np.asarray(cost, dtype=np.float64)
         r = np.asarray(self.row_marginal, dtype=np.float64)
         s = np.asarray(self.col_marginal, dtype=np.float64)
         if c.ndim != 2 or c.shape[0] == 0 or c.shape[1] == 0:
@@ -38,15 +41,15 @@ class TransportProblem:
             raise ShapeMismatchError("marginal lengths do not match the cost matrix")
         if not np.isfinite(c).all():
             raise NonFiniteError("transport cost")
-        if r.min() < 0.0 or s.min() < 0.0:
-            raise ValueError("marginals must be nonnegative")
+        if r.min() <= 0.0 or s.min() <= 0.0:
+            raise ValueError("marginals must be positive")
         if abs(r.sum() - 1.0) > 1e-9 or abs(s.sum() - 1.0) > 1e-9:
             raise ValueError("marginals must each sum to 1")
         if self.lam <= 0.0:
             raise ValueError("lam must be positive")
         if self.max_iters < 1 or self.tol <= 0.0:
             raise ValueError("bad solver parameters")
-        object.__setattr__(self, "cost", c)
+        object.__setattr__(self, "log_k", -self.lam * c)
         object.__setattr__(self, "row_marginal", r)
         object.__setattr__(self, "col_marginal", s)
 
@@ -63,12 +66,10 @@ def _log_scaling(log_k, other, log_marginal, axis: int, buf) -> np.ndarray:
     """log_marginal - logsumexp(log_k + other, axis), for a row (axis=1,
     other = g) or a column (axis=0, other = f) update of the potentials.
 
-    Every N x M intermediate is written into ``buf``. A row or column whose
-    entries are all -inf keeps its -inf.
+    Every N x M intermediate is written into ``buf``.
     """
     np.add(log_k, np.expand_dims(other, 1 - axis), out=buf)
     top = buf.max(axis=axis, keepdims=True)
-    top[~np.isfinite(top)] = 0.0
     buf -= top
     np.exp(buf, out=buf)
     out = np.log(buf.sum(axis=axis))
@@ -84,14 +85,8 @@ def _gibbs(f, log_k, g, out) -> np.ndarray:
 
 
 def _dual_value(f, g, r, c, mass) -> float:
-    """Entropic dual: f.r + g.c - total plan mass, to be maximized.
-
-    The dot products run over the support: a zero-mass entry has potential
-    -inf, and -inf * 0 would turn the whole dual into nan.
-    """
-    rs = r > 0.0
-    cs = c > 0.0
-    return float(f[rs] @ r[rs] + g[cs] @ c[cs] - mass)
+    """Entropic dual: f.r + g.c - total plan mass, to be maximized."""
+    return float(f @ r + g @ c - mass)
 
 
 # Plan entries below the smallest normal float64 are flushed to zero before
@@ -186,12 +181,11 @@ def sinkhorn(problem: TransportProblem) -> TransportPlan:
     rebuilt from f and g after every sweep or step, and one buffer that every
     sweep and Newton step works in.
     """
-    log_k = -problem.lam * problem.cost
+    log_k = problem.log_k
     r = problem.row_marginal
     c = problem.col_marginal
-    with np.errstate(divide="ignore"):
-        log_r = np.log(r)
-        log_c = np.log(c)
+    log_r = np.log(r)
+    log_c = np.log(c)
     f = np.zeros_like(log_r)
     g = np.zeros_like(log_c)
     buf = np.empty_like(log_k)
@@ -243,9 +237,10 @@ def heterogeneous_plan(features_v, features_r, lam: float) -> TransportPlan:
     """
     fv = feature_data(features_v)
     fr = feature_data(features_r)
-    cost = pairwise_sq_dists(fv, fr)
-    nv, nr = cost.shape
-    problem = TransportProblem(cost, np.full(nv, 1.0 / nv), np.full(nr, 1.0 / nr), lam)
+    nv, nr = fv.shape[0], fr.shape[0]
+    problem = TransportProblem(
+        pairwise_sq_dists(fv, fr), np.full(nv, 1.0 / nv), np.full(nr, 1.0 / nr), lam
+    )
     return sinkhorn(problem)
 
 

@@ -1,6 +1,8 @@
 """Shared fixtures and the acceptance-summary terminal hook."""
 from __future__ import annotations
 
+import xmod  # noqa: F401  (applies XMOD_THREADS before numpy loads BLAS)
+
 import numpy as np
 import pytest
 

@@ -340,10 +340,9 @@ def sinkhorn_allocating(problem):
     written with a fresh array for every sweep, plan and trial mass: plain
     log-domain sweeps until one keeps more than half of the error, then
     Newton steps with the same back-off on rejection."""
-    log_k = -problem.lam * problem.cost
+    log_k = problem.log_k
     r, c = problem.row_marginal, problem.col_marginal
-    with np.errstate(divide="ignore"):
-        log_r, log_c = np.log(r), np.log(c)
+    log_r, log_c = np.log(r), np.log(c)
     f, g = np.zeros_like(log_r), np.zeros_like(log_c)
     err, used, stalled, wait, backoff = np.inf, 0, False, 0, 1
     while used < problem.max_iters:

@@ -269,6 +269,21 @@ class TestAssociate:
         associate(split, 1e-2, "v2r")
         assert associate(split, 1e-2, "r2v") == fresh
 
+    def test_trace_names_sort_in_step_order_past_step_999(self, workdir):
+        cfg = workdir / "long.json"
+        cfg.write_text(json.dumps(dict(CONFIG, epsilon0=1e-300, max_transfer_iters=1001)))
+        trace_dir = workdir / "trace"
+        assert main([
+            "associate", "--features-v", str(workdir / "data" / "visible.mfv1"),
+            "--features-r", str(workdir / "data" / "infrared.mfv1"),
+            "--direction", "v2r", "--config", str(cfg),
+            "--trace", str(trace_dir), "--out", str(workdir / "labels"),
+        ]) == 0
+        names = sorted(p.name for p in trace_dir.iterdir())
+        steps = [json.loads((trace_dir / name).read_text())["t"] for name in names]
+        assert steps == list(range(1002))
+        assert names[0] == "v2r_t0000.json" and names[-1] == "v2r_t1001.json"
+
     @pytest.mark.parametrize("method", ["otla", "greedy"])
     def test_trace_with_baseline_exit_1_and_writes_nothing(self, workdir, capsys, method):
         trace_dir = workdir / "trace"
@@ -642,3 +657,15 @@ class TestThreads:
         out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                              capture_output=True, text=True).stdout
         assert out.split() == ["1"]
+
+    def test_this_process_runs_one_thread_under_xmod_threads_1(self):
+        # conftest imports xmod before numpy, so the pin reaches this process
+        if os.environ.get("XMOD_THREADS") != "1":
+            print("XMOD_THREADS is not 1: thread count not checked")
+            pytest.skip("XMOD_THREADS is not 1")
+        a = np.ones((1500, 1500))
+        (a @ a).sum()
+        with open("/proc/self/status") as fh:
+            threads = [line.split()[1] for line in fh if line.startswith("Threads:")]
+        print(f"XMOD_THREADS=1: the test process runs {threads[0]} thread(s)")
+        assert threads == ["1"]

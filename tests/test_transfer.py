@@ -496,6 +496,23 @@ class TestMultAssociate:
         mult_associate(fv, fr, av, ar, PipelineConfig(kappa=8), Direction.BOTH)
         assert calls == {"homogeneous": 2, "heterogeneous": 1}
 
+    @pytest.mark.parametrize("swap", [False, True], ids=["v-fewer", "r-fewer"])
+    def test_plan_rows_are_the_side_with_fewer_rows_before_bytes(self, monkeypatch, swap):
+        # 21 visible rows against 27 infrared, and the visible rows have the
+        # larger bytes: keying on bytes alone would put the infrared side on rows
+        fv, fr, av, ar, _ = blob_instance(seed=1, gap=0.2, per_id_v=7, per_id_r=9)
+        assert fv.data.tobytes() > fr.data.tobytes()
+        shapes = []
+
+        def recording(rows, cols, lam):
+            shapes.append((len(rows), len(cols)))
+            return heterogeneous_affinity(rows, cols, lam)
+
+        monkeypatch.setattr(transfer, "heterogeneous_affinity", recording)
+        args = (fr, fv, ar, av) if swap else (fv, fr, av, ar)
+        mult_associate(*args, PipelineConfig(kappa=8))
+        assert shapes == [(21, 27)]
+
     @pytest.mark.parametrize("direction", list(Direction), ids=lambda d: d.value)
     def test_each_composite_built_once(self, monkeypatch, direction):
         built, used = [], []
