@@ -90,56 +90,95 @@ def _dual_value(f, g, r, c, mass) -> float:
 
 
 # Plan entries below the smallest normal float64 are flushed to zero before
-# the Schur product: they slow BLAS several-fold and carry nothing it resolves.
+# the conjugate-gradient mat-vecs: they slow BLAS several-fold and carry
+# nothing the solve resolves.
 _TINY = np.finfo(np.float64).tiny
 
 
-def _newton_direction(plan, r, c, work):
+def _conjugate_gradient(apply_s, rhs, diag, forcing):
+    """Solve S x = rhs by conjugate gradient preconditioned by diag(S).
+
+    ``apply_s`` maps p to S p. Starts from zero and stops once the residual
+    norm is at most ``forcing`` times rhs's, or after as many iterations as
+    S has unknowns. A breakdown (p^T S p <= 0 or a non-finite value) ends
+    the solve at the current iterate.
+    """
+    x = np.zeros_like(rhs)
+    res = rhs.copy()
+    z = res / diag
+    p = z.copy()
+    rz = res @ z
+    stop_sq = forcing * forcing * (rhs @ rhs)
+    for _ in range(rhs.size):
+        if res @ res <= stop_sq:
+            break
+        q = apply_s(p)
+        pq = p @ q
+        if not 0.0 < pq < np.inf:
+            break
+        alpha = rz / pq
+        x += alpha * p
+        res -= alpha * q
+        np.divide(res, diag, out=z)
+        rz, rz_old = res @ z, rz
+        p *= rz / rz_old
+        p += z
+    return x
+
+
+def _newton_direction(plan, a, b, r, c, work, forcing):
     """Newton direction (df, dg) of the dual at ``plan``, by block elimination.
 
     The ridged system is ([[diag a, P], [P^T, diag b]] + ridge*I) [df; dg] =
-    [r - a; c - b] with a = P1 and b = P^T 1. Eliminating the diagonal block
+    [r - a; c - b] with a = P1 and b = P^T 1, the plan's row and column
+    sums, which the caller passes in. Eliminating the diagonal block
     of the longer side leaves the min(n, m)-square Schur complement: for
     n >= m, S = diag(b + ridge) - P^T diag(1/(a + ridge)) P solves for dg,
-    and df follows by back-substitution. No (n+m)-square array is formed.
-    After a and b are summed, the subnormal entries of ``plan`` are flushed
-    to zero in place; diag(1/(a + ridge)) P is written into ``work``, a
-    plan-sized buffer.
+    and df follows by back-substitution. S is never formed: conjugate
+    gradient applies it as two plan mat-vecs per iteration, preconditioned
+    by its diagonal b + ridge - sum_i P_ij^2 / (a_i + ridge), and stops once
+    the residual falls to ``forcing`` times the right-hand side's norm
+    (inexact Newton) or after dim(S) iterations. The subnormal entries of
+    ``plan`` are flushed to zero in place, after a and b were summed; the
+    squared plan for the diagonal is written into ``work``, a plan-sized
+    buffer.
     """
-    a = plan.sum(axis=1)
-    b = plan.sum(axis=0)
     ridge = 1e-12 * max(a.max(), b.max()) + 1e-300
     plan[plan < _TINY] = 0.0
+    squared = np.square(plan, out=work)
     flip = plan.shape[0] < plan.shape[1]
     if flip:
-        plan, a, b, r, c = plan.T, b, a, c, r
+        plan, squared, a, b, r, c = plan.T, squared.T, b, a, c, r
     da = a + ridge
-    scaled = np.divide(plan, da[:, None], out=work.reshape(plan.shape))
-    s = -(plan.T @ scaled)
-    s[np.diag_indices_from(s)] += b + ridge
-    y = np.linalg.solve(s, (c - b) - plan.T @ ((r - a) / da))
+    db = b + ridge
+    diag = db - (1.0 / da) @ squared
+    rhs = (c - b) - ((r - a) / da) @ plan
+
+    def apply_s(p):
+        return db * p - ((plan @ p) / da) @ plan
+
+    y = _conjugate_gradient(apply_s, rhs, diag, forcing)
     x = ((r - a) - plan @ y) / da
     return (y, x) if flip else (x, y)
 
 
-def _newton_step(f, g, log_k, r, c, plan, buf):
+def _newton_step(f, g, log_k, r, c, plan, a, b, buf, forcing):
     """One damped Newton step on the dual potentials, or None if it fails.
 
-    ``plan`` is exp(f + log_k + g), the plan at the current potentials, so
-    the step neither rebuilds it nor recomputes the dual's base value. The
-    dual Hessian is -[[diag(P1), P], [P^T, diag(P^T 1)]]; it is singular
-    along the constant shift (f+s, g-s), so a tiny ridge pins the solve
+    ``plan`` is exp(f + log_k + g), the plan at the current potentials, and
+    a and b are its row and column sums, so the step neither rebuilds the
+    plan nor sums it along either axis again. The dual Hessian is
+    -[[diag(P1), P], [P^T, diag(P^T 1)]]; it is singular
+    along the constant shift (f+s, g-s), so a tiny ridge pins the solve,
+    which conjugate gradient runs to relative residual ``forcing``
     (``_newton_direction``). A halving line search accepts the first step
     that strictly increases the dual, which keeps the plan mass finite at
-    every accepted state. The direction flushes ``plan``'s subnormals, which
-    the caller rebuilds after every step, and works in ``buf``, as does each
-    trial plan.
+    every accepted state. The direction flushes ``plan``'s subnormals and
+    works in ``buf``, as does each trial plan, so after an accepted step
+    ``buf`` holds exp(f + log_k + g) at the returned potentials.
     """
     base = _dual_value(f, g, r, c, plan.sum())
-    try:
-        df, dg = _newton_direction(plan, r, c, buf)
-    except np.linalg.LinAlgError:
-        return None
+    df, dg = _newton_direction(plan, a, b, r, c, buf, forcing)
     if not (np.isfinite(df).all() and np.isfinite(dg).all()):
         return None
     t = 1.0
@@ -169,8 +208,9 @@ def sinkhorn(problem: TransportProblem) -> TransportPlan:
     by less than half (``_STALL``); from then on the potentials are polished
     by damped Newton steps on the dual, which share the sweeps' fixed point.
     Each Newton step starts from the plan the previous error check built and
-    solves a min(n, m)-square system (``_newton_step``), so a K-column OTLA
-    init solves K x K systems however many rows it has.
+    solves a min(n, m)-unknown system by conjugate gradient, to a relative
+    residual of min(0.1, error) (``_newton_step``), so a K-column OTLA init
+    solves K-unknown systems however many rows it has.
     A Newton step whose line search fails falls back to a plain sweep, and
     the next attempt waits for more plain sweeps: one after the first
     rejection, doubling with each consecutive rejection, back to one after
@@ -178,8 +218,9 @@ def sinkhorn(problem: TransportProblem) -> TransportPlan:
     drops below ``tol``; if the iteration cap is hit with error above
     10*tol a NotConvergedWarning is emitted and the plan is returned anyway.
     Besides ``log_k`` the solve holds two N x M arrays: the plan, which is
-    rebuilt from f and g after every sweep or step, and one buffer that every
-    sweep and Newton step works in.
+    rebuilt from f and g after every sweep, and one buffer that every sweep
+    and Newton step works in. An accepted Newton step leaves its trial plan,
+    exp(f + log_k + g) at the new potentials, in the buffer, so the two swap.
     """
     log_k = problem.log_k
     r = problem.row_marginal
@@ -199,22 +240,26 @@ def sinkhorn(problem: TransportProblem) -> TransportPlan:
         used += 1
         step = None
         if stalled and wait == 0:
-            step = _newton_step(f, g, log_k, r, c, plan, buf)
+            step = _newton_step(f, g, log_k, r, c, plan, row_mass, col_mass, buf,
+                                min(0.1, err))
             if step is None:
                 wait, backoff = backoff, 2 * backoff
             else:
                 backoff = 1
         if step is not None:
             f, g = step
+            plan, buf = buf, plan  # the accepted trial plan
         else:
             wait = max(wait - 1, 0)
             f = _log_scaling(log_k, g, log_r, 1, buf)
             g = _log_scaling(log_k, f, log_c, 0, buf)
-        _gibbs(f, log_k, g, plan)
+            _gibbs(f, log_k, g, plan)
         if not np.isfinite(plan).all():
             raise NonFiniteError("transport plan")
-        row_err = np.abs(plan.sum(axis=1) - r).sum()
-        col_err = np.abs(plan.sum(axis=0) - c).sum()
+        row_mass = plan.sum(axis=1)
+        col_mass = plan.sum(axis=0)
+        row_err = np.abs(row_mass - r).sum()
+        col_err = np.abs(col_mass - c).sum()
         prev, err = err, max(row_err, col_err)
         stalled = stalled or err > _STALL * prev
         if err < problem.tol:

@@ -308,7 +308,7 @@ def _logsumexp(a, axis):
     return np.log(np.exp(a - m).sum(axis=axis)) + np.squeeze(m, axis=axis)
 
 
-def _newton_step_allocating(f, g, log_k, r, c, plan):
+def _newton_step_allocating(f, g, log_k, r, c, plan, forcing):
     """The library's damped Newton step with every trial plan allocated anew.
 
     The direction itself comes from ``transport._newton_direction``, which
@@ -316,10 +316,8 @@ def _newton_step_allocating(f, g, log_k, r, c, plan):
     this takes the base value before the direction flushes ``plan``.
     """
     base = transport._dual_value(f, g, r, c, plan.sum())
-    try:
-        df, dg = transport._newton_direction(plan, r, c, np.empty_like(plan))
-    except np.linalg.LinAlgError:
-        return None
+    df, dg = transport._newton_direction(plan, plan.sum(axis=1), plan.sum(axis=0), r, c,
+                                         np.empty_like(plan), forcing)
     if not (np.isfinite(df).all() and np.isfinite(dg).all()):
         return None
     t = 1.0
@@ -349,7 +347,7 @@ def sinkhorn_allocating(problem):
         used += 1
         step = None
         if stalled and wait == 0:
-            step = _newton_step_allocating(f, g, log_k, r, c, plan)
+            step = _newton_step_allocating(f, g, log_k, r, c, plan, min(0.1, err))
             if step is None:
                 wait, backoff = backoff, 2 * backoff
             else:
