@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import feature_data, pairwise_sq_dists, row_nonzeros
+from .core import feature_data, pairwise_sq_dists
 
 
 # Rows of the distance matrix partitioned at a time: a block's partition copy
@@ -16,8 +16,9 @@ from .core import feature_data, pairwise_sq_dists, row_nonzeros
 _KNN_BLOCK_ROWS = 128
 
 
-def k_reciprocal_sets(features, kappa: int) -> list[np.ndarray]:
-    """Mutual k-reciprocal neighbor sets R(i, kappa), each sorted ascending.
+def k_reciprocal_sets(features, kappa: int) -> np.ndarray:
+    """Mutual k-reciprocal neighbor sets as a symmetric N x N boolean mask:
+    row i holds R(i, kappa).
 
     kNN(i, kappa) always contains i itself; remaining slots are filled by
     Euclidean distance with ties at the cutoff broken toward lower index.
@@ -47,24 +48,23 @@ def k_reciprocal_sets(features, kappa: int) -> list[np.ndarray]:
             at = dist == cut
             room = k - np.count_nonzero(below, axis=1)
             near[tied] = below | (at & (np.cumsum(at, axis=1) <= room[:, None]))
-    return row_nonzeros(member & member.T)
+    member &= member.T
+    return member
 
 
-def jaccard_affinity(sets: list[np.ndarray]) -> np.ndarray:
-    """S_ij = |R(i) n R(j)| / |R(i) u R(j)|. Symmetric with unit diagonal.
+def jaccard_affinity(mask: np.ndarray) -> np.ndarray:
+    """S_ij = |R(i) n R(j)| / |R(i) u R(j)| for the sets in the rows of a
+    boolean mask. Symmetric with unit diagonal for a k-reciprocal mask.
 
-    The overlap counts come from a 0/1 membership product, whose sums of
+    The overlap counts come from the mask's 0/1 float product, whose sums of
     ones are exact integers; the union is formed in the membership array's
     place and the quotient in the product's. (A float32 product is faster
     from 600 rows up, but its BLAS packing buffers add about 0.5 MiB of
     resident memory, which a 400-row epoch never gets back.)
     """
-    n = len(sets)
-    sizes = np.array([s.size for s in sets])
-    member = np.zeros((n, n))
-    member[np.repeat(np.arange(n), sizes), np.concatenate(sets)] = 1.0
+    sizes = np.count_nonzero(mask, axis=1).astype(np.float64)
+    member = mask.astype(np.float64)
     inter = member @ member.T
-    sizes = sizes.astype(np.float64)
     union = np.add(sizes[:, None], sizes[None, :], out=member)
     union -= inter
     inter /= union

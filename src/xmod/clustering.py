@@ -1,7 +1,6 @@
 """Density clustering, cluster prototypes, and memory-bank probabilities."""
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 
@@ -15,7 +14,6 @@ from .core import (
     feature_data,
     l2_normalize_rows,
     pairwise_sq_dists,
-    row_nonzeros,
 )
 from .affinity import jaccard_affinity, k_reciprocal_sets
 
@@ -100,35 +98,32 @@ def dbscan(
 ) -> ClusterAssignment:
     """Deterministic DBSCAN over a dense pairwise distance matrix.
 
-    Points are scanned in index order; cluster ids are assigned in order of
-    first core-point discovery, and a border point reachable from several
-    clusters stays with the first one that claimed it. ``kappa`` only matters
-    for the Jaccard distance, which is computed from k-reciprocal sets.
+    The ε-graph stays one boolean mask. Core points are taken in index
+    order, and each one not yet labeled starts the next cluster id: its core
+    component grows by boolean fronts, and every point within eps of the
+    component that is still noise joins the cluster. A border point
+    reachable from several clusters therefore stays with the first one that
+    claimed it. ``kappa`` only matters for the Jaccard distance, which is
+    computed from k-reciprocal sets.
     """
     dist = _pairwise_distance(features, metric, kappa)
     n = dist.shape[0]
-    neighborhoods = row_nonzeros(dist <= eps)
+    near = dist <= eps
+    core = np.count_nonzero(near, axis=1) >= min_samples
     labels = np.full(n, NOISE, dtype=np.int64)
-    visited = np.zeros(n, dtype=bool)
     cid = 0
-    for i in range(n):
-        if visited[i]:
+    for i in np.flatnonzero(core):
+        if labels[i] != NOISE:
             continue
-        visited[i] = True
-        seeds = neighborhoods[i]
-        if seeds.size < min_samples:
-            continue  # stays noise unless a later cluster claims it as border
-        labels[i] = cid
-        queue = deque(seeds)
-        while queue:
-            j = queue.popleft()
-            if not visited[j]:
-                visited[j] = True
-                reach = neighborhoods[j]
-                if reach.size >= min_samples:
-                    queue.extend(reach)
-            if labels[j] == NOISE:
-                labels[j] = cid
+        comp = np.zeros(n, dtype=bool)
+        comp[i] = True
+        front = comp
+        while front.any():
+            front = near[front].any(axis=0) & core & ~comp
+            comp |= front
+        claim = near[comp].any(axis=0)
+        claim[i] = True
+        labels[claim & (labels == NOISE)] = cid
         cid += 1
     return ClusterAssignment(labels, cid)
 

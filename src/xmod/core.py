@@ -126,13 +126,6 @@ def pairwise_sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return sq
 
 
-def row_nonzeros(mask: np.ndarray) -> list[np.ndarray]:
-    """The column indices of each row's True entries, ascending, from one
-    ``np.nonzero`` over the whole matrix."""
-    rows, cols = np.nonzero(mask)
-    return np.split(cols, np.cumsum(np.bincount(rows, minlength=mask.shape[0]))[:-1])
-
-
 @dataclass(frozen=True)
 class FeatureMatrix:
     """N x d float64 matrix with unit-L2 rows, tagged with its modality."""

@@ -41,3 +41,11 @@ def rng():
 
 def random_unit_rows(rng, n: int, d: int) -> np.ndarray:
     return l2_normalize_rows(rng.standard_normal((n, d)))
+
+
+def with_duplicates(rng) -> np.ndarray:
+    """Random unit rows where rows 1, 2 and 7 repeat row 0 and row 9 repeats row 4."""
+    feats = random_unit_rows(rng, 30, 5)
+    feats[[1, 2, 7]] = feats[0]
+    feats[9] = feats[4]
+    return feats

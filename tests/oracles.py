@@ -11,7 +11,9 @@ replaces. The k-reciprocal sets come from a full stable argsort, the Jaccard
 matrix from a dense float64 product, and the distances, the Sinkhorn loop and
 the transfer step allocate every temporary: the routes the library's
 partition, exact-count and in-place code replaces with the same arithmetic,
-so those are compared bit for bit. The synthetic generator draws one
+so those are compared bit for bit. DBSCAN walks per-row neighbor lists with
+a queue, the route the library's boolean component fronts replace, so its
+labels are compared exactly. The synthetic generator draws one
 Box-Muller normal at a time through the splitmix64 scalar reference, the
 route the library's batch draw and vectorised center rejection replace, so
 its bytes are compared too.
@@ -19,11 +21,13 @@ its bytes are compared too.
 import csv
 import io
 import math
+from collections import deque
 from dataclasses import replace
 
 import numpy as np
 
 from xmod import transport
+from xmod.clustering import ClusterAssignment, DistanceMetric, _pairwise_distance
 from xmod.core import (
     FeatureMatrix,
     FileFormatError,
@@ -286,20 +290,53 @@ def k_reciprocal_sets_argsort(features, kappa):
     order = np.argsort(d, axis=1, kind="stable")
     member = np.zeros((n, n), dtype=bool)
     member[np.repeat(np.arange(n), k), order[:, :k].ravel()] = True
-    mutual = member & member.T
-    return [np.flatnonzero(mutual[i]) for i in range(n)]
+    return member & member.T
 
 
-def jaccard_affinity_dense(sets):
-    """|R(i) n R(j)| / |R(i) u R(j)| from a float64 0/1 membership product."""
-    n = len(sets)
-    member = np.zeros((n, n), dtype=np.float64)
-    for i, s in enumerate(sets):
-        member[i, s] = 1.0
+def jaccard_affinity_dense(mask):
+    """|R(i) n R(j)| / |R(i) u R(j)| from a float64 0/1 membership product,
+    for the sets in the rows of a boolean mask."""
+    member = np.where(mask, 1.0, 0.0)
     inter = member @ member.T
     sizes = member.sum(axis=1)
     union = sizes[:, None] + sizes[None, :] - inter
     return inter / union
+
+
+def dbscan_queue(features, eps, min_samples,
+                 metric=DistanceMetric.EUCLIDEAN, kappa=30):
+    """DBSCAN by a queue BFS over per-row neighbor index lists.
+
+    Points are scanned in index order; cluster ids are assigned in order of
+    first core-point discovery, and a border point reachable from several
+    clusters stays with the first one that claimed it.
+    """
+    dist = _pairwise_distance(features, metric, kappa)
+    n = dist.shape[0]
+    neighborhoods = [np.flatnonzero(row) for row in dist <= eps]
+    labels = np.full(n, NOISE, dtype=np.int64)
+    visited = np.zeros(n, dtype=bool)
+    cid = 0
+    for i in range(n):
+        if visited[i]:
+            continue
+        visited[i] = True
+        seeds = neighborhoods[i]
+        if seeds.size < min_samples:
+            continue  # stays noise unless a later cluster claims it as border
+        labels[i] = cid
+        queue = deque(seeds)
+        while queue:
+            j = queue.popleft()
+            if not visited[j]:
+                visited[j] = True
+                reach = neighborhoods[j]
+                if reach.size >= min_samples:
+                    queue.extend(reach)
+            if labels[j] == NOISE:
+                labels[j] = cid
+        cid += 1
+    return ClusterAssignment(labels, cid)
 
 
 def _logsumexp(a, axis):

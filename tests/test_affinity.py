@@ -9,7 +9,7 @@ from xmod.affinity import (
 )
 from xmod.synth import SynthSpec, generate
 
-from conftest import random_unit_rows
+from conftest import random_unit_rows, with_duplicates
 from oracles import jaccard_affinity_dense, k_reciprocal_sets_argsort
 
 
@@ -18,68 +18,71 @@ def embed_1d(points) -> np.ndarray:
     return np.stack([pts, np.zeros_like(pts)], axis=1)
 
 
+def rows(mask: np.ndarray) -> list[list[int]]:
+    """The column indices of each row's True entries, ascending."""
+    return [np.flatnonzero(row).tolist() for row in mask]
+
+
+def from_rows(sets) -> np.ndarray:
+    """The square boolean mask whose row i holds the indices in sets[i]."""
+    mask = np.zeros((len(sets), len(sets)), dtype=bool)
+    for i, s in enumerate(sets):
+        mask[i, s] = True
+    return mask
+
+
 class TestKReciprocalSets:
     def test_kappa_one_is_self_only(self, rng):
         feats = rng.standard_normal((6, 3))
-        assert all(s.tolist() == [i] for i, s in enumerate(k_reciprocal_sets(feats, 1)))
+        assert np.array_equal(k_reciprocal_sets(feats, 1), np.eye(6, dtype=bool))
 
     def test_kappa_n_is_everything(self, rng):
         feats = rng.standard_normal((5, 3))
-        sets = k_reciprocal_sets(feats, 5)
-        assert all(s.tolist() == [0, 1, 2, 3, 4] for s in sets)
+        mask = k_reciprocal_sets(feats, 5)
+        assert mask.shape == (5, 5) and mask.all()
 
     def test_two_pairs_hand_enumerated(self):
-        sets = k_reciprocal_sets(embed_1d([0.0, 0.1, 10.0, 10.1]), 2)
-        assert [s.tolist() for s in sets] == [[0, 1], [0, 1], [2, 3], [2, 3]]
+        mask = k_reciprocal_sets(embed_1d([0.0, 0.1, 10.0, 10.1]), 2)
+        assert rows(mask) == [[0, 1], [0, 1], [2, 3], [2, 3]]
 
     def test_self_always_included(self, rng):
         feats = rng.standard_normal((20, 4))
         for kappa in (1, 3, 7):
-            for i, s in enumerate(k_reciprocal_sets(feats, kappa)):
-                assert i in s
+            assert k_reciprocal_sets(feats, kappa).diagonal().all()
 
     def test_self_included_even_with_duplicates(self):
         # three identical points: every kNN list must still contain self
         feats = np.zeros((3, 2))
         feats[:, 0] = 1.0
-        for i, s in enumerate(k_reciprocal_sets(feats, 2)):
-            assert i in s
+        assert k_reciprocal_sets(feats, 2).diagonal().all()
 
     def test_tie_at_cutoff_breaks_low_index(self):
         # Point 0 sits equidistant from 1 and 2; with kappa=2 only one
         # neighbor fits and the lower index must win.
         feats = embed_1d([0.0, 1.0, -1.0, 50.0])
-        sets = k_reciprocal_sets(feats, 2)
+        mask = k_reciprocal_sets(feats, 2)
         # kNN(0) = {0, 1}; kNN(1) = {1, 0}; mutual for 0 is {0, 1}
-        assert sets[0].tolist() == [0, 1]
+        assert rows(mask)[0] == [0, 1]
 
     def test_mutuality_filter(self):
         # 1 is nearest to 0, but 0's slot is taken by 2 which is closer;
         # mutual filter must drop the one-sided edge 1 -> 0.
         feats = embed_1d([0.0, 0.3, 0.1, 1000.0, 1000.1])
-        sets = k_reciprocal_sets(feats, 2)
-        assert sets[0].tolist() == [0, 2]
-        assert sets[1].tolist() == [1]  # nobody reciprocates
-        assert sets[2].tolist() == [0, 2]
+        sets = rows(k_reciprocal_sets(feats, 2))
+        assert sets[0] == [0, 2]
+        assert sets[1] == [1]  # nobody reciprocates
+        assert sets[2] == [0, 2]
 
     def test_kappa_larger_than_n_clamped(self, rng):
         feats = rng.standard_normal((4, 2))
-        sets = k_reciprocal_sets(feats, 99)
-        assert all(s.tolist() == [0, 1, 2, 3] for s in sets)
+        mask = k_reciprocal_sets(feats, 99)
+        assert mask.shape == (4, 4) and mask.all()
 
 
 def lattice(side: int) -> np.ndarray:
     """The side x side integer grid: every point has up to four neighbors
     tied at distance 1, eight within distance 2, so kappa cuts through ties."""
     return np.array([(i, j) for i in range(side) for j in range(side)], dtype=np.float64)
-
-
-def with_duplicates(rng) -> np.ndarray:
-    """Random rows where rows 1, 2 and 7 repeat row 0 and row 9 repeats row 4."""
-    feats = random_unit_rows(rng, 30, 5)
-    feats[[1, 2, 7]] = feats[0]
-    feats[9] = feats[4]
-    return feats
 
 
 INPUTS = {
@@ -105,9 +108,8 @@ class TestMatchesArgsortOracle:
         k = KAPPAS[kappa](n)
         got = k_reciprocal_sets(feats, k)
         want = k_reciprocal_sets_argsort(feats, k)
-        assert len(got) == len(want) == n
-        for g, w in zip(got, want):
-            assert g.dtype == w.dtype and np.array_equal(g, w)
+        assert (got.dtype, got.shape) == (want.dtype, want.shape) == (np.bool_, (n, n))
+        assert np.array_equal(got, want)
         assert np.array_equal(jaccard_affinity(got), jaccard_affinity_dense(want))
 
     def test_lattice_ties_reach_the_cutoff(self):
@@ -119,34 +121,30 @@ class TestMatchesArgsortOracle:
 
 class TestJaccardAffinity:
     def test_identical_sets_give_one(self):
-        sets = [np.array([0, 1]), np.array([0, 1])]
-        aff = jaccard_affinity(sets)
+        aff = jaccard_affinity(from_rows([[0, 1], [0, 1]]))
         assert np.allclose(aff, 1.0)
 
     def test_disjoint_sets_give_zero(self):
-        sets = [np.array([0]), np.array([1])]
-        aff = jaccard_affinity(sets)
+        aff = jaccard_affinity(from_rows([[0], [1]]))
         assert aff[0, 1] == 0.0 and aff[1, 0] == 0.0
 
     def test_quarter_overlap_example(self):
         # |{0,1} n {1,2,3}| = 1, union has 4 members -> 1/4
-        sets = [np.array([0, 1]), np.array([1]), np.array([1, 2, 3]), np.array([3])]
-        aff = jaccard_affinity(sets)
+        aff = jaccard_affinity(from_rows([[0, 1], [1], [1, 2, 3], [3]]))
         assert aff[0, 2] == 0.25 and aff[2, 0] == 0.25
 
     def test_matches_python_set_oracle(self, rng):
         feats = rng.standard_normal((15, 4))
-        sets = k_reciprocal_sets(feats, 5)
-        aff = jaccard_affinity(sets)
-        pysets = [set(s.tolist()) for s in sets]
+        mask = k_reciprocal_sets(feats, 5)
+        aff = jaccard_affinity(mask)
+        pysets = [set(s) for s in rows(mask)]
         for i in range(15):
             for j in range(15):
                 want = len(pysets[i] & pysets[j]) / len(pysets[i] | pysets[j])
                 assert abs(aff[i, j] - want) < 1e-12
 
     def test_symmetric_unit_diag_in_range(self, rng):
-        sets = k_reciprocal_sets(rng.standard_normal((12, 3)), 4)
-        v = jaccard_affinity(sets)
+        v = jaccard_affinity(k_reciprocal_sets(rng.standard_normal((12, 3)), 4))
         assert np.allclose(v, v.T, atol=0)
         assert np.allclose(np.diag(v), 1.0)
         assert v.min() >= 0.0 and v.max() <= 1.0

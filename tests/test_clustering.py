@@ -14,7 +14,8 @@ from xmod.clustering import (
 )
 from xmod.synth import SynthSpec, generate
 
-from conftest import random_unit_rows
+from conftest import random_unit_rows, with_duplicates
+from oracles import dbscan_queue
 
 
 def embed_1d(points) -> np.ndarray:
@@ -60,6 +61,23 @@ class TestDbscan:
         assert assign.labels[4] == 0
         assert assign.labels.tolist() == [0, 0, 0, 0, 0, 1, 1, 1, 1]
 
+    def test_border_point_passed_as_noise_is_claimed_later(self):
+        # The scan reaches 0.3 first and finds it is not core (it sees only
+        # itself and 0.15), so it stays noise; the cluster started at 0.0
+        # then reaches it from the core point 0.15 and must claim it.
+        pts = embed_1d([0.3, 0.0, 0.05, 0.1, 0.15])
+        assign = dbscan(pts, eps=0.16, min_samples=4)
+        assert assign.k == 1
+        assert assign.labels.tolist() == [0, 0, 0, 0, 0]
+
+    def test_point_outside_its_own_eps_ball_founds_its_cluster(self):
+        # With a negative eps every point sees nothing, itself included, and
+        # with min_samples=0 every point is core: each founds its own cluster.
+        pts = embed_1d([0.0, 1.0, 2.0])
+        assign = dbscan(pts, eps=-1.0, min_samples=0)
+        assert assign.labels.tolist() == [0, 1, 2]
+        assert assign.labels.tolist() == dbscan_queue(pts, -1.0, 0).labels.tolist()
+
     def test_determinism(self, rng):
         pts = rng.standard_normal((60, 3))
         a = dbscan(pts, eps=0.8, min_samples=4)
@@ -89,6 +107,37 @@ class TestDbscan:
             # clusters coincide with identities up to relabeling
             for c in range(assign.k):
                 assert len(set(ids[assign.members(c)])) == 1
+
+
+def chains(rng) -> np.ndarray:
+    """Three 1-d chains of points 0.04 to 0.05 apart, shuffled, so an eps of
+    0.05 links each chain only through many BFS levels."""
+    steps = rng.uniform(0.04, 0.05, size=36)
+    steps[[12, 24]] = 0.3
+    pts = np.cumsum(steps)
+    return embed_1d(pts[rng.permutation(pts.size)])
+
+
+DBSCAN_INPUTS = {
+    "random": lambda rng: random_unit_rows(rng, 40, 3),
+    "duplicates": with_duplicates,
+    "chains": chains,
+}
+
+
+class TestMatchesQueueOracle:
+    """The boolean-front DBSCAN gives the labels and k of the queue BFS."""
+
+    @pytest.mark.parametrize("metric", list(DistanceMetric), ids=lambda m: m.value)
+    @pytest.mark.parametrize("kind", DBSCAN_INPUTS)
+    def test_labels_equal_over_grid(self, rng, kind, metric):
+        feats = DBSCAN_INPUTS[kind](rng)
+        for eps in (1e-9, 0.05, 0.2, 0.5, 1.0, 2.5):
+            for min_samples in range(1, 8):
+                got = dbscan(feats, eps, min_samples, metric, kappa=6)
+                want = dbscan_queue(feats, eps, min_samples, metric, kappa=6)
+                assert got.k == want.k, (eps, min_samples)
+                assert got.labels.tolist() == want.labels.tolist(), (eps, min_samples)
 
 
 class TestClusterAssignment:

@@ -194,7 +194,7 @@ FEATURE_SITES = {
     "memory_probabilities": lambda fv, fr, ctx: [
         memory_probabilities(fv, ctx.bank_v, 0.05)
     ],
-    "k_reciprocal_sets": lambda fv, fr, ctx: k_reciprocal_sets(fv, 5),
+    "k_reciprocal_sets": lambda fv, fr, ctx: [k_reciprocal_sets(fv, 5)],
     "heterogeneous_plan": lambda fv, fr, ctx: [heterogeneous_plan(fv, fr, 25.0).plan],
     "otla_init": lambda fv, fr, ctx: [otla_init(fr, ctx.bank_v, 25.0).probs],
     "mult_associate": _mult_arrays,
