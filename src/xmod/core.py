@@ -200,14 +200,6 @@ class SoftLabelMatrix:
         return self.probs.shape[1]
 
 
-def hard_from_soft(y) -> np.ndarray:
-    """Argmax per row, ties broken toward the lowest index."""
-    p = np.asarray(y, dtype=np.float64)
-    if p.ndim != 2:
-        raise ShapeMismatchError("expected a 2-d label matrix")
-    return np.argmax(p, axis=1).astype(np.int64)
-
-
 @dataclass(frozen=True)
 class PipelineConfig:
     """Engine-wide knobs. Defaults are the operating point used throughout."""

@@ -24,13 +24,17 @@ _HEADER = struct.Struct("<4sII")
 
 
 def atomic_write_bytes(path, payload: bytes) -> None:
-    """Write ``payload`` to ``path`` via a same-directory temp file + rename."""
+    """Write ``payload`` to ``path`` via a same-directory temp file + rename;
+    the file gets the mode ``open`` would give it, 0666 less the umask."""
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".xmod-", suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(payload)
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -20,7 +20,7 @@ from .losses import (
 from .metrics import GroundTruth, MetricsReport, full_report
 from .transfer import AssociationResult, Direction, mult_associate
 
-_SNAPSHOT_RE = re.compile(r"^epoch(\d{3})_(visible|infrared)\.mfv1$")
+_SNAPSHOT_RE = re.compile(r"^epoch(\d{3}|[1-9]\d{3,})_(visible|infrared)\.mfv1$")
 
 
 @dataclass(frozen=True)
@@ -77,7 +77,8 @@ def run_epoch(
 
 
 def discover_snapshots(snapshot_dir) -> list[tuple[int, str, str]]:
-    """Find epochNNN_visible/infrared.mfv1 pairs, contiguous from 000."""
+    """Find epochNNN_visible/infrared.mfv1 pairs, contiguous from 000; NNN
+    has three digits, or as many as the epoch needs from 1000 on."""
     found: dict[int, dict[str, str]] = {}
     for name in os.listdir(snapshot_dir):
         m = _SNAPSHOT_RE.match(name)

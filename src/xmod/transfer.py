@@ -26,7 +26,6 @@ from .core import (
     ShapeMismatchError,
     SoftLabelMatrix,
     feature_data,
-    hard_from_soft,
 )
 from .affinity import homogeneous_affinity
 from .clustering import ClusterAssignment, centroids, memory_probabilities
@@ -101,9 +100,11 @@ class TransferState:
     cap_hit: bool = False
 
 
-def _clamp_renorm(probs: np.ndarray) -> np.ndarray:
-    out = np.where(probs < _CLAMP, 0.0, probs)
-    return out / out.sum(axis=1, keepdims=True)
+def _clamp_renorm(out: np.ndarray) -> np.ndarray:
+    """Zero the entries below _CLAMP and rescale each row to sum 1, in place."""
+    out[out < _CLAMP] = 0.0
+    out /= out.sum(axis=1, keepdims=True)
+    return out
 
 
 def _pull(a: np.ndarray, other: np.ndarray, alpha: float, anchor: np.ndarray) -> np.ndarray:
@@ -111,9 +112,7 @@ def _pull(a: np.ndarray, other: np.ndarray, alpha: float, anchor: np.ndarray) ->
     out = a @ other
     out *= 1.0 - alpha
     out += anchor
-    out[out < _CLAMP] = 0.0
-    out /= out.sum(axis=1, keepdims=True)
-    return out
+    return _clamp_renorm(out)
 
 
 def _l1_gap(new: np.ndarray, old: np.ndarray) -> float:
@@ -133,7 +132,7 @@ def init_labels(
     bank_src = centroids(features_src, assign_src)
     intra0 = memory_probabilities(features_src, bank_src, cfg.tau)
     cross0 = otla_init(features_tgt, bank_src, cfg.ot_lambda).probs
-    return TransferState(intra0.copy(), cross0.copy(), intra0, cross0)
+    return TransferState(intra0, cross0, intra0, cross0)
 
 
 def _pairwise_label_gap(aff: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
@@ -173,19 +172,17 @@ def _anchors(state: TransferState, aff: DirectionAffinities, alpha: float):
 
 
 def transfer_step(
-    state: TransferState, aff: DirectionAffinities, alpha: float, anchors=None
+    state: TransferState, aff: DirectionAffinities, alpha: float, anchors
 ) -> TransferState:
     """One alternation: pull each side toward the other's labels across the
     transport affinity, anchor on its own init, then smooth homogeneously.
 
     Smoothing ½(ho + I)·z with z = (1−α)·he·other + α·init is linear, so it
     is applied as (1−α)·a·other + α·½(ho + I)·init: two N×N·N×K products
-    with the composites and the anchors. run_transfer computes the anchors
-    once per run; without them this step computes its own. Both updates read
-    the pre-update labels of the other side.
+    with the composites and the anchors, which run_transfer computes once
+    per run (_anchors). Both updates read the pre-update labels of the other
+    side; neither writes into the state's arrays.
     """
-    if anchors is None:
-        anchors = _anchors(state, aff, alpha)
     anchor_intra, anchor_cross = anchors
     intra_new = _pull(aff.a_st, state.cross, alpha, anchor_intra)
     cross_new = _pull(aff.a_ts, state.intra, alpha, anchor_cross)
@@ -216,13 +213,15 @@ def run_transfer(
 
 def fuse_labels(state: TransferState, beta: float) -> tuple[SoftLabelMatrix, SoftLabelMatrix]:
     """Blend each transferred matrix with its own hardened version:
-    beta * one_hot(argmax) + (1 - beta) * renormalized soft labels."""
+    beta * one_hot(argmax) + (1 - beta) * renormalized soft labels, written
+    into the renormalized copy with no one-hot array."""
 
     def fuse(probs: np.ndarray) -> SoftLabelMatrix:
-        soft = probs / probs.sum(axis=1, keepdims=True)
-        hard = np.zeros_like(soft)
-        hard[np.arange(soft.shape[0]), np.argmax(soft, axis=1)] = 1.0
-        return SoftLabelMatrix(_clamp_renorm(beta * hard + (1.0 - beta) * soft))
+        out = probs / probs.sum(axis=1, keepdims=True)
+        top = np.argmax(out, axis=1)
+        out *= 1.0 - beta
+        out[np.arange(out.shape[0]), top] += beta
+        return SoftLabelMatrix(_clamp_renorm(out))
 
     return fuse(state.intra), fuse(state.cross)
 
@@ -239,9 +238,10 @@ class LabeledSubset:
             raise ShapeMismatchError("index count does not match label rows")
 
     def hard_full(self, total: int) -> np.ndarray:
-        """Hard labels over all ``total`` instances, NOISE where unlabeled."""
+        """Hard labels over all ``total`` instances, NOISE where unlabeled;
+        a tie goes to the lowest cluster id."""
         out = np.full(total, NOISE, dtype=np.int64)
-        out[self.indices] = hard_from_soft(self.labels.probs)
+        out[self.indices] = np.argmax(self.labels.probs, axis=1)
         return out
 
     def soft_full(self, total: int) -> np.ndarray:
@@ -311,13 +311,6 @@ def associate_directions(
     )
 
 
-def _row_order(a: np.ndarray, b: np.ndarray) -> int:
-    """-1, 0 or 1 as a sorts before, ties with or sorts after b by (row
-    count, bytes); the byte copies are freed on return."""
-    key_a, key_b = (a.shape[0], a.tobytes()), (b.shape[0], b.tobytes())
-    return (key_a > key_b) - (key_a < key_b)
-
-
 def mult_associate(
     features_v,
     features_r,
@@ -333,22 +326,11 @@ def mult_associate(
     space); R2V is the same computation with the modalities swapped. Each
     modality's graph, the cross-modality plan and the two composites are
     built once and shared by both directions. The plan is solved first, so
-    neither graph is alive during the solve. It is solved with the
-    subset that sorts first by (row count, bytes) on the rows, so swapping
-    the modalities swaps the outputs bit for bit; when the two subsets are
-    byte-identical, both directions use the plan's row normalization.
+    neither graph is alive during the solve.
     """
     v = clustered_side(features_v, assign_v)
     r = clustered_side(features_r, assign_r)
-    order = _row_order(v.rows, r.rows)
-    if order <= 0:
-        he_vr, he_rv = heterogeneous_affinity(v.rows, r.rows, cfg.ot_lambda)
-        if order == 0:
-            # Identical modalities: the plan is symmetric only up to rounding,
-            # so both directions read the one row-normalized plan.
-            he_rv = he_vr
-    else:
-        he_rv, he_vr = heterogeneous_affinity(r.rows, v.rows, cfg.ot_lambda)
+    he_vr, he_rv = heterogeneous_affinity(v.rows, r.rows, cfg.ot_lambda)
     ho_v = homogeneous_affinity(v.rows, cfg.kappa)
     ho_r = homogeneous_affinity(r.rows, cfg.kappa)
     aff_v2r = DirectionAffinities(ho_v, ho_r, he_vr, he_rv)

@@ -289,12 +289,29 @@ def heterogeneous_plan(features_v, features_r, lam: float) -> TransportPlan:
     return sinkhorn(problem)
 
 
+def _row_order(a: np.ndarray, b: np.ndarray) -> int:
+    """-1, 0 or 1 as a sorts before, ties with or sorts after b by (row
+    count, bytes); the byte copies are freed on return."""
+    key_a, key_b = (a.shape[0], a.tobytes()), (b.shape[0], b.tobytes())
+    return (key_a > key_b) - (key_a < key_b)
+
+
 def heterogeneous_affinity(
-    features_v, features_r, lam: float
+    features_a, features_b, lam: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Row-normalized transport plan in both directions: (S_vr, S_rv)."""
-    plan = heterogeneous_plan(features_v, features_r, lam).plan
-    return row_normalize(plan), row_normalize(plan.T.copy())
+    """Row-normalized transport plan in both directions: (S_ab, S_ba).
+
+    The plan's rows are the set that sorts first by (row count, bytes), so
+    swapping the arguments swaps the outputs bit for bit; byte-identical sets
+    share one row-normalized plan, which is symmetric only up to rounding.
+    """
+    a, b = feature_data(features_a), feature_data(features_b)
+    order = _row_order(a, b)
+    rows, cols = (b, a) if order > 0 else (a, b)
+    plan = heterogeneous_plan(rows, cols, lam).plan
+    s_rows = row_normalize(plan)
+    s_cols = s_rows if order == 0 else row_normalize(plan.T.copy())
+    return (s_cols, s_rows) if order > 0 else (s_rows, s_cols)
 
 
 def otla_init(features_tgt, bank_src: MemoryBank, lam: float) -> SoftLabelMatrix:

@@ -8,10 +8,11 @@ the factored transfer step applies the four affinities one by one, the route
 the library's composite operators replace. The label CSV writer and reader
 go through the ``csv`` module, the route the library's split-and-join code
 replaces. The k-reciprocal sets come from a full stable argsort, the Jaccard
-matrix from a dense float64 product, and the distances, the Sinkhorn loop and
-the transfer step allocate every temporary: the routes the library's
-partition, exact-count and in-place code replaces with the same arithmetic,
-so those are compared bit for bit. DBSCAN walks per-row neighbor lists with
+matrix from a dense float64 product, and the distances, the Sinkhorn loop,
+the transfer step and the label fusion (through a one-hot array) allocate
+every temporary: the routes the library's partition, exact-count and
+in-place code replaces with the same arithmetic, so those are compared bit
+for bit. DBSCAN walks per-row neighbor lists with
 a queue, the route the library's boolean component fronts replace, so its
 labels are compared exactly. The synthetic generator draws one
 Box-Muller normal at a time through the splitmix64 scalar reference, the
@@ -259,21 +260,35 @@ def pairwise_sq_dists_broadcast(a, b):
     return np.maximum(sq, 0.0)
 
 
-def transfer_step_allocating(state, aff, alpha, anchors=None):
+def _clamp_renorm_allocating(probs):
+    """Entries below 1e-12 zeroed and rows rescaled to sum 1, in a new array."""
+    out = np.where(probs < 1e-12, 0.0, probs)
+    return out / out.sum(axis=1, keepdims=True)
+
+
+def transfer_step_allocating(state, aff, alpha, anchors):
     """The library's composite transfer step with a fresh array per operation."""
-    if anchors is None:
-        anchors = (alpha * (0.5 * (aff.ho_src @ state.intra0 + state.intra0)),
-                   alpha * (0.5 * (aff.ho_tgt @ state.cross0 + state.cross0)))
-
-    def clamp_renorm(probs):
-        out = np.where(probs < 1e-12, 0.0, probs)
-        return out / out.sum(axis=1, keepdims=True)
-
-    intra_new = clamp_renorm((1.0 - alpha) * (aff.a_st @ state.cross) + anchors[0])
-    cross_new = clamp_renorm((1.0 - alpha) * (aff.a_ts @ state.intra) + anchors[1])
+    intra_new = _clamp_renorm_allocating(
+        (1.0 - alpha) * (aff.a_st @ state.cross) + anchors[0])
+    cross_new = _clamp_renorm_allocating(
+        (1.0 - alpha) * (aff.a_ts @ state.intra) + anchors[1])
     eps = max(float(np.abs(intra_new - state.intra).sum()),
               float(np.abs(cross_new - state.cross).sum()))
     return replace(state, intra=intra_new, cross=cross_new, t=state.t + 1, epsilon=eps)
+
+
+def fuse_labels_allocating(state, beta):
+    """fuse_labels through a one-hot array: each matrix becomes
+    clamp_renorm(beta * one_hot(argmax) + (1 - beta) * soft), with soft the
+    row-renormalized matrix, as two float64 arrays."""
+
+    def fuse(probs):
+        soft = probs / probs.sum(axis=1, keepdims=True)
+        hard = np.zeros_like(soft)
+        hard[np.arange(soft.shape[0]), np.argmax(soft, axis=1)] = 1.0
+        return _clamp_renorm_allocating(beta * hard + (1.0 - beta) * soft)
+
+    return fuse(state.intra), fuse(state.cross)
 
 
 def k_reciprocal_sets_argsort(features, kappa):

@@ -14,7 +14,6 @@ from xmod.core import (
     ShapeMismatchError,
     SoftLabelMatrix,
     ZeroRowError,
-    hard_from_soft,
     l2_normalize_rows,
     pairwise_sq_dists,
 )
@@ -57,18 +56,6 @@ class TestL2NormalizeRows:
     def test_empty(self):
         with pytest.raises(ShapeMismatchError):
             l2_normalize_rows(np.zeros((0, 3)))
-
-
-class TestHardFromSoft:
-    def test_plain(self):
-        assert hard_from_soft(np.array([[0.7, 0.3]])).tolist() == [0]
-
-    def test_tie_breaks_low(self):
-        assert hard_from_soft(np.array([[0.5, 0.5]])).tolist() == [0]
-
-    def test_two_rows(self):
-        y = np.array([[0.1, 0.2, 0.7], [0.9, 0.05, 0.05]])
-        assert hard_from_soft(y).tolist() == [2, 0]
 
 
 class TestSoftLabelMatrix:

@@ -315,6 +315,18 @@ class TestAtomicWrites:
         fileio.atomic_write_text(path, "two")
         assert path.read_text() == "two"
 
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600), (0o002, 0o664)])
+    def test_written_files_get_the_umask_mode(self, tmp_path, umask, mode):
+        # mkstemp makes its temp file 0600; the renamed file must not stay that way
+        old = os.umask(umask)
+        try:
+            fileio.write_json(tmp_path / "report.json", {"a": 1})
+            fileio.write_labels(tmp_path / "labels.csv", np.array([0, 1]), np.eye(2))
+        finally:
+            os.umask(old)
+        for name in ("report.json", "labels.csv"):
+            assert os.stat(tmp_path / name).st_mode & 0o777 == mode
+
 
 class TestJson:
     def test_round_trip(self, tmp_path):

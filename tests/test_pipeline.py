@@ -204,6 +204,24 @@ class TestDiscoverSnapshots:
             discover_snapshots(tmp_path)
         assert exc.value.epoch == 1
 
+    def test_epoch_1000_counts_toward_the_sequence(self, tmp_path):
+        fv, fr, _ = make_instance(seed=3)
+        for epoch in (0, 1, 2, 1000):
+            write_snapshot(tmp_path, epoch, fv, fr)
+        assert os.path.exists(tmp_path / "epoch1000_visible.mfv1")
+        with pytest.raises(MissingSnapshotError) as exc:
+            discover_snapshots(tmp_path)
+        assert exc.value.epoch == 3
+
+    def test_zero_padded_past_three_digits_is_ignored(self, tmp_path):
+        # one name per epoch: epoch0001 is not a second spelling of epoch001
+        fv, fr, _ = make_instance(seed=3)
+        write_snapshot(tmp_path, 0, fv, fr)
+        write_features(os.path.join(tmp_path, "epoch0001_visible.mfv1"), fv)
+        write_features(os.path.join(tmp_path, "epoch0001_infrared.mfv1"), fr)
+        found = discover_snapshots(tmp_path)
+        assert [epoch for epoch, _, _ in found] == [0]
+
     def test_missing_modality_raises(self, tmp_path):
         fv, fr, _ = make_instance(seed=3)
         write_features(os.path.join(tmp_path, "epoch000_visible.mfv1"), fv)

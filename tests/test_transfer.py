@@ -14,6 +14,7 @@ from xmod.transfer import (
     AssociationResult,
     Direction,
     DirectionAffinities,
+    LabeledSubset,
     TransferState,
     fuse_labels,
     inconsistency,
@@ -23,11 +24,16 @@ from xmod.transfer import (
     smoothed_transport,
     transfer_step,
 )
-from xmod.transport import heterogeneous_affinity, otla_init
+from xmod.transport import heterogeneous_affinity, heterogeneous_plan, otla_init
 
 from conftest import random_unit_rows
 import oracles
 from oracles import transfer_step_factored
+
+
+def step(state, aff, alpha):
+    """transfer_step with the anchors run_transfer would pass it."""
+    return transfer_step(state, aff, alpha, transfer._anchors(state, aff, alpha))
 
 
 def random_stochastic(rng, n, m):
@@ -145,6 +151,24 @@ class TestInitLabels:
         assert np.array_equal(state.cross, state.cross0)
 
 
+class TestLabeledSubset:
+    def test_hard_full_takes_each_rows_argmax(self):
+        labels = SoftLabelMatrix(np.array([[0.1, 0.2, 0.7], [0.9, 0.05, 0.05]]))
+        subset = LabeledSubset(np.array([3, 0]), labels)
+        assert subset.hard_full(5).tolist() == [0, NOISE, NOISE, 2, NOISE]
+
+    def test_hard_full_tie_goes_to_the_lowest_id(self):
+        labels = SoftLabelMatrix(np.array([[0.25, 0.5, 0.25, 0.0], [0.0, 0.0, 0.5, 0.5],
+                                           [0.5, 0.0, 0.0, 0.5]]))
+        subset = LabeledSubset(np.array([0, 1, 2]), labels)
+        assert subset.hard_full(3).tolist() == [1, 2, 0]
+
+    def test_hard_full_is_int64(self):
+        labels = SoftLabelMatrix(np.array([[0.7, 0.3]]))
+        out = LabeledSubset(np.array([1]), labels).hard_full(2)
+        assert out.dtype == np.int64 and out.tolist() == [NOISE, 0]
+
+
 class TestInconsistency:
     def test_identical_rows_zero_disagreement(self, rng):
         state, aff = random_instance(rng, ns=4, nt=4, k=3)
@@ -174,7 +198,7 @@ class TestInconsistency:
     def test_matches_triple_loop_oracle(self, rng):
         for _ in range(5):
             state, aff = random_instance(rng)
-            state = transfer_step(state, aff, alpha=0.2)  # so self terms are live
+            state = step(state, aff, 0.2)  # so self terms are live
             rep = inconsistency(state, aff, alpha=0.2)
             oracle = inconsistency_oracle(state, aff, alpha=0.2)
             got = (
@@ -226,7 +250,7 @@ class TestTransferStep:
     )
     def test_matches_loop_oracle(self, rng, alpha, ns, nt, k):
         state, aff = random_instance(rng, ns=ns, nt=nt, k=k)
-        new = transfer_step(state, aff, alpha=alpha)
+        new = step(state, aff, alpha)
         intra_e, cross_e = step_oracle(state, aff, alpha)
         assert np.abs(new.intra - intra_e).max() < 1e-12
         assert np.abs(new.cross - cross_e).max() < 1e-12
@@ -239,8 +263,8 @@ class TestTransferStep:
         state, aff = random_instance(rng)
         other_cross = random_soft_labels(rng, state.cross.shape[0], state.cross.shape[1])
         poked = TransferState(state.intra, other_cross, state.intra0, state.cross0)
-        a = transfer_step(state, aff, alpha=1.0)
-        b = transfer_step(poked, aff, alpha=1.0)
+        a = step(state, aff, 1.0)
+        b = step(poked, aff, 1.0)
         assert np.array_equal(a.intra, b.intra)
         expect = 0.5 * (aff.ho_src @ state.intra0 + state.intra0)
         expect = expect / expect.sum(axis=1, keepdims=True)
@@ -256,7 +280,7 @@ class TestTransferStep:
         cross0 = p.T @ intra0
         aff = DirectionAffinities(np.eye(n), np.eye(n), p, p.T)
         state = TransferState(intra0.copy(), cross0.copy(), intra0, cross0)
-        new = transfer_step(state, aff, alpha=0.2)
+        new = step(state, aff, 0.2)
         assert new.epsilon < 1e-12
         assert np.abs(new.intra - intra0).max() < 1e-12
         assert np.abs(new.cross - cross0).max() < 1e-12
@@ -264,7 +288,7 @@ class TestTransferStep:
     def test_rows_stay_stochastic(self, rng):
         state, aff = random_instance(rng, ns=11, nt=8, k=4)
         for _ in range(5):
-            state = transfer_step(state, aff, alpha=0.2)
+            state = step(state, aff, 0.2)
             assert np.abs(state.intra.sum(axis=1) - 1.0).max() < 1e-9
             assert np.abs(state.cross.sum(axis=1) - 1.0).max() < 1e-9
             assert state.intra.min() >= 0.0
@@ -276,12 +300,28 @@ class TestTransferStep:
         cross0 = np.array([[1.0, 0.0], [1.0, 0.0]])
         aff = DirectionAffinities(np.eye(2), np.eye(2), np.eye(2), np.eye(2))
         state = TransferState(intra0.copy(), cross0.copy(), intra0, cross0)
-        new = transfer_step(state, aff, alpha=0.2)
+        new = step(state, aff, 0.2)
         assert new.intra[0, 1] == 0.0
         assert new.intra[0, 0] == 1.0
 
 
 class TestRunTransfer:
+    def test_leaves_the_start_arrays_unchanged(self):
+        # init_labels hands the same arrays to intra/intra0 and cross/cross0,
+        # so no step or fusion may write into a state's arrays
+        fv, fr, av, ar, _ = blob_instance(seed=17, gap=0.4, gap_mode=GapMode.PER_ID_OFFSET)
+        cfg = PipelineConfig(kappa=8, epsilon0=1e-9)
+        aff = DirectionAffinities(
+            homogeneous_affinity(fv.data, cfg.kappa), homogeneous_affinity(fr.data, cfg.kappa),
+            *heterogeneous_affinity(fv.data, fr.data, cfg.ot_lambda))
+        start = init_labels(fv.data, fr.data, av, cfg)
+        assert start.intra is start.intra0 and start.cross is start.cross0
+        intra0, cross0 = start.intra0.copy(), start.cross0.copy()
+        out = run_transfer(start, aff, cfg)
+        fuse_labels(out, cfg.beta)
+        assert out.t > 1
+        assert np.array_equal(start.intra0, intra0) and np.array_equal(start.cross0, cross0)
+
     def test_fixed_point_stops_after_one_step(self, rng):
         k, n = 2, 4
         intra0 = np.zeros((n, k))
@@ -368,7 +408,7 @@ class TestFuseLabels:
 
     def test_beta_zero_renormalizes_only(self, rng):
         state, aff = random_instance(rng)
-        state = transfer_step(state, aff, alpha=0.2)
+        state = step(state, aff, 0.2)
         intra, _ = fuse_labels(state, beta=0.0)
         expect = state.intra / state.intra.sum(axis=1, keepdims=True)
         assert np.abs(intra.probs - expect).max() < 1e-12
@@ -379,6 +419,27 @@ class TestFuseLabels:
         intra, cross = fuse_labels(state, beta=0.7)
         assert np.allclose(intra.probs, [[0.06, 0.88, 0.06]], atol=1e-12)
         assert np.allclose(cross.probs, [[0.06, 0.88, 0.06]], atol=1e-12)
+
+    @pytest.mark.parametrize("beta", [0.0, 0.7, 1.0])
+    def test_matches_one_hot_oracle_bitwise(self, rng, beta):
+        state, aff = random_instance(rng, ns=40, nt=30, k=6)
+        state = step(state, aff, 0.2)
+        # unnormalized rows, an exact tie, a zero and entries either side of
+        # the 1e-12 clamp, which beta = 0 leaves to the clamp alone
+        intra = state.intra * rng.uniform(0.5, 2.0, size=(40, 1))
+        intra[0] = [0.25, 0.25, 0.125, 0.125, 0.25, 0.0]
+        intra[1] = [0.6, 0.4 - 7e-12, 5e-13, 6.5e-12, 1e-300, 0.0]
+        cross = state.cross.copy()
+        cross[0, 1:] = 1e-13
+        state = TransferState(intra, cross, state.intra0, state.cross0)
+        expect = oracles.fuse_labels_allocating(state, beta)
+        got = fuse_labels(state, beta)
+        for mine, theirs in zip(got, expect):
+            assert np.array_equal(mine.probs, theirs)
+        if beta < 1.0:
+            assert got[0].probs[1, 2:].tolist()[::2] == [0.0, 0.0]
+            assert got[0].probs[1, 3] > 0.0
+        assert np.array_equal(state.intra, intra)
 
     def test_outputs_are_soft_label_matrices(self, rng):
         state, _ = random_instance(rng)
@@ -506,12 +567,14 @@ class TestMultAssociate:
 
         def recording(rows, cols, lam):
             shapes.append((len(rows), len(cols)))
-            return heterogeneous_affinity(rows, cols, lam)
+            return heterogeneous_plan(rows, cols, lam)
 
-        monkeypatch.setattr(transfer, "heterogeneous_affinity", recording)
+        monkeypatch.setattr(transport, "heterogeneous_plan", recording)
         args = (fr, fv, ar, av) if swap else (fv, fr, av, ar)
         mult_associate(*args, PipelineConfig(kappa=8))
-        assert shapes == [(21, 27)]
+        # the cross-modal plan first, then one K-column OTLA plan per direction
+        assert shapes[0] == (21, 27)
+        assert sorted(shapes[1:]) == [(21, 3), (27, 3)]
 
     @pytest.mark.parametrize("direction", list(Direction), ids=lambda d: d.value)
     def test_each_composite_built_once(self, monkeypatch, direction):

@@ -426,6 +426,25 @@ class TestHeterogeneousAffinity:
         assert np.allclose(s_vr.sum(axis=1), 1.0, atol=1e-9)
         assert np.allclose(s_rv.sum(axis=1), 1.0, atol=1e-9)
 
+    @pytest.mark.parametrize("n_a, n_b", [(9, 12), (12, 9), (10, 10)],
+                             ids=["fewer-rows", "more-rows", "equal-rows"])
+    def test_swapped_arguments_swap_outputs_bitwise(self, rng, n_a, n_b):
+        # lam = 200 on 40 dims is sharp enough that a plan solved with the
+        # other set on its rows differs in bits
+        fa = random_unit_rows(rng, n_a, 40)
+        fb = random_unit_rows(rng, n_b, 40)
+        s_ab, s_ba = heterogeneous_affinity(fa, fb, lam=200.0)
+        t_ba, t_ab = heterogeneous_affinity(fb, fa, lam=200.0)
+        assert np.array_equal(s_ab, t_ab) and np.array_equal(s_ba, t_ba)
+        assert s_ab.shape == (n_a, n_b) and s_ba.shape == (n_b, n_a)
+
+    def test_byte_identical_sets_share_one_output(self, rng):
+        f = random_unit_rows(rng, 15, 40)
+        s_ab, s_ba = heterogeneous_affinity(f, f.copy(), lam=200.0)
+        assert s_ab is s_ba
+        t_ab, t_ba = heterogeneous_affinity(f.copy(), f, lam=200.0)
+        assert t_ab is t_ba and np.array_equal(s_ab, t_ab)
+
 
 class TestOtlaInit:
     def test_single_everything(self, rng):
