@@ -3,8 +3,9 @@
 Subcommands: synth, cluster, associate, eval, loss-report, pipeline.
 cluster, associate, loss-report and pipeline read their settings from an
 optional ``--config`` JSON object whose keys are PipelineConfig fields; an
-unknown key or a value of the wrong type is a data error. ``--seed`` belongs
-to synth alone: nothing after generation draws random numbers.
+unknown key or a value of the wrong type is a data error; no flag overrides
+it. synth's flags each set one SynthSpec field, and ``--seed`` belongs to
+synth alone: nothing after generation draws random numbers.
 Exit codes: 0 success, 1 usage errors, 2 data or numeric errors. Output
 files are written atomically (temp file + rename). The XMOD_THREADS
 environment variable caps BLAS worker threads; the package __init__ applies
@@ -13,6 +14,7 @@ it, since that runs before anything imports numpy.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import re
@@ -20,7 +22,7 @@ import sys
 
 import numpy as np
 
-from .core import Modality, PipelineConfig, XmodError
+from .core import NOISE, Modality, PipelineConfig, XmodError
 from .clustering import DistanceMetric, MemoryBank, centroids, dbscan
 from .baselines import associate_greedy_centroid, associate_otla_only
 from .fileio import (
@@ -51,18 +53,10 @@ def _load_config(args) -> PipelineConfig:
 
 
 def _cmd_synth(args) -> int:
-    spec = SynthSpec(
-        num_ids=args.ids,
-        per_id_v=args.per_id_v,
-        per_id_r=args.per_id_r,
-        dim=args.dim,
-        id_separation=args.separation,
-        blob_std=args.std,
-        modality_gap=args.gap,
-        gap_mode=GapMode(args.gap_mode),
-        seed=args.seed,
+    fields = {f.name for f in dataclasses.fields(SynthSpec)}
+    visible, infrared, gt = generate(
+        SynthSpec(**{name: value for name, value in vars(args).items() if name in fields})
     )
-    visible, infrared, gt = generate(spec)
     os.makedirs(args.out, exist_ok=True)
     write_features(os.path.join(args.out, "visible.mfv1"), visible)
     write_features(os.path.join(args.out, "infrared.mfv1"), infrared)
@@ -71,10 +65,7 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_cluster(args) -> int:
-    flags = {"dbscan_eps": args.eps, "dbscan_min_samples": args.min_samples}
-    cfg = _load_config(args).with_overrides(
-        {name: value for name, value in flags.items() if value is not None}
-    )
+    cfg = _load_config(args)
     features = read_features(args.features, Modality.VISIBLE)
     assign = dbscan(
         features, cfg.dbscan_eps, cfg.dbscan_min_samples, _METRICS[args.metric], kappa=cfg.kappa
@@ -187,7 +178,7 @@ def _cmd_loss_report(args) -> int:
     rows = {}
     for side, features in (("v", fv.data), ("r", fr.data)):
         intra, cross = labels[f"intra_{side}"], labels[f"cross_{side}"]
-        idx = np.flatnonzero((intra[0] >= 0) & (cross[0] >= 0))
+        idx = np.flatnonzero((intra[0] != NOISE) & (cross[0] != NOISE))
         rows[side] = (features[idx], intra[1][idx], cross[1][idx])
     batches = pass_batches(rows["v"], rows["r"], cfg.batch_size)
     reports = [loss_report(b, banks, cfg.tau, cfg.sharpen_divisor) for b in batches]
@@ -211,23 +202,23 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("synth", help="generate a synthetic two-modality dataset")
-    p.add_argument("--ids", type=int, required=True)
-    p.add_argument("--per-id-v", type=int, default=20)
-    p.add_argument("--per-id-r", type=int, default=20)
-    p.add_argument("--dim", type=int, default=32)
-    p.add_argument("--separation", type=float, default=1.0)
-    p.add_argument("--std", type=float, default=0.05)
-    p.add_argument("--gap", type=float, default=0.0)
-    p.add_argument("--gap-mode", choices=[m.value for m in GapMode], default="shared")
-    p.add_argument("--seed", type=int, default=0)
+    # A flag not given stays out of args, so SynthSpec's default holds.
+    p = sub.add_parser("synth", help="generate a synthetic two-modality dataset",
+                       argument_default=argparse.SUPPRESS)
+    p.add_argument("--ids", type=int, required=True, dest="num_ids")
+    p.add_argument("--per-id-v", type=int)
+    p.add_argument("--per-id-r", type=int)
+    p.add_argument("--dim", type=int)
+    p.add_argument("--separation", type=float, dest="id_separation")
+    p.add_argument("--std", type=float, dest="blob_std")
+    p.add_argument("--gap", type=float, dest="modality_gap")
+    p.add_argument("--gap-mode", type=GapMode, metavar="{%s}" % ",".join(m.value for m in GapMode))
+    p.add_argument("--seed", type=int)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_synth)
 
     p = sub.add_parser("cluster", help="density-cluster one feature file")
     p.add_argument("--features", required=True)
-    p.add_argument("--eps", type=float)
-    p.add_argument("--min-samples", type=int)
     p.add_argument("--metric", choices=sorted(_METRICS), default="euclidean")
     p.add_argument("--config")
     p.add_argument("--out-labels", required=True)
@@ -241,10 +232,10 @@ def build_parser() -> argparse.ArgumentParser:
             "Cluster both feature files and produce cross-modality pseudo-labels. "
             "The clustering is done here, with DBSCAN at the config's dbscan_eps and "
             "dbscan_min_samples and the Euclidean metric; the files written by "
-            "'xmod cluster' are not read. To associate over the same clusters that "
-            "'xmod cluster' wrote, give both commands those values through --config "
-            "and cluster with the Euclidean metric. --trace works with --method mult "
-            "only: the baselines run no transfer iterations."
+            "'xmod cluster' are not read. Given the same --config, 'xmod cluster' "
+            "runs the same DBSCAN and finds the same clusters, unless it is run "
+            "with --metric jaccard. --trace works with --method mult only: the "
+            "baselines run no transfer iterations."
         ),
     )
     p.add_argument("--features-v", required=True)

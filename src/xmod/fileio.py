@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 import os
 import struct
-import tempfile
 
 import numpy as np
 
@@ -24,17 +23,17 @@ _HEADER = struct.Struct("<4sII")
 
 
 def atomic_write_bytes(path, payload: bytes) -> None:
-    """Write ``payload`` to ``path`` via a same-directory temp file + rename;
-    the file gets the mode ``open`` would give it, 0666 less the umask."""
+    """Write ``payload`` to ``path`` via a same-directory temp file + rename.
+
+    The temp file is created with mode 0666, which the kernel reduces by the
+    umask, so the file gets the mode ``open`` would give it.
+    """
     path = os.fspath(path)
-    directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".xmod-", suffix=".tmp")
+    tmp = os.path.join(os.path.dirname(path), f".xmod-{os.urandom(8).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(payload)
-        umask = os.umask(0)
-        os.umask(umask)
-        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

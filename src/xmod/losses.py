@@ -80,10 +80,12 @@ class ModeBanks:
     intra_cross: MemoryBank
 
     def __post_init__(self):
-        src = self.intra_v if self.mode is TrainingMode.V_BASED else self.intra_r
+        name = "intra_v" if self.mode is TrainingMode.V_BASED else "intra_r"
+        src = getattr(self, name)
         if self.shared.k != src.k or self.intra_cross.k != src.k:
             raise ModeMismatchError(
-                "shared/auxiliary banks must match the source cluster space"
+                f"shared ({self.shared.k} clusters) and intra_cross ({self.intra_cross.k}) "
+                f"must match the source bank {name} ({src.k} clusters)"
             )
 
 

@@ -27,8 +27,6 @@ class TransportProblem:
     row_marginal: np.ndarray
     col_marginal: np.ndarray
     lam: float
-    max_iters: int = 10_000
-    tol: float = 1e-9
     log_k: np.ndarray = field(init=False)
 
     def __post_init__(self, cost):
@@ -47,8 +45,6 @@ class TransportProblem:
             raise ValueError("marginals must each sum to 1")
         if self.lam <= 0.0:
             raise ValueError("lam must be positive")
-        if self.max_iters < 1 or self.tol <= 0.0:
-            raise ValueError("bad solver parameters")
         object.__setattr__(self, "log_k", -self.lam * c)
         object.__setattr__(self, "row_marginal", r)
         object.__setattr__(self, "col_marginal", s)
@@ -195,6 +191,8 @@ def _newton_step(f, g, log_k, r, c, plan, a, b, buf, forcing):
 
 
 _STALL = 0.5  # a plain sweep that keeps more than this share of the error has stalled
+_MAX_ITERS = 10_000  # iteration cap: plain sweeps and Newton steps together
+_TOL = 1e-9  # converged once both marginal L1 errors fall below this
 
 
 def sinkhorn(problem: TransportProblem) -> TransportPlan:
@@ -215,8 +213,8 @@ def sinkhorn(problem: TransportProblem) -> TransportPlan:
     the next attempt waits for more plain sweeps: one after the first
     rejection, doubling with each consecutive rejection, back to one after
     an accepted step. Stops when the worse of the two marginal L1 errors
-    drops below ``tol``; if the iteration cap is hit with error above
-    10*tol a NotConvergedWarning is emitted and the plan is returned anyway.
+    drops below ``_TOL``; if ``_MAX_ITERS`` is hit with error above
+    10*_TOL a NotConvergedWarning is emitted and the plan is returned anyway.
     Besides ``log_k`` the solve holds two N x M arrays: the plan, which is
     rebuilt from f and g after every sweep, and one buffer that every sweep
     and Newton step works in. An accepted Newton step leaves its trial plan,
@@ -236,7 +234,7 @@ def sinkhorn(problem: TransportProblem) -> TransportPlan:
     stalled = False
     wait = 0  # plain sweeps left before the next Newton attempt
     backoff = 1  # plain sweeps to wait after the next rejection
-    while used < problem.max_iters:
+    while used < _MAX_ITERS:
         used += 1
         step = None
         if stalled and wait == 0:
@@ -262,10 +260,10 @@ def sinkhorn(problem: TransportProblem) -> TransportPlan:
         col_err = np.abs(col_mass - c).sum()
         prev, err = err, max(row_err, col_err)
         stalled = stalled or err > _STALL * prev
-        if err < problem.tol:
+        if err < _TOL:
             break
-    converged = err < problem.tol
-    if not converged and err > 10.0 * problem.tol:
+    converged = err < _TOL
+    if not converged and err > 10.0 * _TOL:
         warnings.warn(
             f"sinkhorn stopped at iteration {used} with marginal error {err:.3e}",
             NotConvergedWarning,

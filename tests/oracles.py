@@ -395,7 +395,7 @@ def sinkhorn_allocating(problem):
     log_r, log_c = np.log(r), np.log(c)
     f, g = np.zeros_like(log_r), np.zeros_like(log_c)
     err, used, stalled, wait, backoff = np.inf, 0, False, 0, 1
-    while used < problem.max_iters:
+    while used < transport._MAX_ITERS:
         used += 1
         step = None
         if stalled and wait == 0:
@@ -417,9 +417,9 @@ def sinkhorn_allocating(problem):
         col_err = np.abs(plan.sum(axis=0) - c).sum()
         prev, err = err, max(row_err, col_err)
         stalled = stalled or err > 0.5 * prev
-        if err < problem.tol:
+        if err < transport._TOL:
             break
-    return transport.TransportPlan(plan, used, float(err), err < problem.tol)
+    return transport.TransportPlan(plan, used, float(err), err < transport._TOL)
 
 
 def _scalar_normal_vector(rng, dim):

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -12,9 +13,18 @@ import pytest
 import xmod
 from xmod.cli import main
 from xmod.core import NOISE, Modality, PipelineConfig
-from xmod.fileio import read_features, read_labels, write_features, write_labels
+from xmod.fileio import (
+    read_features,
+    read_labels,
+    write_features,
+    write_ground_truth,
+    write_labels,
+)
 from xmod.losses import TrainingMode
 from xmod.pipeline import run_epoch
+from xmod.synth import GapMode, SynthSpec, generate
+
+from conftest import random_unit_rows
 
 # knobs sized for 3 tight blobs of 8 instances per modality
 CONFIG = {
@@ -83,6 +93,26 @@ class TestSynth:
                (tmp_path / "b" / "visible.mfv1").read_bytes()
 
     @pytest.mark.parametrize(
+        "flags,spec",
+        [(["--ids", "3"], SynthSpec(num_ids=3)),
+         (["--ids", "4", "--per-id-v", "3", "--per-id-r", "5", "--dim", "6",
+           "--separation", "0.9", "--std", "0.1", "--gap", "0.4", "--gap-mode", "per-id",
+           "--seed", "11"],
+          SynthSpec(num_ids=4, per_id_v=3, per_id_r=5, dim=6, id_separation=0.9,
+                    blob_std=0.1, modality_gap=0.4, gap_mode=GapMode.PER_ID_OFFSET, seed=11))],
+        ids=["ids-alone", "every-flag"],
+    )
+    def test_flags_write_the_bytes_of_their_spec(self, tmp_path, flags, spec):
+        # a flag left out keeps SynthSpec's default
+        assert main(["synth", *flags, "--out", str(tmp_path / "cli")]) == 0
+        visible, infrared, gt = generate(spec)
+        write_features(tmp_path / "visible.mfv1", visible)
+        write_features(tmp_path / "infrared.mfv1", infrared)
+        write_ground_truth(tmp_path / "ground_truth.csv", gt.ids_v, gt.ids_r)
+        for name in ("visible.mfv1", "infrared.mfv1", "ground_truth.csv"):
+            assert (tmp_path / "cli" / name).read_bytes() == (tmp_path / name).read_bytes()
+
+    @pytest.mark.parametrize(
         "flag,value,field",
         [("--std", "nan", "blob_std"), ("--std", "inf", "blob_std"),
          ("--gap", "nan", "modality_gap"), ("--gap", "inf", "modality_gap"),
@@ -100,6 +130,13 @@ class TestSynth:
         assert not out.exists()
 
 
+def cluster_argv(features, config, labels_path, protos_path):
+    return [
+        "cluster", "--features", str(features), "--config", str(config),
+        "--out-labels", str(labels_path), "--out-prototypes", str(protos_path),
+    ]
+
+
 class TestCluster:
     @pytest.mark.parametrize("metric", ["euclidean", "jaccard"])
     def test_labels_and_prototypes(self, workdir, metric):
@@ -107,8 +144,7 @@ class TestCluster:
         protos_path = workdir / f"protos_{metric}.mfv1"
         code = main([
             "cluster", "--features", str(workdir / "data" / "visible.mfv1"),
-            "--metric", metric, "--min-samples", "3",
-            "--config", str(workdir / "config.json"),
+            "--metric", metric, "--config", str(workdir / "config.json"),
             "--out-labels", str(labels_path),
             "--out-prototypes", str(protos_path),
         ])
@@ -122,35 +158,63 @@ class TestCluster:
         assert np.allclose(np.linalg.norm(protos.data, axis=1), 1.0, atol=1e-5)
 
     def test_all_noise_exit_2_and_writes_nothing(self, workdir, capsys):
+        config = workdir / "tiny_eps.json"
+        config.write_text(json.dumps({"dbscan_eps": 1e-4}))
         labels_path = workdir / "labels.csv"
         protos_path = workdir / "protos.mfv1"
-        code = main([
-            "cluster", "--features", str(workdir / "data" / "visible.mfv1"),
-            "--eps", "0.0001",
-            "--out-labels", str(labels_path),
-            "--out-prototypes", str(protos_path),
-        ])
+        features = workdir / "data" / "visible.mfv1"
+        code = main(cluster_argv(features, config, labels_path, protos_path))
         assert code == 2
         assert "noise" in capsys.readouterr().err
         assert not labels_path.exists() and not protos_path.exists()
 
     @pytest.mark.parametrize(
-        "flag,value",
-        [("--eps", "inf"), ("--eps", "nan"), ("--eps", "-1"), ("--min-samples", "-5")],
+        "field,value",
+        [("dbscan_eps", math.inf), ("dbscan_eps", math.nan), ("dbscan_eps", -1.0),
+         ("dbscan_min_samples", -5)],
     )
-    def test_out_of_range_flag_exit_2_and_writes_nothing(self, workdir, capsys, flag, value):
+    def test_out_of_range_config_exit_2_and_writes_nothing(self, workdir, capsys, field, value):
+        config = workdir / "bad.json"
+        config.write_text(json.dumps({field: value}))
         labels_path = workdir / "labels.csv"
         protos_path = workdir / "protos.mfv1"
-        code = main([
-            "cluster", "--features", str(workdir / "data" / "visible.mfv1"),
-            f"{flag}={value}",
-            "--out-labels", str(labels_path),
-            "--out-prototypes", str(protos_path),
-        ])
+        features = workdir / "data" / "visible.mfv1"
+        code = main(cluster_argv(features, config, labels_path, protos_path))
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("error:") and "noise" not in err
         assert not labels_path.exists() and not protos_path.exists()
+
+    @pytest.mark.parametrize("flag", ["--eps", "--min-samples"])
+    def test_dbscan_flag_is_a_usage_error(self, workdir, capsys, flag):
+        labels_path = workdir / "labels.csv"
+        argv = cluster_argv(workdir / "data" / "visible.mfv1", workdir / "config.json",
+                            labels_path, workdir / "protos.mfv1")
+        assert main(argv + [flag, "0.5"]) == 1
+        assert flag in capsys.readouterr().err
+        assert not labels_path.exists()
+
+    def test_same_config_finds_the_clusters_associate_finds(self, hard_set, tmp_path):
+        # at eps 0.45 the hard set has 2 visible and 10 infrared clusters,
+        # and noise rows on both sides
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"dbscan_eps": 0.45}))
+        assert main([
+            "associate", "--features-v", str(hard_set / "visible.mfv1"),
+            "--features-r", str(hard_set / "infrared.mfv1"),
+            "--config", str(config), "--out", str(tmp_path / "labels"),
+        ]) == 0
+        for side, source in (("v", "visible"), ("r", "infrared")):
+            labels_path = tmp_path / f"clusters_{side}.csv"
+            protos_path = tmp_path / f"protos_{side}.mfv1"
+            assert main(cluster_argv(hard_set / f"{source}.mfv1", config,
+                                     labels_path, protos_path)) == 0
+            clusters, _ = read_labels(labels_path)
+            intra, soft = read_labels(tmp_path / "labels" / f"intra_{side}.csv")
+            assert 0 < (clusters == NOISE).sum() < clusters.size
+            assert np.array_equal(clusters == NOISE, intra == NOISE)
+            k = read_features(protos_path, Modality.VISIBLE).data.shape[0]
+            assert soft.shape[1] == k == clusters.max() + 1
 
 
 class TestAssociate:
@@ -418,12 +482,8 @@ def loss_report_argv(workdir, labels, out, mode="v"):
     banks = {}
     for tag, source in (("v", "visible"), ("r", "infrared")):
         banks[tag] = workdir / f"protos_{tag}.mfv1"
-        code = main([
-            "cluster", "--features", str(workdir / "data" / f"{source}.mfv1"),
-            "--min-samples", "3", "--config", str(workdir / "config.json"),
-            "--out-labels", str(workdir / f"scratch_{tag}.csv"),
-            "--out-prototypes", str(banks[tag]),
-        ])
+        code = main(cluster_argv(workdir / "data" / f"{source}.mfv1", workdir / "config.json",
+                                 workdir / f"scratch_{tag}.csv", banks[tag]))
         assert code == 0
     return [
         "loss-report",
@@ -519,6 +579,24 @@ class TestLossReport:
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
         assert "cross_r.csv: non-numeric soft label at line 4" in err
+        assert not out.exists()
+
+    def test_bank_mismatch_names_the_source_bank(self, workdir, capsys):
+        # a V-based report reads intra_v as the source bank; here it has 7
+        # clusters against 4 in the shared and intra-cross banks
+        _, labels = run_associate(workdir)
+        out = workdir / "losses.json"
+        argv = loss_report_argv(workdir, labels, out)
+        rng = np.random.default_rng(0)
+        for flag, k in (("--bank-intra-v", 7), ("--bank-shared", 4), ("--bank-intra-cross", 4)):
+            path = workdir / f"bank_{flag[2:]}.mfv1"
+            write_features(path, random_unit_rows(rng, k, 16))
+            argv[argv.index(flag) + 1] = str(path)
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "shared (4 clusters) and intra_cross (4)" in err
+        assert "source bank intra_v (7 clusters)" in err
         assert not out.exists()
 
 

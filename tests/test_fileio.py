@@ -316,16 +316,27 @@ class TestAtomicWrites:
         assert path.read_text() == "two"
 
     @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600), (0o002, 0o664)])
-    def test_written_files_get_the_umask_mode(self, tmp_path, umask, mode):
-        # mkstemp makes its temp file 0600; the renamed file must not stay that way
-        old = os.umask(umask)
+    def test_written_files_get_the_umask_mode(self, tmp_path, monkeypatch, umask, mode):
+        # The kernel applies the umask. Reading it means setting it, which is
+        # process-wide, so a write that calls os.umask fails here.
+        set_umask = os.umask
+        old = set_umask(umask)
         try:
-            fileio.write_json(tmp_path / "report.json", {"a": 1})
-            fileio.write_labels(tmp_path / "labels.csv", np.array([0, 1]), np.eye(2))
+            with monkeypatch.context() as patch:
+                patch.setattr(os, "umask", lambda mask: pytest.fail("os.umask called"))
+                fileio.write_json(tmp_path / "report.json", {"a": 1})
+                fileio.write_labels(tmp_path / "labels.csv", np.array([0, 1]), np.eye(2))
         finally:
-            os.umask(old)
+            set_umask(old)
         for name in ("report.json", "labels.csv"):
             assert os.stat(tmp_path / name).st_mode & 0o777 == mode
+
+    def test_failed_write_leaves_no_temp_file(self, tmp_path):
+        # renaming a file onto a nonempty directory fails after the write
+        (tmp_path / "out" / "kept").mkdir(parents=True)
+        with pytest.raises(OSError):
+            fileio.atomic_write_text(tmp_path / "out", "hello")
+        assert [p.name for p in tmp_path.iterdir()] == ["out"]
 
 
 class TestJson:

@@ -24,10 +24,10 @@ from conftest import random_unit_rows
 from oracles import newton_direction_dense, sinkhorn_allocating
 
 
-def uniform_problem(cost, lam, **kw) -> TransportProblem:
+def uniform_problem(cost, lam) -> TransportProblem:
     cost = np.asarray(cost, dtype=np.float64)
     n, m = cost.shape
-    return TransportProblem(cost, np.full(n, 1.0 / n), np.full(m, 1.0 / m), lam, **kw)
+    return TransportProblem(cost, np.full(n, 1.0 / n), np.full(m, 1.0 / m), lam)
 
 
 def synth_cost(**spec) -> np.ndarray:
@@ -206,8 +206,10 @@ class TestSinkhorn:
         for lo, hi in zip(transported[1:], transported[:-1]):
             assert lo <= hi + 1e-12
 
-    def test_not_converged_warning(self, rng):
-        prob = uniform_problem(rng.random((6, 6)), lam=30.0, max_iters=2, tol=1e-12)
+    def test_not_converged_warning(self, rng, monkeypatch):
+        monkeypatch.setattr(transport, "_MAX_ITERS", 2)
+        monkeypatch.setattr(transport, "_TOL", 1e-12)
+        prob = uniform_problem(rng.random((6, 6)), lam=30.0)
         with pytest.warns(NotConvergedWarning):
             result = sinkhorn(prob)
         assert not result.converged
@@ -215,13 +217,15 @@ class TestSinkhorn:
         assert isinstance(result, TransportPlan)
 
     @pytest.mark.parametrize("tol, warns", [(1e-9, True), (3e-9, False)])
-    def test_warning_threshold_is_ten_tol(self, tol, warns):
+    def test_warning_threshold_is_ten_tol(self, monkeypatch, tol, warns):
         # nine iterations stop at a marginal error of 1.8e-8: above 10 * 1e-9,
         # below 10 * 3e-9, and above both tolerances
+        monkeypatch.setattr(transport, "_MAX_ITERS", 9)
+        monkeypatch.setattr(transport, "_TOL", tol)
         cost = np.random.default_rng(0).random((6, 6))
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            result = sinkhorn(uniform_problem(cost, lam=30.0, max_iters=9, tol=tol))
+            result = sinkhorn(uniform_problem(cost, lam=30.0))
         assert result.iterations_used == 9 and not result.converged
         assert 1.5e-8 < result.marginal_error < 2e-8
         assert [w.category for w in caught] == ([NotConvergedWarning] if warns else [])
