@@ -16,7 +16,13 @@ from xmod.affinity import homogeneous_affinity
 from xmod.clustering import ClusterAssignment
 from xmod.core import PipelineConfig
 from xmod.synth import GapMode, SynthSpec, generate
-from xmod.transfer import DirectionAffinities, inconsistency, init_labels, run_transfer
+from xmod.transfer import (
+    DirectionAffinities,
+    direction_anchors,
+    inconsistency,
+    init_labels,
+    run_transfer,
+)
 from xmod.transport import heterogeneous_affinity
 
 
@@ -43,7 +49,8 @@ def main() -> None:
         steps.append(s)
 
     init_acc = (state.cross.argmax(axis=1) == gt.ids_r).mean()
-    final = run_transfer(state, aff, cfg, on_step=watch)
+    anchors = direction_anchors(state, aff, cfg.alpha)
+    final = run_transfer(state, aff, cfg, anchors, on_step=watch)
     final_acc = (final.cross.argmax(axis=1) == gt.ids_r).mean()
 
     print(f"converged after {final.t} iterations (cap hit: {final.cap_hit})")

@@ -74,17 +74,20 @@ def jaccard_affinity(mask: np.ndarray) -> np.ndarray:
 def row_normalize(values: np.ndarray) -> np.ndarray:
     """Scale each row to sum 1; an all-zero row becomes the uniform row.
 
-    Only a transport plan can have one. A Jaccard affinity has a unit
-    diagonal, because every instance is in its own k-reciprocal set
+    A float64 array is scaled in place and returned, so the caller must own
+    it; any other input is converted to a new float64 array first.
+
+    Only a transport plan can have an all-zero row. A Jaccard affinity has a
+    unit diagonal, because every instance is in its own k-reciprocal set
     (test_affinity pins this in test_self_included_even_with_duplicates and
     test_symmetric_unit_diag_in_range).
     """
     v = np.asarray(values, dtype=np.float64)
     sums = v.sum(axis=1)
     zero = sums <= 0.0
-    out = v / np.where(zero, 1.0, sums)[:, None]
-    out[zero] = 1.0 / v.shape[1]
-    return out
+    v /= np.where(zero, 1.0, sums)[:, None]
+    v[zero] = 1.0 / v.shape[1]
+    return v
 
 
 def homogeneous_affinity(features, kappa: int) -> np.ndarray:

@@ -16,7 +16,7 @@ import struct
 
 import numpy as np
 
-from .core import FeatureMatrix, FileFormatError, Modality, feature_data
+from .core import NOISE, FeatureMatrix, FileFormatError, Modality, feature_data
 
 _MAGIC = b"MFV1"
 _HEADER = struct.Struct("<4sII")
@@ -148,11 +148,22 @@ def _indexed_rows(path, column: str):
 def read_labels(path, soft: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
     """Return (hard, soft-or-None); soft values must be finite.
 
-    ``soft=False`` checks every row's structure but leaves the soft columns
-    unparsed and returns None for them.
+    A hard label is NOISE or a cluster id, which must be below the soft
+    column count when the file has soft columns. ``soft=False`` checks every
+    row's structure and hard label but leaves the soft columns unparsed and
+    returns None for them.
     """
     hard, values, lines = [], [], []
+    k = None  # soft column count; every row has the header's
     for line, label, rest in _indexed_rows(path, "hard_label"):
+        if rest is not None and k is None:
+            k = rest.count(",") + 1
+        if label < NOISE:
+            raise FileFormatError(f"{path}: hard label {label} below {NOISE} at line {line}")
+        if k is not None and label >= k:
+            raise FileFormatError(
+                f"{path}: hard label {label} at line {line} has no soft column"
+            )
         hard.append(label)
         if soft and rest is not None:
             lines.append(line)

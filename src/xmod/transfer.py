@@ -60,11 +60,13 @@ class DirectionAffinities:
     instances (shape Nsrc x Ntgt) and he_ts the reverse. a_st / a_ts are the
     composites smoothed_transport(ho_src, he_st) / (ho_tgt, he_ts) that the
     transfer step applies; they are built after the shape checks unless
-    given, which only swapped() does.
+    given. Only the trace energies (inconsistency) read ho, so a caller that
+    gives both composites may give None for the graphs, as mult_associate
+    does unless it collects a trace; a graph that is given is shape-checked.
     """
 
-    ho_src: np.ndarray
-    ho_tgt: np.ndarray
+    ho_src: np.ndarray | None
+    ho_tgt: np.ndarray | None
     he_st: np.ndarray
     he_ts: np.ndarray
     a_st: np.ndarray | None = field(default=None, repr=False)
@@ -72,14 +74,17 @@ class DirectionAffinities:
 
     def __post_init__(self):
         ns, nt = self.he_st.shape
-        if self.ho_src.shape != (ns, ns) or self.ho_tgt.shape != (nt, nt):
-            raise ShapeMismatchError("homogeneous affinity shapes do not match")
+        for ho, n in ((self.ho_src, ns), (self.ho_tgt, nt)):
+            if ho is not None and ho.shape != (n, n):
+                raise ShapeMismatchError("homogeneous affinity shapes do not match")
         if self.he_ts.shape != (nt, ns):
             raise ShapeMismatchError("heterogeneous affinity shapes do not match")
-        if self.a_st is None:
-            object.__setattr__(self, "a_st", smoothed_transport(self.ho_src, self.he_st))
-        if self.a_ts is None:
-            object.__setattr__(self, "a_ts", smoothed_transport(self.ho_tgt, self.he_ts))
+        for name, ho, he in (("a_st", self.ho_src, self.he_st),
+                             ("a_ts", self.ho_tgt, self.he_ts)):
+            if getattr(self, name) is None:
+                if ho is None:
+                    raise ValueError(f"{name} must be given when its graph is not")
+                object.__setattr__(self, name, smoothed_transport(ho, he))
         if self.a_st.shape != (ns, nt) or self.a_ts.shape != (nt, ns):
             raise ShapeMismatchError("composite affinity shapes do not match")
 
@@ -165,10 +170,15 @@ def inconsistency(state: TransferState, aff: DirectionAffinities, alpha: float) 
     }
 
 
-def _anchors(state: TransferState, aff: DirectionAffinities, alpha: float):
-    """α·½(ho + I)·init for each side: the part of a step that never changes."""
-    return (alpha * (0.5 * (aff.ho_src @ state.intra0 + state.intra0)),
-            alpha * (0.5 * (aff.ho_tgt @ state.cross0 + state.cross0)))
+def smoothed_anchor(ho: np.ndarray, init: np.ndarray, alpha: float) -> np.ndarray:
+    """α·½(ho + I)·init: the part of a step on init's modality that never changes."""
+    return alpha * (0.5 * (ho @ init + init))
+
+
+def direction_anchors(state: TransferState, aff: DirectionAffinities, alpha: float):
+    """The (intra, cross) anchors of one direction, from its graphs."""
+    return (smoothed_anchor(aff.ho_src, state.intra0, alpha),
+            smoothed_anchor(aff.ho_tgt, state.cross0, alpha))
 
 
 def transfer_step(
@@ -179,9 +189,9 @@ def transfer_step(
 
     Smoothing ½(ho + I)·z with z = (1−α)·he·other + α·init is linear, so it
     is applied as (1−α)·a·other + α·½(ho + I)·init: two N×N·N×K products
-    with the composites and the anchors, which run_transfer computes once
-    per run (_anchors). Both updates read the pre-update labels of the other
-    side; neither writes into the state's arrays.
+    with the composites and the run's anchors (smoothed_anchor), which are
+    computed once per run. Both updates read the pre-update labels of the
+    other side; neither writes into the state's arrays.
     """
     anchor_intra, anchor_cross = anchors
     intra_new = _pull(aff.a_st, state.cross, alpha, anchor_intra)
@@ -196,11 +206,13 @@ def run_transfer(
     state: TransferState,
     aff: DirectionAffinities,
     cfg: PipelineConfig,
+    anchors,
     on_step=None,
 ) -> TransferState:
-    """Iterate transfer_step until the larger entrywise-L1 update falls to
-    cfg.epsilon0, or cfg.max_transfer_iters steps have run (cap_hit is set)."""
-    anchors = _anchors(state, aff, cfg.alpha)
+    """Iterate transfer_step with the run's (intra, cross) anchors until the
+    larger entrywise-L1 update falls to cfg.epsilon0, or
+    cfg.max_transfer_iters steps have run (cap_hit is set). No step reads
+    aff's graphs."""
     while state.epsilon > cfg.epsilon0:
         if state.t >= cfg.max_transfer_iters:
             state = replace(state, cap_hit=True)
@@ -323,23 +335,52 @@ def mult_associate(
     """Full association pass. DBSCAN-noise instances sit out entirely.
 
     V2R treats visible as the source (labels live in the visible cluster
-    space); R2V is the same computation with the modalities swapped. Each
-    modality's graph, the cross-modality plan and the two composites are
-    built once and shared by both directions. The plan is solved first, so
-    neither graph is alive during the solve.
+    space); R2V is the same computation with the modalities swapped. The
+    plan, each modality's graph and the two composites are built once and
+    shared by both directions, in an order that bounds the N×N arrays alive
+    at any time:
+
+    1. every requested direction's initial labels (N×K arrays, made before
+       any N×N array exists);
+    2. the plan, row-normalized both ways into he_vr and he_rv;
+    3. one modality at a time, its graph ho, its composite ½(ho + I)·he and
+       the anchors α·½(ho + I)·init of the initial labels on that modality
+       (V2R's intra and R2V's cross on the visible side); ho is then
+       dropped, unless the trace energies need it.
+
+    The loops then hold the two plan factors, the two composites and the N×K
+    labels. The factors stay referenced by DirectionAffinities, because the
+    trace energies read them.
     """
     v = clustered_side(features_v, assign_v)
     r = clustered_side(features_r, assign_r)
+    starts = {}  # keyed by v2r, like the directions one_way runs
+    if direction is not Direction.R2V:
+        starts[True] = init_labels(v.rows, r.rows, v.assign, cfg)
+    if direction is not Direction.V2R:
+        starts[False] = init_labels(r.rows, v.rows, r.assign, cfg)
     he_vr, he_rv = heterogeneous_affinity(v.rows, r.rows, cfg.ot_lambda)
-    ho_v = homogeneous_affinity(v.rows, cfg.kappa)
-    ho_r = homogeneous_affinity(r.rows, cfg.kappa)
-    aff_v2r = DirectionAffinities(ho_v, ho_r, he_vr, he_rv)
+    anchors = {v2r: [None, None] for v2r in starts}
+
+    def smooth(side: ClusteredSide, he: np.ndarray):
+        # The side's composite, and the anchor of every start label on it.
+        ho = homogeneous_affinity(side.rows, cfg.kappa)
+        composite = smoothed_transport(ho, he)
+        for v2r, start in starts.items():
+            is_src = (side is v) == v2r  # the side is this direction's source
+            init = start.intra0 if is_src else start.cross0
+            anchors[v2r][0 if is_src else 1] = smoothed_anchor(ho, init, cfg.alpha)
+        return (ho if collect_trace else None), composite
+
+    ho_v, a_vr = smooth(v, he_vr)
+    ho_r, a_rv = smooth(r, he_rv)
+    aff_v2r = DirectionAffinities(ho_v, ho_r, he_vr, he_rv, a_st=a_vr, a_ts=a_rv)
     affs = {True: aff_v2r, False: aff_v2r.swapped()}
 
     def one_way(src: ClusteredSide, tgt: ClusteredSide, v2r: bool):
         # Both directions run this one routine on their own affinities.
         aff = affs[v2r]
-        state = init_labels(src.rows, tgt.rows, src.assign, cfg)
+        state = starts.pop(v2r)
         trace = on_step = None
         if collect_trace:
             trace = [dict(inconsistency(state, aff, cfg.alpha), t=0, epsilon=None)]
@@ -348,7 +389,7 @@ def mult_associate(
                 entry = inconsistency(st, aff, cfg.alpha)
                 trace.append(dict(entry, t=st.t, epsilon=float(st.epsilon)))
 
-        state = run_transfer(state, aff, cfg, on_step=on_step)
+        state = run_transfer(state, aff, cfg, anchors.pop(v2r), on_step=on_step)
         intra, cross = fuse_labels(state, cfg.beta)
         return intra, cross, trace
 

@@ -302,13 +302,18 @@ def heterogeneous_affinity(
     The plan's rows are the set that sorts first by (row count, bytes), so
     swapping the arguments swaps the outputs bit for bit; byte-identical sets
     share one row-normalized plan, which is symmetric only up to rounding.
+    The transposed copy is normalized first and the plan then in its own
+    array, so no more than two plan-sized arrays outlive the solve.
     """
     a, b = feature_data(features_a), feature_data(features_b)
     order = _row_order(a, b)
     rows, cols = (b, a) if order > 0 else (a, b)
     plan = heterogeneous_plan(rows, cols, lam).plan
+    if order == 0:
+        shared = row_normalize(plan)
+        return shared, shared
+    s_cols = row_normalize(plan.T.copy())
     s_rows = row_normalize(plan)
-    s_cols = s_rows if order == 0 else row_normalize(plan.T.copy())
     return (s_cols, s_rows) if order > 0 else (s_rows, s_cols)
 
 

@@ -29,6 +29,7 @@ from xmod.synth import GapMode, SynthSpec, generate
 from xmod.transfer import (
     Direction,
     DirectionAffinities,
+    direction_anchors,
     inconsistency,
     init_labels,
     mult_associate,
@@ -176,7 +177,8 @@ def transfer_family():
         )
         state = init_labels(f_src, f_tgt, ClusterAssignment(gt_src, ids), cfg)
         t0 = inconsistency(state, aff, cfg.alpha)["weighted_total"]
-        final_state = run_transfer(state, aff, cfg)
+        final_state = run_transfer(state, aff, cfg,
+                                   direction_anchors(state, aff, cfg.alpha))
         final = inconsistency(final_state, aff, cfg.alpha)["weighted_total"]
 
         a = cfg.alpha

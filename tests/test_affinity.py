@@ -177,6 +177,16 @@ class TestRowNormalize:
         out = row_normalize(v)
         assert np.allclose(out.sum(axis=1), 1.0, atol=1e-12)
 
+    def test_float64_is_scaled_in_place(self, rng):
+        v = rng.random((6, 5))
+        v[2] = 0.0
+        expect = v / np.where(v.sum(axis=1) > 0.0, v.sum(axis=1), 1.0)[:, None]
+        expect[2] = 0.2
+        assert row_normalize(v) is v
+        assert np.array_equal(v, expect)
+        ints = np.array([[1, 3]])
+        assert row_normalize(ints).tolist() == [[0.25, 0.75]] and ints.tolist() == [[1, 3]]
+
 
 class TestHomogeneousAffinity:
     def test_row_stochastic_and_self_positive(self, rng):

@@ -432,6 +432,15 @@ def replace_soft_value(path, line, value):
     path.write_text("\n".join(lines) + "\n")
 
 
+def replace_hard_label(path, line, value):
+    """Rewrite the hard label on 1-based ``line`` of a label CSV."""
+    lines = path.read_text().splitlines()
+    fields = lines[line - 1].split(",")
+    fields[1] = str(value)
+    lines[line - 1] = ",".join(fields)
+    path.write_text("\n".join(lines) + "\n")
+
+
 class TestEval:
     def test_metrics_json_validates_and_is_perfect(self, workdir):
         _, labels = run_associate(workdir)
@@ -459,6 +468,21 @@ class TestEval:
         out = workdir / "metrics.json"
         assert main(eval_argv(workdir, labels, out)) == 0
         assert out.read_bytes() == clean.read_bytes()
+
+    @pytest.mark.parametrize("label, error", [
+        (-5, "hard label -5 below -1 at line 2"),
+        (99, "hard label 99 at line 2 has no soft column"),
+    ], ids=["below-noise", "past-k"])
+    def test_impossible_hard_label_exit_2_and_writes_nothing(self, workdir, capsys,
+                                                            label, error):
+        _, labels = run_associate(workdir)
+        replace_hard_label(labels / "intra_v.csv", 2, label)
+        out = workdir / "metrics.json"
+        assert main(eval_argv(workdir, labels, out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert f"intra_v.csv: {error}" in err
+        assert not out.exists()
 
     def test_short_ground_truth_row_exit_2_and_writes_nothing(self, workdir, capsys):
         _, labels = run_associate(workdir)
@@ -579,6 +603,20 @@ class TestLossReport:
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
         assert "cross_r.csv: non-numeric soft label at line 4" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("label, error", [
+        (-5, "hard label -5 below -1 at line 3"),
+        (99, "hard label 99 at line 3 has no soft column"),
+    ], ids=["below-noise", "past-k"])
+    def test_impossible_hard_label_exit_2_and_no_report(self, workdir, capsys, label, error):
+        _, labels = run_associate(workdir)
+        replace_hard_label(labels / "intra_v.csv", 3, label)
+        out = workdir / "losses.json"
+        assert main(loss_report_argv(workdir, labels, out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert f"intra_v.csv: {error}" in err
         assert not out.exists()
 
     def test_bank_mismatch_names_the_source_bank(self, workdir, capsys):

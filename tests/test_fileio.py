@@ -122,6 +122,27 @@ class TestLabelFiles:
         with pytest.raises(FileFormatError, match=f"labels.csv: line {line} "):
             fileio.read_labels(path)
 
+    @pytest.mark.parametrize("soft", [True, False], ids=["soft", "hard-only"])
+    @pytest.mark.parametrize("label, error", [
+        (-5, "hard label -5 below -1 at line 3"),
+        (2, "hard label 2 at line 3 has no soft column"),
+        (99, "hard label 99 at line 3 has no soft column"),
+    ], ids=["below-noise", "k", "far-past-k"])
+    def test_impossible_hard_label_names_its_file_line(self, tmp_path, soft, label, error):
+        path = tmp_path / "labels.csv"
+        path.write_text(f"index,hard_label,p0,p1\n0,1,0.0,1.0\n1,{label},1.0,0.0\n")
+        with pytest.raises(FileFormatError, match=f"labels.csv: {error}"):
+            fileio.read_labels(path, soft=soft)
+
+    def test_any_cluster_id_without_soft_columns(self, tmp_path):
+        # a cluster file has no soft columns, so only NOISE bounds its labels
+        path = tmp_path / "labels.csv"
+        path.write_text("index,hard_label\n0,-1\n1,99\n")
+        assert fileio.read_labels(path)[0].tolist() == [-1, 99]
+        path.write_text("index,hard_label\n0,-2\n")
+        with pytest.raises(FileFormatError, match="labels.csv: hard label -2 below -1 at line 2"):
+            fileio.read_labels(path)
+
     @pytest.mark.parametrize("row", ["1,1.5", "x,1", "1,"], ids=["label", "index", "empty"])
     def test_non_integer_field_names_its_file_line(self, tmp_path, row):
         path = tmp_path / "labels.csv"
@@ -152,7 +173,7 @@ def _oracle_cases():
         "noise-zero-rows": (np.array([-1, 1, -1, 0]),
                             np.array([[0.0, 0.0], [0.2, 0.8], [0.0, 0.0], [0.6, 0.4]])),
         "hard-only": (np.array([0, 2, -1, 1, 10, 123456]), None),
-        "single-row": (np.array([3]), np.array([[0.25, 0.75]])),
+        "single-row": (np.array([1]), np.array([[0.25, 0.75]])),
         "single-row-hard-only": (np.array([-1]), None),
         "random": (random_hard, random_soft),
     }

@@ -1,3 +1,5 @@
+import tracemalloc
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -16,6 +18,7 @@ from xmod.transfer import (
     DirectionAffinities,
     LabeledSubset,
     TransferState,
+    direction_anchors,
     fuse_labels,
     inconsistency,
     init_labels,
@@ -32,8 +35,13 @@ from oracles import transfer_step_factored
 
 
 def step(state, aff, alpha):
-    """transfer_step with the anchors run_transfer would pass it."""
-    return transfer_step(state, aff, alpha, transfer._anchors(state, aff, alpha))
+    """transfer_step with the anchors of aff's graphs."""
+    return transfer_step(state, aff, alpha, direction_anchors(state, aff, alpha))
+
+
+def run(state, aff, cfg, on_step=None):
+    """run_transfer with the anchors of aff's graphs."""
+    return run_transfer(state, aff, cfg, direction_anchors(state, aff, cfg.alpha), on_step)
 
 
 def random_stochastic(rng, n, m):
@@ -241,6 +249,18 @@ class TestDirectionAffinities:
                                 random_stochastic(rng, 4, 5), random_stochastic(rng, 5, 4))
         assert built == []
 
+    def test_graphs_may_be_left_out_only_beside_their_composites(self, rng):
+        he_st, he_ts = random_stochastic(rng, 4, 5), random_stochastic(rng, 5, 4)
+        full = DirectionAffinities(random_stochastic(rng, 4, 4),
+                                   random_stochastic(rng, 5, 5), he_st, he_ts)
+        bare = DirectionAffinities(None, None, he_st, he_ts, a_st=full.a_st, a_ts=full.a_ts)
+        assert bare.swapped().a_st is full.a_ts
+        with pytest.raises(ValueError, match="a_ts must be given"):
+            DirectionAffinities(full.ho_src, None, he_st, he_ts)
+        with pytest.raises(ShapeMismatchError, match="homogeneous"):
+            DirectionAffinities(None, random_stochastic(rng, 4, 4), he_st, he_ts,
+                                a_st=full.a_st, a_ts=full.a_ts)
+
 
 class TestTransferStep:
     @pytest.mark.parametrize(
@@ -317,7 +337,7 @@ class TestRunTransfer:
         start = init_labels(fv.data, fr.data, av, cfg)
         assert start.intra is start.intra0 and start.cross is start.cross0
         intra0, cross0 = start.intra0.copy(), start.cross0.copy()
-        out = run_transfer(start, aff, cfg)
+        out = run(start, aff, cfg)
         fuse_labels(out, cfg.beta)
         assert out.t > 1
         assert np.array_equal(start.intra0, intra0) and np.array_equal(start.cross0, cross0)
@@ -328,7 +348,7 @@ class TestRunTransfer:
         intra0[np.arange(n), np.arange(n) % k] = 1.0
         aff = DirectionAffinities(np.eye(n), np.eye(n), np.eye(n), np.eye(n))
         state = TransferState(intra0.copy(), intra0.copy(), intra0, intra0.copy())
-        out = run_transfer(state, aff, PipelineConfig())
+        out = run(state, aff, PipelineConfig())
         assert out.t == 1
         assert out.epsilon < 1e-12
         assert not out.cap_hit
@@ -337,7 +357,7 @@ class TestRunTransfer:
         state, aff = random_instance(rng, ns=12, nt=9, k=4)
         eps = []
         cfg = PipelineConfig(epsilon0=1e-13, max_transfer_iters=30)
-        out = run_transfer(state, aff, cfg, on_step=lambda s: eps.append(s.epsilon))
+        out = run(state, aff, cfg, on_step=lambda s: eps.append(s.epsilon))
         assert out.cap_hit
         assert len(eps) == 30
         assert all(np.isfinite(e) for e in eps)
@@ -347,15 +367,14 @@ class TestRunTransfer:
         for _ in range(5):
             state, aff = random_instance(rng, ns=10, nt=10, k=3)
             before = inconsistency(state, aff, 0.2)["weighted_total"]
-            out = run_transfer(state, aff, PipelineConfig(epsilon0=1e-6,
-                                                          max_transfer_iters=500))
+            out = run(state, aff, PipelineConfig(epsilon0=1e-6, max_transfer_iters=500))
             after = inconsistency(out, aff, 0.2)["weighted_total"]
             assert after <= before + 1e-12
 
     def test_cap_hit_flag(self, rng):
         state, aff = random_instance(rng)
         cfg = PipelineConfig(epsilon0=1e-15, max_transfer_iters=2)
-        out = run_transfer(state, aff, cfg)
+        out = run(state, aff, cfg)
         assert out.cap_hit
         assert out.t == 2
 
@@ -375,7 +394,7 @@ class TestRunTransfer:
                 expect = replace(expect, cap_hit=True)
                 break
             expect = transfer_step_factored(expect, aff, cfg.alpha)
-        got = run_transfer(start, aff, cfg)
+        got = run(start, aff, cfg)
         assert expect.t > 1
         assert (got.t, got.cap_hit) == (expect.t, expect.cap_hit)
         for mine, theirs in ((got.intra, expect.intra), (got.cross, expect.cross)):
@@ -387,7 +406,7 @@ class TestRunTransfer:
         # every row toward a common distribution
         state, aff = random_instance(rng, ns=9, nt=9, k=3)
         cfg = PipelineConfig(alpha=0.0, epsilon0=1e-15, max_transfer_iters=50)
-        out = run_transfer(state, aff, cfg)
+        out = run(state, aff, cfg)
 
         def spread(rows):
             return max(
@@ -572,9 +591,9 @@ class TestMultAssociate:
         monkeypatch.setattr(transport, "heterogeneous_plan", recording)
         args = (fr, fv, ar, av) if swap else (fv, fr, av, ar)
         mult_associate(*args, PipelineConfig(kappa=8))
-        # the cross-modal plan first, then one K-column OTLA plan per direction
-        assert shapes[0] == (21, 27)
-        assert sorted(shapes[1:]) == [(21, 3), (27, 3)]
+        # the cross-modal plan is the one without K = 3 columns; the other two
+        # are the OTLA plans, one per direction
+        assert sorted(shapes) == [(21, 3), (21, 27), (27, 3)]
 
     @pytest.mark.parametrize("direction", list(Direction), ids=lambda d: d.value)
     def test_each_composite_built_once(self, monkeypatch, direction):
@@ -584,9 +603,9 @@ class TestMultAssociate:
             built.append(he.shape)
             return smoothed_transport(ho, he)
 
-        def recorded(state, aff, cfg, on_step=None):
+        def recorded(state, aff, cfg, anchors, on_step=None):
             used.append(aff)
-            return run_transfer(state, aff, cfg, on_step)
+            return run_transfer(state, aff, cfg, anchors, on_step)
 
         monkeypatch.setattr(transfer, "smoothed_transport", counted)
         monkeypatch.setattr(transfer, "run_transfer", recorded)
@@ -596,6 +615,53 @@ class TestMultAssociate:
         if direction is Direction.BOTH:
             v2r, r2v = used
             assert r2v.a_st is v2r.a_ts and r2v.a_ts is v2r.a_st
+
+    @pytest.mark.parametrize("collect_trace", [False, True], ids=["untraced", "traced"])
+    def test_graphs_are_dropped_before_the_loops_unless_traced(self, monkeypatch,
+                                                               collect_trace):
+        graphs, alive = [], []
+
+        def recorded_graph(rows, kappa):
+            ho = homogeneous_affinity(rows, kappa)
+            graphs.append(weakref.ref(ho))
+            return ho
+
+        def recorded_run(state, aff, cfg, anchors, on_step=None):
+            alive.append([ref() is not None for ref in graphs])
+            alive.append([aff.ho_src is not None, aff.ho_tgt is not None])
+            return run_transfer(state, aff, cfg, anchors, on_step)
+
+        monkeypatch.setattr(transfer, "homogeneous_affinity", recorded_graph)
+        monkeypatch.setattr(transfer, "run_transfer", recorded_run)
+        fv, fr, av, ar, _ = blob_instance(seed=3, per_id_v=9, per_id_r=7)
+        cfg = PipelineConfig(kappa=8)
+        result = mult_associate(fv, fr, av, ar, cfg, collect_trace=collect_trace)
+        assert len(graphs) == 2
+        assert alive == [[collect_trace, collect_trace]] * 4
+        # keeping the graphs changes no label bit
+        other = mult_associate(fv, fr, av, ar, cfg, collect_trace=not collect_trace)
+        for name in ("intra_v", "cross_r", "intra_r", "cross_v"):
+            assert np.array_equal(getattr(result, name).labels.probs,
+                                  getattr(other, name).labels.probs)
+
+    @pytest.mark.parametrize("num_ids, per_id", [(30, 20), (120, 5)], ids=["k30", "k120"])
+    def test_untraced_peak_memory_budget(self, num_ids, per_id):
+        # 600 + 600 rows, in 8-byte units: measured 5.53 N² at K = 30 and
+        # 6.66 N² at K = 120, about 5.16 N² + 7.5 N·K. The peak is the second
+        # Jaccard graph's build (~2.1 N²) beside the two plan factors, the
+        # first composite and the N×K start labels and anchors. Keeping both
+        # graphs through the loops peaked at 6.61 and 8.26.
+        fv, fr, av, ar, _ = blob_instance(seed=5, gap=0.3, num_ids=num_ids,
+                                          per_id_v=per_id, per_id_r=per_id)
+        n, k = 600, num_ids
+        assert (fv.n, fr.n) == (n, n)
+        tracemalloc.start()
+        try:
+            mult_associate(fv, fr, av, ar, PipelineConfig())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * (5.3 * n * n + 8.0 * n * k)
 
     @pytest.mark.parametrize("direction", [Direction.V2R, Direction.R2V], ids=["v2r", "r2v"])
     @pytest.mark.parametrize("method", METHODS)
@@ -654,7 +720,7 @@ class TestStationarity:
         ho_t = homogeneous_affinity(fr.data, cfg.kappa)
         he_st, he_ts = heterogeneous_affinity(fv.data, fr.data, cfg.ot_lambda)
         aff = DirectionAffinities(ho_s, ho_t, he_st, he_ts)
-        out = run_transfer(state, aff, cfg)
+        out = run(state, aff, cfg)
         assert not out.cap_hit
         resid = (
             2.0 * cfg.alpha * (out.intra - out.intra0)

@@ -401,6 +401,21 @@ class TestNewtonStep:
         assert peak < 3.5 * result.plan.nbytes
 
 
+    def test_hard_affinity_normalizes_in_the_plans_arrays(self, monkeypatch):
+        # the solve peaks at ~3.1 plans; afterwards the plan and one
+        # transposed copy are normalized in place, where a new array for each
+        # output took the stage to 4.01
+        fv, fr, _ = hard_snapshot(num_ids=20, per_id_v=20, per_id_r=20)
+        counts = count_newton(monkeypatch)
+        tracemalloc.start()
+        try:
+            s_vr, s_rv = heterogeneous_affinity(fv, fr, lam=25.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert counts["calls"] > 0 and s_vr.shape == s_rv.T.shape
+        assert peak < 3.5 * s_vr.nbytes
+
 class TestHeterogeneousAffinity:
     def test_single_cell(self, rng):
         f = random_unit_rows(rng, 1, 4)
