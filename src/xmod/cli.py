@@ -38,10 +38,9 @@ from .losses import ModeBanks, TrainingMode, loss_report, mean_reports, pass_bat
 from .metrics import GroundTruth, report_from_hard
 from .pipeline import discover_snapshots, run_trace
 from .synth import GapMode, SynthSpec, generate
-from .transfer import Direction, mult_associate
+from .transfer import LABELS, Direction, mult_associate
 
 _METRICS = {"euclidean": DistanceMetric.EUCLIDEAN, "jaccard": DistanceMetric.JACCARD_DISTANCE}
-_LABEL_FILES = ("intra_v", "cross_r", "intra_r", "cross_v")
 
 
 def _load_config(args) -> PipelineConfig:
@@ -80,22 +79,10 @@ def _cmd_cluster(args) -> int:
 
 def _write_association(out_dir, result) -> None:
     os.makedirs(out_dir, exist_ok=True)
-    totals = {
-        "intra_v": result.n_visible,
-        "cross_v": result.n_visible,
-        "intra_r": result.n_infrared,
-        "cross_r": result.n_infrared,
-    }
-    for name in _LABEL_FILES:
-        subset = getattr(result, name)
-        if subset is None:
-            continue
-        total = totals[name]
-        write_labels(
-            os.path.join(out_dir, f"{name}.csv"),
-            subset.hard_full(total),
-            subset.soft_full(total),
-        )
+    for name in LABELS:
+        hard = result.hard(name)
+        if hard is not None:
+            write_labels(os.path.join(out_dir, f"{name}.csv"), hard, result.soft(name))
 
 
 def _cmd_associate(args) -> int:
@@ -134,18 +121,12 @@ def _cmd_associate(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    hard = {}
-    for name in _LABEL_FILES:
-        hard[name], _ = read_labels(getattr(args, f"labels_{name}"), soft=False)
+    hard = {name: read_labels(getattr(args, f"labels_{name}"), soft=False)[0]
+            for name in LABELS}
     n_visible = hard["intra_v"].shape[0]
     ids_v, ids_r = read_ground_truth(args.gt, n_visible)
     report = report_from_hard(
-        hard["intra_v"],
-        hard["cross_r"],
-        hard["intra_r"],
-        hard["cross_v"],
-        GroundTruth(ids_v, ids_r),
-        include_self=not args.exclude_self,
+        *hard.values(), GroundTruth(ids_v, ids_r), include_self=not args.exclude_self
     )
     write_json(args.out, report.to_dict())
     return 0
@@ -156,17 +137,15 @@ def _cmd_loss_report(args) -> int:
     fv = read_features(args.features_v, Modality.VISIBLE)
     fr = read_features(args.features_r, Modality.INFRARED)
     labels = {}
-    for name in _LABEL_FILES:
+    for name, modality in LABELS.items():
         path = getattr(args, f"labels_{name}")
         hard, soft = read_labels(path)
         if soft is None:
             raise XmodError(f"label file for {name} has no soft columns")
-        side = name[-1]
-        n = (fv if side == "v" else fr).n
+        n = (fv if modality is Modality.VISIBLE else fr).n
         if hard.shape[0] != n:
-            raise XmodError(
-                f"{path}: {hard.shape[0]} label rows, but --features-{side} has {n} rows"
-            )
+            raise XmodError(f"{path}: {hard.shape[0]} label rows, "
+                            f"but the {modality.value} features have {n} rows")
         labels[name] = (hard, soft)
     banks = ModeBanks(
         mode=TrainingMode(args.mode),
@@ -194,6 +173,12 @@ def _cmd_pipeline(args) -> int:
     ids_v, ids_r = read_ground_truth(args.gt, first_v.n)
     run_trace(args.snapshots, cfg, GroundTruth(ids_v, ids_r), out_path=args.out)
     return 0
+
+
+def _add_label_args(p) -> None:
+    for name in LABELS:
+        p.add_argument(f"--labels-{name.replace('_', '-')}", required=True,
+                       dest=f"labels_{name}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -256,9 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
             "Soft columns are checked for their count but not read."
         ),
     )
-    for name in _LABEL_FILES:
-        p.add_argument(f"--labels-{name.replace('_', '-')}", required=True,
-                       dest=f"labels_{name}")
+    _add_label_args(p)
     p.add_argument("--gt", required=True)
     p.add_argument("--exclude-self", action="store_true",
                    help="drop i == j pairs from the intra metrics")
@@ -268,9 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("loss-report", help="forward loss components for one pass")
     p.add_argument("--features-v", required=True)
     p.add_argument("--features-r", required=True)
-    for name in _LABEL_FILES:
-        p.add_argument(f"--labels-{name.replace('_', '-')}", required=True,
-                       dest=f"labels_{name}")
+    _add_label_args(p)
     p.add_argument("--bank-intra-v", required=True)
     p.add_argument("--bank-intra-r", required=True)
     p.add_argument("--bank-shared", required=True)

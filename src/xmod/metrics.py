@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from .core import NOISE, ShapeMismatchError
-from .transfer import AssociationResult
+from .transfer import LABELS, AssociationResult
 
 
 @dataclass(frozen=True)
@@ -100,15 +100,10 @@ def report_from_hard(
 
 def full_report(result: AssociationResult, gt: GroundTruth) -> MetricsReport:
     """Harden all four association outputs and score them against identities."""
-    for name in ("intra_v", "cross_r", "intra_r", "cross_v"):
-        if getattr(result, name) is None:
+    hard = {name: result.hard(name) for name in LABELS}
+    for name, labels in hard.items():
+        if labels is None:
             raise ShapeMismatchError(f"full_report needs both directions; {name} missing")
     if gt.ids_v.shape[0] != result.n_visible or gt.ids_r.shape[0] != result.n_infrared:
         raise ShapeMismatchError("ground-truth sizes do not match the association")
-    return report_from_hard(
-        result.intra_v.hard_full(result.n_visible),
-        result.cross_r.hard_full(result.n_infrared),
-        result.intra_r.hard_full(result.n_infrared),
-        result.cross_v.hard_full(result.n_visible),
-        gt,
-    )
+    return report_from_hard(*hard.values(), gt)

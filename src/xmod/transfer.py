@@ -22,6 +22,7 @@ import numpy as np
 
 from .core import (
     NOISE,
+    Modality,
     PipelineConfig,
     ShapeMismatchError,
     SoftLabelMatrix,
@@ -36,6 +37,11 @@ _CLAMP = 1e-12
 
 # Sentinel update magnitude before the first transfer step.
 _EPSILON_START = 1e6
+
+# The four label matrices in the order of the CLI's label files: V2R's intra
+# and cross, then R2V's; each with the modality whose every instance it covers.
+LABELS = dict(intra_v=Modality.VISIBLE, cross_r=Modality.INFRARED,
+              intra_r=Modality.INFRARED, cross_v=Modality.VISIBLE)
 
 
 class Direction(Enum):
@@ -279,6 +285,20 @@ class AssociationResult:
     cross_v: LabeledSubset | None = None
     traces: dict | None = None
 
+    def _total(self, name: str) -> int:
+        return self.n_visible if LABELS[name] is Modality.VISIBLE else self.n_infrared
+
+    def hard(self, name: str) -> np.ndarray | None:
+        """The named matrix's hard labels over every instance of its modality
+        (LabeledSubset.hard_full); None if its direction was not run."""
+        subset = getattr(self, name)
+        return None if subset is None else subset.hard_full(self._total(name))
+
+    def soft(self, name: str) -> np.ndarray | None:
+        """As hard, for the soft rows (LabeledSubset.soft_full)."""
+        subset = getattr(self, name)
+        return None if subset is None else subset.soft_full(self._total(name))
+
 
 @dataclass(frozen=True)
 class ClusteredSide:
@@ -308,10 +328,9 @@ def associate_directions(
     direction returned one."""
     fields: dict = {}
     traces: dict = {}
-    for way, src, tgt, intra_name, cross_name in (
-        (Direction.V2R, v, r, "intra_v", "cross_r"),
-        (Direction.R2V, r, v, "intra_r", "cross_v"),
-    ):
+    names = iter(LABELS)  # in file order, each direction's intra then cross
+    for way, src, tgt in ((Direction.V2R, v, r), (Direction.R2V, r, v)):
+        intra_name, cross_name = next(names), next(names)
         if direction in (way, Direction.BOTH):
             intra, cross, trace = one_way(src, tgt, way is Direction.V2R)
             fields[intra_name] = LabeledSubset(src.indices, intra)

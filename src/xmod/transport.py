@@ -45,6 +45,10 @@ class TransportProblem:
             raise ValueError("marginals must each sum to 1")
         if self.lam <= 0.0:
             raise ValueError("lam must be positive")
+        top = max(c.max(), -c.min())
+        if self.lam * top >= 2.0**52:
+            raise ValueError(f"lam {self.lam:g} times the largest cost {top:g} reaches 2**52, "
+                             "where the log-kernel keeps no fractional bits")
         object.__setattr__(self, "log_k", -self.lam * c)
         object.__setattr__(self, "row_marginal", r)
         object.__setattr__(self, "col_marginal", s)

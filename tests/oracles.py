@@ -189,6 +189,25 @@ def transfer_step_factored(state, aff, alpha):
     return replace(state, intra=intra_new, cross=cross_new, t=state.t + 1, epsilon=eps)
 
 
+def transfer_fixed_point(aff, anchors, alpha):
+    """Where the transfer loop ends if its 1e-12 clamp never fires.
+
+    Without the clamp one step is x <- (1 - alpha) * M @ x + b on the stacked
+    labels x = [intra; cross], with M = [[0, A_st], [A_ts, 0]], the composites
+    A = 0.5 * (ho + I) @ he rebuilt here from aff's four affinities, and b the
+    stacked (intra, cross) anchors. The fixed point x* solves
+    (I - (1 - alpha) * M) x* = b: one dense solve for all K columns. Returns
+    (intra*, cross*).
+    """
+    ns, nt = aff.he_st.shape
+    assert ns <= 300 and nt <= 300, "a dense (ns + nt)-square solve"
+    system = np.eye(ns + nt)
+    system[:ns, ns:] -= (1.0 - alpha) * (0.5 * (aff.ho_src + np.eye(ns)) @ aff.he_st)
+    system[ns:, :ns] -= (1.0 - alpha) * (0.5 * (aff.ho_tgt + np.eye(nt)) @ aff.he_ts)
+    x = np.linalg.solve(system, np.vstack(anchors))
+    return x[:ns], x[ns:]
+
+
 def write_labels_csv(path, hard, soft=None):
     """Label CSV through ``csv.writer``: ``index,hard_label`` plus ``p0..``
     columns holding ``repr(float(v))``, LF line ends."""

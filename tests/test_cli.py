@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -408,6 +409,13 @@ class TestEdgeMatrix:
             assert np.allclose(soft[labeled].sum(axis=1), 1.0, atol=1e-9)
             assert np.array_equal(soft[labeled].argmax(axis=1), hard[labeled])
 
+    def test_unrepresentable_lambda_exit_2_and_writes_nothing(self, hard_set, tmp_path, capsys):
+        code, out = associate_with(hard_set, tmp_path, {"ot_lambda": 1e300})
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:") and err.count("\n") == 1 and "1e+300" in err
+        assert not out.exists()
+
     def test_all_noise_exit_2_and_writes_nothing(self, hard_set, tmp_path, capsys):
         code, out = associate_with(hard_set, tmp_path, {"dbscan_eps": 1e-4})
         err = capsys.readouterr().err
@@ -753,6 +761,18 @@ class TestErrors:
         assert ("--seed" in capsys.readouterr().out) is has_seed
 
 
+def one_thread_env() -> dict:
+    """This environment with BLAS pinned by XMOD_THREADS=1 alone, and this
+    checkout's xmod first on the path."""
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                        "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")}
+    env["XMOD_THREADS"] = "1"
+    src = os.path.dirname(os.path.dirname(os.path.abspath(xmod.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
 class TestThreads:
     def test_xmod_threads_pins_blas(self):
         if not os.access("/proc/self/status", os.R_OK):
@@ -764,15 +784,31 @@ class TestThreads:
             "    if line.startswith('Threads:'):\n"
             "        print(line.split()[1])\n"
         )
-        env = {k: v for k, v in os.environ.items()
-               if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                            "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")}
-        env["XMOD_THREADS"] = "1"
-        src = os.path.dirname(os.path.dirname(os.path.abspath(xmod.__file__)))
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+        out = subprocess.run([sys.executable, "-c", probe], env=one_thread_env(), check=True,
                              capture_output=True, text=True).stdout
         assert out.split() == ["1"]
+
+    def test_associate_byte_identical_across_processes(self, workdir):
+        digests = []
+        for run in ("a", "b"):
+            out, trace = workdir / f"labels_{run}", workdir / f"trace_{run}"
+            subprocess.run([
+                sys.executable, "-m", "xmod.cli", "associate",
+                "--features-v", str(workdir / "data" / "visible.mfv1"),
+                "--features-r", str(workdir / "data" / "infrared.mfv1"),
+                "--config", str(workdir / "config.json"),
+                "--trace", str(trace), "--out", str(out),
+            ], env=one_thread_env(), check=True, capture_output=True)
+            files = [(f"labels/{p.name}", p) for p in out.iterdir()]
+            files += [(f"trace/{p.name}", p) for p in trace.iterdir()]
+            digests.append({name: hashlib.sha256(p.read_bytes()).hexdigest()
+                            for name, p in files})
+        labels = sorted(name for name in digests[0] if name.startswith("labels/"))
+        assert labels == ["labels/cross_r.csv", "labels/cross_v.csv",
+                          "labels/intra_r.csv", "labels/intra_v.csv"]
+        assert any(name.startswith("trace/v2r_t") for name in digests[0])
+        assert any(name.startswith("trace/r2v_t") for name in digests[0])
+        assert digests[0] == digests[1]
 
     def test_this_process_runs_one_thread_under_xmod_threads_1(self):
         # conftest imports xmod before numpy, so the pin reaches this process

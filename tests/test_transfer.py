@@ -7,12 +7,13 @@ import pytest
 
 from xmod import affinity, transfer, transport
 from xmod.baselines import associate_greedy_centroid, associate_otla_only
-from xmod.core import NOISE, PipelineConfig, ShapeMismatchError, SoftLabelMatrix
+from xmod.core import NOISE, Modality, PipelineConfig, ShapeMismatchError, SoftLabelMatrix
 from xmod.clustering import ClusterAssignment, centroids
 from xmod.affinity import homogeneous_affinity
 from xmod.metrics import full_report
 from xmod.synth import GapMode, SynthSpec, generate
 from xmod.transfer import (
+    LABELS,
     AssociationResult,
     Direction,
     DirectionAffinities,
@@ -31,7 +32,7 @@ from xmod.transport import heterogeneous_affinity, heterogeneous_plan, otla_init
 
 from conftest import random_unit_rows
 import oracles
-from oracles import transfer_step_factored
+from oracles import transfer_fixed_point, transfer_step_factored
 
 
 def step(state, aff, alpha):
@@ -707,6 +708,47 @@ class TestMultAssociate:
         assert isinstance(result, AssociationResult)
 
 
+class TestLabelTable:
+    """AssociationResult.hard/soft give each matrix over its whole modality."""
+
+    def test_names_in_file_order_with_their_modality(self):
+        v, r = Modality.VISIBLE, Modality.INFRARED
+        assert list(LABELS.items()) == [("intra_v", v), ("cross_r", r),
+                                        ("intra_r", r), ("cross_v", v)]
+
+    @pytest.mark.parametrize("direction, noise", [
+        (Direction.V2R, False), (Direction.R2V, False), (Direction.BOTH, True),
+    ], ids=["v2r", "r2v", "noise-rows"])
+    @pytest.mark.parametrize("method", METHODS)
+    def test_accessors_are_the_subsets_over_their_modality(self, method, direction, noise):
+        # unequal sides, so a matrix placed over the wrong modality shows
+        fv, fr, av, ar, _ = blob_instance(seed=4, per_id_v=9, per_id_r=7)
+        if noise:
+            labels_v, labels_r = av.labels.copy(), ar.labels.copy()
+            labels_v[[0, 5]] = NOISE
+            labels_r[3] = NOISE
+            av, ar = ClusterAssignment(labels_v, av.k), ClusterAssignment(labels_r, ar.k)
+        result = METHODS[method](fv, fr, av, ar, PipelineConfig(kappa=6), direction)
+        sides = {Modality.VISIBLE: (fv.n, av), Modality.INFRARED: (fr.n, ar)}
+        ran = []
+        for name, modality in LABELS.items():
+            subset = getattr(result, name)
+            if subset is None:
+                assert result.hard(name) is None and result.soft(name) is None
+                continue
+            ran.append(name)
+            total, assign = sides[modality]
+            assert np.array_equal(subset.indices, assign.clustered_indices())
+            hard, soft = result.hard(name), result.soft(name)
+            assert hard.shape == (total,) and soft.shape == (total, subset.labels.space_size)
+            assert np.array_equal(hard, subset.hard_full(total))
+            assert soft.tobytes() == subset.soft_full(total).tobytes()
+            assert np.array_equal(hard == NOISE, assign.labels == NOISE)
+        expected = {Direction.V2R: ["intra_v", "cross_r"], Direction.R2V: ["intra_r", "cross_v"],
+                    Direction.BOTH: list(LABELS)}
+        assert ran == expected[direction]
+
+
 class TestStationarity:
     def test_residual_small_at_tight_convergence(self):
         # the update alternation settles where the smoothed anchor pull
@@ -728,3 +770,64 @@ class TestStationarity:
             + 2.0 * (out.intra - aff.ho_src @ out.intra)
         )
         assert np.abs(resid).max() <= 1e-4
+
+
+def row_l1(a):
+    """Max-row-L1 norm: the norm the transfer map contracts in."""
+    return float(np.abs(a).sum(axis=1).max())
+
+
+class TestFixedPoint:
+    """Without its clamp the loop is x <- (1 - alpha) M x + b, a contraction by
+    1 - alpha in max-row-L1, so it ends within (1 - alpha) / alpha times its
+    last update of the fixed point that oracles.transfer_fixed_point solves."""
+
+    @pytest.mark.parametrize("spec", [
+        SynthSpec(num_ids=10, per_id_v=20, per_id_r=20, dim=64, blob_std=0.03,
+                  modality_gap=0.3, gap_mode=GapMode.SHARED_OFFSET, seed=1),
+        SynthSpec(num_ids=10, per_id_v=20, per_id_r=20, dim=32, blob_std=0.08,
+                  modality_gap=1.2, gap_mode=GapMode.PER_ID_OFFSET, seed=4),
+        SynthSpec(num_ids=40, per_id_v=5, per_id_r=5, dim=64, blob_std=0.03,
+                  modality_gap=0.3, gap_mode=GapMode.SHARED_OFFSET, seed=1),
+    ], ids=["easy", "hard", "cli"])
+    def test_loop_ends_at_the_fixed_point(self, monkeypatch, spec):
+        cfg = PipelineConfig(kappa=10, epsilon0=1e-7, max_transfer_iters=1000)
+        alpha = cfg.alpha
+        fv, fr, gt = generate(spec)
+        av = ClusterAssignment(gt.ids_v.astype(np.int64), spec.num_ids)
+        start = init_labels(fv.data, fr.data, av, cfg)
+        ho_s = homogeneous_affinity(fv.data, cfg.kappa)
+        ho_t = homogeneous_affinity(fr.data, cfg.kappa)
+        aff = DirectionAffinities(ho_s, ho_t, *heterogeneous_affinity(fv.data, fr.data,
+                                                                     cfg.ot_lambda))
+        fired = []
+        clamp = transfer._clamp_renorm
+
+        def counting(out):
+            fired.append(int(((out > 0.0) & (out < transfer._CLAMP)).sum()))
+            return clamp(out)
+
+        states = [start]
+        monkeypatch.setattr(transfer, "_clamp_renorm", counting)
+        final = run_transfer(start, aff, cfg, direction_anchors(start, aff, alpha),
+                             on_step=states.append)
+        monkeypatch.undo()
+        assert not final.cap_hit and fired and sum(fired) == 0
+
+        before = states[-2]
+        delta = max(row_l1(final.intra - before.intra), row_l1(final.cross - before.cross))
+        b = (alpha * (0.5 * (ho_s @ start.intra0 + start.intra0)),
+             alpha * (0.5 * (ho_t @ start.cross0 + start.cross0)))
+        x_intra, x_cross = transfer_fixed_point(aff, b, alpha)
+        bound = (1.0 - alpha) / alpha * delta + 1e-12
+        dist = max(row_l1(final.intra - x_intra), row_l1(final.cross - x_cross))
+        print(f"{final.t} steps: distance {dist:.3e}, bound {bound:.3e}")
+        assert dist <= bound
+
+        fused = fuse_labels(final, cfg.beta)
+        fused_star = fuse_labels(replace(final, intra=x_intra, cross=x_cross), cfg.beta)
+        for got, want, x in zip(fused, fused_star, (x_intra, x_cross)):
+            top2 = np.sort(x, axis=1)[:, -2:]
+            clear = top2[:, 1] - top2[:, 0] >= bound
+            assert np.array_equal(got.probs.argmax(axis=1)[clear],
+                                  want.probs.argmax(axis=1)[clear])

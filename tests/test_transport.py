@@ -297,6 +297,36 @@ def random_100_cost() -> np.ndarray:
     return pairwise_sq_dists(random_unit_rows(rng, 100, 32), random_unit_rows(rng, 100, 32))
 
 
+class TestLambdaBound:
+    """lam * max|cost| at 2**52 leaves the log-kernel no fractional bits."""
+
+    def test_random_rows_at_lam_1e300_refused_naming_lam_and_cost(self):
+        # this solve used to run its 10,000-iteration cap to a plan of mass 9.64
+        rng = np.random.default_rng(5)
+        a, b = random_unit_rows(rng, 30, 8), random_unit_rows(rng, 25, 8)
+        top = pairwise_sq_dists(a, b).max()
+        with pytest.raises(ValueError, match="2\\*\\*52") as info:
+            heterogeneous_plan(a, b, 1e300)
+        assert "1e+300" in str(info.value) and f"{top:g}" in str(info.value)
+
+    @pytest.mark.parametrize("cost", [[[2.0, 0.5]], [[-2.0, 0.5]]], ids=["max", "negative"])
+    def test_bound_is_on_the_largest_magnitude(self, cost):
+        uniform_problem(cost, lam=2.0**50)
+        with pytest.raises(ValueError, match="lam"):
+            uniform_problem(cost, lam=2.0**51)
+
+    def test_hard_set_at_lam_1e4_still_solves(self, monkeypatch):
+        # the whole solve takes 8,208 iterations (~3 s); its first 40 are the
+        # same, and the capped solve warns as before
+        monkeypatch.setattr(transport, "_MAX_ITERS", 40)
+        fv, fr, _ = hard_snapshot(num_ids=10, per_id_v=10, per_id_r=10)
+        with pytest.warns(NotConvergedWarning):
+            result = heterogeneous_plan(fv.data, fr.data, 1e4)
+        assert result.iterations_used == 40
+        assert np.isfinite(result.plan).all()
+        assert result.marginal_error < 1.0
+
+
 class TestOwnedBuffers:
     """Sweeps, plans and trial masses written into the solve's two buffers
     give the bits of the loop that allocates each of them."""
