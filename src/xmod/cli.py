@@ -20,9 +20,7 @@ import os
 import re
 import sys
 
-import numpy as np
-
-from .core import NOISE, Modality, PipelineConfig, XmodError
+from .core import Modality, PipelineConfig, XmodError
 from .clustering import DistanceMetric, MemoryBank, centroids, dbscan
 from .baselines import associate_greedy_centroid, associate_otla_only
 from .fileio import (
@@ -154,12 +152,7 @@ def _cmd_loss_report(args) -> int:
         shared=MemoryBank(read_features(args.bank_shared, Modality.VISIBLE).data),
         intra_cross=MemoryBank(read_features(args.bank_intra_cross, Modality.VISIBLE).data),
     )
-    rows = {}
-    for side, features in (("v", fv.data), ("r", fr.data)):
-        intra, cross = labels[f"intra_{side}"], labels[f"cross_{side}"]
-        idx = np.flatnonzero((intra[0] != NOISE) & (cross[0] != NOISE))
-        rows[side] = (features[idx], intra[1][idx], cross[1][idx])
-    batches = pass_batches(rows["v"], rows["r"], cfg.batch_size)
+    batches = pass_batches(fv, fr, labels, cfg.batch_size)
     reports = [loss_report(b, banks, cfg.tau, cfg.sharpen_divisor) for b in batches]
     write_json(args.out, mean_reports(reports).to_dict())
     return 0

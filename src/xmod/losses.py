@@ -9,13 +9,14 @@ R-based ones.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from enum import Enum
 
 import numpy as np
 
-from .core import ModeMismatchError, ShapeMismatchError, XmodError
+from .core import NOISE, ModeMismatchError, Modality, ShapeMismatchError, XmodError, feature_data
 from .clustering import MemoryBank, memory_probabilities
+from .transfer import LABELS
 
 # Floor inside the log so one-hot targets against zero predictions stay finite.
 _LOG_FLOOR = 1e-30
@@ -40,29 +41,40 @@ class Batch:
 
     def __post_init__(self):
         b = self.features_v.shape[0]
-        if self.features_r.shape[0] != b:
-            raise ShapeMismatchError("modal feature counts differ within a batch")
-        for name in ("intra_v", "intra_r", "cross_v", "cross_r"):
-            if getattr(self, name).shape[0] != b:
-                raise ShapeMismatchError(f"{name} rows do not match the batch size")
+        for f in fields(self):
+            if getattr(self, f.name).shape[0] != b:
+                raise ShapeMismatchError(f"{f.name} rows do not match the batch size")
 
 
-def pass_batches(rows_v, rows_r, batch_size: int) -> Iterator[Batch]:
+def pass_batches(features_v, features_r, labels: dict, batch_size: int) -> Iterator[Batch]:
     """The batches of one loss pass.
 
-    rows_v and rows_r are each side's (features, intra, cross) rows, already
-    in slot order: slot i pairs the i-th visible row with the i-th infrared
-    row. The pass stops at the shorter side and is cut into batch_size slices.
+    labels maps each name in transfer.LABELS to its (hard, soft) matrices
+    over every instance of the name's modality. A side's rows are those its
+    intra and cross matrices label (hard label not NOISE), in index order;
+    the two must label the same rows. Slot i pairs the i-th visible row with
+    the i-th infrared row; the pass stops at the shorter side and is cut into
+    batch_size slices.
     """
-    features_v, intra_v, cross_v = rows_v
-    features_r, intra_r, cross_r = rows_r
-    n = min(features_v.shape[0], features_r.shape[0])
+    labeled = {name: labels[name][0] != NOISE for name in LABELS}
+    sides = {}  # modality -> its first matrix in LABELS, whose rows the other must match
+    for name, modality in LABELS.items():
+        sides.setdefault(modality, name)
+    n = min(int(labeled[name].sum()) for name in sides.values())
     if n == 0:
         raise XmodError("no labeled instances to report on")
+    for name, modality in LABELS.items():
+        differ = np.flatnonzero(labeled[name] != labeled[sides[modality]])
+        if differ.size:
+            raise XmodError(f"{sides[modality]} and {name} label different "
+                            f"{modality.value} rows, first at row {differ[0]}")
+    rows = {modality: np.flatnonzero(labeled[name])[:n] for modality, name in sides.items()}
+    fv = feature_data(features_v)[rows[Modality.VISIBLE]]
+    fr = feature_data(features_r)[rows[Modality.INFRARED]]
+    soft = {name: labels[name][1][rows[modality]] for name, modality in LABELS.items()}
     for start in range(0, n, batch_size):
         sl = slice(start, min(start + batch_size, n))
-        yield Batch(features_v[sl], features_r[sl], intra_v[sl], intra_r[sl],
-                    cross_v[sl], cross_r[sl])
+        yield Batch(fv[sl], fr[sl], **{name: m[sl] for name, m in soft.items()})
 
 
 @dataclass(frozen=True)

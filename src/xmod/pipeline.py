@@ -18,7 +18,7 @@ from .losses import (
     LossReport, ModeBanks, TrainingMode, loss_report, mean_reports, pass_batches,
 )
 from .metrics import GroundTruth, MetricsReport, full_report
-from .transfer import AssociationResult, Direction, mult_associate
+from .transfer import LABELS, AssociationResult, Direction, mult_associate
 
 _SNAPSHOT_RE = re.compile(r"^epoch(\d{3}|[1-9]\d{3,})_(visible|infrared)\.mfv1$")
 
@@ -48,21 +48,6 @@ def make_banks(
                      shared=source, intra_cross=source)
 
 
-def epoch_loss_report(
-    result: AssociationResult, banks: ModeBanks, features_v, features_r, cfg: PipelineConfig
-) -> LossReport:
-    """One pass over the clustered instances (see losses.pass_batches),
-    batch reports averaged evenly."""
-    batches = pass_batches(
-        (features_v.data[result.intra_v.indices],
-         result.intra_v.labels.probs, result.cross_v.labels.probs),
-        (features_r.data[result.intra_r.indices],
-         result.intra_r.labels.probs, result.cross_r.labels.probs),
-        cfg.batch_size,
-    )
-    return mean_reports([loss_report(b, banks, cfg.tau, cfg.sharpen_divisor) for b in batches])
-
-
 def run_epoch(
     features_v, features_r, epoch_index: int, cfg: PipelineConfig, gt: GroundTruth | None = None
 ) -> EpochResult:
@@ -71,7 +56,9 @@ def run_epoch(
     result = mult_associate(features_v, features_r, assign_v, assign_r, cfg, Direction.BOTH)
     mode = TrainingMode.V_BASED if epoch_index % 2 == 0 else TrainingMode.R_BASED
     banks = make_banks(mode, features_v, features_r, assign_v, assign_r)
-    losses = epoch_loss_report(result, banks, features_v, features_r, cfg)
+    labels = {name: (result.hard(name), result.soft(name)) for name in LABELS}
+    batches = pass_batches(features_v, features_r, labels, cfg.batch_size)
+    losses = mean_reports([loss_report(b, banks, cfg.tau, cfg.sharpen_divisor) for b in batches])
     metrics = full_report(result, gt) if gt is not None else None
     return EpochResult(epoch_index, mode, result, losses, metrics)
 

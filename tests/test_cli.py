@@ -568,6 +568,22 @@ class TestLossReport:
         assert "no labeled instances" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_cross_labels_other_rows_than_intra_exit_2_and_no_report(self, workdir, capsys):
+        # as when the files come from two associate runs: cross_v leaves out
+        # one visible row that intra_v labels
+        _, labels = run_associate(workdir)
+        path = labels / "cross_v.csv"
+        hard, soft = read_labels(path)
+        row = int(np.flatnonzero(hard != NOISE)[0])
+        hard[row], soft[row] = NOISE, 0.0
+        write_labels(path, hard, soft)
+        out = workdir / "losses.json"
+        assert main(loss_report_argv(workdir, labels, out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert f"intra_v and cross_v label different visible rows, first at row {row}" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("name, rows", [("intra_v", 32), ("cross_r", 16)],
                              ids=["visible-longer", "infrared-shorter"])
     def test_label_rows_differ_from_features_exit_2_and_no_report(
@@ -761,12 +777,13 @@ class TestErrors:
         assert ("--seed" in capsys.readouterr().out) is has_seed
 
 
+BLAS_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")
+
+
 def one_thread_env() -> dict:
     """This environment with BLAS pinned by XMOD_THREADS=1 alone, and this
     checkout's xmod first on the path."""
-    env = {k: v for k, v in os.environ.items()
-           if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                        "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")}
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
     env["XMOD_THREADS"] = "1"
     src = os.path.dirname(os.path.dirname(os.path.abspath(xmod.__file__)))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
@@ -787,6 +804,29 @@ class TestThreads:
         out = subprocess.run([sys.executable, "-c", probe], env=one_thread_env(), check=True,
                              capture_output=True, text=True).stdout
         assert out.split() == ["1"]
+
+    def blas_vars_after_import(self, xmod_threads, preset=None) -> dict:
+        """The BLAS thread variables a fresh ``import xmod`` leaves, with
+        XMOD_THREADS as given (None: unset) and ``preset`` already set."""
+        env = one_thread_env()
+        del env["XMOD_THREADS"]
+        if xmod_threads is not None:
+            env["XMOD_THREADS"] = xmod_threads
+        env.update(preset or {})
+        probe = ("import json, os, xmod\n"
+                 f"print(json.dumps({{v: os.environ.get(v) for v in {BLAS_VARS!r}}}))\n")
+        out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        return json.loads(out)
+
+    @pytest.mark.parametrize("value", [None, "0", "-1", "two"],
+                             ids=["unset", "zero", "negative", "word"])
+    def test_no_positive_count_leaves_blas_at_its_default(self, value):
+        assert self.blas_vars_after_import(value) == dict.fromkeys(BLAS_VARS)
+
+    def test_a_preset_blas_variable_wins(self):
+        got = self.blas_vars_after_import("2", {"OPENBLAS_NUM_THREADS": "1"})
+        assert got == {**dict.fromkeys(BLAS_VARS, "2"), "OPENBLAS_NUM_THREADS": "1"}
 
     def test_associate_byte_identical_across_processes(self, workdir):
         digests = []

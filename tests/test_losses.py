@@ -1,11 +1,15 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from xmod import losses
-from xmod.core import ModeMismatchError, ShapeMismatchError
-from xmod.clustering import MemoryBank, memory_probabilities
+from xmod.core import (
+    NOISE, FeatureMatrix, Modality, ModeMismatchError, PipelineConfig, ShapeMismatchError,
+    XmodError,
+)
+from xmod.clustering import MemoryBank, dbscan, memory_probabilities
 from xmod.losses import (
     Batch,
     LossReport,
@@ -13,8 +17,12 @@ from xmod.losses import (
     TrainingMode,
     loss_report,
     mean_reports,
+    pass_batches,
     soft_cross_entropy,
 )
+from xmod.pipeline import make_banks, run_epoch
+from xmod.synth import GapMode, SynthSpec, generate
+from xmod.transfer import LABELS
 
 import oracles
 from conftest import random_unit_rows
@@ -318,3 +326,78 @@ class TestLossReport:
                 shared=make_bank(rng, 4, 5),  # must match K=3 of intra_v
                 intra_cross=make_bank(rng, 3, 5),
             )
+
+
+def hard_set_with_noise(seed=3):
+    """A hard-regime set (per-identity gap, wide blobs), 8 identities, with
+    random unit rows spliced in among each side's rows as DBSCAN noise."""
+    visible, infrared, _ = generate(SynthSpec(
+        num_ids=8, per_id_v=10, per_id_r=9, blob_std=0.08, modality_gap=1.2,
+        gap_mode=GapMode.PER_ID_OFFSET, seed=seed,
+    ))
+    rng = np.random.default_rng(seed)
+    sides = []
+    for features, modality in ((visible, Modality.VISIBLE), (infrared, Modality.INFRARED)):
+        at = np.sort(rng.choice(features.n, size=3, replace=False))
+        outliers = random_unit_rows(rng, 3, features.data.shape[1])
+        data = np.insert(features.data, at, outliers, axis=0)
+        sides.append(FeatureMatrix(data, modality))
+    return sides
+
+
+def subset_batches(result, features_v, features_r, batch_size):
+    """The pass built from LabeledSubset.indices and .labels.probs, each
+    side's cross matrix taken to cover its intra matrix's rows."""
+    v = (features_v.data[result.intra_v.indices],
+         result.intra_v.labels.probs, result.cross_v.labels.probs)
+    r = (features_r.data[result.intra_r.indices],
+         result.intra_r.labels.probs, result.cross_r.labels.probs)
+    n = min(v[0].shape[0], r[0].shape[0])
+    return [Batch(v[0][sl], r[0][sl], v[1][sl], r[1][sl], v[2][sl], r[2][sl])
+            for sl in (slice(s, min(s + batch_size, n)) for s in range(0, n, batch_size))]
+
+
+class TestPassBatches:
+    CFG = PipelineConfig().with_overrides({"batch_size": 16})
+
+    @pytest.fixture(scope="class")
+    def epochs(self):
+        fv, fr = hard_set_with_noise()
+        return fv, fr, {epoch: run_epoch(fv, fr, epoch, self.CFG) for epoch in (0, 1)}
+
+    def test_rows_match_the_subsets_bitwise(self, epochs):
+        fv, fr, runs = epochs
+        result = runs[0].labels
+        assert all((result.hard(name) == NOISE).any() for name in ("intra_v", "intra_r"))
+        assert result.intra_v.indices.size != result.intra_r.indices.size
+        labels = {name: (result.hard(name), result.soft(name)) for name in LABELS}
+        got = list(pass_batches(fv, fr, labels, self.CFG.batch_size))
+        want = subset_batches(result, fv, fr, self.CFG.batch_size)
+        assert len(got) == len(want) > 1
+        for a, b in zip(got, want):
+            for f in dataclasses.fields(Batch):
+                x, y = getattr(a, f.name), getattr(b, f.name)
+                assert x.shape == y.shape and x.tobytes() == y.tobytes(), f.name
+
+    @pytest.mark.parametrize("epoch", [0, 1], ids=["v-based", "r-based"])
+    def test_run_epoch_losses_are_the_subset_pass_mean_bitwise(self, epochs, epoch):
+        fv, fr, runs = epochs
+        run, cfg = runs[epoch], self.CFG
+        assigns = [dbscan(f, cfg.dbscan_eps, cfg.dbscan_min_samples, kappa=cfg.kappa)
+                   for f in (fv, fr)]
+        banks = make_banks(run.mode, fv, fr, *assigns)
+        want = mean_reports([loss_report(b, banks, cfg.tau, cfg.sharpen_divisor)
+                             for b in subset_batches(run.labels, fv, fr, cfg.batch_size)])
+        assert run.losses == want
+
+    def test_cross_labeling_other_rows_is_refused(self, epochs):
+        fv, fr, runs = epochs
+        result = runs[0].labels
+        labels = {name: (result.hard(name), result.soft(name)) for name in LABELS}
+        hard, soft = labels["cross_r"]
+        row = int(np.flatnonzero(hard != NOISE)[-1])
+        hard, soft = hard.copy(), soft.copy()
+        hard[row], soft[row] = NOISE, 0.0
+        labels["cross_r"] = (hard, soft)
+        with pytest.raises(XmodError, match=f"label different infrared rows, first at row {row}$"):
+            next(pass_batches(fv, fr, labels, self.CFG.batch_size))
