@@ -7,7 +7,9 @@ reciprocal-neighbor graph, with a small anchor on the initial labels. Most of
 the disagreement energy disappears in the first few iterations; late steps may
 wobble by a hair while individual labels settle, but the final energy never
 exceeds the initial one. The loop stops once an update moves no entry by more
-than epsilon0 in total.
+than epsilon0 in total, or once updates stop shrinking because they have
+reached the float32 transfer operator's precision, as they do here a little
+above epsilon0 = 1e-6.
 """
 
 import numpy as np

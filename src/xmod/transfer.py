@@ -12,6 +12,13 @@ per association: A_st = ½(ho_src + I)·he_st and A_ts = ½(ho_tgt + I)·he_ts.
 The reverse direction uses the same two composites with their roles swapped,
 so one association builds two N×N·N×N products, and each transfer step is
 two N×N·N×K products.
+
+The operator is float32: the plan factors come rounded to float32 from
+heterogeneous_affinity, the composites are built and stored in float32, and
+a step multiplies them by the labels rounded to float32. Everything else
+(labels, anchors, the clamp, the renormalization, the update ε, fusion and
+the trace energies) is float64. run_transfer also stops where the loop
+reaches the float32 operator's precision.
 """
 from __future__ import annotations
 
@@ -51,8 +58,10 @@ class Direction(Enum):
 
 
 def smoothed_transport(ho: np.ndarray, he: np.ndarray) -> np.ndarray:
-    """½(ho + I)·he, built in place so the product is the only N×N temporary."""
-    out = ho @ he
+    """½(ho + I)·he in float32 whatever the inputs' dtype: one SGEMM, then
+    the add and the halving in the product's own array."""
+    he = np.asarray(he, dtype=np.float32)
+    out = np.asarray(ho, dtype=np.float32) @ he
     out += he
     out *= 0.5
     return out
@@ -62,11 +71,13 @@ def smoothed_transport(ho: np.ndarray, he: np.ndarray) -> np.ndarray:
 class DirectionAffinities:
     """Row-stochastic affinities for one direction of transfer.
 
-    ho_src / ho_tgt are within-modality; he_st maps target rows onto source
-    instances (shape Nsrc x Ntgt) and he_ts the reverse. a_st / a_ts are the
-    composites smoothed_transport(ho_src, he_st) / (ho_tgt, he_ts) that the
-    transfer step applies; they are built after the shape checks unless
-    given. Only the trace energies (inconsistency) read ho, so a caller that
+    ho_src / ho_tgt are within-modality (float64); he_st maps target rows
+    onto source instances (shape Nsrc x Ntgt) and he_ts the reverse (float32
+    from heterogeneous_affinity, though any float dtype is taken). a_st /
+    a_ts are the float32 composites smoothed_transport(ho_src, he_st) /
+    (ho_tgt, he_ts) that the transfer step applies; they are built after the
+    shape checks unless given, and given ones are rounded to float32. Only
+    the trace energies (inconsistency) read ho and he, so a caller that
     gives both composites may give None for the graphs, as mult_associate
     does unless it collects a trace; a graph that is given is shape-checked.
     """
@@ -87,10 +98,12 @@ class DirectionAffinities:
             raise ShapeMismatchError("heterogeneous affinity shapes do not match")
         for name, ho, he in (("a_st", self.ho_src, self.he_st),
                              ("a_ts", self.ho_tgt, self.he_ts)):
-            if getattr(self, name) is None:
+            composite = getattr(self, name)
+            if composite is None:
                 if ho is None:
                     raise ValueError(f"{name} must be given when its graph is not")
-                object.__setattr__(self, name, smoothed_transport(ho, he))
+                composite = smoothed_transport(ho, he)
+            object.__setattr__(self, name, np.asarray(composite, dtype=np.float32))
         if self.a_st.shape != (ns, nt) or self.a_ts.shape != (nt, ns):
             raise ShapeMismatchError("composite affinity shapes do not match")
 
@@ -119,9 +132,9 @@ def _clamp_renorm(out: np.ndarray) -> np.ndarray:
 
 
 def _pull(a: np.ndarray, other: np.ndarray, alpha: float, anchor: np.ndarray) -> np.ndarray:
-    """_clamp_renorm((1−α)·(a·other) + anchor), in the product's own array."""
-    out = a @ other
-    out *= 1.0 - alpha
+    """_clamp_renorm((1−α)·(a·other) + anchor): the float32 composite times
+    the labels rounded to float32 (one SGEMM), the rest in float64."""
+    out = np.multiply(a @ other.astype(np.float32), 1.0 - alpha, dtype=np.float64)
     out += anchor
     return _clamp_renorm(out)
 
@@ -147,9 +160,11 @@ def init_labels(
 
 
 def _pairwise_label_gap(aff: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
-    """sum_ij aff_ij * ||a_i - b_j||^2 without forming the N x N x K tensor."""
-    row = aff.sum(axis=1) @ (a * a).sum(axis=1)
-    col = aff.sum(axis=0) @ (b * b).sum(axis=1)
+    """sum_ij aff_ij * ||a_i - b_j||^2 without forming the N x N x K tensor.
+    The affinity's sums accumulate in float64 whatever its dtype: summed in
+    float32, a float32 plan factor's row and column sums lose ~7 digits."""
+    row = aff.sum(axis=1, dtype=np.float64) @ (a * a).sum(axis=1)
+    col = aff.sum(axis=0, dtype=np.float64) @ (b * b).sum(axis=1)
     mix = float((aff * (a @ b.T)).sum())
     # Cancellation can leave a tiny negative for near-identical rows.
     return max(float(row + col - 2.0 * mix), 0.0)
@@ -216,9 +231,16 @@ def run_transfer(
     on_step=None,
 ) -> TransferState:
     """Iterate transfer_step with the run's (intra, cross) anchors until the
-    larger entrywise-L1 update falls to cfg.epsilon0, or
-    cfg.max_transfer_iters steps have run (cap_hit is set). No step reads
-    aff's graphs."""
+    larger entrywise-L1 update falls to cfg.epsilon0, or cfg.max_transfer_iters
+    steps have run (cap_hit is set), or the loop stalls (cap_hit stays False).
+
+    It has stalled when an update is not smaller than the one two steps
+    before it: the float32 operator's precision floor, where further steps
+    only move rounding. Updates are compared two steps apart because each
+    side is pulled from the other's previous labels, so the linear part of
+    the step has an eigenvalue near −1 and a converging loop's update can
+    rise at every other step. No step reads aff's graphs."""
+    two_back = one_back = np.inf
     while state.epsilon > cfg.epsilon0:
         if state.t >= cfg.max_transfer_iters:
             state = replace(state, cap_hit=True)
@@ -226,6 +248,9 @@ def run_transfer(
         state = transfer_step(state, aff, cfg.alpha, anchors)
         if on_step is not None:
             on_step(state)
+        if state.epsilon >= two_back:
+            break
+        two_back, one_back = one_back, state.epsilon
     return state
 
 
@@ -367,9 +392,9 @@ def mult_associate(
        (V2R's intra and R2V's cross on the visible side); ho is then
        dropped, unless the trace energies need it.
 
-    The loops then hold the two plan factors, the two composites and the N×K
-    labels. The factors stay referenced by DirectionAffinities, because the
-    trace energies read them.
+    The loops then hold the two plan factors and the two composites, all
+    float32, and the N×K labels. The factors stay referenced by
+    DirectionAffinities, because the trace energies read them.
     """
     v = clustered_side(features_v, assign_v)
     r = clustered_side(features_r, assign_r)

@@ -301,23 +301,25 @@ def _row_order(a: np.ndarray, b: np.ndarray) -> int:
 def heterogeneous_affinity(
     features_a, features_b, lam: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Row-normalized transport plan in both directions: (S_ab, S_ba).
+    """Row-normalized transport plan in both directions: (S_ab, S_ba), float32.
 
     The plan's rows are the set that sorts first by (row count, bytes), so
     swapping the arguments swaps the outputs bit for bit; byte-identical sets
     share one row-normalized plan, which is symmetric only up to rounding.
-    The transposed copy is normalized first and the plan then in its own
-    array, so no more than two plan-sized arrays outlive the solve.
+    Each factor is normalized in float64 and then rounded to float32 once:
+    first the transposed copy, then the plan in its own array. So no more
+    than two float64 plans and one float32 factor are alive after the solve,
+    and none of the float64 ones outlives the call.
     """
     a, b = feature_data(features_a), feature_data(features_b)
     order = _row_order(a, b)
     rows, cols = (b, a) if order > 0 else (a, b)
     plan = heterogeneous_plan(rows, cols, lam).plan
     if order == 0:
-        shared = row_normalize(plan)
+        shared = row_normalize(plan).astype(np.float32)
         return shared, shared
-    s_cols = row_normalize(plan.T.copy())
-    s_rows = row_normalize(plan)
+    s_cols = row_normalize(plan.T.copy()).astype(np.float32)
+    s_rows = row_normalize(plan).astype(np.float32)
     return (s_cols, s_rows) if order > 0 else (s_rows, s_cols)
 
 

@@ -189,6 +189,15 @@ def transfer_step_factored(state, aff, alpha):
     return replace(state, intra=intra_new, cross=cross_new, t=state.t + 1, epsilon=eps)
 
 
+def transfer_steps(state, aff, cfg):
+    """How many steps the loop takes in float64: transfer_step_factored over
+    aff's graphs and factors until the update falls to cfg.epsilon0 or
+    cfg.max_transfer_iters steps have run."""
+    while state.epsilon > cfg.epsilon0 and state.t < cfg.max_transfer_iters:
+        state = transfer_step_factored(state, aff, cfg.alpha)
+    return state.t
+
+
 def transfer_fixed_point(aff, anchors, alpha):
     """Where the transfer loop ends if its 1e-12 clamp never fires.
 
@@ -286,11 +295,15 @@ def _clamp_renorm_allocating(probs):
 
 
 def transfer_step_allocating(state, aff, alpha, anchors):
-    """The library's composite transfer step with a fresh array per operation."""
-    intra_new = _clamp_renorm_allocating(
-        (1.0 - alpha) * (aff.a_st @ state.cross) + anchors[0])
-    cross_new = _clamp_renorm_allocating(
-        (1.0 - alpha) * (aff.a_ts @ state.intra) + anchors[1])
+    """The library's composite transfer step with a fresh array per operation:
+    the float32 composite times the labels rounded to float32, the rest in
+    float64."""
+
+    def pull(a, other):
+        return (1.0 - alpha) * (a @ other.astype(np.float32)).astype(np.float64)
+
+    intra_new = _clamp_renorm_allocating(pull(aff.a_st, state.cross) + anchors[0])
+    cross_new = _clamp_renorm_allocating(pull(aff.a_ts, state.intra) + anchors[1])
     eps = max(float(np.abs(intra_new - state.intra).sum()),
               float(np.abs(cross_new - state.cross).sum()))
     return replace(state, intra=intra_new, cross=cross_new, t=state.t + 1, epsilon=eps)

@@ -18,7 +18,7 @@ import pytest
 import oracles
 from conftest import record_criterion, random_unit_rows
 
-from xmod.affinity import homogeneous_affinity
+from xmod.affinity import homogeneous_affinity, row_normalize
 from xmod.baselines import associate_greedy_centroid, associate_otla_only
 from xmod.cli import main as cli_main
 from xmod.clustering import ClusterAssignment, MemoryBank, centroids, dbscan
@@ -176,10 +176,21 @@ def transfer_family():
             he_ts,
         )
         state = init_labels(f_src, f_tgt, ClusterAssignment(gt_src, ids), cfg)
+        anchors = direction_anchors(state, aff, cfg.alpha)
         t0 = inconsistency(state, aff, cfg.alpha)["weighted_total"]
-        final_state = run_transfer(state, aff, cfg,
-                                   direction_anchors(state, aff, cfg.alpha))
+        final_state = run_transfer(state, aff, cfg, anchors)
         final = inconsistency(final_state, aff, cfg.alpha)["weighted_total"]
+
+        # (steps, float64 loop's steps) at this ε0 and at the default one; the
+        # float64 loop runs over float64 plan factors
+        plan = heterogeneous_plan(f_src, f_tgt, cfg.ot_lambda).plan
+        he_ts64 = row_normalize(plan.T.copy())
+        exact = DirectionAffinities(aff.ho_src, aff.ho_tgt, row_normalize(plan), he_ts64,
+                                    a_st=aff.a_st, a_ts=aff.a_ts)
+        steps = {}
+        for run_cfg in (cfg, PipelineConfig(kappa=6, ot_lambda=20.0)):
+            got = final_state if run_cfg is cfg else run_transfer(state, aff, run_cfg, anchors)
+            steps[run_cfg.epsilon0] = (got.t, oracles.transfer_steps(state, exact, run_cfg))
 
         a = cfg.alpha
         res_src = (
@@ -201,6 +212,7 @@ def transfer_family():
                 "t0": t0,
                 "final": final,
                 "cap_hit": final_state.cap_hit,
+                "steps": steps,
             }
         )
     return runs
@@ -229,6 +241,14 @@ def test_transfer_never_increases_inconsistency(transfer_family):
         f"descent on {50 - len(failures)}/50 instances, "
         f"smallest margin {margin:.1e}",
     )
+
+
+def test_transfer_stops_where_the_float64_loop_does(transfer_family):
+    # the float32 operator and its stall rule move no stop of the float64
+    # loop, at the family's ε0 or at the default one
+    moved = [(r["seed"], epsilon0, steps) for r in transfer_family
+             for epsilon0, steps in r["steps"].items() if steps[0] != steps[1]]
+    assert moved == []
 
 
 def test_soft_labels_stay_row_stochastic():

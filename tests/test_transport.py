@@ -432,9 +432,10 @@ class TestNewtonStep:
 
 
     def test_hard_affinity_normalizes_in_the_plans_arrays(self, monkeypatch):
-        # the solve peaks at ~3.1 plans; afterwards the plan and one
-        # transposed copy are normalized in place, where a new array for each
-        # output took the stage to 4.01
+        # the solve peaks at ~3.1 float64 plans; afterwards the plan and one
+        # transposed copy are normalized in place and each rounded to a
+        # float32 factor, where a new float64 array for each output took the
+        # stage to 4.01
         fv, fr, _ = hard_snapshot(num_ids=20, per_id_v=20, per_id_r=20)
         counts = count_newton(monkeypatch)
         tracemalloc.start()
@@ -444,7 +445,8 @@ class TestNewtonStep:
         finally:
             tracemalloc.stop()
         assert counts["calls"] > 0 and s_vr.shape == s_rv.T.shape
-        assert peak < 3.5 * s_vr.nbytes
+        assert s_vr.dtype == s_rv.dtype == np.float32
+        assert peak < 3.5 * 8 * s_vr.size
 
 class TestHeterogeneousAffinity:
     def test_single_cell(self, rng):
