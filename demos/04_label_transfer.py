@@ -55,7 +55,13 @@ def main() -> None:
     final = run_transfer(state, aff, cfg, anchors, on_step=watch)
     final_acc = (final.cross.argmax(axis=1) == gt.ids_r).mean()
 
-    print(f"converged after {final.t} iterations (cap hit: {final.cap_hit})")
+    if final.cap_hit:
+        why = "the iteration cap"
+    elif final.epsilon <= cfg.epsilon0:
+        why = "an update at or below epsilon0"
+    else:
+        why = "updates that stopped shrinking at the float32 precision"
+    print(f"stopped after {final.t} iterations by {why}")
     print()
     print("  t    update size    disagreement energy")
     shown = list(range(min(6, len(steps)))) + [len(steps) - 1]

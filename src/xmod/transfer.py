@@ -45,6 +45,9 @@ _CLAMP = 1e-12
 # Sentinel update magnitude before the first transfer step.
 _EPSILON_START = 1e6
 
+# Unit roundoff of float32.
+_F32_UNIT = 2.0**-24
+
 # The four label matrices in the order of the CLI's label files: V2R's intra
 # and cross, then R2V's; each with the modality whose every instance it covers.
 LABELS = dict(intra_v=Modality.VISIBLE, cross_r=Modality.INFRARED,
@@ -76,7 +79,7 @@ class DirectionAffinities:
     from heterogeneous_affinity, though any float dtype is taken). a_st /
     a_ts are the float32 composites smoothed_transport(ho_src, he_st) /
     (ho_tgt, he_ts) that the transfer step applies; they are built after the
-    shape checks unless given, and given ones are rounded to float32. Only
+    shape checks unless given, and given ones are taken as they are. Only
     the trace energies (inconsistency) read ho and he, so a caller that
     gives both composites may give None for the graphs, as mult_associate
     does unless it collects a trace; a graph that is given is shape-checked.
@@ -98,14 +101,21 @@ class DirectionAffinities:
             raise ShapeMismatchError("heterogeneous affinity shapes do not match")
         for name, ho, he in (("a_st", self.ho_src, self.he_st),
                              ("a_ts", self.ho_tgt, self.he_ts)):
-            composite = getattr(self, name)
-            if composite is None:
+            if getattr(self, name) is None:
                 if ho is None:
                     raise ValueError(f"{name} must be given when its graph is not")
-                composite = smoothed_transport(ho, he)
-            object.__setattr__(self, name, np.asarray(composite, dtype=np.float32))
+                object.__setattr__(self, name, smoothed_transport(ho, he))
         if self.a_st.shape != (ns, nt) or self.a_ts.shape != (nt, ns):
             raise ShapeMismatchError("composite affinity shapes do not match")
+
+    def rounding_floor(self) -> float:
+        """An a-priori bound on what float32 rounding can put into one update
+        ε: a step's row on an n-row side sums m float32 products of labels
+        rounded to float32, so its row-L1 error is at most (m + 1)·u before
+        the renormalization and twice that after it, and an update holds
+        two steps' errors. Over the rows, 4·u·(n·m + n) on the larger side."""
+        ns, nt = self.he_st.shape
+        return 4.0 * _F32_UNIT * (ns * nt + max(ns, nt))
 
     def swapped(self) -> DirectionAffinities:
         """The reverse direction over the same arrays: nothing is rebuilt."""
@@ -234,12 +244,15 @@ def run_transfer(
     larger entrywise-L1 update falls to cfg.epsilon0, or cfg.max_transfer_iters
     steps have run (cap_hit is set), or the loop stalls (cap_hit stays False).
 
-    It has stalled when an update is not smaller than the one two steps
-    before it: the float32 operator's precision floor, where further steps
-    only move rounding. Updates are compared two steps apart because each
-    side is pulled from the other's previous labels, so the linear part of
-    the step has an eigenvalue near −1 and a converging loop's update can
-    rise at every other step. No step reads aff's graphs."""
+    It has stalled when an update at or below aff.rounding_floor() is not
+    smaller than the one two steps before it: there the float32 operator's
+    precision is reached and further steps only move rounding. An update
+    above the floor never stops the loop this way, so a loop that does not
+    converge still runs to the cap. Updates are compared two steps apart
+    because each side is pulled from the other's previous labels, so the
+    linear part of the step has an eigenvalue near −1 and a converging
+    loop's update can rise at every other step. No step reads aff's graphs."""
+    floor = aff.rounding_floor()
     two_back = one_back = np.inf
     while state.epsilon > cfg.epsilon0:
         if state.t >= cfg.max_transfer_iters:
@@ -248,7 +261,7 @@ def run_transfer(
         state = transfer_step(state, aff, cfg.alpha, anchors)
         if on_step is not None:
             on_step(state)
-        if state.epsilon >= two_back:
+        if two_back <= state.epsilon <= floor:
             break
         two_back, one_back = one_back, state.epsilon
     return state

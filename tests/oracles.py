@@ -190,12 +190,13 @@ def transfer_step_factored(state, aff, alpha):
 
 
 def transfer_steps(state, aff, cfg):
-    """How many steps the loop takes in float64: transfer_step_factored over
-    aff's graphs and factors until the update falls to cfg.epsilon0 or
-    cfg.max_transfer_iters steps have run."""
+    """The float64 transfer loop: transfer_step_factored over aff's graphs and
+    factors until the update falls to cfg.epsilon0 or cfg.max_transfer_iters
+    steps have run. Returns (last state, the state before it)."""
+    before = state
     while state.epsilon > cfg.epsilon0 and state.t < cfg.max_transfer_iters:
-        state = transfer_step_factored(state, aff, cfg.alpha)
-    return state.t
+        before, state = state, transfer_step_factored(state, aff, cfg.alpha)
+    return state, before
 
 
 def transfer_fixed_point(aff, anchors, alpha):

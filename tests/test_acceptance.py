@@ -190,7 +190,7 @@ def transfer_family():
         steps = {}
         for run_cfg in (cfg, PipelineConfig(kappa=6, ot_lambda=20.0)):
             got = final_state if run_cfg is cfg else run_transfer(state, aff, run_cfg, anchors)
-            steps[run_cfg.epsilon0] = (got.t, oracles.transfer_steps(state, exact, run_cfg))
+            steps[run_cfg.epsilon0] = (got.t, oracles.transfer_steps(state, exact, run_cfg)[0].t)
 
         a = cfg.alpha
         res_src = (

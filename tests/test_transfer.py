@@ -74,14 +74,21 @@ def row_l1(a):
 
 def operator_error(aff, he_st, he_ts):
     """‖E‖: the max-row-L1 distance of aff's float32 composites from the
-    float64 composites ½(ho + I)·he over aff's graphs and the given factors."""
+    float64 composites ½(ho + I)·he over aff's graphs and the given factors.
+
+    Rounding alone keeps ‖E‖ within (n + 2)·2⁻²⁴ for an n-term product:
+    he's rounding adds at most u to a row, ho's u/2, the n-term float32 sum
+    n·u/2 and the add of he u. A wrong composite (a dropped + he or halving)
+    is O(1) off, so it fails here, not only in the bounds built from ‖E‖."""
 
     def exact(ho, he):
         he = np.asarray(he, dtype=np.float64)
         return 0.5 * (ho @ he + he)
 
-    return max(row_l1(aff.a_st - exact(aff.ho_src, he_st)),
-               row_l1(aff.a_ts - exact(aff.ho_tgt, he_ts)))
+    e = max(row_l1(aff.a_st - exact(aff.ho_src, he_st)),
+            row_l1(aff.a_ts - exact(aff.ho_tgt, he_ts)))
+    assert e <= (max(aff.he_st.shape) + 2) * 2.0**-24
+    return e
 
 
 def step_tolerance(aff, alpha):
@@ -448,15 +455,10 @@ class TestRunTransfer:
             homogeneous_affinity(fv.data, cfg.kappa), homogeneous_affinity(fr.data, cfg.kappa),
             *heterogeneous_affinity(fv.data, fr.data, cfg.ot_lambda))
         start = init_labels(fv.data, fr.data, av, cfg)
-        expect = before = start
-        while expect.epsilon > cfg.epsilon0:
-            if expect.t >= cfg.max_transfer_iters:
-                expect = replace(expect, cap_hit=True)
-                break
-            before, expect = expect, transfer_step_factored(expect, aff, alpha)
+        expect, before = oracles.transfer_steps(start, aff, cfg)
         states = [start]
         got = run(start, aff, cfg, on_step=states.append)
-        assert expect.t > 1 and not expect.cap_hit
+        assert expect.t > 1 and expect.epsilon <= cfg.epsilon0
         assert not got.cap_hit and got.t <= expect.t
         anchors = direction_anchors(start, aff, alpha)
         oracle_delta = max(row_l1(expect.intra - before.intra),
@@ -466,6 +468,22 @@ class TestRunTransfer:
         for mine, theirs in ((got.intra, expect.intra), (got.cross, expect.cross)):
             assert np.array_equal(mine.argmax(axis=1), theirs.argmax(axis=1))
             assert row_l1(mine - theirs) <= tol
+
+    def test_a_period_two_loop_runs_to_the_cap(self):
+        # α = 0 with ho = I and a permutation for he: each side's labels swap
+        # back and forth, so ε never falls. It stays far above the rounding
+        # floor, where the stall rule does not apply, so the loop is reported
+        # as a cap hit, not as a stop at the float32 precision.
+        n, k = 6, 3
+        perm = np.eye(n)[np.roll(np.arange(n), 1)]
+        aff = DirectionAffinities(np.eye(n), np.eye(n), perm, perm.T)
+        intra0 = np.eye(k)[np.arange(n) % k]
+        state = TransferState(intra0, intra0.copy(), intra0, intra0.copy())
+        eps = []
+        cfg = PipelineConfig(alpha=0.0, max_transfer_iters=40)
+        out = run(state, aff, cfg, on_step=lambda s: eps.append(s.epsilon))
+        assert out.cap_hit and out.t == 40
+        assert min(eps) == max(eps) > aff.rounding_floor()
 
     def test_alpha_zero_rows_collapse_together(self, rng):
         # without the self anchor, smoothing over connected graphs drags
