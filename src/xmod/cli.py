@@ -3,10 +3,11 @@
 Subcommands: synth, cluster, associate, eval, loss-report, pipeline.
 cluster, associate, loss-report and pipeline read their settings from an
 optional ``--config`` JSON object whose keys are PipelineConfig fields; an
-unknown key or a value of the wrong type is a data error; no flag overrides
+unknown key or a value of the wrong type exits 2; no flag overrides
 it. synth's flags each set one SynthSpec field, and ``--seed`` belongs to
 synth alone: nothing after generation draws random numbers.
-Exit codes: 0 success, 1 usage errors, 2 data or numeric errors. Output
+Exit codes: 0 success, 1 usage errors, 2 data, parameter or file errors
+(XmodError, ValueError, OSError); anything else is a bug and propagates. Output
 files are written atomically (temp file + rename). The XMOD_THREADS
 environment variable caps BLAS worker threads; the package __init__ applies
 it, since that runs before anything imports numpy.
@@ -273,7 +274,7 @@ def main(argv=None) -> int:
         return 0 if exc.code == 0 else 1
     try:
         return args.func(args)
-    except (XmodError, OSError, ValueError, KeyError) as exc:
+    except (XmodError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

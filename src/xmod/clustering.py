@@ -7,11 +7,10 @@ from enum import Enum
 import numpy as np
 
 from .core import (
-    EmptyClusterError,
-    LabelOutOfRangeError,
     NOISE,
-    ShapeMismatchError,
+    XmodError,
     feature_data,
+    finite_matrix,
     l2_normalize_rows,
     pairwise_sq_dists,
 )
@@ -33,12 +32,12 @@ class ClusterAssignment:
     def __post_init__(self):
         lab = np.asarray(self.labels, dtype=np.int64)
         if lab.ndim != 1:
-            raise ShapeMismatchError("cluster labels must be 1-d")
+            raise XmodError("cluster labels must be 1-d")
         if lab.size and (lab.min() < NOISE or lab.max() >= self.k):
-            raise LabelOutOfRangeError("cluster id outside [-1, k)")
+            raise XmodError("cluster id outside [-1, k)")
         clustered = lab[lab != NOISE]
         if self.k != (int(clustered.max()) + 1 if clustered.size else 0):
-            raise LabelOutOfRangeError("k does not match the largest cluster id + 1")
+            raise XmodError("k does not match the largest cluster id + 1")
         object.__setattr__(self, "labels", lab)
 
     @property
@@ -64,11 +63,9 @@ class MemoryBank:
     prototypes: np.ndarray
 
     def __post_init__(self):
-        p = np.asarray(self.prototypes, dtype=np.float64)
-        if p.ndim != 2 or p.shape[0] == 0:
-            raise ShapeMismatchError("prototype matrix must be nonempty 2-d")
+        p = finite_matrix(self.prototypes, "prototype matrix")
         if not np.allclose(np.linalg.norm(p, axis=1), 1.0, atol=1e-6):
-            raise ShapeMismatchError("prototypes are not unit-normalized")
+            raise XmodError("prototypes are not unit-normalized")
         object.__setattr__(self, "prototypes", p)
 
     @property
@@ -133,14 +130,14 @@ def centroids(features, assign: ClusterAssignment) -> MemoryBank:
     are ignored."""
     data = feature_data(features)
     if data.shape[0] != assign.n:
-        raise ShapeMismatchError("feature and assignment sizes differ")
+        raise XmodError("feature and assignment sizes differ")
     if assign.k == 0:
-        raise EmptyClusterError(0)
+        raise XmodError("cluster 0 has no members")
     protos = np.zeros((assign.k, data.shape[1]), dtype=np.float64)
     for c in range(assign.k):
         members = assign.members(c)
         if members.size == 0:
-            raise EmptyClusterError(c)
+            raise XmodError(f"cluster {c} has no members")
         protos[c] = data[members].mean(axis=0)
     return MemoryBank(l2_normalize_rows(protos))
 
@@ -155,7 +152,7 @@ def memory_probabilities(features, bank: MemoryBank, tau: float) -> np.ndarray:
         raise ValueError(f"tau must be positive, got {tau!r}")
     data = feature_data(features)
     if data.shape[1] != bank.dim:
-        raise ShapeMismatchError("feature dim does not match bank dim")
+        raise XmodError("feature dim does not match bank dim")
     logits = (data @ bank.prototypes.T) / float(tau)
     logits -= logits.max(axis=1, keepdims=True)
     p = np.exp(logits)

@@ -32,80 +32,36 @@ class Modality(Enum):
 
 
 class XmodError(Exception):
-    """Base class for all data and numeric errors raised by this package."""
-
-
-class ZeroRowError(XmodError):
-    def __init__(self, row: int):
-        self.row = int(row)
-        super().__init__(f"row {self.row} has (near-)zero L2 norm")
-
-
-class NonFiniteError(XmodError):
-    def __init__(self, where: str, row: int = -1, col: int = -1):
-        self.row, self.col = int(row), int(col)
-        loc = f" at ({self.row}, {self.col})" if row >= 0 else ""
-        super().__init__(f"non-finite value in {where}{loc}")
-
-
-class ShapeMismatchError(XmodError):
-    pass
-
-
-class EmptyClusterError(XmodError):
-    def __init__(self, cluster: int):
-        self.cluster = int(cluster)
-        super().__init__(f"cluster {self.cluster} has no members")
-
-
-class LabelOutOfRangeError(XmodError):
-    pass
-
-
-class ModeMismatchError(XmodError):
-    pass
-
-
-class InfeasibleSeparationError(XmodError):
-    pass
-
-
-class MissingSnapshotError(XmodError):
-    def __init__(self, epoch: int, detail: str = ""):
-        self.epoch = int(epoch)
-        msg = f"incomplete or missing snapshot pair for epoch {self.epoch}"
-        super().__init__(msg + (f": {detail}" if detail else ""))
-
-
-class FileFormatError(XmodError):
-    pass
+    """Every data and numeric error raised by this package."""
 
 
 class NotConvergedWarning(RuntimeWarning):
     """Sinkhorn hit its iteration cap with the marginal error still large."""
 
 
-def _first_bad(m: np.ndarray) -> tuple[int, int]:
-    i, j = np.argwhere(~np.isfinite(m))[0]
-    return int(i), int(j)
+def finite_matrix(m, what: str) -> np.ndarray:
+    """Return ``m`` as a float64 array; raise XmodError unless it is a
+    nonempty 2-d matrix of finite entries. ``what`` names it in the message."""
+    m = np.asarray(m, dtype=np.float64)
+    if m.ndim != 2 or m.shape[0] == 0 or m.shape[1] == 0:
+        raise XmodError(f"{what} must be a nonempty 2-d matrix, got shape {m.shape}")
+    if not np.isfinite(m).all():
+        i, j = np.argwhere(~np.isfinite(m))[0]
+        raise XmodError(f"non-finite value in {what} at ({i}, {j})")
+    return m
 
 
 def l2_normalize_rows(m) -> np.ndarray:
     """Return a float64 copy of ``m`` with unit-L2 rows.
 
-    Raises ZeroRowError for rows with norm < 1e-12 and NonFiniteError if any
-    entry is NaN/inf. Idempotent up to float rounding.
+    Raises XmodError if ``m`` is not a nonempty finite 2-d matrix or has a
+    row with norm < 1e-12. Idempotent up to float rounding.
     """
-    m = np.asarray(m, dtype=np.float64)
-    if m.ndim != 2 or m.shape[0] == 0 or m.shape[1] == 0:
-        raise ShapeMismatchError(f"expected a nonempty 2-d matrix, got shape {m.shape}")
-    if not np.isfinite(m).all():
-        i, j = _first_bad(m)
-        raise NonFiniteError("feature matrix", i, j)
+    m = finite_matrix(m, "feature matrix")
     norms = np.linalg.norm(m, axis=1)
     small = norms < _ZERO_NORM
     if small.any():
-        raise ZeroRowError(np.flatnonzero(small)[0])
+        raise XmodError(f"row {np.flatnonzero(small)[0]} has (near-)zero L2 norm")
     return m / norms[:, None]
 
 
@@ -114,7 +70,7 @@ def pairwise_sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1]:
-        raise ShapeMismatchError(f"incompatible shapes {a.shape} and {b.shape}")
+        raise XmodError(f"incompatible shapes {a.shape} and {b.shape}")
     # (|a|² + |b|²) − 2·(a·bᵀ), with the sum and the product in their own
     # arrays and every later operation in place.
     sq = np.add.outer((a * a).sum(axis=1), (b * b).sum(axis=1))
@@ -134,15 +90,10 @@ class FeatureMatrix:
     modality: Modality
 
     def __post_init__(self):
-        d = np.asarray(self.data, dtype=np.float64)
-        if d.ndim != 2 or d.shape[0] == 0:
-            raise ShapeMismatchError(f"feature matrix must be nonempty 2-d, got {d.shape}")
-        if not np.isfinite(d).all():
-            i, j = _first_bad(d)
-            raise NonFiniteError("feature matrix", i, j)
+        d = finite_matrix(self.data, "feature matrix")
         norms = np.linalg.norm(d, axis=1)
         if not np.allclose(norms, 1.0, atol=_UNIT_TOL):
-            raise ShapeMismatchError("feature rows are not unit-normalized")
+            raise XmodError("feature rows are not unit-normalized")
         object.__setattr__(self, "data", d)
 
     @classmethod
@@ -166,27 +117,20 @@ class SoftLabelMatrix:
     probs: np.ndarray
 
     def __post_init__(self):
-        p = np.asarray(self.probs, dtype=np.float64)
-        if p.ndim != 2 or p.shape[0] == 0 or p.shape[1] == 0:
-            raise ShapeMismatchError(f"label matrix must be nonempty 2-d, got {p.shape}")
-        if not np.isfinite(p).all():
-            i, j = _first_bad(p)
-            raise NonFiniteError("label matrix", i, j)
+        p = finite_matrix(self.probs, "label matrix")
         if p.min() < -1e-9 or p.max() > 1.0 + 1e-9:
-            raise LabelOutOfRangeError("label entries outside [0, 1]")
+            raise XmodError("label entries outside [0, 1]")
         rows = p.sum(axis=1)
         if not np.allclose(rows, 1.0, atol=1e-6):
             bad = int(np.argmax(np.abs(rows - 1.0)))
-            raise LabelOutOfRangeError(
-                f"label row {bad} sums to {rows[bad]:.9f}, expected 1"
-            )
+            raise XmodError(f"label row {bad} sums to {rows[bad]:.9f}, expected 1")
         object.__setattr__(self, "probs", p)
 
     @classmethod
     def one_hot(cls, labels: np.ndarray, k: int) -> "SoftLabelMatrix":
         labels = np.asarray(labels)
         if labels.min() < 0 or labels.max() >= k:
-            raise LabelOutOfRangeError("hard labels outside [0, k)")
+            raise XmodError("hard labels outside [0, k)")
         p = np.zeros((labels.shape[0], k), dtype=np.float64)
         p[np.arange(labels.shape[0]), labels] = 1.0
         return cls(p)

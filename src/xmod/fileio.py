@@ -5,7 +5,7 @@ float32 values row-major. All writes go through a temp file + rename so
 readers never observe partial files.
 
 CSV dialect: comma-separated, unquoted fields; xmod writes LF line ends and
-reads LF or CRLF. A quote anywhere in a file is a ``FileFormatError`` naming
+reads LF or CRLF. A quote anywhere in a file is an ``XmodError`` naming
 its line, since no field xmod writes needs one.
 """
 from __future__ import annotations
@@ -16,7 +16,7 @@ import struct
 
 import numpy as np
 
-from .core import NOISE, FeatureMatrix, FileFormatError, Modality, feature_data
+from .core import NOISE, FeatureMatrix, Modality, XmodError, feature_data
 
 _MAGIC = b"MFV1"
 _HEADER = struct.Struct("<4sII")
@@ -48,7 +48,7 @@ def atomic_write_text(path, text: str) -> None:
 def write_features(path, features) -> None:
     data = feature_data(features)
     if data.ndim != 2:
-        raise FileFormatError(f"feature payload must be 2-d, got shape {data.shape}")
+        raise XmodError(f"feature payload must be 2-d, got shape {data.shape}")
     n, d = data.shape
     payload = _HEADER.pack(_MAGIC, n, d) + np.ascontiguousarray(
         data, dtype="<f4"
@@ -61,15 +61,13 @@ def read_features(path, modality: Modality) -> FeatureMatrix:
     with open(path, "rb") as fh:
         blob = fh.read()
     if len(blob) < _HEADER.size:
-        raise FileFormatError(f"{path}: truncated header")
+        raise XmodError(f"{path}: truncated header")
     magic, n, d = _HEADER.unpack_from(blob)
     if magic != _MAGIC:
-        raise FileFormatError(f"{path}: bad magic {magic!r}")
+        raise XmodError(f"{path}: bad magic {magic!r}")
     expected = _HEADER.size + 4 * n * d
     if len(blob) != expected:
-        raise FileFormatError(
-            f"{path}: expected {expected} bytes for {n}x{d}, got {len(blob)}"
-        )
+        raise XmodError(f"{path}: expected {expected} bytes for {n}x{d}, got {len(blob)}")
     raw = np.frombuffer(blob, dtype="<f4", offset=_HEADER.size).reshape(n, d)
     return FeatureMatrix.from_raw(raw, modality)
 
@@ -84,7 +82,7 @@ def write_labels(path, hard: np.ndarray, soft: np.ndarray | None = None) -> None
 
     Rows without a label (hard == NOISE) get all-zero soft columns. Soft
     values are written with ``repr`` so they read back bit for bit; a
-    non-finite one raises ``FileFormatError`` before anything is written,
+    non-finite one raises ``XmodError`` before anything is written,
     since ``read_labels`` would reject the file.
     """
     hard = np.asarray(hard).astype(np.int64).tolist()
@@ -93,11 +91,11 @@ def write_labels(path, hard: np.ndarray, soft: np.ndarray | None = None) -> None
     if soft is not None:
         soft = np.asarray(soft, dtype=np.float64)
         if soft.shape[0] != len(hard):
-            raise FileFormatError("soft label row count does not match hard labels")
+            raise XmodError("soft label row count does not match hard labels")
         finite = np.isfinite(soft).all(axis=1)
         if not finite.all():
             row = int(np.argmin(finite))
-            raise FileFormatError(f"{path}: non-finite soft label in row {row}")
+            raise XmodError(f"{path}: non-finite soft label in row {row}")
         header += [f"p{k}" for k in range(soft.shape[1])]
         soft_rows = soft.tolist()
     rows = [",".join([f"{i},{h}", *map(repr, values)])
@@ -118,29 +116,27 @@ def _indexed_rows(path, column: str):
         text = fh.read()
     if '"' in text:
         line = text.count("\n", 0, text.index('"')) + 1
-        raise FileFormatError(f"{path}: line {line} has a quote; xmod CSVs are unquoted")
+        raise XmodError(f"{path}: line {line} has a quote; xmod CSVs are unquoted")
     lines = text.split("\n")
     header = lines[0].split(",")
     if header[:2] != ["index", column]:
-        raise FileFormatError(f"{path}: expected an index,{column} header")
+        raise XmodError(f"{path}: expected an index,{column} header")
     commas = len(header) - 1
     expected = 0
     for line, row in enumerate(lines[1:], start=2):
         if not row:
             continue
         if row.count(",") != commas:
-            raise FileFormatError(
+            raise XmodError(
                 f"{path}: line {line} has {row.count(',') + 1} fields, the header {len(header)}"
             )
         fields = row.split(",", 2)
         try:
             index, value = int(fields[0]), int(fields[1])
         except ValueError:
-            raise FileFormatError(
-                f"{path}: line {line} needs an integer index and {column}"
-            ) from None
+            raise XmodError(f"{path}: line {line} needs an integer index and {column}") from None
         if index != expected:
-            raise FileFormatError(f"{path}: non-contiguous index at line {line}")
+            raise XmodError(f"{path}: non-contiguous index at line {line}")
         expected += 1
         yield line, value, fields[2] if commas > 1 else None
 
@@ -159,29 +155,25 @@ def read_labels(path, soft: bool = True) -> tuple[np.ndarray, np.ndarray | None]
         if rest is not None and k is None:
             k = rest.count(",") + 1
         if label < NOISE:
-            raise FileFormatError(f"{path}: hard label {label} below {NOISE} at line {line}")
+            raise XmodError(f"{path}: hard label {label} below {NOISE} at line {line}")
         if k is not None and label >= k:
-            raise FileFormatError(
-                f"{path}: hard label {label} at line {line} has no soft column"
-            )
+            raise XmodError(f"{path}: hard label {label} at line {line} has no soft column")
         hard.append(label)
         if soft and rest is not None:
             lines.append(line)
             try:
                 values.extend(map(float, rest.split(",")))
             except ValueError:
-                raise FileFormatError(f"{path}: non-numeric soft label at line {line}") from None
+                raise XmodError(f"{path}: non-numeric soft label at line {line}") from None
     if not hard:
-        raise FileFormatError(f"{path}: no label rows")
+        raise XmodError(f"{path}: no label rows")
     hard_arr = np.asarray(hard, dtype=np.int64)
     if not lines:
         return hard_arr, None
     soft_arr = np.asarray(values, dtype=np.float64).reshape(len(lines), -1)
     finite = np.isfinite(soft_arr).all(axis=1)
     if not finite.all():
-        raise FileFormatError(
-            f"{path}: non-finite soft label at line {lines[int(np.argmin(finite))]}"
-        )
+        raise XmodError(f"{path}: non-finite soft label at line {lines[int(np.argmin(finite))]}")
     return hard_arr, soft_arr
 
 
@@ -198,9 +190,7 @@ def read_ground_truth(path, n_visible: int) -> tuple[np.ndarray, np.ndarray]:
     ids = np.asarray([ident for _, ident, _ in _indexed_rows(path, "identity")],
                      dtype=np.int64)
     if ids.shape[0] < n_visible:
-        raise FileFormatError(
-            f"{path}: {ids.shape[0]} rows but {n_visible} visible instances expected"
-        )
+        raise XmodError(f"{path}: {ids.shape[0]} rows but {n_visible} visible instances expected")
     return ids[:n_visible], ids[n_visible:]
 
 

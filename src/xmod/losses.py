@@ -14,7 +14,7 @@ from enum import Enum
 
 import numpy as np
 
-from .core import NOISE, ModeMismatchError, Modality, ShapeMismatchError, XmodError, feature_data
+from .core import NOISE, Modality, XmodError, feature_data
 from .clustering import MemoryBank, memory_probabilities
 from .transfer import LABELS
 
@@ -43,7 +43,7 @@ class Batch:
         b = self.features_v.shape[0]
         for f in fields(self):
             if getattr(self, f.name).shape[0] != b:
-                raise ShapeMismatchError(f"{f.name} rows do not match the batch size")
+                raise XmodError(f"{f.name} rows do not match the batch size")
 
 
 def pass_batches(features_v, features_r, labels: dict, batch_size: int) -> Iterator[Batch]:
@@ -95,7 +95,7 @@ class ModeBanks:
         name = "intra_v" if self.mode is TrainingMode.V_BASED else "intra_r"
         src = getattr(self, name)
         if self.shared.k != src.k or self.intra_cross.k != src.k:
-            raise ModeMismatchError(
+            raise XmodError(
                 f"shared ({self.shared.k} clusters) and intra_cross ({self.intra_cross.k}) "
                 f"must match the source bank {name} ({src.k} clusters)"
             )
@@ -121,7 +121,7 @@ class LossReport:
 
 def mean_reports(reports: list[LossReport]) -> LossReport:
     if not reports:
-        raise ShapeMismatchError("cannot average zero loss reports")
+        raise XmodError("cannot average zero loss reports")
     n = len(reports)
     return LossReport.assemble(
         sum(r.l_im_v for r in reports) / n,
@@ -137,16 +137,14 @@ def soft_cross_entropy(pred, target):
     p = np.asarray(pred, dtype=np.float64)
     y = np.asarray(target, dtype=np.float64)
     if p.shape != y.shape:
-        raise ShapeMismatchError("prediction and target shapes differ")
+        raise XmodError("prediction and target shapes differ")
     ce = -(y * np.log(np.maximum(p, _LOG_FLOOR))).sum(axis=-1)
     return float(ce) if ce.ndim == 0 else ce
 
 
 def _mean_ce(pred: np.ndarray, target: np.ndarray) -> float:
     if pred.shape[1] != target.shape[1]:
-        raise ModeMismatchError(
-            f"bank space {pred.shape[1]} does not match label space {target.shape[1]}"
-        )
+        raise XmodError(f"bank space {pred.shape[1]} does not match label space {target.shape[1]}")
     return float(soft_cross_entropy(pred, target).mean())
 
 

@@ -12,7 +12,7 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .core import NOISE, ShapeMismatchError
+from .core import NOISE, XmodError
 from .transfer import LABELS, AssociationResult
 
 
@@ -27,7 +27,7 @@ class GroundTruth:
         v = np.asarray(self.ids_v, dtype=np.int64)
         r = np.asarray(self.ids_r, dtype=np.int64)
         if v.ndim != 1 or r.ndim != 1 or v.size == 0 or r.size == 0:
-            raise ShapeMismatchError("ground-truth id vectors must be nonempty 1-d")
+            raise XmodError("ground-truth id vectors must be nonempty 1-d")
         object.__setattr__(self, "ids_v", v)
         object.__setattr__(self, "ids_r", r)
 
@@ -59,12 +59,12 @@ def pair_accuracy_recall(pred_a, pred_b, gt_a, gt_b, include_self: bool):
     ga = np.asarray(gt_a, dtype=np.int64)
     gb = np.asarray(gt_b, dtype=np.int64)
     if pa.shape != ga.shape or pb.shape != gb.shape:
-        raise ShapeMismatchError("prediction and ground-truth lengths differ")
+        raise XmodError("prediction and ground-truth lengths differ")
     pred_match = (pa[:, None] == pb[None, :]) & (pa[:, None] != NOISE) & (pb[None, :] != NOISE)
     gt_match = ga[:, None] == gb[None, :]
     if not include_self:
         if pa.shape != pb.shape:
-            raise ShapeMismatchError("self pairs only exist between equal-length sides")
+            raise XmodError("self pairs only exist between equal-length sides")
         np.fill_diagonal(pred_match, False)
         np.fill_diagonal(gt_match, False)
     hits = int((pred_match & gt_match).sum())
@@ -87,7 +87,7 @@ def report_from_hard(
     labels, which share a cluster space by construction.
     """
     if intra_v.shape != cross_v.shape or intra_r.shape != cross_r.shape:
-        raise ShapeMismatchError("per-modality label vectors must have equal length")
+        raise XmodError("per-modality label vectors must have equal length")
     intra_acc_v, intra_re_v = pair_accuracy_recall(
         cross_v, cross_v, gt.ids_v, gt.ids_v, include_self)
     intra_acc_r, intra_re_r = pair_accuracy_recall(
@@ -103,7 +103,7 @@ def full_report(result: AssociationResult, gt: GroundTruth) -> MetricsReport:
     hard = {name: result.hard(name) for name in LABELS}
     for name, labels in hard.items():
         if labels is None:
-            raise ShapeMismatchError(f"full_report needs both directions; {name} missing")
+            raise XmodError(f"full_report needs both directions; {name} missing")
     if gt.ids_v.shape[0] != result.n_visible or gt.ids_r.shape[0] != result.n_infrared:
-        raise ShapeMismatchError("ground-truth sizes do not match the association")
+        raise XmodError("ground-truth sizes do not match the association")
     return report_from_hard(*hard.values(), gt)

@@ -11,7 +11,7 @@ import os
 import re
 from dataclasses import dataclass
 
-from .core import MissingSnapshotError, Modality, PipelineConfig
+from .core import Modality, PipelineConfig, XmodError
 from .clustering import ClusterAssignment, centroids, dbscan
 from .fileio import atomic_write_text, read_features
 from .losses import (
@@ -73,11 +73,12 @@ def discover_snapshots(snapshot_dir) -> list[tuple[int, str, str]]:
             epoch, modality = int(m.group(1)), m.group(2)
             found.setdefault(epoch, {})[modality] = os.path.join(snapshot_dir, name)
     if not found:
-        raise MissingSnapshotError(0, f"no epochNNN_*.mfv1 files in {snapshot_dir}")
+        raise XmodError("incomplete or missing snapshot pair for epoch 0: "
+                        f"no epochNNN_*.mfv1 files in {snapshot_dir}")
     for epoch in range(max(found) + 1):
         pair = found.get(epoch, {})
         if "visible" not in pair or "infrared" not in pair:
-            raise MissingSnapshotError(epoch)
+            raise XmodError(f"incomplete or missing snapshot pair for epoch {epoch}")
     return [
         (epoch, found[epoch]["visible"], found[epoch]["infrared"])
         for epoch in sorted(found)

@@ -25,8 +25,8 @@ import numpy as np
 
 from .core import (
     FeatureMatrix,
-    InfeasibleSeparationError,
     Modality,
+    XmodError,
     l2_normalize_rows,
 )
 from .metrics import GroundTruth
@@ -76,9 +76,7 @@ class SynthSpec:
             raise ValueError("scales must be nonnegative")
         if self.id_separation > 2.0:
             # Unit vectors are at most 2 apart; anything larger can never work.
-            raise InfeasibleSeparationError(
-                f"id_separation {self.id_separation} exceeds the sphere diameter"
-            )
+            raise XmodError(f"id_separation {self.id_separation} exceeds the sphere diameter")
 
 
 class SplitMix64:
@@ -160,7 +158,7 @@ def _draw_centers(rng: SplitMix64, spec: SynthSpec) -> np.ndarray:
                 centers[g] = candidate
                 break
         else:
-            raise InfeasibleSeparationError(
+            raise XmodError(
                 f"could not place center {g} of {spec.num_ids} in dim {spec.dim} "
                 f"with separation {spec.id_separation} after {_MAX_CENTER_TRIES} tries"
             )

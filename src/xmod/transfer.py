@@ -31,8 +31,8 @@ from .core import (
     NOISE,
     Modality,
     PipelineConfig,
-    ShapeMismatchError,
     SoftLabelMatrix,
+    XmodError,
     feature_data,
 )
 from .affinity import homogeneous_affinity
@@ -96,9 +96,9 @@ class DirectionAffinities:
         ns, nt = self.he_st.shape
         for ho, n in ((self.ho_src, ns), (self.ho_tgt, nt)):
             if ho is not None and ho.shape != (n, n):
-                raise ShapeMismatchError("homogeneous affinity shapes do not match")
+                raise XmodError("homogeneous affinity shapes do not match")
         if self.he_ts.shape != (nt, ns):
-            raise ShapeMismatchError("heterogeneous affinity shapes do not match")
+            raise XmodError("heterogeneous affinity shapes do not match")
         for name, ho, he in (("a_st", self.ho_src, self.he_st),
                              ("a_ts", self.ho_tgt, self.he_ts)):
             if getattr(self, name) is None:
@@ -106,7 +106,7 @@ class DirectionAffinities:
                     raise ValueError(f"{name} must be given when its graph is not")
                 object.__setattr__(self, name, smoothed_transport(ho, he))
         if self.a_st.shape != (ns, nt) or self.a_ts.shape != (nt, ns):
-            raise ShapeMismatchError("composite affinity shapes do not match")
+            raise XmodError("composite affinity shapes do not match")
 
     def rounding_floor(self) -> float:
         """An a-priori bound on what float32 rounding can put into one update
@@ -291,7 +291,7 @@ class LabeledSubset:
 
     def __post_init__(self):
         if self.indices.shape[0] != self.labels.n:
-            raise ShapeMismatchError("index count does not match label rows")
+            raise XmodError("index count does not match label rows")
 
     def hard_full(self, total: int) -> np.ndarray:
         """Hard labels over all ``total`` instances, NOISE where unlabeled;
@@ -352,7 +352,7 @@ class ClusteredSide:
 def clustered_side(features, assign: ClusterAssignment) -> ClusteredSide:
     idx = assign.clustered_indices()
     if idx.size == 0:
-        raise ShapeMismatchError("every instance is noise; nothing to associate")
+        raise XmodError("every instance is noise; nothing to associate")
     sub_assign = ClusterAssignment(assign.labels[idx], assign.k)
     return ClusteredSide(idx, feature_data(features)[idx], sub_assign, assign.n)
 

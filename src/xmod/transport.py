@@ -8,11 +8,11 @@ from dataclasses import InitVar, dataclass, field
 import numpy as np
 
 from .core import (
-    NonFiniteError,
     NotConvergedWarning,
-    ShapeMismatchError,
     SoftLabelMatrix,
+    XmodError,
     feature_data,
+    finite_matrix,
     pairwise_sq_dists,
 )
 from .affinity import row_normalize
@@ -30,15 +30,11 @@ class TransportProblem:
     log_k: np.ndarray = field(init=False)
 
     def __post_init__(self, cost):
-        c = np.asarray(cost, dtype=np.float64)
+        c = finite_matrix(cost, "transport cost")
         r = np.asarray(self.row_marginal, dtype=np.float64)
         s = np.asarray(self.col_marginal, dtype=np.float64)
-        if c.ndim != 2 or c.shape[0] == 0 or c.shape[1] == 0:
-            raise ShapeMismatchError("cost must be a nonempty 2-d matrix")
         if r.shape != (c.shape[0],) or s.shape != (c.shape[1],):
-            raise ShapeMismatchError("marginal lengths do not match the cost matrix")
-        if not np.isfinite(c).all():
-            raise NonFiniteError("transport cost")
+            raise XmodError("marginal lengths do not match the cost matrix")
         if r.min() <= 0.0 or s.min() <= 0.0:
             raise ValueError("marginals must be positive")
         if abs(r.sum() - 1.0) > 1e-9 or abs(s.sum() - 1.0) > 1e-9:
@@ -257,7 +253,7 @@ def sinkhorn(problem: TransportProblem) -> TransportPlan:
             g = _log_scaling(log_k, f, log_c, 0, buf)
             _gibbs(f, log_k, g, plan)
         if not np.isfinite(plan).all():
-            raise NonFiniteError("transport plan")
+            raise XmodError("non-finite value in transport plan")
         row_mass = plan.sum(axis=1)
         col_mass = plan.sum(axis=0)
         row_err = np.abs(row_mass - r).sum()

@@ -31,10 +31,8 @@ from xmod import transport
 from xmod.clustering import ClusterAssignment, DistanceMetric, _pairwise_distance
 from xmod.core import (
     FeatureMatrix,
-    FileFormatError,
-    InfeasibleSeparationError,
     Modality,
-    NonFiniteError,
+    XmodError,
     feature_data,
     l2_normalize_rows,
 )
@@ -246,37 +244,37 @@ def read_labels_csv(path):
         reader = csv.reader(fh)
         header = next(reader, None)
         if not header or header[:2] != ["index", "hard_label"]:
-            raise FileFormatError(f"{path}: expected an index,hard_label header")
+            raise XmodError(f"{path}: expected an index,hard_label header")
         hard, soft = [], []
         for row in reader:
             if not row:
                 continue
             line = reader.line_num
             if len(row) != len(header):
-                raise FileFormatError(
+                raise XmodError(
                     f"{path}: line {line} has {len(row)} fields, the header {len(header)}"
                 )
             try:
                 index, label = int(row[0]), int(row[1])
             except ValueError:
-                raise FileFormatError(
+                raise XmodError(
                     f"{path}: line {line} needs an integer index and hard_label"
                 ) from None
             if index != len(hard):
-                raise FileFormatError(f"{path}: non-contiguous index at line {line}")
+                raise XmodError(f"{path}: non-contiguous index at line {line}")
             hard.append(label)
             if row[2:]:
                 try:
                     values = [float(v) for v in row[2:]]
                 except ValueError:
-                    raise FileFormatError(
+                    raise XmodError(
                         f"{path}: non-numeric soft label at line {line}"
                     ) from None
                 if not all(math.isfinite(v) for v in values):
-                    raise FileFormatError(f"{path}: non-finite soft label at line {line}")
+                    raise XmodError(f"{path}: non-finite soft label at line {line}")
                 soft.append(values)
     if not hard:
-        raise FileFormatError(f"{path}: no label rows")
+        raise XmodError(f"{path}: no label rows")
     return (np.asarray(hard, dtype=np.int64),
             np.asarray(soft, dtype=np.float64) if soft else None)
 
@@ -445,7 +443,7 @@ def sinkhorn_allocating(problem):
             g = log_c - _logsumexp(log_k + f[:, None], axis=0)
         plan = np.exp(f[:, None] + log_k + g[None, :])
         if not np.isfinite(plan).all():
-            raise NonFiniteError("transport plan")
+            raise XmodError("non-finite value in transport plan")
         row_err = np.abs(plan.sum(axis=1) - r).sum()
         col_err = np.abs(plan.sum(axis=0) - c).sum()
         prev, err = err, max(row_err, col_err)
@@ -474,7 +472,7 @@ def _draw_centers_scalar(rng, spec, max_tries=1000):
                 centers.append(candidate)
                 break
         else:
-            raise InfeasibleSeparationError(
+            raise XmodError(
                 f"could not place center {g} of {spec.num_ids} in dim {spec.dim} "
                 f"with separation {spec.id_separation} after {max_tries} tries"
             )

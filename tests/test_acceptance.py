@@ -22,7 +22,7 @@ from xmod.affinity import homogeneous_affinity, row_normalize
 from xmod.baselines import associate_greedy_centroid, associate_otla_only
 from xmod.cli import main as cli_main
 from xmod.clustering import ClusterAssignment, MemoryBank, centroids, dbscan
-from xmod.core import NOISE, LabelOutOfRangeError, PipelineConfig, SoftLabelMatrix
+from xmod.core import NOISE, PipelineConfig, SoftLabelMatrix, XmodError
 from xmod.losses import Batch, ModeBanks, TrainingMode, loss_report, soft_cross_entropy
 from xmod.metrics import GroundTruth, MetricsReport, full_report, report_from_hard
 from xmod.synth import GapMode, SynthSpec, generate
@@ -255,8 +255,8 @@ def test_soft_labels_stay_row_stochastic():
     try:
         SoftLabelMatrix(np.array([[0.7, 0.31], [0.5, 0.5]]))
         guard_ok = False
-    except LabelOutOfRangeError:
-        guard_ok = True
+    except XmodError as exc:
+        guard_ok = str(exc) == "label row 0 sums to 1.010000000, expected 1"
 
     worst = 0.0
     count = 0

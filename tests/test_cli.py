@@ -690,7 +690,70 @@ class TestPipelineCommand:
         assert lines[2].split(",")[0] == "1"
 
 
+def bad_features_argv(workdir, row, col, value):
+    """A cluster command line on 6 random unit rows with entry (row, col),
+    or all of row ``row`` when col is None, set to ``value``."""
+    m = random_unit_rows(np.random.default_rng(0), 6, 8)
+    m[row, slice(None) if col is None else col] = value
+    write_features(workdir / "bad.mfv1", m)
+    return ["cluster", "--features", str(workdir / "bad.mfv1"),
+            "--out-labels", str(workdir / "labels.csv"),
+            "--out-prototypes", str(workdir / "protos.mfv1")]
+
+
+def snapshots_argv(workdir, epochs):
+    """A pipeline command line over copies of the workdir's data as ``epochs``."""
+    snaps = workdir / "snaps"
+    snaps.mkdir()
+    for epoch in epochs:
+        for modality in ("visible", "infrared"):
+            shutil.copy(workdir / "data" / f"{modality}.mfv1",
+                        snaps / f"epoch{epoch:03d}_{modality}.mfv1")
+    return ["pipeline", "--snapshots", str(snaps),
+            "--gt", str(workdir / "data" / "ground_truth.csv"),
+            "--out", str(workdir / "trace.csv")]
+
+
+# case: (command line built in the workdir, its one error message, where {w}
+# stands for the workdir)
+DATA_ERRORS = {
+    "zero-row": (lambda w: bad_features_argv(w, 3, None, 0.0),
+                 "row 3 has (near-)zero L2 norm"),
+    "nan": (lambda w: bad_features_argv(w, 2, 5, np.nan),
+            "non-finite value in feature matrix at (2, 5)"),
+    "separation-past-diameter": (
+        lambda w: ["synth", "--ids", "3", "--separation", "2.5", "--out", str(w / "synth")],
+        "id_separation 2.5 exceeds the sphere diameter"),
+    "crowded-sphere": (
+        lambda w: ["synth", "--ids", "40", "--dim", "2", "--separation", "1.5",
+                   "--out", str(w / "synth")],
+        "could not place center 3 of 40 in dim 2 with separation 1.5 after 1000 tries"),
+    "epoch-gap": (lambda w: snapshots_argv(w, (0, 2)),
+                  "incomplete or missing snapshot pair for epoch 1"),
+    "no-snapshots": (lambda w: snapshots_argv(w, ()),
+                     "incomplete or missing snapshot pair for epoch 0: "
+                     "no epochNNN_*.mfv1 files in {w}/snaps"),
+}
+
+
 class TestErrors:
+    @pytest.mark.parametrize("case", sorted(DATA_ERRORS))
+    def test_data_error_exit_2_one_line_writes_nothing(self, workdir, capsys, case):
+        build, message = DATA_ERRORS[case]
+        argv = build(workdir)
+        before = sorted(workdir.rglob("*"))
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {message.format(w=workdir)}\n"
+        assert sorted(workdir.rglob("*")) == before
+
+    def test_a_key_error_inside_a_command_propagates(self, tmp_path, monkeypatch):
+        # only data, parameter and file errors become exit 2; a bug stays loud
+        def broken(spec):
+            raise KeyError("planted")
+        monkeypatch.setattr("xmod.cli.generate", broken)
+        with pytest.raises(KeyError, match="planted"):
+            main(["synth", "--ids", "3", "--out", str(tmp_path / "synth")])
+
     def test_unknown_flag_exit_1_names_flag(self, tmp_path, capsys):
         code = main(["synth", "--ids", "3", "--out", str(tmp_path), "--bogus"])
         assert code == 1

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from xmod.core import EmptyClusterError, NOISE, ShapeMismatchError
+from xmod.core import NOISE, XmodError
 from xmod.clustering import (
     ClusterAssignment,
     DistanceMetric,
@@ -180,7 +180,7 @@ class TestCentroids:
 
     def test_empty_cluster_error(self, rng):
         feats = random_unit_rows(rng, 2, 3)
-        with pytest.raises(EmptyClusterError):
+        with pytest.raises(XmodError, match="^cluster 0 has no members$"):
             # all points are noise
             centroids(feats, ClusterAssignment(np.array([NOISE, NOISE]), 0))
 
@@ -223,5 +223,5 @@ class TestMemoryProbability:
 
     def test_dim_mismatch(self, rng):
         bank = MemoryBank(random_unit_rows(rng, 2, 4))
-        with pytest.raises(ShapeMismatchError):
+        with pytest.raises(XmodError, match="^feature dim does not match bank dim$"):
             memory_probabilities(np.zeros((1, 3)), bank, 0.05)

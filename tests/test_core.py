@@ -1,28 +1,67 @@
+import re
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from xmod.affinity import k_reciprocal_sets
-from xmod.clustering import DistanceMetric, centroids, dbscan, memory_probabilities
+from xmod.clustering import (
+    DistanceMetric,
+    MemoryBank,
+    centroids,
+    dbscan,
+    memory_probabilities,
+)
 from xmod.core import (
     FeatureMatrix,
-    LabelOutOfRangeError,
     Modality,
-    NonFiniteError,
     PipelineConfig,
-    ShapeMismatchError,
     SoftLabelMatrix,
-    ZeroRowError,
+    XmodError,
+    finite_matrix,
     l2_normalize_rows,
     pairwise_sq_dists,
 )
 from xmod.fileio import write_features
 from xmod.synth import SynthSpec, generate
 from xmod.transfer import mult_associate
-from xmod.transport import heterogeneous_plan, otla_init
+from xmod.transport import TransportProblem, heterogeneous_plan, otla_init
 
 from oracles import pairwise_sq_dists_broadcast
+
+
+class TestFiniteMatrix:
+    def test_returns_float64(self):
+        out = finite_matrix([[1, 2], [3, 4]], "m")
+        assert out.dtype == np.float64 and out.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+
+    @pytest.mark.parametrize("shape", [(3,), (0, 3), (3, 0), (1, 1, 1)],
+                             ids=["1-d", "no-rows", "no-columns", "3-d"])
+    def test_rejects_a_shape(self, shape):
+        want = f"m must be a nonempty 2-d matrix, got shape {shape}"
+        with pytest.raises(XmodError, match=f"^{re.escape(want)}$"):
+            finite_matrix(np.ones(shape), "m")
+
+    def test_names_the_first_non_finite_entry(self):
+        m = np.ones((3, 4))
+        m[2, 0], m[1, 3] = np.nan, -np.inf
+        with pytest.raises(XmodError, match=r"^non-finite value in m at \(1, 3\)$"):
+            finite_matrix(m, "m")
+
+    @pytest.mark.parametrize("build, what", [
+        (l2_normalize_rows, "feature matrix"),
+        (lambda m: FeatureMatrix(m, Modality.VISIBLE), "feature matrix"),
+        (SoftLabelMatrix, "label matrix"),
+        (MemoryBank, "prototype matrix"),
+        (lambda m: TransportProblem(m, np.ones(1), np.ones(2), 1.0), "transport cost"),
+    ], ids=["l2_normalize_rows", "FeatureMatrix", "SoftLabelMatrix", "MemoryBank",
+            "TransportProblem"])
+    def test_every_matrix_input_shares_the_wording(self, build, what):
+        with pytest.raises(XmodError, match=rf"^non-finite value in {what} at \(0, 1\)$"):
+            build(np.array([[1.0, np.nan]]))
+        want = f"{what} must be a nonempty 2-d matrix, got shape (0, 2)"
+        with pytest.raises(XmodError, match=f"^{re.escape(want)}$"):
+            build(np.zeros((0, 2)))
 
 
 class TestL2NormalizeRows:
@@ -45,26 +84,26 @@ class TestL2NormalizeRows:
         assert np.allclose(np.linalg.norm(out, axis=1), 1.0, atol=1e-12)
 
     def test_zero_row(self):
-        with pytest.raises(ZeroRowError) as err:
+        with pytest.raises(XmodError, match=r"^row 0 has \(near-\)zero L2 norm$"):
             l2_normalize_rows([[0.0, 0.0]])
-        assert err.value.row == 0
 
     def test_nonfinite(self):
-        with pytest.raises(NonFiniteError):
+        with pytest.raises(XmodError, match=r"^non-finite value in feature matrix at \(0, 1\)$"):
             l2_normalize_rows([[1.0, np.nan]])
 
     def test_empty(self):
-        with pytest.raises(ShapeMismatchError):
+        with pytest.raises(XmodError, match=r"^feature matrix must be a nonempty 2-d matrix, "
+                                            r"got shape \(0, 3\)$"):
             l2_normalize_rows(np.zeros((0, 3)))
 
 
 class TestSoftLabelMatrix:
     def test_rejects_bad_row_sum(self):
-        with pytest.raises(LabelOutOfRangeError):
+        with pytest.raises(XmodError, match="^label row 0 sums to 1.100000000, expected 1$"):
             SoftLabelMatrix(np.array([[0.5, 0.6]]))
 
     def test_rejects_negative(self):
-        with pytest.raises(LabelOutOfRangeError):
+        with pytest.raises(XmodError, match=r"^label entries outside \[0, 1\]$"):
             SoftLabelMatrix(np.array([[-0.1, 1.1]]))
 
     def test_one_hot(self):
@@ -73,7 +112,7 @@ class TestSoftLabelMatrix:
         assert m.space_size == 3
 
     def test_one_hot_range_check(self):
-        with pytest.raises(LabelOutOfRangeError):
+        with pytest.raises(XmodError, match=r"^hard labels outside \[0, k\)$"):
             SoftLabelMatrix.one_hot(np.array([3]), 3)
 
 
@@ -84,7 +123,7 @@ class TestFeatureMatrix:
         assert fm.data.shape == (4, 6)
 
     def test_rejects_unnormalized(self):
-        with pytest.raises(ShapeMismatchError):
+        with pytest.raises(XmodError, match="^feature rows are not unit-normalized$"):
             FeatureMatrix(np.array([[3.0, 4.0]]), Modality.VISIBLE)
 
 

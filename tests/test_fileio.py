@@ -5,11 +5,16 @@ import re
 import numpy as np
 import pytest
 
-from xmod.core import FileFormatError, Modality
+from xmod.core import Modality, XmodError
 from xmod import fileio
 
 from conftest import random_unit_rows
 from oracles import read_labels_csv, write_labels_csv
+
+
+def file_error(path, message):
+    """A match pattern for exactly ``<path>: <message>``."""
+    return f"^{re.escape(f'{path}: {message}')}$"
 
 
 class TestFeatureFiles:
@@ -38,14 +43,14 @@ class TestFeatureFiles:
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.mfv1"
         path.write_bytes(b"NOPE" + b"\x00" * 20)
-        with pytest.raises(FileFormatError):
+        with pytest.raises(XmodError, match=file_error(path, "bad magic b'NOPE'")):
             fileio.read_features(path, Modality.VISIBLE)
 
     def test_truncated(self, tmp_path, rng):
         path = tmp_path / "trunc.mfv1"
         fileio.write_features(path, random_unit_rows(rng, 4, 4))
         path.write_bytes(path.read_bytes()[:-5])
-        with pytest.raises(FileFormatError):
+        with pytest.raises(XmodError, match=file_error(path, "expected 76 bytes for 4x4, got 71")):
             fileio.read_features(path, Modality.VISIBLE)
 
 
@@ -72,21 +77,21 @@ class TestLabelFiles:
     def test_non_contiguous_index_rejected(self, tmp_path):
         path = tmp_path / "labels.csv"
         path.write_text("index,hard_label\n0,1\n2,0\n")
-        with pytest.raises(FileFormatError):
+        with pytest.raises(XmodError, match=file_error(path, "non-contiguous index at line 3")):
             fileio.read_labels(path)
 
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
     def test_non_finite_soft_value_rejected(self, tmp_path, bad):
         path = tmp_path / "labels.csv"
         path.write_text(f"index,hard_label,p0,p1\n0,0,1.0,0.0\n1,1,{bad},1.0\n")
-        with pytest.raises(FileFormatError, match="line 3"):
+        with pytest.raises(XmodError, match=file_error(path, "non-finite soft label at line 3")):
             fileio.read_labels(path)
 
     @pytest.mark.parametrize("bad", ["abc", "", "0.5.1"], ids=["word", "empty", "two-points"])
     def test_non_numeric_soft_value_names_its_file_line(self, tmp_path, bad):
         path = tmp_path / "labels.csv"
         path.write_text(f"index,hard_label,p0,p1\n0,1,0.0,1.0\n1,1,{bad},0.5\n")
-        with pytest.raises(FileFormatError, match="labels.csv: non-numeric soft label at line 3"):
+        with pytest.raises(XmodError, match=file_error(path, "non-numeric soft label at line 3")):
             fileio.read_labels(path)
 
     def test_blank_rows_are_skipped(self, tmp_path):
@@ -100,26 +105,26 @@ class TestLabelFiles:
         "row, error",
         [("2,1,0.0,1.0", "non-contiguous index at line 4"),
          ("1,1,nan,1.0", "non-finite soft label at line 4"),
-         ("1,1,0.0", "line 4 has 3 fields")],
+         ("1,1,0.0", "line 4 has 3 fields, the header 4")],
         ids=["gap-in-index", "non-finite", "short"],
     )
     def test_error_after_blank_row_names_its_file_line(self, tmp_path, row, error):
         path = tmp_path / "labels.csv"
         path.write_text(f"index,hard_label,p0,p1\n0,0,1.0,0.0\n\n{row}\n")
-        with pytest.raises(FileFormatError, match=f"labels.csv: {error}"):
+        with pytest.raises(XmodError, match=file_error(path, error)):
             fileio.read_labels(path)
 
     @pytest.mark.parametrize(
-        "rows, line",
-        [(["0,0,1.0,0.0", "1,1,0.0,1.0"], 2),
-         (["0,0,1.0,0.0,0.0,0.0", "1,1,0.0,1.0,0.0,0.0"], 2),
-         (["0,0,1.0,0.0,0.0", "1,1,0.0,1.0"], 3)],
+        "rows, error",
+        [(["0,0,1.0,0.0", "1,1,0.0,1.0"], "line 2 has 4 fields, the header 5"),
+         (["0,0,1.0,0.0,0.0,0.0", "1,1,0.0,1.0,0.0,0.0"], "line 2 has 6 fields, the header 5"),
+         (["0,0,1.0,0.0,0.0", "1,1,0.0,1.0"], "line 3 has 4 fields, the header 5")],
         ids=["short", "long", "ragged"],
     )
-    def test_row_field_count_must_match_header(self, tmp_path, rows, line):
+    def test_row_field_count_must_match_header(self, tmp_path, rows, error):
         path = tmp_path / "labels.csv"
         path.write_text("\n".join(["index,hard_label,p0,p1,p2"] + rows) + "\n")
-        with pytest.raises(FileFormatError, match=f"labels.csv: line {line} "):
+        with pytest.raises(XmodError, match=file_error(path, error)):
             fileio.read_labels(path)
 
     @pytest.mark.parametrize("soft", [True, False], ids=["soft", "hard-only"])
@@ -131,7 +136,7 @@ class TestLabelFiles:
     def test_impossible_hard_label_names_its_file_line(self, tmp_path, soft, label, error):
         path = tmp_path / "labels.csv"
         path.write_text(f"index,hard_label,p0,p1\n0,1,0.0,1.0\n1,{label},1.0,0.0\n")
-        with pytest.raises(FileFormatError, match=f"labels.csv: {error}"):
+        with pytest.raises(XmodError, match=file_error(path, error)):
             fileio.read_labels(path, soft=soft)
 
     def test_any_cluster_id_without_soft_columns(self, tmp_path):
@@ -140,14 +145,15 @@ class TestLabelFiles:
         path.write_text("index,hard_label\n0,-1\n1,99\n")
         assert fileio.read_labels(path)[0].tolist() == [-1, 99]
         path.write_text("index,hard_label\n0,-2\n")
-        with pytest.raises(FileFormatError, match="labels.csv: hard label -2 below -1 at line 2"):
+        with pytest.raises(XmodError, match=file_error(path, "hard label -2 below -1 at line 2")):
             fileio.read_labels(path)
 
     @pytest.mark.parametrize("row", ["1,1.5", "x,1", "1,"], ids=["label", "index", "empty"])
     def test_non_integer_field_names_its_file_line(self, tmp_path, row):
         path = tmp_path / "labels.csv"
         path.write_text(f"index,hard_label\n0,1\n{row}\n")
-        with pytest.raises(FileFormatError, match="labels.csv: line 3 needs an integer"):
+        with pytest.raises(XmodError,
+                           match=file_error(path, "line 3 needs an integer index and hard_label")):
             fileio.read_labels(path)
 
 
@@ -220,7 +226,7 @@ class TestLabelFilesMatchCsvModule:
                                                           read_labels_csv(crlf)))
 
 
-# (file text, the FileFormatError message after "<path>: "); the csv-module
+# (file text, the XmodError message after "<path>: "); the csv-module
 # oracle raises the same message on each, except that it unquotes fields.
 STRUCTURAL_ERRORS = {
     "ragged": ("index,hard_label,p0,p1,p2\n0,0,1.0,0.0,0.0\n1,1,0.0,1.0\n",
@@ -251,11 +257,10 @@ class TestLabelFileStructure:
         text, error = STRUCTURAL_ERRORS[case]
         path = tmp_path / "labels.csv"
         path.write_text(text)
-        with pytest.raises(FileFormatError) as info:
+        with pytest.raises(XmodError, match=file_error(path, error)):
             fileio.read_labels(path, soft=soft)
-        assert str(info.value) == f"{path}: {error}"
         if case != "quoted":
-            with pytest.raises(FileFormatError, match=f"^{re.escape(str(info.value))}$"):
+            with pytest.raises(XmodError, match=file_error(path, error)):
                 read_labels_csv(path)
 
     @pytest.mark.parametrize("bad", ["abc", "", "nan", "inf", "-inf"])
@@ -264,14 +269,16 @@ class TestLabelFileStructure:
         path.write_text(f"index,hard_label,p0,p1\n0,1,0.0,1.0\n1,0,{bad},0.5\n")
         hard, soft = fileio.read_labels(path, soft=False)
         assert hard.tolist() == [1, 0] and soft is None
-        with pytest.raises(FileFormatError, match="line 3"):
+        kind = "non-finite" if bad in ("nan", "inf", "-inf") else "non-numeric"
+        with pytest.raises(XmodError, match=file_error(path, f"{kind} soft label at line 3")):
             fileio.read_labels(path)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_soft_value_is_not_written(self, tmp_path, bad):
         soft = np.array([[0.5, 0.5], [1.0, 0.0], [bad, 0.0], [bad, bad]])
-        with pytest.raises(FileFormatError, match="labels.csv: non-finite soft label in row 2"):
-            fileio.write_labels(tmp_path / "labels.csv", np.array([0, 0, 1, 1]), soft)
+        path = tmp_path / "labels.csv"
+        with pytest.raises(XmodError, match=file_error(path, "non-finite soft label in row 2")):
+            fileio.write_labels(path, np.array([0, 0, 1, 1]), soft)
         assert list(tmp_path.iterdir()) == []
 
 
@@ -296,20 +303,21 @@ class TestGroundTruthFiles:
     def test_index_gap_after_blank_row_names_its_file_line(self, tmp_path):
         path = tmp_path / "gt.csv"
         path.write_text("index,identity\n0,3\n\n2,4\n")
-        with pytest.raises(FileFormatError, match="gt.csv: non-contiguous index at line 4"):
+        with pytest.raises(XmodError, match=file_error(path, "non-contiguous index at line 4")):
             fileio.read_ground_truth(path, n_visible=1)
 
     @pytest.mark.parametrize("row", ["x,1", "1,one"], ids=["index", "identity"])
     def test_non_integer_field_names_its_file_line(self, tmp_path, row):
         path = tmp_path / "gt.csv"
         path.write_text(f"index,identity\n0,3\n{row}\n")
-        with pytest.raises(FileFormatError, match="gt.csv: line 3 needs an integer"):
+        with pytest.raises(XmodError,
+                           match=file_error(path, "line 3 needs an integer index and identity")):
             fileio.read_ground_truth(path, n_visible=1)
 
     def test_short_row_names_its_file_line(self, tmp_path):
         path = tmp_path / "gt.csv"
         path.write_text("index,identity\n0,3\n1\n")
-        with pytest.raises(FileFormatError, match="gt.csv: line 3 has 1 fields, the header 2"):
+        with pytest.raises(XmodError, match=file_error(path, "line 3 has 1 fields, the header 2")):
             fileio.read_ground_truth(path, n_visible=1)
 
     def test_bytes(self, tmp_path):
@@ -320,7 +328,8 @@ class TestGroundTruthFiles:
     def test_too_few_rows(self, tmp_path):
         path = tmp_path / "gt.csv"
         fileio.write_ground_truth(path, np.array([0]), np.array([0]))
-        with pytest.raises(FileFormatError):
+        with pytest.raises(XmodError,
+                           match=file_error(path, "2 rows but 5 visible instances expected")):
             fileio.read_ground_truth(path, n_visible=5)
 
 

@@ -1,7 +1,9 @@
 """Every module-level import in the package is used by its module, no
-module imports another module's private (``_``-prefixed) name, and every
-public top-level function or class is used outside the tests."""
+module imports another module's private (``_``-prefixed) name, every
+public top-level function or class is used outside the tests, and the
+package's one error type is XmodError."""
 import ast
+import builtins
 from pathlib import Path
 
 import pytest
@@ -33,6 +35,49 @@ def private_imports(source: str) -> list[str]:
         if isinstance(node, ast.ImportFrom)
         for alias in node.names
         if alias.name.startswith("_") and node.module != "__future__"
+    ]
+
+
+BUILTIN_EXCEPTIONS = {
+    name for name, value in vars(builtins).items()
+    if isinstance(value, type) and issubclass(value, BaseException)
+}
+
+
+def _name(node) -> str:
+    if isinstance(node, ast.Call):
+        node = node.func
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return node.id if isinstance(node, ast.Name) else ""
+
+
+def exception_classes(sources: list[str]) -> list[str]:
+    """Classes in ``sources`` that derive from a builtin exception, directly
+    or through one another."""
+    bases = {
+        node.name: {_name(base) for base in node.bases}
+        for source in sources
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ClassDef)
+    }
+    found, grown = set(), True
+    while grown:
+        grown = False
+        for name, names in bases.items():
+            if name not in found and names & (BUILTIN_EXCEPTIONS | found):
+                found.add(name)
+                grown = True
+    return sorted(found)
+
+
+def foreign_raises(source: str) -> list[str]:
+    """``raise`` statements that name neither XmodError nor a builtin exception."""
+    return [
+        f"{_name(node.exc)} (line {node.lineno})"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Raise) and node.exc is not None
+        and _name(node.exc) not in BUILTIN_EXCEPTIONS | {"XmodError"}
     ]
 
 
@@ -120,3 +165,24 @@ def test_every_public_name_is_used_outside_the_tests():
         {p.name: p.read_text() for p in MODULES},
         {str(p.relative_to(REPO)): p.read_text() for p in users},
     ) == []
+
+
+def test_detects_exception_classes_and_foreign_raises():
+    source = (
+        "class XmodError(Exception):\n    pass\n\n"
+        "class ShapeError(XmodError):\n    pass\n\n"
+        "class Plain:\n    pass\n\n"
+        "ShapeAlias = XmodError\n\n"
+        "def f(x):\n"
+        "    if x:\n        raise ShapeAlias('a')\n"
+        "    if x > 1:\n        raise ValueError('b')\n"
+        "    raise XmodError('c')\n"
+    )
+    assert exception_classes([source]) == ["ShapeError", "XmodError"]
+    assert foreign_raises(source) == ["ShapeAlias (line 14)"]
+
+
+def test_one_error_type():
+    sources = [p.read_text() for p in MODULES]
+    assert exception_classes(sources) == ["NotConvergedWarning", "XmodError"]
+    assert [f"{p.name}: {r}" for p in MODULES for r in foreign_raises(p.read_text())] == []

@@ -5,10 +5,7 @@ import numpy as np
 import pytest
 
 from xmod import losses
-from xmod.core import (
-    NOISE, FeatureMatrix, Modality, ModeMismatchError, PipelineConfig, ShapeMismatchError,
-    XmodError,
-)
+from xmod.core import NOISE, FeatureMatrix, Modality, PipelineConfig, XmodError
 from xmod.clustering import MemoryBank, dbscan, memory_probabilities
 from xmod.losses import (
     Batch,
@@ -97,7 +94,7 @@ class TestSoftCrossEntropy:
             assert rows[i] == pytest.approx(oracles.cross_entropy_row(p[i], y[i]), abs=1e-12)
 
     def test_shape_mismatch(self):
-        with pytest.raises(ShapeMismatchError):
+        with pytest.raises(XmodError, match="^prediction and target shapes differ$"):
             soft_cross_entropy(np.array([0.5, 0.5]), np.array([1.0, 0.0, 0.0]))
 
     def test_gibbs_inequality(self, rng):
@@ -181,7 +178,7 @@ class TestLossIm:
             cross_v=batch.cross_v,
             cross_r=batch.cross_r,
         )
-        with pytest.raises(ModeMismatchError):
+        with pytest.raises(XmodError, match="^bank space 3 does not match label space 5$"):
             loss_report(bad, banks_for(rng, TrainingMode.V_BASED), tau=0.05, sharpen_divisor=5.0)
 
 
@@ -314,11 +311,12 @@ class TestLossReport:
         m = mean_reports([a, b])
         assert m.l_im_v == 2.0 and m.l_cm == 2.0 and m.l_oclr_v == 2.0
         assert m.total == pytest.approx(m.l_im_v + m.l_im_r + m.l_cm + m.l_oclr_v + m.l_oclr_r)
-        with pytest.raises(ShapeMismatchError):
+        with pytest.raises(XmodError, match="^cannot average zero loss reports$"):
             mean_reports([])
 
     def test_bank_space_validation(self, rng):
-        with pytest.raises(ModeMismatchError):
+        with pytest.raises(XmodError, match=r"^shared \(4 clusters\) and intra_cross \(3\) "
+                                            r"must match the source bank intra_v \(3 clusters\)$"):
             ModeBanks(
                 mode=TrainingMode.V_BASED,
                 intra_v=make_bank(rng, 3, 5),

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from xmod.core import NOISE, PipelineConfig, ShapeMismatchError
+from xmod.core import NOISE, PipelineConfig, XmodError
 from xmod.clustering import ClusterAssignment
 from xmod.metrics import (
     GroundTruth,
@@ -154,7 +154,7 @@ class TestReportFromHard:
 
     def test_length_mismatch_raises(self):
         gt = GroundTruth(ids(0, 1), ids(0, 1))
-        with pytest.raises(ShapeMismatchError):
+        with pytest.raises(XmodError, match="^per-modality label vectors must have equal length$"):
             report_from_hard(ids(0, 1), ids(0, 1), ids(0, 1), ids(0, 1, 2), gt)
 
 
@@ -177,7 +177,7 @@ class TestFullReport:
         from xmod.transfer import Direction
 
         half = mult_associate(fv, fr, av, ar, PipelineConfig(kappa=4), Direction.V2R)
-        with pytest.raises(ShapeMismatchError):
+        with pytest.raises(XmodError, match="^full_report needs both directions; intra_r missing$"):
             full_report(half, gt)
 
     def test_size_mismatch_raises(self):
@@ -187,7 +187,7 @@ class TestFullReport:
         ar = ClusterAssignment(gt.ids_r.astype(np.int64), 2)
         result = mult_associate(fv, fr, av, ar, PipelineConfig(kappa=4))
         bad = GroundTruth(gt.ids_v[:-1], gt.ids_r)
-        with pytest.raises(ShapeMismatchError):
+        with pytest.raises(XmodError, match="^ground-truth sizes do not match the association$"):
             full_report(result, bad)
 
     def test_report_dict_order(self):

@@ -1,11 +1,12 @@
 import dataclasses
 import hashlib
 import os
+import re
 
 import numpy as np
 import pytest
 
-from xmod.core import FeatureMatrix, MissingSnapshotError, Modality, PipelineConfig
+from xmod.core import FeatureMatrix, Modality, PipelineConfig, XmodError
 from xmod.fileio import write_features
 from xmod.losses import TrainingMode
 from xmod.metrics import GroundTruth, MetricsReport
@@ -200,18 +201,16 @@ class TestDiscoverSnapshots:
         fv, fr, _ = make_instance(seed=3)
         write_snapshot(tmp_path, 0, fv, fr)
         write_snapshot(tmp_path, 2, fv, fr)
-        with pytest.raises(MissingSnapshotError) as exc:
+        with pytest.raises(XmodError, match="^incomplete or missing snapshot pair for epoch 1$"):
             discover_snapshots(tmp_path)
-        assert exc.value.epoch == 1
 
     def test_epoch_1000_counts_toward_the_sequence(self, tmp_path):
         fv, fr, _ = make_instance(seed=3)
         for epoch in (0, 1, 2, 1000):
             write_snapshot(tmp_path, epoch, fv, fr)
         assert os.path.exists(tmp_path / "epoch1000_visible.mfv1")
-        with pytest.raises(MissingSnapshotError) as exc:
+        with pytest.raises(XmodError, match="^incomplete or missing snapshot pair for epoch 3$"):
             discover_snapshots(tmp_path)
-        assert exc.value.epoch == 3
 
     def test_zero_padded_past_three_digits_is_ignored(self, tmp_path):
         # one name per epoch: epoch0001 is not a second spelling of epoch001
@@ -225,12 +224,13 @@ class TestDiscoverSnapshots:
     def test_missing_modality_raises(self, tmp_path):
         fv, fr, _ = make_instance(seed=3)
         write_features(os.path.join(tmp_path, "epoch000_visible.mfv1"), fv)
-        with pytest.raises(MissingSnapshotError) as exc:
+        with pytest.raises(XmodError, match="^incomplete or missing snapshot pair for epoch 0$"):
             discover_snapshots(tmp_path)
-        assert exc.value.epoch == 0
 
     def test_empty_dir_raises(self, tmp_path):
-        with pytest.raises(MissingSnapshotError):
+        want = ("incomplete or missing snapshot pair for epoch 0: "
+                f"no epochNNN_*.mfv1 files in {tmp_path}")
+        with pytest.raises(XmodError, match=f"^{re.escape(want)}$"):
             discover_snapshots(tmp_path)
 
     def test_ignores_unrelated_files(self, tmp_path):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from oracles import generate_scalar
-from xmod.core import InfeasibleSeparationError
+from xmod.core import XmodError
 from xmod.synth import GapMode, SplitMix64, SynthSpec, generate
 
 GAMMA = 0x9E3779B97F4A7C15
@@ -93,7 +93,7 @@ class TestSynthSpecValidation:
             SynthSpec(num_ids=2, modality_gap=-1.0)
 
     def test_separation_beyond_diameter(self):
-        with pytest.raises(InfeasibleSeparationError):
+        with pytest.raises(XmodError, match="^id_separation 2.5 exceeds the sphere diameter$"):
             SynthSpec(num_ids=2, id_separation=2.5)
 
     @pytest.mark.parametrize("field", ["id_separation", "blob_std", "modality_gap"])
@@ -154,7 +154,8 @@ class TestGenerate:
     def test_crowded_sphere_raises(self):
         spec = SynthSpec(num_ids=40, per_id_v=1, per_id_r=1, dim=2,
                          id_separation=1.9, seed=0)
-        with pytest.raises(InfeasibleSeparationError):
+        with pytest.raises(XmodError, match="^could not place center 2 of 40 in dim 2 "
+                                            "with separation 1.9 after 1000 tries$"):
             generate(spec)
 
     def test_gap_pushes_modalities_apart(self):

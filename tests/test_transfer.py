@@ -7,7 +7,7 @@ import pytest
 
 from xmod import affinity, transfer, transport
 from xmod.baselines import associate_greedy_centroid, associate_otla_only
-from xmod.core import NOISE, Modality, PipelineConfig, ShapeMismatchError, SoftLabelMatrix
+from xmod.core import NOISE, Modality, PipelineConfig, SoftLabelMatrix, XmodError
 from xmod.clustering import ClusterAssignment, centroids
 from xmod.affinity import homogeneous_affinity
 from xmod.metrics import full_report
@@ -302,7 +302,7 @@ class TestDirectionAffinities:
         built = []
         monkeypatch.setattr(transfer, "smoothed_transport",
                             lambda ho, he: built.append(he.shape))
-        with pytest.raises(ShapeMismatchError):
+        with pytest.raises(XmodError, match="^homogeneous affinity shapes do not match$"):
             DirectionAffinities(random_stochastic(rng, 3, 3), random_stochastic(rng, 5, 5),
                                 random_stochastic(rng, 4, 5), random_stochastic(rng, 5, 4))
         assert built == []
@@ -315,7 +315,7 @@ class TestDirectionAffinities:
         assert bare.swapped().a_st is full.a_ts
         with pytest.raises(ValueError, match="a_ts must be given"):
             DirectionAffinities(full.ho_src, None, he_st, he_ts)
-        with pytest.raises(ShapeMismatchError, match="homogeneous"):
+        with pytest.raises(XmodError, match="^homogeneous affinity shapes do not match$"):
             DirectionAffinities(None, random_stochastic(rng, 4, 4), he_st, he_ts,
                                 a_st=full.a_st, a_ts=full.a_ts)
 

@@ -8,7 +8,7 @@ import pytest
 from scipy.optimize import linprog
 
 import xmod.transport as transport
-from xmod.core import NonFiniteError, NotConvergedWarning, pairwise_sq_dists
+from xmod.core import NotConvergedWarning, XmodError, pairwise_sq_dists
 from xmod.clustering import MemoryBank
 from xmod.synth import GapMode, SynthSpec, generate
 from xmod.transport import (
@@ -263,7 +263,7 @@ class TestSinkhorn:
         assert counts["rejected"] <= 10
 
     def test_nonfinite_cost_rejected(self):
-        with pytest.raises(NonFiniteError):
+        with pytest.raises(XmodError, match=r"^non-finite value in transport cost at \(0, 0\)$"):
             uniform_problem([[np.inf, 0.0], [0.0, 1.0]], lam=10.0)
 
     def test_bad_marginals_rejected(self, rng):
