@@ -9,23 +9,17 @@ wobble by a hair while individual labels settle, but the final energy never
 exceeds the initial one. The loop stops once an update moves no entry by more
 than epsilon0 in total, or once updates stop shrinking because they have
 reached the float32 transfer operator's precision, as they do here a little
-above epsilon0 = 1e-6.
+above epsilon0 = 1e-6. The run is the V2R direction of mult_associate with
+its trace collected, over the true identities as both sides' clusters.
 """
 
 import numpy as np
 
-from xmod.affinity import homogeneous_affinity
+from xmod.baselines import associate_otla_only
 from xmod.clustering import ClusterAssignment
 from xmod.core import PipelineConfig
 from xmod.synth import GapMode, SynthSpec, generate
-from xmod.transfer import (
-    DirectionAffinities,
-    direction_anchors,
-    inconsistency,
-    init_labels,
-    run_transfer,
-)
-from xmod.transport import heterogeneous_affinity
+from xmod.transfer import Direction, mult_associate
 
 
 def main() -> None:
@@ -33,35 +27,25 @@ def main() -> None:
                      modality_gap=2.0, gap_mode=GapMode.PER_ID_OFFSET, seed=3)
     fv, fr, gt = generate(spec)
     cfg = PipelineConfig(kappa=6, ot_lambda=20.0, epsilon0=1e-6, max_transfer_iters=10_000)
+    av, ar = ClusterAssignment(gt.ids_v, 5), ClusterAssignment(gt.ids_r, 5)
 
-    he_vr, he_rv = heterogeneous_affinity(fv.data, fr.data, cfg.ot_lambda)
-    aff = DirectionAffinities(
-        homogeneous_affinity(fv.data, cfg.kappa),
-        homogeneous_affinity(fr.data, cfg.kappa),
-        he_vr,
-        he_rv,
-    )
-    state = init_labels(fv.data, fr.data, ClusterAssignment(gt.ids_v, 5), cfg)
+    result = mult_associate(fv, fr, av, ar, cfg, Direction.V2R, collect_trace=True)
+    trace = result.traces["v2r"]
+    energies = [entry["weighted_total"] for entry in trace]
+    steps = trace[1:]
+    # the cross labels the transfer starts from
+    start = associate_otla_only(fv, fr, av, ar, cfg, Direction.V2R)
+    init_acc = (start.hard("cross_r") == gt.ids_r).mean()
+    final_acc = (result.hard("cross_r") == gt.ids_r).mean()
 
-    energies = [inconsistency(state, aff, cfg.alpha)["weighted_total"]]
-    steps = []
-
-    def watch(s):
-        energies.append(inconsistency(s, aff, cfg.alpha)["weighted_total"])
-        steps.append(s)
-
-    init_acc = (state.cross.argmax(axis=1) == gt.ids_r).mean()
-    anchors = direction_anchors(state, aff, cfg.alpha)
-    final = run_transfer(state, aff, cfg, anchors, on_step=watch)
-    final_acc = (final.cross.argmax(axis=1) == gt.ids_r).mean()
-
-    if final.cap_hit:
-        why = "the iteration cap"
-    elif final.epsilon <= cfg.epsilon0:
+    end = steps[-1]
+    if end["epsilon"] <= cfg.epsilon0:
         why = "an update at or below epsilon0"
+    elif end["t"] >= cfg.max_transfer_iters:
+        why = "the iteration cap"
     else:
         why = "updates that stopped shrinking at the float32 precision"
-    print(f"stopped after {final.t} iterations by {why}")
+    print(f"stopped after {end['t']} iterations by {why}")
     print()
     print("  t    update size    disagreement energy")
     shown = list(range(min(6, len(steps)))) + [len(steps) - 1]
@@ -71,7 +55,7 @@ def main() -> None:
             continue
         if last is not None and i - last > 1:
             print("  ...")
-        print(f"  {steps[i].t:<4d}  {steps[i].epsilon:11.3e}    {energies[i + 1]:.8f}")
+        print(f"  {steps[i]['t']:<4d}  {steps[i]['epsilon']:11.3e}    {energies[i + 1]:.8f}")
         last = i
     print()
     diffs = np.diff(np.asarray(energies))

@@ -39,7 +39,7 @@ def associate_otla_only(
 
     def one_way(src, tgt, v2r):
         bank = centroids(src.rows, src.assign)
-        return _one_hot_intra(src), otla_init(tgt.rows, bank, cfg.ot_lambda), None
+        return _one_hot_intra(src), otla_init(tgt.rows, bank, cfg.ot_lambda)
 
     v = clustered_side(features_v, assign_v)
     r = clustered_side(features_r, assign_r)
@@ -89,6 +89,6 @@ def associate_greedy_centroid(
         dist = np.sqrt(pairwise_sq_dists(bank_tgt.prototypes, bank_src.prototypes))
         match = _greedy_match(dist)
         cross = SoftLabelMatrix.one_hot(match[tgt.assign.labels], bank_src.k)
-        return _one_hot_intra(src), cross, None
+        return _one_hot_intra(src), cross
 
     return associate_directions(v, r, direction, one_way)

@@ -6,7 +6,8 @@ readers never observe partial files.
 
 CSV dialect: comma-separated, unquoted fields; xmod writes LF line ends and
 reads LF or CRLF. A quote anywhere in a file is an ``XmodError`` naming
-its line, since no field xmod writes needs one.
+its line, since no field xmod writes needs one. Integers must fit int64;
+a label file's soft columns are named exactly ``p0..p{K-1}``, in order.
 """
 from __future__ import annotations
 
@@ -103,14 +104,14 @@ def write_labels(path, hard: np.ndarray, soft: np.ndarray | None = None) -> None
     _write_csv(path, header, rows)
 
 
-def _indexed_rows(path, column: str):
+def _indexed_rows(path, column: str, soft_columns: bool = False):
     """Yield (line, value, rest) for each data row of an
     ``index,<column>[,...]`` CSV; ``rest`` is the unsplit text after the
     second field, or None when the header has two fields.
 
     Blank rows are skipped. Every other row has the header's field count, an
-    integer index counting 0..N-1 in order and an integer value; errors name
-    the file and line.
+    integer index counting 0..N-1 in order and an int64 value; errors name
+    the file and line. ``soft_columns`` pins the later fields to p0..p{K-1}.
     """
     with open(path) as fh:
         text = fh.read()
@@ -121,6 +122,8 @@ def _indexed_rows(path, column: str):
     header = lines[0].split(",")
     if header[:2] != ["index", column]:
         raise XmodError(f"{path}: expected an index,{column} header")
+    if soft_columns and header[2:] != [f"p{k}" for k in range(len(header) - 2)]:
+        raise XmodError(f"{path}: expected soft columns p0..p{len(header) - 3} after {column}")
     commas = len(header) - 1
     expected = 0
     for line, row in enumerate(lines[1:], start=2):
@@ -135,6 +138,8 @@ def _indexed_rows(path, column: str):
             index, value = int(fields[0]), int(fields[1])
         except ValueError:
             raise XmodError(f"{path}: line {line} needs an integer index and {column}") from None
+        if not -2**63 <= value < 2**63:
+            raise XmodError(f"{path}: {column} {value} at line {line} does not fit int64")
         if index != expected:
             raise XmodError(f"{path}: non-contiguous index at line {line}")
         expected += 1
@@ -150,13 +155,10 @@ def read_labels(path, soft: bool = True) -> tuple[np.ndarray, np.ndarray | None]
     returns None for them.
     """
     hard, values, lines = [], [], []
-    k = None  # soft column count; every row has the header's
-    for line, label, rest in _indexed_rows(path, "hard_label"):
-        if rest is not None and k is None:
-            k = rest.count(",") + 1
+    for line, label, rest in _indexed_rows(path, "hard_label", soft_columns=True):
         if label < NOISE:
             raise XmodError(f"{path}: hard label {label} below {NOISE} at line {line}")
-        if k is not None and label >= k:
+        if rest is not None and label >= rest.count(",") + 1:
             raise XmodError(f"{path}: hard label {label} at line {line} has no soft column")
         hard.append(label)
         if soft and rest is not None:

@@ -76,21 +76,18 @@ class DirectionAffinities:
 
     ho_src / ho_tgt are within-modality (float64); he_st maps target rows
     onto source instances (shape Nsrc x Ntgt) and he_ts the reverse (float32
-    from heterogeneous_affinity, though any float dtype is taken). a_st /
-    a_ts are the float32 composites smoothed_transport(ho_src, he_st) /
-    (ho_tgt, he_ts) that the transfer step applies; they are built after the
-    shape checks unless given, and given ones are taken as they are. Only
-    the trace energies (inconsistency) read ho and he, so a caller that
-    gives both composites may give None for the graphs, as mult_associate
-    does unless it collects a trace; a graph that is given is shape-checked.
+    from heterogeneous_affinity; any float dtype is taken). a_st / a_ts are
+    the float32 composites smoothed_transport(ho_src, he_st) / (ho_tgt,
+    he_ts) the transfer step applies. Only the trace energies read ho and
+    he, so the graphs may be None; every array given is shape-checked.
     """
 
     ho_src: np.ndarray | None
     ho_tgt: np.ndarray | None
     he_st: np.ndarray
     he_ts: np.ndarray
-    a_st: np.ndarray | None = field(default=None, repr=False)
-    a_ts: np.ndarray | None = field(default=None, repr=False)
+    a_st: np.ndarray = field(repr=False)
+    a_ts: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         ns, nt = self.he_st.shape
@@ -99,12 +96,6 @@ class DirectionAffinities:
                 raise XmodError("homogeneous affinity shapes do not match")
         if self.he_ts.shape != (nt, ns):
             raise XmodError("heterogeneous affinity shapes do not match")
-        for name, ho, he in (("a_st", self.ho_src, self.he_st),
-                             ("a_ts", self.ho_tgt, self.he_ts)):
-            if getattr(self, name) is None:
-                if ho is None:
-                    raise ValueError(f"{name} must be given when its graph is not")
-                object.__setattr__(self, name, smoothed_transport(ho, he))
         if self.a_st.shape != (ns, nt) or self.a_ts.shape != (nt, ns):
             raise XmodError("composite affinity shapes do not match")
 
@@ -204,12 +195,6 @@ def inconsistency(state: TransferState, aff: DirectionAffinities, alpha: float) 
 def smoothed_anchor(ho: np.ndarray, init: np.ndarray, alpha: float) -> np.ndarray:
     """α·½(ho + I)·init: the part of a step on init's modality that never changes."""
     return alpha * (0.5 * (ho @ init + init))
-
-
-def direction_anchors(state: TransferState, aff: DirectionAffinities, alpha: float):
-    """The (intra, cross) anchors of one direction, from its graphs."""
-    return (smoothed_anchor(aff.ho_src, state.intra0, alpha),
-            smoothed_anchor(aff.ho_tgt, state.cross0, alpha))
 
 
 def transfer_step(
@@ -312,7 +297,8 @@ class AssociationResult:
     """The up-to-four label matrices one associator run produces.
 
     intra_v / cross_r live in the visible cluster space, intra_r / cross_v in
-    the infrared one. Fields for a direction that was not run are None.
+    the infrared one. Fields for a direction that was not run are None, as
+    is ``traces`` unless mult_associate collects each direction's trace.
     """
 
     n_visible: int
@@ -360,24 +346,18 @@ def clustered_side(features, assign: ClusterAssignment) -> ClusteredSide:
 def associate_directions(
     v: ClusteredSide, r: ClusteredSide, direction: Direction, one_way
 ) -> AssociationResult:
-    """Run ``one_way(src, tgt, v2r) -> (intra, cross, trace or None)`` for
-    each requested direction (V2R has visible as the source) and place its
-    labels, both in the source cluster space. ``traces`` stays None unless a
-    direction returned one."""
+    """Run ``one_way(src, tgt, v2r) -> (intra, cross)`` for each requested
+    direction (V2R has visible as the source) and place its labels, both in
+    the source cluster space."""
     fields: dict = {}
-    traces: dict = {}
     names = iter(LABELS)  # in file order, each direction's intra then cross
     for way, src, tgt in ((Direction.V2R, v, r), (Direction.R2V, r, v)):
         intra_name, cross_name = next(names), next(names)
         if direction in (way, Direction.BOTH):
-            intra, cross, trace = one_way(src, tgt, way is Direction.V2R)
+            intra, cross = one_way(src, tgt, way is Direction.V2R)
             fields[intra_name] = LabeledSubset(src.indices, intra)
             fields[cross_name] = LabeledSubset(tgt.indices, cross)
-            if trace is not None:
-                traces[way.value] = trace
-    return AssociationResult(
-        n_visible=v.total, n_infrared=r.total, traces=traces or None, **fields
-    )
+    return AssociationResult(n_visible=v.total, n_infrared=r.total, **fields)
 
 
 def mult_associate(
@@ -434,20 +414,23 @@ def mult_associate(
     aff_v2r = DirectionAffinities(ho_v, ho_r, he_vr, he_rv, a_st=a_vr, a_ts=a_rv)
     affs = {True: aff_v2r, False: aff_v2r.swapped()}
 
+    traces = {}  # keyed by Direction.value, as the --trace files are named
+
     def one_way(src: ClusteredSide, tgt: ClusteredSide, v2r: bool):
         # Both directions run this one routine on their own affinities.
         aff = affs[v2r]
         state = starts.pop(v2r)
-        trace = on_step = None
+        on_step = None
         if collect_trace:
-            trace = [dict(inconsistency(state, aff, cfg.alpha), t=0, epsilon=None)]
+            trace = traces[(Direction.V2R if v2r else Direction.R2V).value] = [
+                dict(inconsistency(state, aff, cfg.alpha), t=0, epsilon=None)]
 
             def on_step(st: TransferState) -> None:
                 entry = inconsistency(st, aff, cfg.alpha)
                 trace.append(dict(entry, t=st.t, epsilon=float(st.epsilon)))
 
         state = run_transfer(state, aff, cfg, anchors.pop(v2r), on_step=on_step)
-        intra, cross = fuse_labels(state, cfg.beta)
-        return intra, cross, trace
+        return fuse_labels(state, cfg.beta)
 
-    return associate_directions(v, r, direction, one_way)
+    result = associate_directions(v, r, direction, one_way)
+    return replace(result, traces=traces or None)

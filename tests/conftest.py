@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from xmod.core import l2_normalize_rows
+from xmod.transfer import DirectionAffinities, smoothed_anchor, smoothed_transport
 
 # Acceptance tests append (number, name, passed, detail) entries here; the
 # terminal summary prints one line per criterion at the end of the run.
@@ -49,3 +50,17 @@ def with_duplicates(rng) -> np.ndarray:
     feats[[1, 2, 7]] = feats[0]
     feats[9] = feats[4]
     return feats
+
+
+def one_way_affinities(ho_src, ho_tgt, he_st, he_ts) -> DirectionAffinities:
+    """One direction's affinities, its composites built from its graphs by
+    the routine mult_associate builds them with."""
+    return DirectionAffinities(ho_src, ho_tgt, he_st, he_ts,
+                               a_st=smoothed_transport(ho_src, he_st),
+                               a_ts=smoothed_transport(ho_tgt, he_ts))
+
+
+def one_way_anchors(state, aff: DirectionAffinities, alpha: float):
+    """The (intra, cross) anchors of one direction's start, from aff's graphs."""
+    return (smoothed_anchor(aff.ho_src, state.intra0, alpha),
+            smoothed_anchor(aff.ho_tgt, state.cross0, alpha))

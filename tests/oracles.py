@@ -238,13 +238,18 @@ def write_labels_csv(path, hard, soft=None):
 
 def read_labels_csv(path):
     """(hard, soft-or-None) of a label CSV read through ``csv.reader``, with
-    the library's checks: header, field count, integer index and label,
-    contiguous index, numeric and finite soft values; blank rows skipped."""
+    the library's checks: header and soft column names, field count, integer
+    index and label, contiguous index, numeric and finite soft values; blank
+    rows skipped."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if not header or header[:2] != ["index", "hard_label"]:
             raise XmodError(f"{path}: expected an index,hard_label header")
+        if header[2:] != [f"p{k}" for k in range(len(header) - 2)]:
+            raise XmodError(
+                f"{path}: expected soft columns p0..p{len(header) - 3} after hard_label"
+            )
         hard, soft = [], []
         for row in reader:
             if not row:

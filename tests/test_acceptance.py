@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import record_criterion, random_unit_rows
+from conftest import one_way_affinities, one_way_anchors, record_criterion, random_unit_rows
 
 from xmod.affinity import homogeneous_affinity, row_normalize
 from xmod.baselines import associate_greedy_centroid, associate_otla_only
@@ -29,7 +29,6 @@ from xmod.synth import GapMode, SynthSpec, generate
 from xmod.transfer import (
     Direction,
     DirectionAffinities,
-    direction_anchors,
     inconsistency,
     init_labels,
     mult_associate,
@@ -169,14 +168,14 @@ def transfer_family():
             kappa=6, ot_lambda=20.0, epsilon0=1e-6, max_transfer_iters=10_000
         )
         he_st, he_ts = heterogeneous_affinity(f_src, f_tgt, cfg.ot_lambda)
-        aff = DirectionAffinities(
+        aff = one_way_affinities(
             homogeneous_affinity(f_src, cfg.kappa),
             homogeneous_affinity(f_tgt, cfg.kappa),
             he_st,
             he_ts,
         )
         state = init_labels(f_src, f_tgt, ClusterAssignment(gt_src, ids), cfg)
-        anchors = direction_anchors(state, aff, cfg.alpha)
+        anchors = one_way_anchors(state, aff, cfg.alpha)
         t0 = inconsistency(state, aff, cfg.alpha)["weighted_total"]
         final_state = run_transfer(state, aff, cfg, anchors)
         final = inconsistency(final_state, aff, cfg.alpha)["weighted_total"]

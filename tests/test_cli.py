@@ -714,6 +714,50 @@ def snapshots_argv(workdir, epochs):
             "--out", str(workdir / "trace.csv")]
 
 
+def associated_labels(workdir):
+    """The directory of the mult association's label files in the workdir."""
+    code, labels = run_associate(workdir)
+    assert code == 0
+    return labels
+
+
+def truncated_features_argv(workdir):
+    """A cluster command line on a 5-byte MFV1 file."""
+    (workdir / "short.mfv1").write_bytes(b"MFV1\x00")
+    return cluster_argv(workdir / "short.mfv1", workdir / "config.json",
+                        workdir / "labels.csv", workdir / "protos.mfv1")
+
+
+def cluster_labels_argv(workdir):
+    """A loss-report command line whose intra_v labels were written by cluster."""
+    argv = loss_report_argv(workdir, associated_labels(workdir), workdir / "losses.json")
+    # loss_report_argv clusters the visible features into scratch_v.csv
+    argv[argv.index("--labels-intra-v") + 1] = str(workdir / "scratch_v.csv")
+    return argv
+
+
+def renamed_soft_column_argv(workdir):
+    """An eval command line whose intra_v file names its first soft column q0."""
+    labels = associated_labels(workdir)
+    path = labels / "intra_v.csv"
+    header, rest = path.read_text().split("\n", 1)
+    path.write_text(header.replace(",p0,", ",q0,") + "\n" + rest)
+    return eval_argv(workdir, labels, workdir / "metrics.json")
+
+
+def edited_gt_argv(workdir, command, edit):
+    """An eval or pipeline command line whose ground truth is the workdir's
+    with ``edit`` applied to its list of data rows."""
+    header, *rows = (workdir / "data" / "ground_truth.csv").read_text().splitlines()
+    gt = workdir / "gt.csv"
+    gt.write_text("\n".join([header, *edit(rows), ""]))
+    if command == "eval":
+        return eval_argv(workdir, associated_labels(workdir), workdir / "metrics.json", gt)
+    argv = snapshots_argv(workdir, (0,))
+    argv[argv.index("--gt") + 1] = str(gt)
+    return argv
+
+
 # case: (command line built in the workdir, its one error message, where {w}
 # stands for the workdir)
 DATA_ERRORS = {
@@ -733,6 +777,23 @@ DATA_ERRORS = {
     "no-snapshots": (lambda w: snapshots_argv(w, ()),
                      "incomplete or missing snapshot pair for epoch 0: "
                      "no epochNNN_*.mfv1 files in {w}/snaps"),
+    "truncated-mfv1": (truncated_features_argv, "{w}/short.mfv1: truncated header"),
+    "cluster-labels-to-loss-report": (cluster_labels_argv,
+                                      "label file for intra_v has no soft columns"),
+    "renamed-soft-column": (renamed_soft_column_argv,
+                            "{w}/labels_mult_both/intra_v.csv: "
+                            "expected soft columns p0..p2 after hard_label"),
+    "gt-past-infrared": (lambda w: edited_gt_argv(w, "eval", lambda rows: rows + ["48,0"]),
+                         "prediction and ground-truth lengths differ"),
+    "gt-visible-only-eval": (lambda w: edited_gt_argv(w, "eval", lambda rows: rows[:24]),
+                             "ground-truth id vectors must be nonempty 1-d"),
+    "gt-visible-only-pipeline": (
+        lambda w: edited_gt_argv(w, "pipeline", lambda rows: rows[:24]),
+        "ground-truth id vectors must be nonempty 1-d"),
+    "identity-past-int64": (
+        lambda w: edited_gt_argv(w, "eval", lambda rows: ["0,99999999999999999999999",
+                                                          *rows[1:]]),
+        "{w}/gt.csv: identity 99999999999999999999999 at line 2 does not fit int64"),
 }
 
 

@@ -247,6 +247,10 @@ STRUCTURAL_ERRORS = {
     "short-after-blank": ("index,hard_label,p0,p1\n0,0,1.0,0.0\n\n1,1,0.0\n",
                           "line 4 has 3 fields, the header 4"),
     "quoted": ('index,hard_label,p0\n0,0,1.0\n1,1,"0.5"\n', "line 3 has a quote; xmod CSVs are unquoted"),
+    "soft-column-name": ("index,hard_label,q0\n0,0,1.0\n",
+                         "expected soft columns p0..p0 after hard_label"),
+    "soft-column-order": ("index,hard_label,p1,p0\n0,0,1.0,0.0\n",
+                          "expected soft columns p0..p1 after hard_label"),
 }
 
 
@@ -262,6 +266,16 @@ class TestLabelFileStructure:
         if case != "quoted":
             with pytest.raises(XmodError, match=file_error(path, error)):
                 read_labels_csv(path)
+
+    @pytest.mark.parametrize("label", ["99999999999999999999999", "-9223372036854775809"],
+                             ids=["above", "below"])
+    @pytest.mark.parametrize("soft", [True, False], ids=["soft", "hard"])
+    def test_hard_label_past_int64_names_its_file_line(self, tmp_path, label, soft):
+        path = tmp_path / "labels.csv"
+        path.write_text(f"index,hard_label\n0,{label}\n")
+        with pytest.raises(XmodError, match=file_error(
+                path, f"hard_label {label} at line 2 does not fit int64")):
+            fileio.read_labels(path, soft=soft)
 
     @pytest.mark.parametrize("bad", ["abc", "", "nan", "inf", "-inf"])
     def test_hard_only_read_leaves_soft_values_unparsed(self, tmp_path, bad):
@@ -313,6 +327,15 @@ class TestGroundTruthFiles:
         with pytest.raises(XmodError,
                            match=file_error(path, "line 3 needs an integer index and identity")):
             fileio.read_ground_truth(path, n_visible=1)
+
+    def test_identity_past_int64_names_its_file_line(self, tmp_path):
+        path = tmp_path / "gt.csv"
+        path.write_text("index,identity\n0,9223372036854775807\n1,99999999999999999999999\n")
+        with pytest.raises(XmodError, match=file_error(
+                path, "identity 99999999999999999999999 at line 3 does not fit int64")):
+            fileio.read_ground_truth(path, n_visible=1)
+        path.write_text("index,identity\n0,9223372036854775807\n")
+        assert fileio.read_ground_truth(path, n_visible=1)[0].tolist() == [2**63 - 1]
 
     def test_short_row_names_its_file_line(self, tmp_path):
         path = tmp_path / "gt.csv"

@@ -19,7 +19,6 @@ from xmod.transfer import (
     DirectionAffinities,
     LabeledSubset,
     TransferState,
-    direction_anchors,
     fuse_labels,
     inconsistency,
     init_labels,
@@ -30,19 +29,19 @@ from xmod.transfer import (
 )
 from xmod.transport import heterogeneous_affinity, heterogeneous_plan, otla_init
 
-from conftest import random_unit_rows
+from conftest import one_way_affinities, one_way_anchors, random_unit_rows
 import oracles
 from oracles import transfer_fixed_point, transfer_step_factored
 
 
 def step(state, aff, alpha):
     """transfer_step with the anchors of aff's graphs."""
-    return transfer_step(state, aff, alpha, direction_anchors(state, aff, alpha))
+    return transfer_step(state, aff, alpha, one_way_anchors(state, aff, alpha))
 
 
 def run(state, aff, cfg, on_step=None):
     """run_transfer with the anchors of aff's graphs."""
-    return run_transfer(state, aff, cfg, direction_anchors(state, aff, cfg.alpha), on_step)
+    return run_transfer(state, aff, cfg, one_way_anchors(state, aff, cfg.alpha), on_step)
 
 
 def random_stochastic(rng, n, m):
@@ -55,7 +54,7 @@ def random_soft_labels(rng, n, k):
 
 
 def random_instance(rng, ns=7, nt=5, k=3):
-    aff = DirectionAffinities(
+    aff = one_way_affinities(
         ho_src=random_stochastic(rng, ns, ns),
         ho_tgt=random_stochastic(rng, nt, nt),
         he_st=random_stochastic(rng, ns, nt),
@@ -257,7 +256,7 @@ class TestInconsistency:
         labels = np.array([[1.0, 0.0], [0.0, 1.0]])
         swap = np.array([[0.0, 1.0], [1.0, 0.0]])
         state = TransferState(labels, labels.copy(), labels, labels.copy())
-        aff = DirectionAffinities(swap, swap, np.eye(2), np.eye(2))
+        aff = one_way_affinities(swap, swap, np.eye(2), np.eye(2))
         rep = inconsistency(state, aff, alpha=0.2)
         assert rep["homogeneous_src"] == pytest.approx(4.0, abs=1e-12)
 
@@ -283,7 +282,7 @@ class TestInconsistency:
         row /= row.sum()
         intra = np.tile(row, (29, 1)) + 1e-9 * rng.random((29, 3))
         cross = np.tile(row, (2, 1)) + 1e-9 * rng.random((2, 3))
-        aff = DirectionAffinities(np.eye(29), np.eye(2), he_st, he_st.T.copy())
+        aff = one_way_affinities(np.eye(29), np.eye(2), he_st, he_st.T.copy())
         state = TransferState(intra, cross, intra, cross)
         rep = inconsistency(state, aff, alpha=0.2)
         assert all(v >= 0.0 for v in rep.values()), rep
@@ -298,26 +297,28 @@ class TestInconsistency:
 
 
 class TestDirectionAffinities:
-    def test_shape_mismatch_raises_before_any_composite(self, rng, monkeypatch):
-        built = []
-        monkeypatch.setattr(transfer, "smoothed_transport",
-                            lambda ho, he: built.append(he.shape))
-        with pytest.raises(XmodError, match="^homogeneous affinity shapes do not match$"):
-            DirectionAffinities(random_stochastic(rng, 3, 3), random_stochastic(rng, 5, 5),
-                                random_stochastic(rng, 4, 5), random_stochastic(rng, 5, 4))
-        assert built == []
+    def test_every_given_array_is_shape_checked(self, rng):
+        # 4 source rows against 5 target rows; one array at a time gets a
+        # wrong shape
+        aff = one_way_affinities(random_stochastic(rng, 4, 4), random_stochastic(rng, 5, 5),
+                                 random_stochastic(rng, 4, 5), random_stochastic(rng, 5, 4))
+        for name, shape, kind in [
+            ("ho_src", (5, 5), "homogeneous"), ("ho_tgt", (4, 4), "homogeneous"),
+            ("he_ts", (4, 5), "heterogeneous"), ("a_st", (5, 4), "composite"),
+            ("a_ts", (4, 5), "composite"),
+        ]:
+            with pytest.raises(XmodError, match=f"^{kind} affinity shapes do not match$"):
+                replace(aff, **{name: random_stochastic(rng, *shape)})
 
-    def test_graphs_may_be_left_out_only_beside_their_composites(self, rng):
-        he_st, he_ts = random_stochastic(rng, 4, 5), random_stochastic(rng, 5, 4)
-        full = DirectionAffinities(random_stochastic(rng, 4, 4),
-                                   random_stochastic(rng, 5, 5), he_st, he_ts)
-        bare = DirectionAffinities(None, None, he_st, he_ts, a_st=full.a_st, a_ts=full.a_ts)
-        assert bare.swapped().a_st is full.a_ts
-        with pytest.raises(ValueError, match="a_ts must be given"):
-            DirectionAffinities(full.ho_src, None, he_st, he_ts)
-        with pytest.raises(XmodError, match="^homogeneous affinity shapes do not match$"):
-            DirectionAffinities(None, random_stochastic(rng, 4, 4), he_st, he_ts,
-                                a_st=full.a_st, a_ts=full.a_ts)
+    def test_graphs_may_be_none_but_not_the_composites(self, rng):
+        full = one_way_affinities(random_stochastic(rng, 4, 4), random_stochastic(rng, 5, 5),
+                                  random_stochastic(rng, 4, 5), random_stochastic(rng, 5, 4))
+        bare = replace(full, ho_src=None, ho_tgt=None)
+        assert bare.a_st is full.a_st and bare.swapped().a_st is full.a_ts
+        with pytest.raises(TypeError, match="a_ts"):
+            DirectionAffinities(None, None, full.he_st, full.he_ts, a_st=full.a_st)
+        with pytest.raises(TypeError, match="a_st"):
+            DirectionAffinities(full.ho_src, full.ho_tgt, full.he_st, full.he_ts)
 
 
 class TestTransferStep:
@@ -359,7 +360,7 @@ class TestTransferStep:
         p = np.zeros((n, n))
         p[np.arange(n), perm] = 1.0
         cross0 = p.T @ intra0
-        aff = DirectionAffinities(np.eye(n), np.eye(n), p, p.T)
+        aff = one_way_affinities(np.eye(n), np.eye(n), p, p.T)
         state = TransferState(intra0.copy(), cross0.copy(), intra0, cross0)
         new = step(state, aff, 0.2)
         assert new.epsilon < 1e-12
@@ -379,7 +380,7 @@ class TestTransferStep:
         # he pulls everything onto label 0; the 1e-30 leak must not survive
         intra0 = np.array([[1.0 - 1e-30, 1e-30], [1.0, 0.0]])
         cross0 = np.array([[1.0, 0.0], [1.0, 0.0]])
-        aff = DirectionAffinities(np.eye(2), np.eye(2), np.eye(2), np.eye(2))
+        aff = one_way_affinities(np.eye(2), np.eye(2), np.eye(2), np.eye(2))
         state = TransferState(intra0.copy(), cross0.copy(), intra0, cross0)
         new = step(state, aff, 0.2)
         assert new.intra[0, 1] == 0.0
@@ -392,7 +393,7 @@ class TestRunTransfer:
         # so no step or fusion may write into a state's arrays
         fv, fr, av, ar, _ = blob_instance(seed=17, gap=0.4, gap_mode=GapMode.PER_ID_OFFSET)
         cfg = PipelineConfig(kappa=8, epsilon0=1e-9)
-        aff = DirectionAffinities(
+        aff = one_way_affinities(
             homogeneous_affinity(fv.data, cfg.kappa), homogeneous_affinity(fr.data, cfg.kappa),
             *heterogeneous_affinity(fv.data, fr.data, cfg.ot_lambda))
         start = init_labels(fv.data, fr.data, av, cfg)
@@ -407,7 +408,7 @@ class TestRunTransfer:
         k, n = 2, 4
         intra0 = np.zeros((n, k))
         intra0[np.arange(n), np.arange(n) % k] = 1.0
-        aff = DirectionAffinities(np.eye(n), np.eye(n), np.eye(n), np.eye(n))
+        aff = one_way_affinities(np.eye(n), np.eye(n), np.eye(n), np.eye(n))
         state = TransferState(intra0.copy(), intra0.copy(), intra0, intra0.copy())
         out = run(state, aff, PipelineConfig())
         assert out.t == 1
@@ -451,7 +452,7 @@ class TestRunTransfer:
                                           per_id_v=9, per_id_r=7)
         cfg = PipelineConfig(kappa=8, epsilon0=1e-9)
         alpha = cfg.alpha
-        aff = DirectionAffinities(
+        aff = one_way_affinities(
             homogeneous_affinity(fv.data, cfg.kappa), homogeneous_affinity(fr.data, cfg.kappa),
             *heterogeneous_affinity(fv.data, fr.data, cfg.ot_lambda))
         start = init_labels(fv.data, fr.data, av, cfg)
@@ -460,7 +461,7 @@ class TestRunTransfer:
         got = run(start, aff, cfg, on_step=states.append)
         assert expect.t > 1 and expect.epsilon <= cfg.epsilon0
         assert not got.cap_hit and got.t <= expect.t
-        anchors = direction_anchors(start, aff, alpha)
+        anchors = one_way_anchors(start, aff, alpha)
         oracle_delta = max(row_l1(expect.intra - before.intra),
                            row_l1(expect.cross - before.cross))
         tol = (certificate(got, states[-2], aff, anchors, alpha, aff.he_st, aff.he_ts)
@@ -476,7 +477,7 @@ class TestRunTransfer:
         # as a cap hit, not as a stop at the float32 precision.
         n, k = 6, 3
         perm = np.eye(n)[np.roll(np.arange(n), 1)]
-        aff = DirectionAffinities(np.eye(n), np.eye(n), perm, perm.T)
+        aff = one_way_affinities(np.eye(n), np.eye(n), perm, perm.T)
         intra0 = np.eye(k)[np.arange(n) % k]
         state = TransferState(intra0, intra0.copy(), intra0, intra0.copy())
         eps = []
@@ -775,21 +776,54 @@ class TestMultAssociate:
 
     def test_trace_collection(self):
         fv, fr, av, ar, _ = blob_instance(seed=2)
-        result = mult_associate(fv, fr, av, ar, PipelineConfig(kappa=8),
-                                collect_trace=True)
-        for tag in ("v2r", "r2v"):
-            trace = result.traces[tag]
-            assert trace[0]["t"] == 0
-            assert trace[0]["epsilon"] is None
-            assert trace[0]["self_src"] == 0.0
-            assert [e["t"] for e in trace] == list(range(len(trace)))
-            assert all("weighted_total" in e for e in trace)
+        for direction in Direction:
+            result = mult_associate(fv, fr, av, ar, PipelineConfig(kappa=8), direction,
+                                    collect_trace=True)
+            ran = ["v2r", "r2v"] if direction is Direction.BOTH else [direction.value]
+            assert list(result.traces) == ran
+            for trace in result.traces.values():
+                assert trace[0]["t"] == 0
+                assert trace[0]["epsilon"] is None
+                assert trace[0]["self_src"] == 0.0
+                assert [e["t"] for e in trace] == list(range(len(trace)))
+                assert all("weighted_total" in e for e in trace)
 
     def test_no_trace_by_default(self):
         fv, fr, av, ar, _ = blob_instance(seed=2)
-        result = mult_associate(fv, fr, av, ar, PipelineConfig(kappa=8))
-        assert result.traces is None
-        assert isinstance(result, AssociationResult)
+        for method in METHODS.values():
+            result = method(fv, fr, av, ar, PipelineConfig(kappa=8))
+            assert result.traces is None
+            assert isinstance(result, AssociationResult)
+
+    @pytest.mark.parametrize("per_id_v, per_id_r", [(8, 8), (9, 7)],
+                             ids=["equal-sizes", "unequal-sizes"])
+    @pytest.mark.parametrize("direction", [Direction.V2R, Direction.R2V], ids=lambda d: d.value)
+    def test_matches_the_one_direction_run_assembled_by_hand(self, direction,
+                                                              per_id_v, per_id_r):
+        # Equal sizes, so composites or anchors assembled in the wrong roles
+        # pass every shape check; a gap, so the loop runs several steps.
+        fv, fr, av, ar, _ = blob_instance(seed=6, gap=0.4, gap_mode=GapMode.PER_ID_OFFSET,
+                                          per_id_v=per_id_v, per_id_r=per_id_r)
+        cfg = PipelineConfig(kappa=6, epsilon0=1e-6)
+        result = mult_associate(fv, fr, av, ar, cfg, direction, collect_trace=True)
+        names = ["intra_v", "cross_r"]
+        if direction is Direction.R2V:
+            fv, fr, av, names = fr, fv, ar, ["intra_r", "cross_v"]
+        start = init_labels(fv.data, fr.data, av, cfg)
+        aff = one_way_affinities(homogeneous_affinity(fv.data, cfg.kappa),
+                                 homogeneous_affinity(fr.data, cfg.kappa),
+                                 *heterogeneous_affinity(fv.data, fr.data, cfg.ot_lambda))
+        trace = [dict(inconsistency(start, aff, cfg.alpha), t=0, epsilon=None)]
+
+        def on_step(st):
+            trace.append(dict(inconsistency(st, aff, cfg.alpha), t=st.t,
+                              epsilon=float(st.epsilon)))
+
+        final = run_transfer(start, aff, cfg, one_way_anchors(start, aff, cfg.alpha), on_step)
+        assert final.t > 3
+        assert result.traces == {direction.value: trace}
+        for name, labels in zip(names, fuse_labels(final, cfg.beta)):
+            assert getattr(result, name).labels.probs.tobytes() == labels.probs.tobytes()
 
 
 class TestLabelTable:
@@ -845,7 +879,7 @@ class TestStationarity:
         ho_s = homogeneous_affinity(fv.data, cfg.kappa)
         ho_t = homogeneous_affinity(fr.data, cfg.kappa)
         he_st, he_ts = heterogeneous_affinity(fv.data, fr.data, cfg.ot_lambda)
-        aff = DirectionAffinities(ho_s, ho_t, he_st, he_ts)
+        aff = one_way_affinities(ho_s, ho_t, he_st, he_ts)
         out = run(state, aff, cfg)
         assert not out.cap_hit
         resid = (
@@ -883,12 +917,12 @@ class TestFixedPoint:
         start = init_labels(fv.data, fr.data, av, cfg)
         ho_s = homogeneous_affinity(fv.data, cfg.kappa)
         ho_t = homogeneous_affinity(fr.data, cfg.kappa)
-        aff = DirectionAffinities(ho_s, ho_t, *heterogeneous_affinity(fv.data, fr.data,
+        aff = one_way_affinities(ho_s, ho_t, *heterogeneous_affinity(fv.data, fr.data,
                                                                      cfg.ot_lambda))
         plan = heterogeneous_plan(fv, fr, cfg.ot_lambda).plan
         he_ts = affinity.row_normalize(plan.T.copy())
         he_st = affinity.row_normalize(plan)
-        anchors = direction_anchors(start, aff, alpha)
+        anchors = one_way_anchors(start, aff, alpha)
         fired = []
         clamp = transfer._clamp_renorm
 
@@ -903,7 +937,7 @@ class TestFixedPoint:
         assert not final.cap_hit and fired and sum(fired) == 0
 
         bound = certificate(final, states[-2], aff, anchors, alpha, he_st, he_ts)
-        exact = DirectionAffinities(ho_s, ho_t, he_st, he_ts)
+        exact = one_way_affinities(ho_s, ho_t, he_st, he_ts)
         x_intra, x_cross = transfer_fixed_point(exact, anchors, alpha)
         dist = max(row_l1(final.intra - x_intra), row_l1(final.cross - x_cross))
         print(f"{final.t} steps: distance {dist:.3e}, bound {bound:.3e}")
