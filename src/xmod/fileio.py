@@ -7,7 +7,8 @@ readers never observe partial files.
 CSV dialect: comma-separated, unquoted fields; xmod writes LF line ends and
 reads LF or CRLF. A quote anywhere in a file is an ``XmodError`` naming
 its line, since no field xmod writes needs one. Integers must fit int64;
-a label file's soft columns are named exactly ``p0..p{K-1}``, in order.
+a label file's soft columns are named exactly ``p0..p{K-1}``, in order, and
+a ground-truth file's header is exactly ``index,identity``.
 """
 from __future__ import annotations
 
@@ -111,7 +112,8 @@ def _indexed_rows(path, column: str, soft_columns: bool = False):
 
     Blank rows are skipped. Every other row has the header's field count, an
     integer index counting 0..N-1 in order and an int64 value; errors name
-    the file and line. ``soft_columns`` pins the later fields to p0..p{K-1}.
+    the file and line. ``soft_columns`` allows later fields, named exactly
+    p0..p{K-1}; without it the header is exactly ``index,<column>``.
     """
     with open(path) as fh:
         text = fh.read()
@@ -120,7 +122,7 @@ def _indexed_rows(path, column: str, soft_columns: bool = False):
         raise XmodError(f"{path}: line {line} has a quote; xmod CSVs are unquoted")
     lines = text.split("\n")
     header = lines[0].split(",")
-    if header[:2] != ["index", column]:
+    if header[:2] != ["index", column] or (len(header) > 2 and not soft_columns):
         raise XmodError(f"{path}: expected an index,{column} header")
     if soft_columns and header[2:] != [f"p{k}" for k in range(len(header) - 2)]:
         raise XmodError(f"{path}: expected soft columns p0..p{len(header) - 3} after {column}")

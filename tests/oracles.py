@@ -169,6 +169,7 @@ def transfer_step_factored(state, aff, alpha):
     Each side is pulled across its transport affinity and toward its own init,
     z = (1 - alpha) * he @ other + alpha * init, then smoothed as
     0.5 * (ho @ z + z); values below 1e-12 are zeroed and rows renormalized.
+    intra is pulled from the previous cross labels, cross from the new intra.
     Returns the state advanced by one step with epsilon the larger L1 update.
     """
 
@@ -178,7 +179,7 @@ def transfer_step_factored(state, aff, alpha):
 
     z = (1.0 - alpha) * (aff.he_st @ state.cross) + alpha * state.intra0
     intra_new = clamp_renorm(0.5 * (aff.ho_src @ z + z))
-    w = (1.0 - alpha) * (aff.he_ts @ state.intra) + alpha * state.cross0
+    w = (1.0 - alpha) * (aff.he_ts @ intra_new) + alpha * state.cross0
     cross_new = clamp_renorm(0.5 * (aff.ho_tgt @ w + w))
     eps = max(
         float(np.abs(intra_new - state.intra).sum()),
@@ -200,10 +201,12 @@ def transfer_steps(state, aff, cfg):
 def transfer_fixed_point(aff, anchors, alpha):
     """Where the transfer loop ends if its 1e-12 clamp never fires.
 
-    Without the clamp one step is x <- (1 - alpha) * M @ x + b on the stacked
-    labels x = [intra; cross], with M = [[0, A_st], [A_ts, 0]], the composites
-    A = 0.5 * (ho + I) @ he rebuilt here from aff's four affinities, and b the
-    stacked (intra, cross) anchors. The fixed point x* solves
+    Without the clamp one step sets intra <- (1 - alpha) * A_st @ cross + b_s,
+    then cross <- (1 - alpha) * A_ts @ intra + b_t from that new intra, with
+    the composites A = 0.5 * (ho + I) @ he rebuilt here from aff's four
+    affinities and (b_s, b_t) the anchors. Its fixed point is that of
+    x <- (1 - alpha) * M @ x + b on the stacked labels x = [intra; cross],
+    with M = [[0, A_st], [A_ts, 0]] and b the stacked anchors, so x* solves
     (I - (1 - alpha) * M) x* = b: one dense solve for all K columns. Returns
     (intra*, cross*).
     """
@@ -301,13 +304,13 @@ def _clamp_renorm_allocating(probs):
 def transfer_step_allocating(state, aff, alpha, anchors):
     """The library's composite transfer step with a fresh array per operation:
     the float32 composite times the labels rounded to float32, the rest in
-    float64."""
+    float64; cross is pulled from the intra labels just computed."""
 
     def pull(a, other):
         return (1.0 - alpha) * (a @ other.astype(np.float32)).astype(np.float64)
 
     intra_new = _clamp_renorm_allocating(pull(aff.a_st, state.cross) + anchors[0])
-    cross_new = _clamp_renorm_allocating(pull(aff.a_ts, state.intra) + anchors[1])
+    cross_new = _clamp_renorm_allocating(pull(aff.a_ts, intra_new) + anchors[1])
     eps = max(float(np.abs(intra_new - state.intra).sum()),
               float(np.abs(cross_new - state.cross).sum()))
     return replace(state, intra=intra_new, cross=cross_new, t=state.t + 1, epsilon=eps)

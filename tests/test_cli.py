@@ -758,6 +758,15 @@ def edited_gt_argv(workdir, command, edit):
     return argv
 
 
+def noted_gt_argv(workdir):
+    """An eval command line whose ground truth has a note column after identity."""
+    argv = edited_gt_argv(workdir, "eval", lambda rows: [f"{row},x" for row in rows])
+    gt = workdir / "gt.csv"
+    header, rest = gt.read_text().split("\n", 1)
+    gt.write_text(f"{header},note\n{rest}")
+    return argv
+
+
 # case: (command line built in the workdir, its one error message, where {w}
 # stands for the workdir)
 DATA_ERRORS = {
@@ -794,6 +803,7 @@ DATA_ERRORS = {
         lambda w: edited_gt_argv(w, "eval", lambda rows: ["0,99999999999999999999999",
                                                           *rows[1:]]),
         "{w}/gt.csv: identity 99999999999999999999999 at line 2 does not fit int64"),
+    "gt-column-after-identity": (noted_gt_argv, "{w}/gt.csv: expected an index,identity header"),
 }
 
 

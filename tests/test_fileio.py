@@ -337,6 +337,12 @@ class TestGroundTruthFiles:
         path.write_text("index,identity\n0,9223372036854775807\n")
         assert fileio.read_ground_truth(path, n_visible=1)[0].tolist() == [2**63 - 1]
 
+    def test_columns_after_identity_are_refused(self, tmp_path):
+        path = tmp_path / "gt.csv"
+        path.write_text("index,identity,note\n0,3,x\n1,4,x\n")
+        with pytest.raises(XmodError, match=file_error(path, "expected an index,identity header")):
+            fileio.read_ground_truth(path, n_visible=1)
+
     def test_short_row_names_its_file_line(self, tmp_path):
         path = tmp_path / "gt.csv"
         path.write_text("index,identity\n0,3\n1\n")
