@@ -7,10 +7,11 @@ reciprocal-neighbor graph, with a small anchor on the initial labels. Most of
 the disagreement energy disappears in the first few iterations; late steps may
 wobble by a hair while individual labels settle, but the final energy never
 exceeds the initial one. The loop stops once an update moves no entry by more
-than epsilon0 in total, or once updates stop shrinking because they have
-reached the float32 transfer operator's precision, as they do here a little
-above epsilon0 = 1e-6. The run is the V2R direction of mult_associate with
-its trace collected, over the true identities as both sides' clusters.
+than epsilon0 in total, as it does here after 32 iterations at epsilon0 =
+1e-6, or once updates stop shrinking because they have reached the float32
+transfer operator's precision, or at the iteration cap. The run is the V2R
+direction of mult_associate with its trace collected, over the true
+identities as both sides' clusters.
 """
 
 import numpy as np

@@ -7,7 +7,10 @@ unknown key or a value of the wrong type exits 2; no flag overrides
 it. synth's flags each set one SynthSpec field, and ``--seed`` belongs to
 synth alone: nothing after generation draws random numbers.
 Exit codes: 0 success, 1 usage errors, 2 data, parameter or file errors
-(XmodError, ValueError, OSError); anything else is a bug and propagates. Output
+(XmodError, ValueError, OSError); anything else is a bug and propagates.
+The CLI raises nothing of its own: a command parses, reads, calls the library
+and writes, and every check of the data lives in the library function that
+indexes it, so a failing command has raised before its first write. Output
 files are written atomically (temp file + rename). The XMOD_THREADS
 environment variable caps BLAS worker threads; the package __init__ applies
 it, since that runs before anything imports numpy.
@@ -68,10 +71,8 @@ def _cmd_cluster(args) -> int:
     assign = dbscan(
         features, cfg.dbscan_eps, cfg.dbscan_min_samples, _METRICS[args.metric], kappa=cfg.kappa
     )
-    if assign.k == 0:
-        raise XmodError("every instance is noise; no cluster to write")
-    write_labels(args.out_labels, assign.labels)
     bank = centroids(features, assign)
+    write_labels(args.out_labels, assign.labels)
     write_features(args.out_prototypes, bank.prototypes)
     return 0
 
@@ -135,17 +136,7 @@ def _cmd_loss_report(args) -> int:
     cfg = _load_config(args)
     fv = read_features(args.features_v, Modality.VISIBLE)
     fr = read_features(args.features_r, Modality.INFRARED)
-    labels = {}
-    for name, modality in LABELS.items():
-        path = getattr(args, f"labels_{name}")
-        hard, soft = read_labels(path)
-        if soft is None:
-            raise XmodError(f"label file for {name} has no soft columns")
-        n = (fv if modality is Modality.VISIBLE else fr).n
-        if hard.shape[0] != n:
-            raise XmodError(f"{path}: {hard.shape[0]} label rows, "
-                            f"but the {modality.value} features have {n} rows")
-        labels[name] = (hard, soft)
+    labels = {name: read_labels(getattr(args, f"labels_{name}")) for name in LABELS}
     banks = ModeBanks(
         mode=TrainingMode(args.mode),
         intra_v=MemoryBank(read_features(args.bank_intra_v, Modality.VISIBLE).data),

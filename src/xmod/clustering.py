@@ -132,7 +132,7 @@ def centroids(features, assign: ClusterAssignment) -> MemoryBank:
     if data.shape[0] != assign.n:
         raise XmodError("feature and assignment sizes differ")
     if assign.k == 0:
-        raise XmodError("cluster 0 has no members")
+        raise XmodError("every instance is noise; there is no cluster")
     protos = np.zeros((assign.k, data.shape[1]), dtype=np.float64)
     for c in range(assign.k):
         members = assign.members(c)

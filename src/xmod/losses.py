@@ -50,12 +50,24 @@ def pass_batches(features_v, features_r, labels: dict, batch_size: int) -> Itera
     """The batches of one loss pass.
 
     labels maps each name in transfer.LABELS to its (hard, soft) matrices
-    over every instance of the name's modality. A side's rows are those its
-    intra and cross matrices label (hard label not NOISE), in index order;
-    the two must label the same rows. Slot i pairs the i-th visible row with
-    the i-th infrared row; the pass stops at the shorter side and is cut into
-    batch_size slices.
+    over every instance of the name's modality: both must be given, with one
+    row per feature row of that modality, or XmodError names the matrix. A
+    side's rows are those its intra and cross matrices label (hard label not
+    NOISE), in index order; the two must label the same rows. Slot i pairs
+    the i-th visible row with the i-th infrared row; the pass stops at the
+    shorter side and is cut into batch_size slices.
     """
+    data = {Modality.VISIBLE: feature_data(features_v),
+            Modality.INFRARED: feature_data(features_r)}
+    for name, modality in LABELS.items():
+        hard, soft = labels[name]
+        if soft is None:
+            raise XmodError(f"{name} has no soft labels for the {modality.value} features")
+        n = data[modality].shape[0]
+        for kind, m in (("", hard), (" soft", soft)):
+            if m.shape[0] != n:
+                raise XmodError(f"{name} has {m.shape[0]}{kind} rows, "
+                                f"but the {modality.value} features have {n}")
     labeled = {name: labels[name][0] != NOISE for name in LABELS}
     sides = {}  # modality -> its first matrix in LABELS, whose rows the other must match
     for name, modality in LABELS.items():
@@ -69,8 +81,7 @@ def pass_batches(features_v, features_r, labels: dict, batch_size: int) -> Itera
             raise XmodError(f"{sides[modality]} and {name} label different "
                             f"{modality.value} rows, first at row {differ[0]}")
     rows = {modality: np.flatnonzero(labeled[name])[:n] for modality, name in sides.items()}
-    fv = feature_data(features_v)[rows[Modality.VISIBLE]]
-    fr = feature_data(features_r)[rows[Modality.INFRARED]]
+    fv, fr = (data[m][rows[m]] for m in (Modality.VISIBLE, Modality.INFRARED))
     soft = {name: labels[name][1][rows[modality]] for name, modality in LABELS.items()}
     for start in range(0, n, batch_size):
         sl = slice(start, min(start + batch_size, n))
@@ -122,14 +133,9 @@ class LossReport:
 def mean_reports(reports: list[LossReport]) -> LossReport:
     if not reports:
         raise XmodError("cannot average zero loss reports")
-    n = len(reports)
+    parts = [f.name for f in fields(LossReport) if f.name != "total"]
     return LossReport.assemble(
-        sum(r.l_im_v for r in reports) / n,
-        sum(r.l_im_r for r in reports) / n,
-        sum(r.l_cm for r in reports) / n,
-        sum(r.l_oclr_v for r in reports) / n,
-        sum(r.l_oclr_r for r in reports) / n,
-    )
+        *(sum(getattr(r, name) for r in reports) / len(reports) for name in parts))
 
 
 def soft_cross_entropy(pred, target):

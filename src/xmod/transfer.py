@@ -49,9 +49,6 @@ from .transport import heterogeneous_affinity, otla_init
 # Probabilities below this are snapped to zero (rows are renormalized after).
 _CLAMP = 1e-12
 
-# Sentinel update magnitude before the first transfer step.
-_EPSILON_START = 1e6
-
 # Unit roundoff of float32.
 _F32_UNIT = 2.0**-24
 
@@ -128,7 +125,7 @@ class TransferState:
     intra0: np.ndarray
     cross0: np.ndarray
     t: int = 0
-    epsilon: float = _EPSILON_START
+    epsilon: float = np.inf  # no step yet, so every run takes at least one
     cap_hit: bool = False
 
 
@@ -344,11 +341,14 @@ class ClusteredSide:
 
 
 def clustered_side(features, assign: ClusterAssignment) -> ClusteredSide:
+    data = feature_data(features)
+    if data.shape[0] != assign.n:
+        raise XmodError("feature and assignment sizes differ")
     idx = assign.clustered_indices()
     if idx.size == 0:
         raise XmodError("every instance is noise; nothing to associate")
     sub_assign = ClusterAssignment(assign.labels[idx], assign.k)
-    return ClusteredSide(idx, feature_data(features)[idx], sub_assign, assign.n)
+    return ClusteredSide(idx, data[idx], sub_assign, assign.n)
 
 
 def associate_directions(

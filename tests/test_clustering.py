@@ -180,7 +180,7 @@ class TestCentroids:
 
     def test_empty_cluster_error(self, rng):
         feats = random_unit_rows(rng, 2, 3)
-        with pytest.raises(XmodError, match="^cluster 0 has no members$"):
+        with pytest.raises(XmodError, match="^every instance is noise; there is no cluster$"):
             # all points are noise
             centroids(feats, ClusterAssignment(np.array([NOISE, NOISE]), 0))
 

@@ -1,7 +1,8 @@
 """Every module-level import in the package is used by its module, no
 module imports another module's private (``_``-prefixed) name, every
-public top-level function or class is used outside the tests, and the
-package's one error type is XmodError."""
+public top-level function or class is used outside the tests, the
+package's one error type is XmodError, and the CLI raises nothing of its
+own: every data check lives in the library function that indexes the data."""
 import ast
 import builtins
 from pathlib import Path
@@ -186,3 +187,17 @@ def test_one_error_type():
     sources = [p.read_text() for p in MODULES]
     assert exception_classes(sources) == ["NotConvergedWarning", "XmodError"]
     assert [f"{p.name}: {r}" for p in MODULES for r in foreign_raises(p.read_text())] == []
+
+
+def raise_lines(source: str) -> list[int]:
+    """Line numbers of the ``raise`` statements in ``source``."""
+    return [node.lineno for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Raise)]
+
+
+def test_detects_a_raise():
+    assert raise_lines("def f(x):\n    if x:\n        raise XmodError('x')\n") == [3]
+
+
+def test_the_cli_raises_nothing_of_its_own():
+    cli = Path(xmod.__file__).parent / "cli.py"
+    assert raise_lines(cli.read_text()) == []

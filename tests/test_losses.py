@@ -1,12 +1,15 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
 
 from xmod import losses
 from xmod.core import NOISE, FeatureMatrix, Modality, PipelineConfig, XmodError
+from xmod.cli import main
 from xmod.clustering import MemoryBank, dbscan, memory_probabilities
+from xmod.fileio import write_features, write_labels
 from xmod.losses import (
     Batch,
     LossReport,
@@ -399,3 +402,59 @@ class TestPassBatches:
         labels["cross_r"] = (hard, soft)
         with pytest.raises(XmodError, match=f"label different infrared rows, first at row {row}$"):
             next(pass_batches(fv, fr, labels, self.CFG.batch_size))
+
+    # case: (the matrix edited, its (hard, soft) edit, the error given the
+    # row count n of the matrix's modality)
+    OFF_MODALITY = {
+        "longer": ("intra_v", lambda h, s: (np.append(h, h[:2]), np.vstack([s, s[:2]])),
+                   lambda n: f"intra_v has {n + 2} rows, but the visible features have {n}"),
+        "shorter": ("cross_r", lambda h, s: (h[:-2], s[:-2]),
+                    lambda n: f"cross_r has {n - 2} rows, but the infrared features have {n}"),
+        "no-soft": ("cross_v", lambda h, s: (h, None),
+                    lambda n: "cross_v has no soft labels for the visible features"),
+        "soft-shorter": ("intra_r", lambda h, s: (h, s[:-1]), lambda n: (
+            f"intra_r has {n - 1} soft rows, but the infrared features have {n}")),
+    }
+
+    def off_modality(self, epochs, case):
+        """run_epoch's label table with one matrix edited by the case, and
+        the error pass_batches must raise for it."""
+        fv, fr, runs = epochs
+        result = runs[0].labels
+        labels = {name: (result.hard(name), result.soft(name)) for name in LABELS}
+        name, edit, message = self.OFF_MODALITY[case]
+        labels[name] = edit(*labels[name])
+        n = (fv if LABELS[name] is Modality.VISIBLE else fr).n
+        return labels, message(n)
+
+    @pytest.mark.parametrize("case", sorted(OFF_MODALITY))
+    def test_a_matrix_off_its_modality_is_refused(self, epochs, case):
+        fv, fr, _ = epochs
+        labels, message = self.off_modality(epochs, case)
+        with pytest.raises(XmodError, match=f"^{re.escape(message)}$"):
+            next(pass_batches(fv, fr, labels, self.CFG.batch_size))
+
+    # a label file cannot hold soft rows apart from its hard ones
+    @pytest.mark.parametrize("case", sorted(set(OFF_MODALITY) - {"soft-shorter"}))
+    def test_loss_report_exits_2_with_one_error_line_and_no_report(
+        self, epochs, tmp_path, capsys, case
+    ):
+        fv, fr, _ = epochs
+        labels, message = self.off_modality(epochs, case)
+        banks = make_banks(TrainingMode.V_BASED, fv, fr, *(
+            dbscan(f, self.CFG.dbscan_eps, self.CFG.dbscan_min_samples, kappa=self.CFG.kappa)
+            for f in (fv, fr)))
+        argv = ["loss-report", "--mode", "v", "--out", str(tmp_path / "losses.json")]
+        for flag, features in (("features-v", fv), ("features-r", fr),
+                               ("bank-intra-v", banks.intra_v.prototypes),
+                               ("bank-intra-r", banks.intra_r.prototypes),
+                               ("bank-shared", banks.shared.prototypes),
+                               ("bank-intra-cross", banks.intra_cross.prototypes)):
+            write_features(tmp_path / f"{flag}.mfv1", features)
+            argv += [f"--{flag}", str(tmp_path / f"{flag}.mfv1")]
+        for name, (hard, soft) in labels.items():
+            write_labels(tmp_path / f"{name}.csv", hard, soft)
+            argv += [f"--labels-{name.replace('_', '-')}", str(tmp_path / f"{name}.csv")]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "losses.json").exists()

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 import weakref
 from dataclasses import replace
@@ -218,7 +219,7 @@ class TestInitLabels:
         assign = ClusterAssignment(rng.integers(0, 2, size=6).astype(np.int64), 2)
         state = init_labels(f, f, assign, PipelineConfig())
         assert state.t == 0
-        assert state.epsilon == 1e6
+        assert math.isinf(state.epsilon)
         assert not state.cap_hit
         assert np.array_equal(state.intra, state.intra0)
         assert np.array_equal(state.cross, state.cross0)
@@ -423,6 +424,18 @@ class TestRunTransfer:
         assert out.epsilon < 1e-12
         assert not out.cap_hit
 
+    def test_an_epsilon0_above_any_update_still_takes_one_step(self):
+        # the start ε is infinite, so no epsilon0 skips the loop
+        fv, fr, av, _, _ = blob_instance(seed=17, gap=0.4)
+        cfg = PipelineConfig(kappa=8, epsilon0=1e9)
+        aff = one_way_affinities(
+            homogeneous_affinity(fv.data, cfg.kappa), homogeneous_affinity(fr.data, cfg.kappa),
+            *heterogeneous_affinity(fv.data, fr.data, cfg.ot_lambda))
+        start = init_labels(fv.data, fr.data, av, cfg)
+        out = run(start, aff, cfg)
+        assert out.t == 1 and not out.cap_hit
+        assert not np.array_equal(out.cross, start.cross)
+
     def test_epsilon_trace_settles(self, rng):
         state, aff = random_instance(rng, ns=12, nt=9, k=4)
         eps = []
@@ -589,6 +602,15 @@ class TestMultAssociate:
         report = full_report(result, gt)
         assert report.cross_acc_v == 1.0
         assert report.cross_acc_r == 1.0
+
+    @pytest.mark.parametrize("method", sorted(METHODS))
+    @pytest.mark.parametrize("extra", [2, -2], ids=["longer", "shorter"])
+    def test_an_assignment_of_another_length_is_refused(self, method, extra):
+        fv, fr, av, ar, _ = blob_instance(seed=5, per_id_v=6, per_id_r=6)
+        assert fv.n == 18
+        av = ClusterAssignment(np.resize(av.labels, av.n + extra), av.k)
+        with pytest.raises(XmodError, match="^feature and assignment sizes differ$"):
+            METHODS[method](fv, fr, av, ar, PipelineConfig(kappa=4))
 
     def test_single_cluster_everything_one(self, rng):
         fv = random_unit_rows(rng, 6, 4)
