@@ -1,4 +1,4 @@
-"""Entropic optimal transport: log-domain Sinkhorn scaling and its two uses,
+"""Entropic optimal transport: stabilized Sinkhorn scaling and its two uses,
 the cross-modality instance affinity and the balanced cluster-label init."""
 from __future__ import annotations
 
@@ -52,10 +52,24 @@ class TransportProblem:
 
 @dataclass(frozen=True)
 class TransportPlan:
-    plan: np.ndarray
+    """A solved plan kept in scaling form: diag(u) · kernel · diag(v).
+
+    ``kernel`` is exp(f + log_k + g) at the potentials last absorbed into it,
+    with entries below the smallest normal float64 flushed to zero; ``u`` and
+    ``v`` are the scalings on top of it.
+    """
+
+    kernel: np.ndarray
+    u: np.ndarray
+    v: np.ndarray
     iterations_used: int
     marginal_error: float
     converged: bool
+
+    @property
+    def plan(self) -> np.ndarray:
+        """The dense plan diag(u) · kernel · diag(v), built anew on each access."""
+        return _scaled(self.kernel, self.u, self.v, np.empty_like(self.kernel))
 
 
 def _log_scaling(log_k, other, log_marginal, axis: int, buf) -> np.ndarray:
@@ -73,22 +87,30 @@ def _log_scaling(log_k, other, log_marginal, axis: int, buf) -> np.ndarray:
     return np.subtract(log_marginal, out, out=out)
 
 
-def _gibbs(f, log_k, g, out) -> np.ndarray:
-    """exp(f + log_k + g) written into ``out``."""
+# Kernel and plan entries below the smallest normal float64 are flushed to
+# zero: they slow BLAS several-fold and carry nothing the solve resolves.
+_TINY = np.finfo(np.float64).tiny
+
+
+def _kernel(f, log_k, g, out) -> np.ndarray:
+    """exp(f + log_k + g) written into ``out``, subnormals flushed to zero."""
     np.add(f[:, None], log_k, out=out)
     out += g[None, :]
-    return np.exp(out, out=out)
+    np.exp(out, out=out)
+    out[out < _TINY] = 0.0
+    return out
+
+
+def _scaled(kernel, u, v, out) -> np.ndarray:
+    """diag(u) · kernel · diag(v) written into ``out``."""
+    np.multiply(kernel, u[:, None], out=out)
+    out *= v
+    return out
 
 
 def _dual_value(f, g, r, c, mass) -> float:
     """Entropic dual: f.r + g.c - total plan mass, to be maximized."""
     return float(f @ r + g @ c - mass)
-
-
-# Plan entries below the smallest normal float64 are flushed to zero before
-# the conjugate-gradient mat-vecs: they slow BLAS several-fold and carry
-# nothing the solve resolves.
-_TINY = np.finfo(np.float64).tiny
 
 
 def _conjugate_gradient(apply_s, rhs, diag, forcing):
@@ -122,7 +144,7 @@ def _conjugate_gradient(apply_s, rhs, diag, forcing):
     return x
 
 
-def _newton_direction(plan, a, b, r, c, work, forcing):
+def _newton_direction(plan, a, b, r, c, forcing):
     """Newton direction (df, dg) of the dual at ``plan``, by block elimination.
 
     The ridged system is ([[diag a, P], [P^T, diag b]] + ridge*I) [df; dg] =
@@ -136,18 +158,16 @@ def _newton_direction(plan, a, b, r, c, work, forcing):
     the residual falls to ``forcing`` times the right-hand side's norm
     (inexact Newton) or after dim(S) iterations. The subnormal entries of
     ``plan`` are flushed to zero in place, after a and b were summed; the
-    squared plan for the diagonal is written into ``work``, a plan-sized
-    buffer.
+    diagonal is one pass over the plan, so no squared plan is stored.
     """
     ridge = 1e-12 * max(a.max(), b.max()) + 1e-300
     plan[plan < _TINY] = 0.0
-    squared = np.square(plan, out=work)
     flip = plan.shape[0] < plan.shape[1]
     if flip:
-        plan, squared, a, b, r, c = plan.T, squared.T, b, a, c, r
+        plan, a, b, r, c = plan.T, b, a, c, r
     da = a + ridge
     db = b + ridge
-    diag = db - (1.0 / da) @ squared
+    diag = db - np.einsum("ij,ij,i->j", plan, plan, 1.0 / da)
     rhs = (c - b) - ((r - a) / da) @ plan
 
     def apply_s(p):
@@ -158,110 +178,144 @@ def _newton_direction(plan, a, b, r, c, work, forcing):
     return (y, x) if flip else (x, y)
 
 
-def _newton_step(f, g, log_k, r, c, plan, a, b, buf, forcing):
-    """One damped Newton step on the dual potentials, or None if it fails.
+def _newton_step(f, g, kernel, u, v, r, c, a, b, plan, forcing):
+    """One damped Newton step on the dual potentials f + log u and g + log v,
+    or None if it fails.
 
-    ``plan`` is exp(f + log_k + g), the plan at the current potentials, and
-    a and b are its row and column sums, so the step neither rebuilds the
-    plan nor sums it along either axis again. The dual Hessian is
-    -[[diag(P1), P], [P^T, diag(P^T 1)]]; it is singular
-    along the constant shift (f+s, g-s), so a tiny ridge pins the solve,
-    which conjugate gradient runs to relative residual ``forcing``
-    (``_newton_direction``). A halving line search accepts the first step
-    that strictly increases the dual, which keeps the plan mass finite at
-    every accepted state. The direction flushes ``plan``'s subnormals and
-    works in ``buf``, as does each trial plan, so after an accepted step
-    ``buf`` holds exp(f + log_k + g) at the returned potentials.
+    a and b are the plan's row and column sums at (u, v). The step builds
+    that plan once, diag(u) K diag(v), into ``plan`` (a multiply, no
+    ``exp``) for the direction (``_newton_direction``). The dual Hessian is
+    -[[diag(P1), P], [P^T, diag(P^T 1)]]; it is singular along the constant
+    shift (f+s, g-s), so a tiny ridge pins the solve, which conjugate
+    gradient runs to relative residual ``forcing``. A halving line search
+    accepts the first step that strictly increases the dual, which keeps the
+    plan mass finite at every accepted state. A trial moves the scalings to
+    u e^{t df} and v e^{t dg}, and its mass is one kernel mat-vec and one dot
+    product, so no trial writes an N x M array. Returns the accepted
+    scalings and K v at them.
     """
-    base = _dual_value(f, g, r, c, plan.sum())
-    df, dg = _newton_direction(plan, a, b, r, c, buf, forcing)
+    _scaled(kernel, u, v, plan)
+    pot_f = f + np.log(u)
+    pot_g = g + np.log(v)
+    base = _dual_value(pot_f, pot_g, r, c, a.sum())
+    df, dg = _newton_direction(plan, a, b, r, c, forcing)
     if not (np.isfinite(df).all() and np.isfinite(dg).all()):
         return None
     t = 1.0
-    while t > 1e-8:
-        f_new = f + t * df
-        g_new = g + t * dg
-        with np.errstate(over="ignore"):
-            mass = _gibbs(f_new, log_k, g_new, buf).sum()
-        val = _dual_value(f_new, g_new, r, c, mass)
-        if np.isfinite(val) and val > base:
-            return f_new, g_new
-        t *= 0.5
+    with np.errstate(over="ignore", invalid="ignore"):
+        while t > 1e-8:
+            u_new = u * np.exp(t * df)
+            v_new = v * np.exp(t * dg)
+            kv = kernel @ v_new
+            val = _dual_value(pot_f + t * df, pot_g + t * dg, r, c, u_new @ kv)
+            if np.isfinite(val) and val > base:
+                return u_new, v_new, kv
+            t *= 0.5
     return None
+
+
+def _masses(u, v, kv, ktu, r, c):
+    """The plan's row and column sums u * Kv and v * K^T u, and the worse of
+    the two marginal L1 errors."""
+    row_mass = u * kv
+    col_mass = v * ktu
+    if not (np.isfinite(row_mass).all() and np.isfinite(col_mass).all()):
+        raise XmodError("non-finite value in transport plan")
+    err = max(np.abs(row_mass - r).sum(), np.abs(col_mass - c).sum())
+    return row_mass, col_mass, err
 
 
 _STALL = 0.5  # a plain sweep that keeps more than this share of the error has stalled
 _MAX_ITERS = 10_000  # iteration cap: plain sweeps and Newton steps together
 _TOL = 1e-9  # converged once both marginal L1 errors fall below this
+_ABSORB = 1e50  # a scaling outside [1/_ABSORB, _ABSORB] is folded into the kernel
+
+
+def _absorb(f, g, u, v, log_k, kernel):
+    """The potentials f + log u and g + log v, with ``kernel`` rebuilt at
+    them, so the plan is the same with both scalings at one."""
+    f = f + np.log(u)
+    g = g + np.log(v)
+    _kernel(f, log_k, g, kernel)
+    return f, g
 
 
 def sinkhorn(problem: TransportProblem) -> TransportPlan:
-    """Sinkhorn-Knopp scaling of the Gibbs kernel exp(-lam * cost).
+    """Sinkhorn-Knopp scaling of the Gibbs kernel exp(-lam * cost), stabilized.
 
-    The returned plan is diag(u) exp(-lam*C) diag(v) with the potentials
-    iterated in log domain, so lam*cost up to ~1e3 stays finite. Plain
-    alternating sweeps contract fast on well-separated problems and slow to
-    a crawl on sharply regularized ones whose unregularized optimum is nearly
-    tied. So plain sweeps run until one of them shrinks the marginal error
-    by less than half (``_STALL``); from then on the potentials are polished
-    by damped Newton steps on the dual, which share the sweeps' fixed point.
-    Each Newton step starts from the plan the previous error check built and
-    solves a min(n, m)-unknown system by conjugate gradient, to a relative
-    residual of min(0.1, error) (``_newton_step``), so a K-column OTLA init
-    solves K-unknown systems however many rows it has.
+    The plan is diag(u) K diag(v) with K = exp(f + log_k + g). The first
+    iteration is one log-domain sweep from zero potentials; it gives f and g,
+    and K is built from them once. Every later plain sweep is u = r / (K v),
+    v = c / (K^T u): two kernel mat-vecs, which also give the plan's row and
+    column sums, so no sweep writes an N x M array. When a scaling leaves
+    [1e-50, 1e50] (``_ABSORB``), the next iteration first absorbs log u and
+    log v into f and g, rebuilds K (one ``exp``) and restarts the scalings
+    at one, so large lam*cost stays finite.
+    Plain alternating sweeps contract fast on well-separated problems and
+    slow to a crawl on sharply regularized ones whose unregularized optimum
+    is nearly tied. So plain sweeps run until one of them shrinks the
+    marginal error by less than half (``_STALL``); from then on the
+    potentials are polished by damped Newton steps on the dual, which share
+    the sweeps' fixed point. Each Newton step builds the plan at the current
+    scalings once and solves a min(n, m)-unknown system by conjugate
+    gradient, to a relative residual of min(0.1, error) (``_newton_step``),
+    so a K-column OTLA init solves K-unknown systems however many rows it
+    has; its line search costs one kernel mat-vec per trial.
     A Newton step whose line search fails falls back to a plain sweep, and
     the next attempt waits for more plain sweeps: one after the first
     rejection, doubling with each consecutive rejection, back to one after
     an accepted step. Stops when the worse of the two marginal L1 errors
     drops below ``_TOL``; if ``_MAX_ITERS`` is hit with error above
     10*_TOL a NotConvergedWarning is emitted and the plan is returned anyway.
-    Besides ``log_k`` the solve holds two N x M arrays: the plan, which is
-    rebuilt from f and g after every sweep, and one buffer that every sweep
-    and Newton step works in. An accepted Newton step leaves its trial plan,
-    exp(f + log_k + g) at the new potentials, in the buffer, so the two swap.
+    Besides ``log_k`` the solve holds one N x M array, the kernel, which the
+    first sweep also works in; the first Newton step adds a second, the
+    plan it builds for its direction.
     """
     log_k = problem.log_k
     r = problem.row_marginal
     c = problem.col_marginal
-    log_r = np.log(r)
-    log_c = np.log(c)
-    f = np.zeros_like(log_r)
-    g = np.zeros_like(log_c)
-    buf = np.empty_like(log_k)
-    plan = np.empty_like(log_k)
-    err = np.inf
-    used = 0
+    kernel = np.empty_like(log_k)
+    f = _log_scaling(log_k, np.zeros_like(c), np.log(r), 1, kernel)
+    g = _log_scaling(log_k, f, np.log(c), 0, kernel)
+    _kernel(f, log_k, g, kernel)
+    u = np.ones_like(r)
+    v = np.ones_like(c)
+    kv = kernel @ v
+    row_mass, col_mass, err = _masses(u, v, kv, u @ kernel, r, c)
+    used = 1
+    plan = None  # the Newton steps' plan buffer, made at the first step
     stalled = False
     wait = 0  # plain sweeps left before the next Newton attempt
     backoff = 1  # plain sweeps to wait after the next rejection
-    while used < _MAX_ITERS:
+    while err >= _TOL and used < _MAX_ITERS:
         used += 1
+        if max(u.max(), v.max()) > _ABSORB or min(u.min(), v.min()) < 1.0 / _ABSORB:
+            f, g = _absorb(f, g, u, v, log_k, kernel)
+            u = np.ones_like(r)
+            v = np.ones_like(c)
+            kv = kernel @ v
         step = None
         if stalled and wait == 0:
-            step = _newton_step(f, g, log_k, r, c, plan, row_mass, col_mass, buf,
+            if plan is None:
+                plan = np.empty_like(kernel)
+            step = _newton_step(f, g, kernel, u, v, r, c, row_mass, col_mass, plan,
                                 min(0.1, err))
             if step is None:
                 wait, backoff = backoff, 2 * backoff
             else:
                 backoff = 1
         if step is not None:
-            f, g = step
-            plan, buf = buf, plan  # the accepted trial plan
+            u, v, kv = step
+            ktu = u @ kernel
         else:
             wait = max(wait - 1, 0)
-            f = _log_scaling(log_k, g, log_r, 1, buf)
-            g = _log_scaling(log_k, f, log_c, 0, buf)
-            _gibbs(f, log_k, g, plan)
-        if not np.isfinite(plan).all():
-            raise XmodError("non-finite value in transport plan")
-        row_mass = plan.sum(axis=1)
-        col_mass = plan.sum(axis=0)
-        row_err = np.abs(row_mass - r).sum()
-        col_err = np.abs(col_mass - c).sum()
-        prev, err = err, max(row_err, col_err)
+            u = r / kv
+            ktu = u @ kernel
+            v = c / ktu
+            kv = kernel @ v
+        prev = err
+        row_mass, col_mass, err = _masses(u, v, kv, ktu, r, c)
         stalled = stalled or err > _STALL * prev
-        if err < _TOL:
-            break
     converged = err < _TOL
     if not converged and err > 10.0 * _TOL:
         warnings.warn(
@@ -269,7 +323,7 @@ def sinkhorn(problem: TransportProblem) -> TransportPlan:
             NotConvergedWarning,
             stacklevel=2,
         )
-    return TransportPlan(plan, used, float(err), converged)
+    return TransportPlan(kernel, u, v, used, float(err), converged)
 
 
 def heterogeneous_plan(features_v, features_r, lam: float) -> TransportPlan:
@@ -294,6 +348,25 @@ def _row_order(a: np.ndarray, b: np.ndarray) -> int:
     return (key_a > key_b) - (key_a < key_b)
 
 
+# float64 entries in one row block of a plan factor (512 KiB)
+_BLOCK = 1 << 16
+
+
+def _factor(kernel, scale) -> np.ndarray:
+    """Rows of kernel * scale normalized to sum 1 in float64, then rounded to
+    float32 once. Built in row blocks, so no float64 array of the kernel's
+    size is made; ``kernel`` may be a transposed view."""
+    n, m = kernel.shape
+    out = np.empty((n, m), dtype=np.float32)
+    rows = max(1, _BLOCK // m)
+    block = np.empty((min(rows, n), m))
+    for start in range(0, n, rows):
+        part = block[: min(rows, n - start)]
+        np.multiply(kernel[start:start + rows], scale, out=part)
+        out[start:start + rows] = row_normalize(part)
+    return out
+
+
 def heterogeneous_affinity(
     features_a, features_b, lam: float
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -302,20 +375,21 @@ def heterogeneous_affinity(
     The plan's rows are the set that sorts first by (row count, bytes), so
     swapping the arguments swaps the outputs bit for bit; byte-identical sets
     share one row-normalized plan, which is symmetric only up to rounding.
-    Each factor is normalized in float64 and then rounded to float32 once:
-    first the transposed copy, then the plan in its own array. So no more
-    than two float64 plans and one float32 factor are alive after the solve,
-    and none of the float64 ones outlives the call.
+    Both factors come straight from the solve's kernel and scalings, because
+    the other side's scaling cancels in a row normalization: the rows factor
+    is K diag(v) and the columns factor K^T diag(u), each row-normalized in
+    float64 and rounded to float32 once, a row block at a time. So no
+    float64 plan or transposed copy is made; the kernel is the one float64
+    N x M array alive after the solve, and it does not outlive the call.
     """
     a, b = feature_data(features_a), feature_data(features_b)
     order = _row_order(a, b)
     rows, cols = (b, a) if order > 0 else (a, b)
-    plan = heterogeneous_plan(rows, cols, lam).plan
+    result = heterogeneous_plan(rows, cols, lam)
+    s_rows = _factor(result.kernel, result.v)
     if order == 0:
-        shared = row_normalize(plan).astype(np.float32)
-        return shared, shared
-    s_cols = row_normalize(plan.T.copy()).astype(np.float32)
-    s_rows = row_normalize(plan).astype(np.float32)
+        return s_rows, s_rows
+    s_cols = _factor(result.kernel.T, result.u)
     return (s_cols, s_rows) if order > 0 else (s_rows, s_cols)
 
 
@@ -325,7 +399,9 @@ def otla_init(features_tgt, bank_src: MemoryBank, lam: float) -> SoftLabelMatrix
     Transport between target features (uniform mass 1/N) and source
     prototypes (uniform mass 1/K), then one-hot at each row's argmax. The
     equal column marginals spread the instances across clusters instead of
-    letting one prototype absorb everything.
+    letting one prototype absorb everything. A row's scaling u_i does not
+    move its argmax, so it is taken over K_ij v_j.
     """
-    plan = heterogeneous_plan(features_tgt, bank_src.prototypes, lam).plan
-    return SoftLabelMatrix.one_hot(np.argmax(plan, axis=1), plan.shape[1])
+    result = heterogeneous_plan(features_tgt, bank_src.prototypes, lam)
+    return SoftLabelMatrix.one_hot(np.argmax(result.kernel * result.v, axis=1),
+                                   result.kernel.shape[1])

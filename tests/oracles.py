@@ -399,16 +399,95 @@ def _logsumexp(a, axis):
     return np.log(np.exp(a - m).sum(axis=axis)) + np.squeeze(m, axis=axis)
 
 
-def _newton_step_allocating(f, g, log_k, r, c, plan, forcing):
-    """The library's damped Newton step with every trial plan allocated anew.
+def _kernel_allocating(f, log_k, g):
+    kernel = np.exp(f[:, None] + log_k + g[None, :])
+    kernel[kernel < transport._TINY] = 0.0
+    return kernel
+
+
+def _newton_step_allocating(f, g, kernel, u, v, r, c, a, b, forcing):
+    """The library's damped Newton step on f + log u and g + log v, with the
+    step's plan and every trial scaling allocated anew.
 
     The direction itself comes from ``transport._newton_direction``, which
-    ``newton_direction_dense`` checks on its own; like the library's step,
-    this takes the base value before the direction flushes ``plan``.
+    ``newton_direction_dense`` checks on its own.
     """
+    plan = kernel * u[:, None] * v
+    pot_f, pot_g = f + np.log(u), g + np.log(v)
+    base = transport._dual_value(pot_f, pot_g, r, c, a.sum())
+    df, dg = transport._newton_direction(plan, a, b, r, c, forcing)
+    if not (np.isfinite(df).all() and np.isfinite(dg).all()):
+        return None
+    t = 1.0
+    while t > 1e-8:
+        with np.errstate(over="ignore", invalid="ignore"):
+            u_new, v_new = u * np.exp(t * df), v * np.exp(t * dg)
+            kv = kernel @ v_new
+            val = transport._dual_value(pot_f + t * df, pot_g + t * dg, r, c, u_new @ kv)
+        if np.isfinite(val) and val > base:
+            return u_new, v_new, kv
+        t *= 0.5
+    return None
+
+
+def sinkhorn_allocating(problem):
+    """The TransportPlan of the library's stabilized Sinkhorn schedule,
+    written with a fresh array for the first log-domain sweep, every kernel
+    and every Newton plan: scaling sweeps until one keeps more than half of
+    the error, then Newton steps with the same back-off on rejection, and
+    the scalings absorbed into the kernel when one leaves [1e-50, 1e50]."""
+    log_k = problem.log_k
+    r, c = problem.row_marginal, problem.col_marginal
+    g = np.zeros_like(c)
+    f = np.log(r) - _logsumexp(log_k + g[None, :], axis=1)
+    g = np.log(c) - _logsumexp(log_k + f[:, None], axis=0)
+    kernel = _kernel_allocating(f, log_k, g)
+    u, v = np.ones_like(r), np.ones_like(c)
+    kv, ktu = kernel @ v, u @ kernel
+    err, used, stalled, wait, backoff = np.inf, 1, False, 0, 1
+    while True:
+        row_mass, col_mass = u * kv, v * ktu
+        if not (np.isfinite(row_mass).all() and np.isfinite(col_mass).all()):
+            raise XmodError("non-finite value in transport plan")
+        prev, err = err, max(np.abs(row_mass - r).sum(), np.abs(col_mass - c).sum())
+        stalled = stalled or err > 0.5 * prev
+        if err < transport._TOL or used >= transport._MAX_ITERS:
+            break
+        used += 1
+        if min(u.min(), v.min()) < 1e-50 or max(u.max(), v.max()) > 1e50:
+            f, g = f + np.log(u), g + np.log(v)
+            kernel = _kernel_allocating(f, log_k, g)
+            u, v = np.ones_like(r), np.ones_like(c)
+            kv = kernel @ v
+        step = None
+        if stalled and wait == 0:
+            step = _newton_step_allocating(f, g, kernel, u, v, r, c, row_mass, col_mass,
+                                           min(0.1, err))
+            if step is None:
+                wait, backoff = backoff, 2 * backoff
+            else:
+                backoff = 1
+        if step is not None:
+            u, v, kv = step
+            ktu = u @ kernel
+        else:
+            wait = max(wait - 1, 0)
+            u = r / kv
+            ktu = u @ kernel
+            v = c / ktu
+            kv = kernel @ v
+    return transport.TransportPlan(kernel, u, v, used, float(err), err < transport._TOL)
+
+
+def _gibbs(f, log_k, g, out):
+    np.add(f[:, None], log_k, out=out)
+    out += g[None, :]
+    return np.exp(out, out=out)
+
+
+def _newton_step_log_domain(f, g, log_k, r, c, plan, a, b, buf, forcing):
     base = transport._dual_value(f, g, r, c, plan.sum())
-    df, dg = transport._newton_direction(plan, plan.sum(axis=1), plan.sum(axis=0), r, c,
-                                         np.empty_like(plan), forcing)
+    df, dg = transport._newton_direction(plan, a, b, r, c, forcing)
     if not (np.isfinite(df).all() and np.isfinite(dg).all()):
         return None
     t = 1.0
@@ -416,7 +495,7 @@ def _newton_step_allocating(f, g, log_k, r, c, plan, forcing):
         f_new = f + t * df
         g_new = g + t * dg
         with np.errstate(over="ignore"):
-            mass = np.exp(f_new[:, None] + log_k + g_new[None, :]).sum()
+            mass = _gibbs(f_new, log_k, g_new, buf).sum()
         val = transport._dual_value(f_new, g_new, r, c, mass)
         if np.isfinite(val) and val > base:
             return f_new, g_new
@@ -424,41 +503,57 @@ def _newton_step_allocating(f, g, log_k, r, c, plan, forcing):
     return None
 
 
-def sinkhorn_allocating(problem):
-    """The TransportPlan of the library's Sinkhorn schedule,
-    written with a fresh array for every sweep, plan and trial mass: plain
-    log-domain sweeps until one keeps more than half of the error, then
-    Newton steps with the same back-off on rejection."""
+def sinkhorn_log_domain(problem):
+    """The log-domain Sinkhorn loop that the scaling form replaced, as the
+    independent reference for its plans: every sweep is two full-matrix
+    logsumexps and the plan exp(f + log_k + g) is rebuilt after each one,
+    and every Newton line-search trial is a full-plan ``exp``. The stall,
+    Newton and back-off schedule is the library's. Returns a TransportPlan
+    whose kernel is that plan, with unit scalings."""
     log_k = problem.log_k
-    r, c = problem.row_marginal, problem.col_marginal
-    log_r, log_c = np.log(r), np.log(c)
-    f, g = np.zeros_like(log_r), np.zeros_like(log_c)
-    err, used, stalled, wait, backoff = np.inf, 0, False, 0, 1
+    r = problem.row_marginal
+    c = problem.col_marginal
+    log_r = np.log(r)
+    log_c = np.log(c)
+    f = np.zeros_like(log_r)
+    g = np.zeros_like(log_c)
+    buf = np.empty_like(log_k)
+    plan = np.empty_like(log_k)
+    err = np.inf
+    used = 0
+    stalled = False
+    wait = 0
+    backoff = 1
     while used < transport._MAX_ITERS:
         used += 1
         step = None
         if stalled and wait == 0:
-            step = _newton_step_allocating(f, g, log_k, r, c, plan, min(0.1, err))
+            step = _newton_step_log_domain(f, g, log_k, r, c, plan, row_mass, col_mass, buf,
+                                           min(0.1, err))
             if step is None:
                 wait, backoff = backoff, 2 * backoff
             else:
                 backoff = 1
         if step is not None:
             f, g = step
+            plan, buf = buf, plan
         else:
             wait = max(wait - 1, 0)
-            f = log_r - _logsumexp(log_k + g[None, :], axis=1)
-            g = log_c - _logsumexp(log_k + f[:, None], axis=0)
-        plan = np.exp(f[:, None] + log_k + g[None, :])
+            f = transport._log_scaling(log_k, g, log_r, 1, buf)
+            g = transport._log_scaling(log_k, f, log_c, 0, buf)
+            _gibbs(f, log_k, g, plan)
         if not np.isfinite(plan).all():
             raise XmodError("non-finite value in transport plan")
-        row_err = np.abs(plan.sum(axis=1) - r).sum()
-        col_err = np.abs(plan.sum(axis=0) - c).sum()
+        row_mass = plan.sum(axis=1)
+        col_mass = plan.sum(axis=0)
+        row_err = np.abs(row_mass - r).sum()
+        col_err = np.abs(col_mass - c).sum()
         prev, err = err, max(row_err, col_err)
         stalled = stalled or err > 0.5 * prev
         if err < transport._TOL:
             break
-    return transport.TransportPlan(plan, used, float(err), err < transport._TOL)
+    return transport.TransportPlan(plan, np.ones_like(r), np.ones_like(c), used, float(err),
+                                   err < transport._TOL)
 
 
 def _scalar_normal_vector(rng, dim):

@@ -21,7 +21,7 @@ from xmod.transport import (
 )
 
 from conftest import random_unit_rows
-from oracles import newton_direction_dense, sinkhorn_allocating
+from oracles import newton_direction_dense, sinkhorn_allocating, sinkhorn_log_domain
 
 
 def uniform_problem(cost, lam) -> TransportProblem:
@@ -327,16 +327,33 @@ class TestLambdaBound:
         assert result.marginal_error < 1.0
 
 
-class TestOwnedBuffers:
-    """Sweeps, plans and trial masses written into the solve's two buffers
-    give the bits of the loop that allocates each of them."""
+SOLVE_SETS = [
+    pytest.param(lambda: synth_cost(blob_std=0.03, modality_gap=0.3), 25.0, False,
+                 id="plain-sweeps"),
+    pytest.param(hard_400_cost, 25.0, True, id="hard-400-newton"),
+    pytest.param(random_100_cost, 1000.0, True, id="lambda-1000"),
+]
 
-    @pytest.mark.parametrize("cost, lam, newton", [
-        pytest.param(lambda: synth_cost(blob_std=0.03, modality_gap=0.3), 25.0, False,
-                     id="plain-sweeps"),
-        pytest.param(hard_400_cost, 25.0, True, id="hard-400-newton"),
-        pytest.param(random_100_cost, 1000.0, True, id="lambda-1000"),
-    ])
+
+def count_kernel_builds(monkeypatch) -> list:
+    """Wrap transport._kernel; the returned list gets one entry per build."""
+    builds = []
+    kernel = transport._kernel
+
+    def counting(*args):
+        builds.append(None)
+        return kernel(*args)
+
+    monkeypatch.setattr(transport, "_kernel", counting)
+    return builds
+
+
+class TestOwnedBuffers:
+    """The first sweep written into the kernel's buffer and the Newton plans
+    written into one owned buffer give the bits of the loop that allocates
+    each of them."""
+
+    @pytest.mark.parametrize("cost, lam, newton", SOLVE_SETS)
     def test_matches_allocating_loop_bitwise(self, monkeypatch, cost, lam, newton):
         problem = uniform_problem(cost(), lam=lam)
         counts = count_newton(monkeypatch)
@@ -346,7 +363,8 @@ class TestOwnedBuffers:
         assert got.converged and want.converged
         assert got.iterations_used == want.iterations_used
         assert got.marginal_error == want.marginal_error
-        assert np.array_equal(got.plan, want.plan)
+        for name in ("kernel", "u", "v"):
+            assert np.array_equal(getattr(got, name), getattr(want, name))
 
     def test_newton_flushes_subnormals_that_the_returned_plan_keeps(self, monkeypatch):
         problem = uniform_problem(random_100_cost(), lam=1000.0)
@@ -367,6 +385,98 @@ class TestOwnedBuffers:
         assert ((result.plan > 0.0) & (result.plan < tiny)).any()
 
 
+class TestScalingForm:
+    """The scaling-domain solve against the log-domain loop it replaced, its
+    absorption of the scalings into the kernel, and what it holds."""
+
+    @pytest.mark.parametrize("cost, lam, newton", SOLVE_SETS[:2])
+    def test_plan_matches_the_log_domain_reference(self, cost, lam, newton):
+        problem = uniform_problem(cost(), lam=lam)
+        got = sinkhorn(problem)
+        want = sinkhorn_log_domain(problem)
+        assert got.converged and want.converged
+        assert got.iterations_used == want.iterations_used
+        assert np.abs(got.plan - want.plan).max() <= 1e-12 * want.plan.max()
+
+    def test_lambda_1000_plan_meets_the_log_domain_reference_within_tolerance(self):
+        # Here the plan's support nearly splits into blocks and the Newton
+        # directions reach norms of 1e9-1e11, so rounding decides which line
+        # searches pass and the two loops take different steps to the same
+        # optimum: 105 and 159 iterations, 1.2e-9 apart in L1.
+        problem = uniform_problem(random_100_cost(), lam=1000.0)
+        got = sinkhorn(problem)
+        want = sinkhorn_log_domain(problem)
+        assert got.converged and want.converged
+        assert np.abs(got.plan - want.plan).sum() <= 10.0 * transport._TOL
+
+    def test_lambda_1e4_absorbs_and_rebuilds_the_kernel_once_per_absorption(self, monkeypatch):
+        # the log-domain loop needs the same 8,208 iterations here, in ~10x the time
+        fv, fr, _ = hard_snapshot(num_ids=10, per_id_v=10, per_id_r=10)
+        problem = uniform_problem(pairwise_sq_dists(fv.data, fr.data), lam=1e4)
+        builds, scalings = count_kernel_builds(monkeypatch), []
+        absorb = transport._absorb
+
+        def recording(f, g, u, v, *args):
+            scalings.append((u.min(), u.max(), v.min(), v.max()))
+            return absorb(f, g, u, v, *args)
+
+        monkeypatch.setattr(transport, "_absorb", recording)
+        result = sinkhorn(problem)
+        assert result.converged and result.marginal_error < 1e-9
+        plan = result.plan
+        assert np.abs(plan.sum(axis=1) - problem.row_marginal).sum() < 1e-9
+        assert np.abs(plan.sum(axis=0) - problem.col_marginal).sum() < 1e-9
+        assert len(scalings) >= 1
+        assert len(builds) == 1 + len(scalings)
+        assert all(min(lo_u, lo_v) < 1e-50 or max(hi_u, hi_v) > 1e50
+                   for lo_u, hi_u, lo_v, hi_v in scalings)
+
+    @pytest.mark.parametrize("swap", [False, True], ids=["random", "hard-r-v"])
+    def test_rejected_line_search_builds_no_kernel(self, monkeypatch, swap):
+        # each rejected step used to spend 27 full-plan exps on its trials
+        if swap:
+            fv, fr, _ = hard_snapshot(num_ids=10, per_id_v=10, per_id_r=10)
+            cost = pairwise_sq_dists(fr.data, fv.data)
+        else:
+            cost = random_100_cost()
+        builds = count_kernel_builds(monkeypatch)
+        rejected = []  # kernel builds during each rejected step
+        step = transport._newton_step
+
+        def recording(*args):
+            before = len(builds)
+            out = step(*args)
+            if out is None:
+                rejected.append(len(builds) - before)
+            return out
+
+        monkeypatch.setattr(transport, "_newton_step", recording)
+        assert sinkhorn(uniform_problem(cost, lam=1000.0)).converged
+        assert rejected and not any(rejected)
+
+    @pytest.mark.parametrize("newton, arrays", [(False, 1), (True, 2)], ids=["plain", "newton"])
+    def test_solve_holds_one_array_and_a_second_for_newton(self, monkeypatch, newton, arrays):
+        # beyond log_k: the kernel, and the Newton plan; each build flushes
+        # its subnormals through a one-byte mask. The log-domain loop held
+        # two float64 arrays with or without Newton.
+        if newton:
+            cost = hard_400_cost()
+        else:
+            fv, fr, _ = generate(SynthSpec(num_ids=20, per_id_v=20, per_id_r=20, dim=32,
+                                           blob_std=0.03, modality_gap=0.3, seed=3))
+            cost = pairwise_sq_dists(fv.data, fr.data)
+        problem = uniform_problem(cost, lam=25.0)
+        counts = count_newton(monkeypatch)
+        tracemalloc.start()
+        try:
+            result = sinkhorn(problem)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.converged and (counts["calls"] > 0) == newton
+        assert peak < (arrays + 0.25) * problem.log_k.nbytes
+
+
 class TestNewtonStep:
     @pytest.mark.parametrize("shape", [(40, 7), (7, 40), (12, 12)], ids=["n>m", "n<m", "n=m"])
     def test_direction_matches_dense_hessian_oracle(self, rng, shape):
@@ -378,8 +488,7 @@ class TestNewtonStep:
         want = newton_direction_dense(plan, r, c)
         # forcing 0 switches the inexact-Newton truncation off, so conjugate
         # gradient runs its dim(S) iterations
-        got = transport._newton_direction(plan, plan.sum(axis=1), plan.sum(axis=0), r, c,
-                                          np.empty_like(plan), 0.0)
+        got = transport._newton_direction(plan, plan.sum(axis=1), plan.sum(axis=0), r, c, 0.0)
         # the 1e-12 ridge pins the null direction only to rounding / ridge,
         # so each solver may land anywhere along it by ~1e-5
         got, want = shift_free(*got), shift_free(*want)
@@ -416,7 +525,7 @@ class TestNewtonStep:
         assert peak < 8 * result.plan.nbytes
 
     def test_hard_plan_frees_the_cost_before_the_solve(self, monkeypatch):
-        # log_k, the plan and the work buffer peak at ~3.1 plans; a cost
+        # log_k, the kernel and the Newton plan peak at ~3.16 plans; a cost
         # kept alive through the solve would add a fourth, and a Newton step
         # that forms the Schur matrix peaked at 4.04
         fv, fr, _ = hard_snapshot(num_ids=20, per_id_v=20, per_id_r=20)
@@ -432,10 +541,9 @@ class TestNewtonStep:
 
 
     def test_hard_affinity_normalizes_in_the_plans_arrays(self, monkeypatch):
-        # the solve peaks at ~3.1 float64 plans; afterwards the plan and one
-        # transposed copy are normalized in place and each rounded to a
-        # float32 factor, where a new float64 array for each output took the
-        # stage to 4.01
+        # the solve peaks at ~3.16 float64 plans; afterwards each float32
+        # factor is written from the kernel a row block at a time, where a
+        # new float64 array for each output took the stage to 4.01
         fv, fr, _ = hard_snapshot(num_ids=20, per_id_v=20, per_id_r=20)
         counts = count_newton(monkeypatch)
         tracemalloc.start()
