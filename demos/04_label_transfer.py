@@ -6,12 +6,11 @@ toward their cross-modality partners and smooths them over the within-modality
 reciprocal-neighbor graph, with a small anchor on the initial labels. Most of
 the disagreement energy disappears in the first few iterations; late steps may
 wobble by a hair while individual labels settle, but the final energy never
-exceeds the initial one. The loop stops once an update moves no entry by more
-than epsilon0 in total, as it does here after 32 iterations at epsilon0 =
-1e-6, or once updates stop shrinking because they have reached the float32
-transfer operator's precision, or at the iteration cap. The run is the V2R
-direction of mult_associate with its trace collected, over the true
-identities as both sides' clusters.
+exceeds the initial one. The loop stops once an update moves the entries by
+no more than epsilon0 in total, as it does here after 32 iterations at
+epsilon0 = 1e-6, or at the iteration cap. The run is the V2R direction of
+mult_associate with its trace collected, over the true identities as both
+sides' clusters.
 """
 
 import numpy as np
@@ -40,12 +39,8 @@ def main() -> None:
     final_acc = (result.hard("cross_r") == gt.ids_r).mean()
 
     end = steps[-1]
-    if end["epsilon"] <= cfg.epsilon0:
-        why = "an update at or below epsilon0"
-    elif end["t"] >= cfg.max_transfer_iters:
-        why = "the iteration cap"
-    else:
-        why = "updates that stopped shrinking at the float32 precision"
+    why = ("an update at or below epsilon0" if end["epsilon"] <= cfg.epsilon0
+           else "the iteration cap")
     print(f"stopped after {end['t']} iterations by {why}")
     print()
     print("  t    update size    disagreement energy")

@@ -243,8 +243,8 @@ def test_transfer_never_increases_inconsistency(transfer_family):
 
 
 def test_transfer_stops_where_the_float64_loop_does(transfer_family):
-    # the float32 operator and its stall rule move no stop of the float64
-    # loop, at the family's ε0 or at the default one
+    # the float32 operator moves no stop of the float64 loop, at the
+    # family's ε0 or at the default one
     moved = [(r["seed"], epsilon0, steps) for r in transfer_family
              for epsilon0, steps in r["steps"].items() if steps[0] != steps[1]]
     assert moved == []

@@ -335,9 +335,9 @@ class TestAssociate:
         assert associate(split, 1e-2, "r2v") == fresh
 
     def test_trace_names_sort_in_step_order_past_step_999(self, workdir):
-        # ε0 = 1e-300 is never met, and α = 1e-3 makes the loop contract so
+        # ε0 = 1e-300 is never met: α = 1e-3 makes the loop contract so
         # slowly (by 1 − α a step) that every update is still falling at step
-        # 1001: the run reaches the cap rather than the stall rule
+        # 1001, so the run reaches the cap
         cfg = workdir / "long.json"
         cfg.write_text(json.dumps(dict(CONFIG, epsilon0=1e-300, max_transfer_iters=1001,
                                        alpha=1e-3)))

@@ -6,15 +6,22 @@ Rotation: every stage reads the features only through inner products and
 distances, so one orthogonal Q applied to both modalities must leave the
 partitions, the soft labels, the losses and the metrics of run_epoch as they
 were, up to rounding.
+
+Far noise row: a unit row along the negated mean of one modality's rows lies
+beyond DBSCAN's eps of every other row, so it is noise, and every associator
+drops noise rows before it reads any feature. Every original row's labels
+must stay bitwise as they were.
 """
 import numpy as np
 import pytest
 
-from xmod.core import FeatureMatrix, Modality, PipelineConfig
+from xmod.baselines import associate_greedy_centroid, associate_otla_only
+from xmod.clustering import dbscan
+from xmod.core import NOISE, FeatureMatrix, Modality, PipelineConfig
 from xmod.metrics import GroundTruth
 from xmod.pipeline import run_epoch
 from xmod.synth import GapMode, SynthSpec, generate
-from xmod.transfer import LABELS
+from xmod.transfer import LABELS, mult_associate
 from xmod.transport import _row_order
 
 SETS = {
@@ -70,3 +77,46 @@ def test_a_rotation_of_both_modalities_changes_nothing(name, seed):
         want, got = plain.losses.to_dict(), rotated.losses.to_dict()
         assert got == pytest.approx(want, rel=0, abs=tol)
         assert rotated.metrics == plain.metrics
+
+
+ASSOCIATORS = {"mult": mult_associate, "otla": associate_otla_only,
+               "greedy": associate_greedy_centroid}
+
+
+def with_far_row(features: FeatureMatrix) -> FeatureMatrix:
+    """features with one unit row appended along the negated mean of its rows."""
+    far = -features.data.mean(axis=0)
+    return FeatureMatrix(np.vstack([features.data, far / np.linalg.norm(far)]),
+                         features.modality)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("side", list(Modality), ids=lambda m: m.value)
+@pytest.mark.parametrize("gap_mode", list(GapMode), ids=lambda g: g.value)
+def test_a_far_noise_row_leaves_every_other_label_as_it_was(gap_mode, side, seed):
+    fv, fr, _ = generate(SynthSpec(num_ids=10, per_id_v=10, per_id_r=12, dim=16,
+                                   modality_gap=0.3, gap_mode=gap_mode, seed=seed))
+    cfg = PipelineConfig(kappa=8)
+    plain = {Modality.VISIBLE: fv, Modality.INFRARED: fr}
+    grown = {**plain, side: with_far_row(plain[side])}
+
+    def cluster(features):
+        return dbscan(features, cfg.dbscan_eps, cfg.dbscan_min_samples, kappa=cfg.kappa)
+
+    assign = {m: cluster(f) for m, f in plain.items()}
+    assign_grown = {**assign, side: cluster(grown[side])}
+    n = plain[side].data.shape[0]
+    assert assign[side].k > 0 and assign_grown[side].labels[n] == NOISE
+    assert np.array_equal(assign_grown[side].labels[:n], assign[side].labels)
+    for name, associate in ASSOCIATORS.items():
+        want = associate(plain[Modality.VISIBLE], plain[Modality.INFRARED],
+                         assign[Modality.VISIBLE], assign[Modality.INFRARED], cfg)
+        got = associate(grown[Modality.VISIBLE], grown[Modality.INFRARED],
+                        assign_grown[Modality.VISIBLE], assign_grown[Modality.INFRARED], cfg)
+        for label, modality in LABELS.items():
+            hard, soft = got.hard(label), got.soft(label)
+            if modality is side:
+                assert hard[n] == NOISE and not soft[n].any(), (name, label)
+                hard, soft = hard[:n], soft[:n]
+            assert np.array_equal(hard, want.hard(label)), (name, label)
+            assert np.array_equal(soft, want.soft(label)), (name, label)
