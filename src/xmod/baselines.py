@@ -54,12 +54,11 @@ def _greedy_match(dist: np.ndarray) -> np.ndarray:
     nearest column with replacement.
     """
     n_rows, n_cols = dist.shape
-    order = sorted(
-        ((float(dist[i, j]), i, j) for i in range(n_rows) for j in range(n_cols))
-    )
     match = np.full(n_rows, -1, dtype=np.int64)
     used_cols = np.zeros(n_cols, dtype=bool)
-    for _, i, j in order:
+    # A stable sort of the row-major flat array breaks ties by (row, column).
+    for flat in np.argsort(dist, axis=None, kind="stable").tolist():
+        i, j = divmod(flat, n_cols)
         if match[i] >= 0 or used_cols[j]:
             continue
         match[i] = j

@@ -125,9 +125,7 @@ def _cmd_eval(args) -> int:
             for name in LABELS}
     n_visible = hard["intra_v"].shape[0]
     ids_v, ids_r = read_ground_truth(args.gt, n_visible)
-    report = report_from_hard(
-        *hard.values(), GroundTruth(ids_v, ids_r), include_self=not args.exclude_self
-    )
+    report = report_from_hard(hard, GroundTruth(ids_v, ids_r), include_self=not args.exclude_self)
     write_json(args.out, report.to_dict())
     return 0
 

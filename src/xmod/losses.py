@@ -27,27 +27,9 @@ class TrainingMode(Enum):
     R_BASED = "r"
 
 
-@dataclass(frozen=True)
-class Batch:
-    """Paired feature rows plus each side's label rows, taken from the
-    association outputs."""
-
-    features_v: np.ndarray
-    features_r: np.ndarray
-    intra_v: np.ndarray   # visible labels, visible cluster space
-    intra_r: np.ndarray   # infrared labels, infrared cluster space
-    cross_v: np.ndarray   # visible labels, infrared cluster space
-    cross_r: np.ndarray   # infrared labels, visible cluster space
-
-    def __post_init__(self):
-        b = self.features_v.shape[0]
-        for f in fields(self):
-            if getattr(self, f.name).shape[0] != b:
-                raise XmodError(f"{f.name} rows do not match the batch size")
-
-
-def pass_batches(features_v, features_r, labels: dict, batch_size: int) -> Iterator[Batch]:
-    """The batches of one loss pass.
+def pass_batches(features_v, features_r, labels: dict, batch_size: int) -> Iterator[tuple]:
+    """The batches of one loss pass, each (visible rows, infrared rows, soft
+    labels of those rows keyed by the names in transfer.LABELS).
 
     labels maps each name in transfer.LABELS to its (hard, soft) matrices
     over every instance of the name's modality: both must be given, with one
@@ -85,7 +67,7 @@ def pass_batches(features_v, features_r, labels: dict, batch_size: int) -> Itera
     soft = {name: labels[name][1][rows[modality]] for name, modality in LABELS.items()}
     for start in range(0, n, batch_size):
         sl = slice(start, min(start + batch_size, n))
-        yield Batch(fv[sl], fr[sl], **{name: m[sl] for name, m in soft.items()})
+        yield fv[sl], fr[sl], {name: m[sl] for name, m in soft.items()}
 
 
 @dataclass(frozen=True)
@@ -155,9 +137,9 @@ def _mean_ce(pred: np.ndarray, target: np.ndarray) -> float:
 
 
 def loss_report(
-    batch: Batch, banks: ModeBanks, tau: float, sharpen_divisor: float
+    batch: tuple, banks: ModeBanks, tau: float, sharpen_divisor: float
 ) -> LossReport:
-    """All five objectives of one batch for the active mode.
+    """All five objectives of one pass_batches batch for the active mode.
 
     l_im_v / l_im_r are the intra-modality objectives and l_cm scores both
     modalities on the shared bank. l_oclr_v / l_oclr_r pull each modality's
@@ -169,17 +151,17 @@ def loss_report(
     def ce(features: np.ndarray, bank: MemoryBank, target: np.ndarray) -> float:
         return _mean_ce(memory_probabilities(features, bank, tau), target)
 
-    fv, fr = batch.features_v, batch.features_r
+    fv, fr, y = batch
     if banks.mode is TrainingMode.V_BASED:
-        intra, cm_v, cm_r = banks.intra_v, batch.intra_v, batch.cross_r
-        l_im_v = ce(fv, banks.intra_v, batch.intra_v)
-        l_im_r = ce(fr, banks.intra_r, batch.intra_r) + ce(fr, banks.intra_cross, batch.cross_r)
+        intra, cm_v, cm_r = banks.intra_v, y["intra_v"], y["cross_r"]
+        l_im_v = ce(fv, banks.intra_v, y["intra_v"])
+        l_im_r = ce(fr, banks.intra_r, y["intra_r"]) + ce(fr, banks.intra_cross, y["cross_r"])
     else:
-        intra, cm_v, cm_r = banks.intra_r, batch.cross_v, batch.intra_r
+        intra, cm_v, cm_r = banks.intra_r, y["cross_v"], y["intra_r"]
         # The visible term scores infrared features against the visible intra
         # bank; the auxiliary term scores visible features in the infrared space.
-        l_im_v = ce(fr, banks.intra_v, batch.intra_v) + ce(fv, banks.intra_cross, batch.cross_v)
-        l_im_r = ce(fr, banks.intra_r, batch.intra_r)
+        l_im_v = ce(fr, banks.intra_v, y["intra_v"]) + ce(fv, banks.intra_cross, y["cross_v"])
+        l_im_r = ce(fr, banks.intra_r, y["intra_r"])
     shared_v = memory_probabilities(fv, banks.shared, tau)
     shared_r = memory_probabilities(fr, banks.shared, tau)
     l_cm = _mean_ce(shared_v, cm_v) + _mean_ce(shared_r, cm_r)

@@ -72,20 +72,16 @@ def pair_accuracy_recall(pred_a, pred_b, gt_a, gt_b, include_self: bool):
     return (hits / gt_pairs if gt_pairs else None), (hits / pred_pairs if pred_pairs else None)
 
 
-def report_from_hard(
-    intra_v: np.ndarray,
-    cross_r: np.ndarray,
-    intra_r: np.ndarray,
-    cross_v: np.ndarray,
-    gt: GroundTruth,
-    include_self: bool = True,
-) -> MetricsReport:
-    """Metrics from full-length hard label vectors (NOISE where unlabeled).
+def report_from_hard(hard: dict, gt: GroundTruth, include_self: bool = True) -> MetricsReport:
+    """Metrics from the full-length hard label vectors (NOISE where
+    unlabeled) that hard maps each name in transfer.LABELS to.
 
     Intra metrics pair each modality's cross-space labels with themselves;
     cross metrics pair one modality's intra labels with the other's cross
     labels, which share a cluster space by construction.
     """
+    intra_v, cross_v, intra_r, cross_r = (
+        hard["intra_v"], hard["cross_v"], hard["intra_r"], hard["cross_r"])
     if intra_v.shape != cross_v.shape or intra_r.shape != cross_r.shape:
         raise XmodError("per-modality label vectors must have equal length")
     intra_acc_v, intra_re_v = pair_accuracy_recall(
@@ -106,4 +102,4 @@ def full_report(result: AssociationResult, gt: GroundTruth) -> MetricsReport:
             raise XmodError(f"full_report needs both directions; {name} missing")
     if gt.ids_v.shape[0] != result.n_visible or gt.ids_r.shape[0] != result.n_infrared:
         raise XmodError("ground-truth sizes do not match the association")
-    return report_from_hard(*hard.values(), gt)
+    return report_from_hard(hard, gt)

@@ -17,7 +17,9 @@ a queue, the route the library's boolean component fronts replace, so its
 labels are compared exactly. The synthetic generator draws one
 Box-Muller normal at a time through the splitmix64 scalar reference, the
 route the library's batch draw and vectorised center rejection replace, so
-its bytes are compared too.
+its bytes are compared too. The greedy centroid match sorts python
+(distance, row, column) tuples, the route the library's stable flat argsort
+replaces, so its matches are compared exactly.
 """
 import csv
 import io
@@ -72,8 +74,10 @@ def pair_recall(pred_a, pred_b, gt_a, gt_b, include_self=True):
     return hits / pred_pairs if pred_pairs else None
 
 
-def metrics_report_oracle(intra_v, cross_r, intra_r, cross_v, gt, include_self=True):
+def metrics_report_oracle(hard, gt, include_self=True):
     """All eight metrics from the double-loop counts, in report field order."""
+    intra_v, cross_r, intra_r, cross_v = (hard[n] for n in ("intra_v", "cross_r",
+                                                             "intra_r", "cross_v"))
     return (
         pair_accuracy(cross_v, cross_v, gt.ids_v, gt.ids_v, include_self),
         pair_accuracy(cross_r, cross_r, gt.ids_r, gt.ids_r, include_self),
@@ -84,6 +88,23 @@ def metrics_report_oracle(intra_v, cross_r, intra_r, cross_v, gt, include_self=T
         pair_recall(intra_v, cross_r, gt.ids_v, gt.ids_r),
         pair_recall(cross_v, intra_r, gt.ids_v, gt.ids_r),
     )
+
+
+def greedy_match_tuples(dist):
+    """Greedy matching from a sort of (distance, row, column) tuples: pairs
+    without replacement, then each leftover row's first nearest column."""
+    n_r, n_c = dist.shape
+    triples = sorted((float(dist[i, j]), i, j) for i in range(n_r) for j in range(n_c))
+    match = [-1] * n_r
+    used = set()
+    for _, i, j in triples:
+        if match[i] == -1 and j not in used:
+            match[i] = j
+            used.add(j)
+    for i in range(n_r):
+        if match[i] == -1:
+            match[i] = min(range(n_c), key=lambda j: dist[i, j])
+    return match
 
 
 def softmax_row(feature, prototypes, tau):
@@ -110,23 +131,23 @@ def mean_ce(features, prototypes, tau, targets):
 
 def loss_report_oracle(batch, banks, tau, sharpen_divisor):
     """All five components, assembled term by term from scalar arithmetic."""
-    fv, fr = batch.features_v, batch.features_r
+    fv, fr, y = batch
     m_v, m_r = banks.intra_v.prototypes, banks.intra_r.prototypes
     m_sh, m_ic = banks.shared.prototypes, banks.intra_cross.prototypes
 
     if banks.mode is TrainingMode.V_BASED:
-        l_im_v = mean_ce(fv, m_v, tau, batch.intra_v)
-        l_im_r = (mean_ce(fr, m_r, tau, batch.intra_r)
-                  + mean_ce(fr, m_ic, tau, batch.cross_r))
-        l_cm = (mean_ce(fv, m_sh, tau, batch.intra_v)
-                + mean_ce(fr, m_sh, tau, batch.cross_r))
+        l_im_v = mean_ce(fv, m_v, tau, y["intra_v"])
+        l_im_r = (mean_ce(fr, m_r, tau, y["intra_r"])
+                  + mean_ce(fr, m_ic, tau, y["cross_r"]))
+        l_cm = (mean_ce(fv, m_sh, tau, y["intra_v"])
+                + mean_ce(fr, m_sh, tau, y["cross_r"]))
         sharp_bank = m_v
     else:
-        l_im_v = (mean_ce(fr, m_v, tau, batch.intra_v)
-                  + mean_ce(fv, m_ic, tau, batch.cross_v))
-        l_im_r = mean_ce(fr, m_r, tau, batch.intra_r)
-        l_cm = (mean_ce(fv, m_sh, tau, batch.cross_v)
-                + mean_ce(fr, m_sh, tau, batch.intra_r))
+        l_im_v = (mean_ce(fr, m_v, tau, y["intra_v"])
+                  + mean_ce(fv, m_ic, tau, y["cross_v"]))
+        l_im_r = mean_ce(fr, m_r, tau, y["intra_r"])
+        l_cm = (mean_ce(fv, m_sh, tau, y["cross_v"])
+                + mean_ce(fr, m_sh, tau, y["intra_r"]))
         sharp_bank = m_r
 
     def oclr_one(features):

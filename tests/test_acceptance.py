@@ -23,7 +23,7 @@ from xmod.baselines import associate_greedy_centroid, associate_otla_only
 from xmod.cli import main as cli_main
 from xmod.clustering import ClusterAssignment, MemoryBank, centroids, dbscan
 from xmod.core import NOISE, PipelineConfig, SoftLabelMatrix, XmodError
-from xmod.losses import Batch, ModeBanks, TrainingMode, loss_report, soft_cross_entropy
+from xmod.losses import ModeBanks, TrainingMode, loss_report, soft_cross_entropy
 from xmod.metrics import GroundTruth, MetricsReport, full_report, report_from_hard
 from xmod.synth import GapMode, SynthSpec, generate
 from xmod.transfer import (
@@ -373,17 +373,11 @@ def test_metrics_match_brute_force():
         k_v = int(rng.integers(2, 7))
         k_r = int(rng.integers(2, 7))
         gt = GroundTruth(rng.integers(0, 5, n_v), rng.integers(0, 5, n_r))
-        intra_v = noisy_labels(n_v, k_v)
-        cross_r = noisy_labels(n_r, k_v)
-        intra_r = noisy_labels(n_r, k_r)
-        cross_v = noisy_labels(n_v, k_r)
+        hard = {"intra_v": noisy_labels(n_v, k_v), "cross_r": noisy_labels(n_r, k_v),
+                "intra_r": noisy_labels(n_r, k_r), "cross_v": noisy_labels(n_v, k_r)}
         for include_self in (True, False):
-            got = report_from_hard(
-                intra_v, cross_r, intra_r, cross_v, gt, include_self
-            )
-            want = oracles.metrics_report_oracle(
-                intra_v, cross_r, intra_r, cross_v, gt, include_self
-            )
+            got = report_from_hard(hard, gt, include_self)
+            want = oracles.metrics_report_oracle(hard, gt, include_self)
             for name, expected in zip(MetricsReport.NAMES, want):
                 actual = getattr(got, name)
                 if actual is None or expected is None:
@@ -406,13 +400,11 @@ def test_losses_match_term_oracle():
     worst = 0.0
     for i in range(8):
         mode = TrainingMode.V_BASED if i % 2 == 0 else TrainingMode.R_BASED
-        batch = Batch(
-            features_v=random_unit_rows(rng, b, d),
-            features_r=random_unit_rows(rng, b, d),
-            intra_v=_soft_rows(rng, b, k_v),
-            intra_r=_soft_rows(rng, b, k_r),
-            cross_v=_soft_rows(rng, b, k_r),
-            cross_r=_soft_rows(rng, b, k_v),
+        batch = (
+            random_unit_rows(rng, b, d),
+            random_unit_rows(rng, b, d),
+            {"intra_v": _soft_rows(rng, b, k_v), "intra_r": _soft_rows(rng, b, k_r),
+             "cross_v": _soft_rows(rng, b, k_r), "cross_r": _soft_rows(rng, b, k_v)},
         )
         src_k = k_v if mode is TrainingMode.V_BASED else k_r
         banks = ModeBanks(

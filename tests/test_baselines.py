@@ -11,6 +11,7 @@ from xmod.synth import SynthSpec, generate
 from xmod.transfer import init_labels
 from xmod.transport import otla_init
 
+import oracles
 from conftest import random_unit_rows
 
 
@@ -84,23 +85,17 @@ class TestGreedyMatch:
 
     def test_matches_exhaustive_oracle(self, rng):
         for _ in range(10):
-            n_r = int(rng.integers(1, 7))
-            n_c = int(rng.integers(1, 7))
-            dist = rng.random((n_r, n_c))
+            dist = rng.random((int(rng.integers(1, 7)), int(rng.integers(1, 7))))
+            assert _greedy_match(dist).tolist() == oracles.greedy_match_tuples(dist)
 
-            triples = sorted(
-                (dist[i, j], i, j) for i in range(n_r) for j in range(n_c)
-            )
-            expect = [-1] * n_r
-            used = set()
-            for _, i, j in triples:
-                if expect[i] == -1 and j not in used:
-                    expect[i] = j
-                    used.add(j)
-            for i in range(n_r):
-                if expect[i] == -1:
-                    expect[i] = int(min(range(n_c), key=lambda j: dist[i, j]))
-            assert _greedy_match(dist).tolist() == expect
+    @pytest.mark.parametrize("kind", ["integer", "zero"])
+    def test_tied_distances_match_the_tuple_sort(self, rng, kind):
+        # ties are the case a sort key can get wrong: both break by (row, column)
+        for _ in range(60):
+            shape = tuple(int(v) for v in rng.integers(1, 12, size=2))
+            dist = (rng.integers(0, 3, size=shape).astype(float) if kind == "integer"
+                    else np.zeros(shape))
+            assert _greedy_match(dist).tolist() == oracles.greedy_match_tuples(dist)
 
 
 class TestGreedyCentroid:

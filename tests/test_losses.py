@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import re
 
@@ -11,7 +10,6 @@ from xmod.cli import main
 from xmod.clustering import MemoryBank, dbscan, memory_probabilities
 from xmod.fileio import write_features, write_labels
 from xmod.losses import (
-    Batch,
     LossReport,
     ModeBanks,
     TrainingMode,
@@ -38,20 +36,16 @@ def make_bank(rng, k, d):
 
 
 def random_batch(rng, b=8, d=6, kv=3, kr=4):
-    return Batch(
-        features_v=random_unit_rows(rng, b, d),
-        features_r=random_unit_rows(rng, b, d),
-        intra_v=random_soft(rng, b, kv),
-        intra_r=random_soft(rng, b, kr),
-        cross_v=random_soft(rng, b, kr),
-        cross_r=random_soft(rng, b, kv),
-    )
+    """A batch as pass_batches yields it: (visible rows, infrared rows, soft
+    label rows by name)."""
+    fv, fr = random_unit_rows(rng, b, d), random_unit_rows(rng, b, d)
+    return fv, fr, {"intra_v": random_soft(rng, b, kv), "intra_r": random_soft(rng, b, kr),
+                    "cross_v": random_soft(rng, b, kr), "cross_r": random_soft(rng, b, kv)}
 
 
 def uniform_batch(features_v, features_r, k):
-    """A batch whose four label fields are uniform over k clusters."""
-    u = np.full((features_v.shape[0], k), 1.0 / k)
-    return Batch(features_v, features_r, u, u, u, u)
+    """A batch whose four label matrices are uniform over k clusters."""
+    return features_v, features_r, dict.fromkeys(LABELS, np.full((features_v.shape[0], k), 1 / k))
 
 
 def banks_for(rng, mode, d=6, kv=3, kr=4):
@@ -118,14 +112,8 @@ class TestLossIm:
             shared=MemoryBank(np.eye(2)),
             intra_cross=MemoryBank(np.eye(2)),
         )
-        batch = Batch(
-            features_v=np.array([[1.0, 0.0]]),
-            features_r=np.array([[1.0, 0.0]]),
-            intra_v=np.array([[1.0, 0.0]]),
-            intra_r=np.array([[1.0, 0.0]]),
-            cross_v=np.array([[1.0, 0.0]]),
-            cross_r=np.array([[1.0, 0.0]]),
-        )
+        one = np.array([[1.0, 0.0]])
+        batch = (one, one, dict.fromkeys(LABELS, one))
         l_v = loss_report(batch, banks, tau=1.0, sharpen_divisor=5.0).l_im_v
         assert l_v == pytest.approx(0.31326, abs=1e-5)
 
@@ -134,15 +122,7 @@ class TestLossIm:
         proto = random_unit_rows(rng, 1, 5)
         bank = MemoryBank(np.tile(proto, (4, 1)))
         banks = ModeBanks(TrainingMode.V_BASED, bank, bank, bank, bank)
-        b = 3
-        batch = Batch(
-            features_v=random_unit_rows(rng, b, 5),
-            features_r=random_unit_rows(rng, b, 5),
-            intra_v=np.full((b, 4), 0.25),
-            intra_r=np.full((b, 4), 0.25),
-            cross_v=np.full((b, 4), 0.25),
-            cross_r=np.full((b, 4), 0.25),
-        )
+        batch = uniform_batch(random_unit_rows(rng, 3, 5), random_unit_rows(rng, 3, 5), 4)
         rep = loss_report(batch, banks, tau=0.05, sharpen_divisor=5.0)
         l_v, l_r = rep.l_im_v, rep.l_im_r
         assert l_v == pytest.approx(math.log(4.0), abs=1e-9)
@@ -150,39 +130,47 @@ class TestLossIm:
 
     def test_v_based_infrared_has_two_terms(self, rng):
         batch = random_batch(rng)
+        _, fr, y = batch
         banks = banks_for(rng, TrainingMode.V_BASED)
         l_r = loss_report(batch, banks, tau=0.05, sharpen_divisor=5.0).l_im_r
         expect = (
-            oracles.mean_ce(batch.features_r, banks.intra_r.prototypes, 0.05, batch.intra_r)
-            + oracles.mean_ce(batch.features_r, banks.intra_cross.prototypes, 0.05, batch.cross_r)
+            oracles.mean_ce(fr, banks.intra_r.prototypes, 0.05, y["intra_r"])
+            + oracles.mean_ce(fr, banks.intra_cross.prototypes, 0.05, y["cross_r"])
         )
         assert l_r == pytest.approx(expect, abs=1e-9)
 
     def test_r_based_visible_terms(self, rng):
         batch = random_batch(rng)
+        fv, fr, y = batch
         banks = banks_for(rng, TrainingMode.R_BASED)
         rep = loss_report(batch, banks, tau=0.05, sharpen_divisor=5.0)
         l_v, l_r = rep.l_im_v, rep.l_im_r
         expect_v = (
-            oracles.mean_ce(batch.features_r, banks.intra_v.prototypes, 0.05, batch.intra_v)
-            + oracles.mean_ce(batch.features_v, banks.intra_cross.prototypes, 0.05, batch.cross_v)
+            oracles.mean_ce(fr, banks.intra_v.prototypes, 0.05, y["intra_v"])
+            + oracles.mean_ce(fv, banks.intra_cross.prototypes, 0.05, y["cross_v"])
         )
-        expect_r = oracles.mean_ce(batch.features_r, banks.intra_r.prototypes, 0.05, batch.intra_r)
+        expect_r = oracles.mean_ce(fr, banks.intra_r.prototypes, 0.05, y["intra_r"])
         assert l_v == pytest.approx(expect_v, abs=1e-9)
         assert l_r == pytest.approx(expect_r, abs=1e-9)
 
     def test_wrong_label_space_raises(self, rng):
-        batch = random_batch(rng, kv=3, kr=4)
-        bad = Batch(
-            features_v=batch.features_v,
-            features_r=batch.features_r,
-            intra_v=random_soft(rng, 8, 5),  # five columns against a K=3 bank
-            intra_r=batch.intra_r,
-            cross_v=batch.cross_v,
-            cross_r=batch.cross_r,
-        )
+        fv, fr, y = random_batch(rng, kv=3, kr=4)
+        y["intra_v"] = random_soft(rng, 8, 5)  # five columns against a K=3 bank
         with pytest.raises(XmodError, match="^bank space 3 does not match label space 5$"):
-            loss_report(bad, banks_for(rng, TrainingMode.V_BASED), tau=0.05, sharpen_divisor=5.0)
+            loss_report((fv, fr, y), banks_for(rng, TrainingMode.V_BASED), tau=0.05,
+                        sharpen_divisor=5.0)
+
+    # each mode reads three of the four matrices
+    @pytest.mark.parametrize("mode,name", [
+        (TrainingMode.V_BASED, "intra_v"), (TrainingMode.V_BASED, "intra_r"),
+        (TrainingMode.V_BASED, "cross_r"), (TrainingMode.R_BASED, "intra_v"),
+        (TrainingMode.R_BASED, "intra_r"), (TrainingMode.R_BASED, "cross_v"),
+    ], ids=lambda x: getattr(x, "value", x))
+    def test_label_rows_past_their_features_are_refused(self, rng, mode, name):
+        fv, fr, y = random_batch(rng)
+        y[name] = np.vstack([y[name], y[name][:2]])
+        with pytest.raises(XmodError, match="^prediction and target shapes differ$"):
+            loss_report((fv, fr, y), banks_for(rng, mode), tau=0.05, sharpen_divisor=5.0)
 
 
 class TestLossCm:
@@ -190,28 +178,14 @@ class TestLossCm:
         protos = np.eye(3)
         bank = MemoryBank(protos)
         banks = ModeBanks(TrainingMode.V_BASED, bank, bank, bank, bank)
-        batch = Batch(
-            features_v=protos.copy(),
-            features_r=protos.copy(),
-            intra_v=np.eye(3),
-            intra_r=np.eye(3),
-            cross_v=np.eye(3),
-            cross_r=np.eye(3),
-        )
+        batch = (protos.copy(), protos.copy(), dict.fromkeys(LABELS, np.eye(3)))
         assert loss_report(batch, banks, tau=0.01, sharpen_divisor=5.0).l_cm < 1e-6
 
     def test_uniform_k3(self, rng):
         proto = random_unit_rows(rng, 1, 4)
         bank = MemoryBank(np.tile(proto, (3, 1)))
         banks = ModeBanks(TrainingMode.V_BASED, bank, bank, bank, bank)
-        batch = Batch(
-            features_v=random_unit_rows(rng, 2, 4),
-            features_r=random_unit_rows(rng, 2, 4),
-            intra_v=np.full((2, 3), 1 / 3),
-            intra_r=np.full((2, 3), 1 / 3),
-            cross_v=np.full((2, 3), 1 / 3),
-            cross_r=np.full((2, 3), 1 / 3),
-        )
+        batch = uniform_batch(random_unit_rows(rng, 2, 4), random_unit_rows(rng, 2, 4), 3)
         l_cm = loss_report(batch, banks, tau=0.05, sharpen_divisor=5.0).l_cm
         assert l_cm == pytest.approx(2.0 * math.log(3.0), abs=1e-9)
         assert l_cm == pytest.approx(2.19722, abs=1e-5)
@@ -219,15 +193,16 @@ class TestLossCm:
     def test_matches_oracle_both_modes(self, rng):
         for mode in TrainingMode:
             batch = random_batch(rng)
+            fv, fr, y = batch
             banks = banks_for(rng, mode)
             got = loss_report(batch, banks, tau=0.05, sharpen_divisor=5.0).l_cm
             sh = banks.shared.prototypes
             if mode is TrainingMode.V_BASED:
-                expect = (oracles.mean_ce(batch.features_v, sh, 0.05, batch.intra_v)
-                          + oracles.mean_ce(batch.features_r, sh, 0.05, batch.cross_r))
+                expect = (oracles.mean_ce(fv, sh, 0.05, y["intra_v"])
+                          + oracles.mean_ce(fr, sh, 0.05, y["cross_r"]))
             else:
-                expect = (oracles.mean_ce(batch.features_v, sh, 0.05, batch.cross_v)
-                          + oracles.mean_ce(batch.features_r, sh, 0.05, batch.intra_r))
+                expect = (oracles.mean_ce(fv, sh, 0.05, y["cross_v"])
+                          + oracles.mean_ce(fr, sh, 0.05, y["intra_r"]))
             assert got == pytest.approx(expect, abs=1e-9)
 
 
@@ -238,7 +213,7 @@ class TestLossOclr:
         batch = uniform_batch(random_unit_rows(rng, 4, 5), random_unit_rows(rng, 4, 5), 3)
         rep = loss_report(batch, banks, tau=0.05, sharpen_divisor=1.0)
         l_v, l_r = rep.l_oclr_v, rep.l_oclr_r
-        for feats, got in ((batch.features_v, l_v), (batch.features_r, l_r)):
+        for feats, got in ((batch[0], l_v), (batch[1], l_r)):
             pred = memory_probabilities(feats, bank, 0.05)
             entropy = float((-(pred * np.log(pred)).sum(axis=1)).mean())
             assert got == pytest.approx(2.0 * entropy, abs=1e-9)
@@ -247,9 +222,10 @@ class TestLossOclr:
         banks = banks_for(rng, TrainingMode.V_BASED, kv=3, kr=3)
         batch = uniform_batch(random_unit_rows(rng, 4, 6), random_unit_rows(rng, 4, 6), 3)
         l_v = loss_report(batch, banks, tau=0.05, sharpen_divisor=1e6).l_oclr_v
-        base = memory_probabilities(batch.features_v, banks.shared, 0.05)
-        t1 = np.argmax(memory_probabilities(batch.features_v, banks.intra_v, 0.05), axis=1)
-        t2 = np.argmax(memory_probabilities(batch.features_v, banks.intra_cross, 0.05), axis=1)
+        fv = batch[0]
+        base = memory_probabilities(fv, banks.shared, 0.05)
+        t1 = np.argmax(memory_probabilities(fv, banks.intra_v, 0.05), axis=1)
+        t2 = np.argmax(memory_probabilities(fv, banks.intra_cross, 0.05), axis=1)
         rows = np.arange(4)
         expect = float((-np.log(base[rows, t1]) - np.log(base[rows, t2])).mean())
         assert l_v == pytest.approx(expect, abs=1e-9)
@@ -354,7 +330,8 @@ def subset_batches(result, features_v, features_r, batch_size):
     r = (features_r.data[result.intra_r.indices],
          result.intra_r.labels.probs, result.cross_r.labels.probs)
     n = min(v[0].shape[0], r[0].shape[0])
-    return [Batch(v[0][sl], r[0][sl], v[1][sl], r[1][sl], v[2][sl], r[2][sl])
+    return [(v[0][sl], r[0][sl], {"intra_v": v[1][sl], "intra_r": r[1][sl],
+                                  "cross_v": v[2][sl], "cross_r": r[2][sl]})
             for sl in (slice(s, min(s + batch_size, n)) for s in range(0, n, batch_size))]
 
 
@@ -375,10 +352,11 @@ class TestPassBatches:
         got = list(pass_batches(fv, fr, labels, self.CFG.batch_size))
         want = subset_batches(result, fv, fr, self.CFG.batch_size)
         assert len(got) == len(want) > 1
-        for a, b in zip(got, want):
-            for f in dataclasses.fields(Batch):
-                x, y = getattr(a, f.name), getattr(b, f.name)
-                assert x.shape == y.shape and x.tobytes() == y.tobytes(), f.name
+        for (fv_a, fr_a, y_a), (fv_b, fr_b, y_b) in zip(got, want):
+            assert y_a.keys() == y_b.keys() == LABELS.keys()
+            pairs = [("features_v", fv_a, fv_b), ("features_r", fr_a, fr_b)]
+            for name, x, y in pairs + [(name, y_a[name], y_b[name]) for name in LABELS]:
+                assert x.shape == y.shape and x.tobytes() == y.tobytes(), name
 
     @pytest.mark.parametrize("epoch", [0, 1], ids=["v-based", "r-based"])
     def test_run_epoch_losses_are_the_subset_pass_mean_bitwise(self, epochs, epoch):

@@ -11,6 +11,13 @@ Far noise row: a unit row along the negated mean of one modality's rows lies
 beyond DBSCAN's eps of every other row, so it is noise, and every associator
 drops noise rows before it reads any feature. Every original row's labels
 must stay bitwise as they were.
+
+Row permutation: no stage reads a row's index, so permuting each modality's
+rows permutes the clusters, their ids and the labels with them. Pair metrics
+count pairs, so they stay bitwise equal. Hard labels stay equal up to one
+renumbering of each cluster space, shared by the two matrices that live in
+it (intra_v with cross_r, intra_r with cross_v), and soft labels whose
+columns follow that renumbering stay equal up to rounding.
 """
 import numpy as np
 import pytest
@@ -18,7 +25,7 @@ import pytest
 from xmod.baselines import associate_greedy_centroid, associate_otla_only
 from xmod.clustering import dbscan
 from xmod.core import NOISE, FeatureMatrix, Modality, PipelineConfig
-from xmod.metrics import GroundTruth
+from xmod.metrics import GroundTruth, full_report
 from xmod.pipeline import run_epoch
 from xmod.synth import GapMode, SynthSpec, generate
 from xmod.transfer import LABELS, mult_associate
@@ -55,6 +62,12 @@ def partition(hard: np.ndarray) -> list[int]:
     """Cluster ids renumbered by first appearance; NOISE stays as it is."""
     first: dict[int, int] = {}
     return [first.setdefault(h, len(first)) if h >= 0 else h for h in hard.tolist()]
+
+
+def first_seen(hard: np.ndarray) -> np.ndarray:
+    """The cluster ids of hard in order of first appearance, NOISE left out."""
+    ids, at = np.unique(hard[hard != NOISE], return_index=True)
+    return ids[np.argsort(at)]
 
 
 @pytest.mark.parametrize("seed", [7, 8, 9])
@@ -120,3 +133,41 @@ def test_a_far_noise_row_leaves_every_other_label_as_it_was(gap_mode, side, seed
                 hard, soft = hard[:n], soft[:n]
             assert np.array_equal(hard, want.hard(label)), (name, label)
             assert np.array_equal(soft, want.soft(label)), (name, label)
+
+
+# The two matrices of each cluster space: a side's intra labels and the
+# other side's cross labels.
+SPACES = (("intra_v", "cross_r"), ("intra_r", "cross_v"))
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("gap_mode", list(GapMode), ids=lambda g: g.value)
+def test_permuting_each_modalitys_rows_permutes_the_labels(gap_mode, seed):
+    fv, fr, gt = generate(SynthSpec(num_ids=10, per_id_v=10, per_id_r=12, dim=16,
+                                    modality_gap=0.3, gap_mode=gap_mode, seed=seed))
+    rng = np.random.default_rng(seed)
+    perm = {Modality.VISIBLE: rng.permutation(fv.n), Modality.INFRARED: rng.permutation(fr.n)}
+    pv, pr = (FeatureMatrix(f.data[perm[f.modality]], f.modality) for f in (fv, fr))
+    back = {m: np.argsort(p) for m, p in perm.items()}  # moved row of each plain row
+    truth = GroundTruth(gt.ids_v, gt.ids_r)
+    moved = GroundTruth(gt.ids_v[perm[Modality.VISIBLE]], gt.ids_r[perm[Modality.INFRARED]])
+    cfg = PipelineConfig(kappa=8)
+
+    def cluster(features):
+        return dbscan(features, cfg.dbscan_eps, cfg.dbscan_min_samples, kappa=cfg.kappa)
+
+    for name, associate in ASSOCIATORS.items():
+        want = associate(fv, fr, cluster(fv), cluster(fr), cfg)
+        got = associate(pv, pr, cluster(pv), cluster(pr), cfg)
+        assert full_report(got, moved) == full_report(want, truth), name
+        for space in SPACES:
+            moved_hard = np.concatenate([got.hard(label)[back[LABELS[label]]] for label in space])
+            plain_hard = np.concatenate([want.hard(label) for label in space])
+            assert partition(moved_hard) == partition(plain_hard), (name, space)
+            # the same renumbering orders the soft columns
+            cols, moved_cols = first_seen(plain_hard), first_seen(moved_hard)
+            assert cols.size == want.soft(space[0]).shape[1], (name, space)
+            for label in space:
+                moved_soft = got.soft(label)[back[LABELS[label]]][:, moved_cols]
+                assert np.abs(moved_soft - want.soft(label)[:, cols]).max() <= KEPT_TOL, (
+                    name, label)

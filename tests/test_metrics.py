@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from xmod.core import NOISE, PipelineConfig, XmodError
+from xmod.core import NOISE, Modality, PipelineConfig, XmodError
 from xmod.clustering import ClusterAssignment
 from xmod.metrics import (
     GroundTruth,
@@ -11,7 +11,7 @@ from xmod.metrics import (
     report_from_hard,
 )
 from xmod.synth import SynthSpec, generate
-from xmod.transfer import mult_associate
+from xmod.transfer import LABELS, mult_associate
 
 import oracles
 
@@ -119,8 +119,9 @@ class TestReportFromHard:
 
             intra_v, cross_v = labels(nv), labels(nv)
             intra_r, cross_r = labels(nr), labels(nr)
-            rep = report_from_hard(intra_v, cross_r, intra_r, cross_v, gt)
-            expect = oracles.metrics_report_oracle(intra_v, cross_r, intra_r, cross_v, gt)
+            hard = dict(intra_v=intra_v, cross_r=cross_r, intra_r=intra_r, cross_v=cross_v)
+            rep = report_from_hard(hard, gt)
+            expect = oracles.metrics_report_oracle(hard, gt)
             for got_val, exp_val, name in zip(
                 (getattr(rep, n) for n in MetricsReport.NAMES), expect, MetricsReport.NAMES
             ):
@@ -130,9 +131,9 @@ class TestReportFromHard:
         nv = nr = 10
         gt = GroundTruth(rng.integers(0, 3, nv), rng.integers(0, 3, nr))
         mk = lambda n: rng.integers(0, 3, size=n).astype(np.int64)
-        args = (mk(nv), mk(nr), mk(nr), mk(nv))
-        rep = report_from_hard(*args, gt, include_self=False)
-        expect = oracles.metrics_report_oracle(*args, gt, include_self=False)
+        hard = dict(intra_v=mk(nv), cross_r=mk(nr), intra_r=mk(nr), cross_v=mk(nv))
+        rep = report_from_hard(hard, gt, include_self=False)
+        expect = oracles.metrics_report_oracle(hard, gt, include_self=False)
         assert tuple(rep.to_dict().values()) == expect
 
     def test_random_labels_score_near_chance(self, rng):
@@ -142,20 +143,34 @@ class TestReportFromHard:
         vals = []
         for _ in range(20):
             mk = lambda: rng.integers(0, k, size=gt_ids.size).astype(np.int64)
-            rep = report_from_hard(mk(), mk(), mk(), mk(), gt)
+            rep = report_from_hard({name: mk() for name in LABELS}, gt)
             vals.append(rep.cross_acc_v)
         assert abs(float(np.mean(vals)) - 1.0 / k) < 0.1
 
     def test_single_identity_single_cluster(self):
         gt = GroundTruth(ids(5, 5, 5), ids(5, 5))
         zeros_v, zeros_r = ids(0, 0, 0), ids(0, 0)
-        rep = report_from_hard(zeros_v, zeros_r, zeros_r, zeros_v, gt)
+        rep = report_from_hard(
+            dict(intra_v=zeros_v, cross_r=zeros_r, intra_r=zeros_r, cross_v=zeros_v), gt)
         assert all(v == 1.0 for v in rep.to_dict().values())
+
+    def test_the_table_is_read_by_name_not_by_order(self, rng):
+        nv, nr = 12, 9
+        gt = GroundTruth(rng.integers(0, 3, nv), rng.integers(0, 3, nr))
+        hard = {name: rng.integers(-1, 3, size=nv if m is Modality.VISIBLE else nr)
+                for name, m in LABELS.items()}
+        reversed_table = dict(reversed(list(hard.items())))
+        assert list(reversed_table) == list(reversed(LABELS))
+        for include_self in (True, False):
+            want = report_from_hard(hard, gt, include_self)
+            assert report_from_hard(reversed_table, gt, include_self) == want
+            assert tuple(want.to_dict().values()) == oracles.metrics_report_oracle(
+                hard, gt, include_self)
 
     def test_length_mismatch_raises(self):
         gt = GroundTruth(ids(0, 1), ids(0, 1))
         with pytest.raises(XmodError, match="^per-modality label vectors must have equal length$"):
-            report_from_hard(ids(0, 1), ids(0, 1), ids(0, 1), ids(0, 1, 2), gt)
+            report_from_hard(dict.fromkeys(LABELS, ids(0, 1)) | {"cross_v": ids(0, 1, 2)}, gt)
 
 
 class TestFullReport:
@@ -192,5 +207,5 @@ class TestFullReport:
 
     def test_report_dict_order(self):
         gt = GroundTruth(ids(0), ids(0))
-        rep = report_from_hard(ids(0), ids(0), ids(0), ids(0), gt)
+        rep = report_from_hard(dict.fromkeys(LABELS, ids(0)), gt)
         assert tuple(rep.to_dict().keys()) == MetricsReport.NAMES
