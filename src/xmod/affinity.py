@@ -15,6 +15,10 @@ from .core import feature_data, pairwise_sq_dists
 # stays small however many rows there are.
 _KNN_BLOCK_ROWS = 128
 
+# Row panels of the Jaccard overlap product: few enough that each SGEMM stays
+# large, enough that the one float32 panel is 1/8 of the float64 output.
+_JACCARD_PANELS = 4
+
 
 def k_reciprocal_sets(features, kappa: int) -> np.ndarray:
     """Mutual k-reciprocal neighbor sets as a symmetric N x N boolean mask:
@@ -56,19 +60,32 @@ def jaccard_affinity(mask: np.ndarray) -> np.ndarray:
     """S_ij = |R(i) n R(j)| / |R(i) u R(j)| for the sets in the rows of a
     boolean mask. Symmetric with unit diagonal for a k-reciprocal mask.
 
-    The overlap counts come from the mask's 0/1 float product, whose sums of
-    ones are exact integers; the union is formed in the membership array's
-    place and the quotient in the product's. (A float32 product is faster
-    from 600 rows up, but its BLAS packing buffers add about 0.5 MiB of
-    resident memory, which a 400-row epoch never gets back.)
+    The overlap counts come from the mask's 0/1 float32 product, whose sums
+    of ones are exact integers below 2**24. The product is taken in
+    _JACCARD_PANELS row panels, each a float32 SGEMM of the mask's rows
+    against one C-contiguous float32 transpose of the mask (the rows are a
+    view of that transpose), into one reused panel buffer. Each panel's
+    counts go straight into the float64 output; the union is then formed in
+    the panel, where it is an exact integer too, and the quotient in the
+    output. So no float64 membership copy or second N x N float64 array is
+    made: the float32 transpose and one panel are all the storage beside
+    the output.
     """
-    sizes = np.count_nonzero(mask, axis=1).astype(np.float64)
-    member = mask.astype(np.float64)
-    inter = member @ member.T
-    union = np.add(sizes[:, None], sizes[None, :], out=member)
-    union -= inter
-    inter /= union
-    return inter
+    mask = np.asarray(mask, dtype=bool)
+    n = mask.shape[0]
+    sizes = np.count_nonzero(mask, axis=1).astype(np.float32)
+    member_t = np.ascontiguousarray(mask.T, dtype=np.float32)
+    out = np.empty((n, n), dtype=np.float64)
+    rows = max(1, -(-n // _JACCARD_PANELS))
+    buffer = np.empty((min(rows, n), n), dtype=np.float32)
+    for lo in range(0, n, rows):
+        left = member_t[:, lo:lo + rows].T
+        panel = np.matmul(left, member_t, out=buffer[:left.shape[0]])
+        out[lo:lo + rows] = panel
+        np.subtract(sizes[lo:lo + rows, None], panel, out=panel)
+        panel += sizes
+        out[lo:lo + rows] /= panel
+    return out
 
 
 def row_normalize(values: np.ndarray) -> np.ndarray:

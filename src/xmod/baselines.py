@@ -51,11 +51,13 @@ def _greedy_match(dist: np.ndarray) -> np.ndarray:
 
     Pairs are taken in ascending (distance, row, column) order without
     replacement while unmatched columns remain; leftover rows then take their
-    nearest column with replacement.
+    nearest column with replacement. The walk stops once min(rows, columns)
+    pairs are matched: every later pair has a matched row or a used column.
     """
     n_rows, n_cols = dist.shape
     match = np.full(n_rows, -1, dtype=np.int64)
     used_cols = np.zeros(n_cols, dtype=bool)
+    left = min(n_rows, n_cols)
     # A stable sort of the row-major flat array breaks ties by (row, column).
     for flat in np.argsort(dist, axis=None, kind="stable").tolist():
         i, j = divmod(flat, n_cols)
@@ -63,6 +65,9 @@ def _greedy_match(dist: np.ndarray) -> np.ndarray:
             continue
         match[i] = j
         used_cols[j] = True
+        left -= 1
+        if not left:
+            break
     for i in np.flatnonzero(match < 0):
         match[i] = int(np.argmin(dist[i]))
     return match

@@ -103,9 +103,10 @@ def dbscan(
     claimed it. ``kappa`` only matters for the Jaccard distance, which is
     computed from k-reciprocal sets.
     """
-    dist = _pairwise_distance(features, metric, kappa)
-    n = dist.shape[0]
-    near = dist <= eps
+    # The distances are dropped once the ε-mask exists: one N×N float64
+    # array is alive at a time.
+    near = _pairwise_distance(features, metric, kappa) <= eps
+    n = near.shape[0]
     core = np.count_nonzero(near, axis=1) >= min_samples
     labels = np.full(n, NOISE, dtype=np.int64)
     cid = 0

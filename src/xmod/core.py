@@ -65,18 +65,29 @@ def l2_normalize_rows(m) -> np.ndarray:
     return m / norms[:, None]
 
 
+# float64 entries in one row block of the outer norm sum (256 KiB)
+_DIST_BLOCK = 1 << 15
+
+
 def pairwise_sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Squared Euclidean distances between rows of ``a`` and rows of ``b``."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1]:
         raise XmodError(f"incompatible shapes {a.shape} and {b.shape}")
-    # (|a|² + |b|²) − 2·(a·bᵀ), with the sum and the product in their own
-    # arrays and every later operation in place.
-    sq = np.add.outer((a * a).sum(axis=1), (b * b).sum(axis=1))
-    prod = a @ b.T
-    prod *= 2.0
-    sq -= prod
+    # (|a|² + |b|²) − 2·(a·bᵀ) in the product's own array: a row block of
+    # the outer norm sum at a time is the only other N×M storage, and each
+    # entry rounds exactly as when the whole sum is formed first.
+    norm_a, norm_b = (a * a).sum(axis=1), (b * b).sum(axis=1)
+    sq = a @ b.T
+    rows = max(1, _DIST_BLOCK // max(1, sq.shape[1]))
+    outer = np.empty((min(rows, sq.shape[0]), sq.shape[1]))
+    for lo in range(0, sq.shape[0], rows):
+        part = sq[lo:lo + rows]
+        total = outer[:part.shape[0]]
+        np.add.outer(norm_a[lo:lo + rows], norm_b, out=total)
+        part *= 2.0
+        np.subtract(total, part, out=part)
     # Gram-trick rounding can leave tiny negatives on near-duplicate rows.
     np.maximum(sq, 0.0, out=sq)
     return sq

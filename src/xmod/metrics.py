@@ -50,25 +50,49 @@ class MetricsReport:
 MetricsReport.NAMES = tuple(f.name for f in fields(MetricsReport))
 
 
+def _codes(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """Dense codes of the values of a and of b over their union, and the
+    number of codes."""
+    values, inverse = np.unique(np.concatenate([a, b]), return_inverse=True)
+    return inverse[:a.size], inverse[a.size:], values.size
+
+
+def _equal_pairs(a: np.ndarray, b: np.ndarray) -> int:
+    """The number of pairs (i, j) with a_i == b_j, from per-value counts."""
+    code_a, code_b, n = _codes(a, b)
+    return int(np.bincount(code_a, minlength=n) @ np.bincount(code_b, minlength=n))
+
+
 def pair_accuracy_recall(pred_a, pred_b, gt_a, gt_b, include_self: bool):
-    """(accuracy, recall) from one count of the pairs: the fraction of
-    same-identity pairs that received the same label, and the fraction of
-    same-label pairs that are truly the same identity."""
+    """(accuracy, recall): the fraction of same-identity pairs that received
+    the same label, and the fraction of same-label pairs that are truly the
+    same identity.
+
+    Each pair count is a sum over values of the product of the two sides'
+    counts of that value: a hit is a pair that agrees on the joint (label,
+    identity) code. So no pair array is formed, and the integers are exact.
+    """
     pa = np.asarray(pred_a, dtype=np.int64)
     pb = np.asarray(pred_b, dtype=np.int64)
     ga = np.asarray(gt_a, dtype=np.int64)
     gb = np.asarray(gt_b, dtype=np.int64)
     if pa.shape != ga.shape or pb.shape != gb.shape:
         raise XmodError("prediction and ground-truth lengths differ")
-    pred_match = (pa[:, None] == pb[None, :]) & (pa[:, None] != NOISE) & (pb[None, :] != NOISE)
-    gt_match = ga[:, None] == gb[None, :]
+    if not include_self and pa.shape != pb.shape:
+        raise XmodError("self pairs only exist between equal-length sides")
+    keep_a, keep_b = pa != NOISE, pb != NOISE
+    label_a, label_b, _ = _codes(pa, pb)
+    id_a, id_b, n_ids = _codes(ga, gb)
+    joint_a, joint_b = label_a * n_ids + id_a, label_b * n_ids + id_b
+    hits = _equal_pairs(joint_a[keep_a], joint_b[keep_b])
+    gt_pairs = _equal_pairs(ga, gb)
+    pred_pairs = _equal_pairs(pa[keep_a], pb[keep_b])
     if not include_self:
-        if pa.shape != pb.shape:
-            raise XmodError("self pairs only exist between equal-length sides")
-        np.fill_diagonal(pred_match, False)
-        np.fill_diagonal(gt_match, False)
-    hits = int((pred_match & gt_match).sum())
-    gt_pairs, pred_pairs = int(gt_match.sum()), int(pred_match.sum())
+        same_label = (pa == pb) & keep_a
+        same_id = ga == gb
+        hits -= int(np.count_nonzero(same_label & same_id))
+        gt_pairs -= int(np.count_nonzero(same_id))
+        pred_pairs -= int(np.count_nonzero(same_label))
     return (hits / gt_pairs if gt_pairs else None), (hits / pred_pairs if pred_pairs else None)
 
 

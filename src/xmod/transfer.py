@@ -362,10 +362,11 @@ def mult_associate(
     1. every requested direction's initial labels (N×K arrays, made before
        any N×N array exists);
     2. the plan, row-normalized both ways into he_vr and he_rv;
-    3. one modality at a time, its graph ho, its composite ½(ho + I)·he and
-       the anchors α·½(ho + I)·init of the initial labels on that modality
-       (V2R's intra and R2V's cross on the visible side); ho is then
-       dropped, unless the trace energies need it.
+    3. one modality at a time, its graph ho, the anchors α·½(ho + I)·init
+       of the initial labels on that modality (V2R's intra and R2V's cross
+       on the visible side), then its composite ½(ho + I)·he. Unless the
+       trace energies need ho, it is rounded to float32 and the float64
+       graph dropped before the composite is built.
 
     The loops then hold the two plan factors and the two composites, all
     float32, and the N×K labels. The factors stay referenced by
@@ -384,12 +385,15 @@ def mult_associate(
     def smooth(side: ClusteredSide, he: np.ndarray):
         # The side's composite, and the anchor of every start label on it.
         ho = homogeneous_affinity(side.rows, cfg.kappa)
-        composite = smoothed_transport(ho, he)
         for v2r, start in starts.items():
             is_src = (side is v) == v2r  # the side is this direction's source
             init = start.intra0 if is_src else start.cross0
             anchors[v2r][0 if is_src else 1] = smoothed_anchor(ho, init, cfg.alpha)
-        return (ho if collect_trace else None), composite
+        if not collect_trace:
+            # The composite reads ho rounded to float32 only, so the float64
+            # graph goes before the SGEMM's output is allocated.
+            ho = ho.astype(np.float32)
+        return (ho if collect_trace else None), smoothed_transport(ho, he)
 
     ho_v, a_vr = smooth(v, he_vr)
     ho_r, a_rv = smooth(r, he_rv)

@@ -3,6 +3,8 @@ from __future__ import annotations
 
 import xmod  # noqa: F401  (applies XMOD_THREADS before numpy loads BLAS)
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -38,6 +40,18 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 @pytest.fixture
 def rng():
     return np.random.default_rng(0)
+
+
+def alloc_peak(fn, *args) -> int:
+    """Peak bytes that fn(*args) holds at once beyond what was allocated when
+    it was called, by tracemalloc; the result is dropped before returning."""
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] - entry
+    finally:
+        tracemalloc.stop()
 
 
 def random_unit_rows(rng, n: int, d: int) -> np.ndarray:

@@ -97,6 +97,17 @@ class TestGreedyMatch:
                     else np.zeros(shape))
             assert _greedy_match(dist).tolist() == oracles.greedy_match_tuples(dist)
 
+    @pytest.mark.parametrize("shape", [(1, 30), (30, 1), (25, 4), (4, 25), (40, 40)])
+    @pytest.mark.parametrize("kind", ["random", "tied"])
+    def test_rectangular_and_tied_match_the_tuple_sort(self, rng, shape, kind):
+        # the walk stops at the min(rows, columns)-th match; every pair after
+        # it would have been skipped, and leftover rows still take their
+        # nearest column
+        for _ in range(5):
+            dist = (rng.random(shape) if kind == "random"
+                    else rng.integers(0, 2, size=shape).astype(float))
+            assert _greedy_match(dist).tolist() == oracles.greedy_match_tuples(dist)
+
 
 class TestGreedyCentroid:
     def test_zero_gap_perfect(self):

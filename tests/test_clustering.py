@@ -14,7 +14,7 @@ from xmod.clustering import (
 )
 from xmod.synth import SynthSpec, generate
 
-from conftest import random_unit_rows, with_duplicates
+from conftest import alloc_peak, random_unit_rows, with_duplicates
 from oracles import dbscan_queue
 
 
@@ -107,6 +107,16 @@ class TestDbscan:
             # clusters coincide with identities up to relabeling
             for c in range(assign.k):
                 assert len(set(ids[assign.members(c)])) == 1
+
+    def test_holds_one_distance_matrix(self):
+        # 600 rows, in 8-byte units: measured 1.14 N², the float64 distances
+        # and the boolean ε-mask beside them while it is formed. A distance
+        # build that formed the norm sum and the product whole took it to 2.0.
+        fv, _, _ = generate(SynthSpec(num_ids=30, per_id_v=20, per_id_r=20, dim=32,
+                                      blob_std=0.03, seed=2))
+        n = fv.n
+        assert n == 600
+        assert alloc_peak(dbscan, fv, 0.6, 4) <= 1.2 * n * n * 8
 
 
 def chains(rng) -> np.ndarray:

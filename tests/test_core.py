@@ -27,6 +27,7 @@ from xmod.synth import SynthSpec, generate
 from xmod.transfer import mult_associate
 from xmod.transport import TransportProblem, heterogeneous_plan, otla_init
 
+from conftest import alloc_peak
 from oracles import pairwise_sq_dists_broadcast
 
 
@@ -145,6 +146,26 @@ class TestPairwiseSqDists:
         b = rng.standard_normal((m, d))
         for x, y in ((a, b), (a, a)):
             assert np.array_equal(pairwise_sq_dists(x, y), pairwise_sq_dists_broadcast(x, y))
+
+    # One row block holds 1 << 15 entries: (40000, 1) and (1, 40000) span
+    # more than one block of rows or of columns, (250, 300) and (130, 257)
+    # end on a short block, and (20, 30) fits in one.
+    @pytest.mark.parametrize("n, m", [(1, 7), (1, 40000), (7, 1), (40000, 1), (250, 300),
+                                      (130, 257), (20, 30)])
+    def test_row_blocks_match_the_two_array_formula_bitwise(self, rng, n, m):
+        a = rng.standard_normal((n, 3))
+        b = rng.standard_normal((m, 3))
+        assert np.array_equal(pairwise_sq_dists(a, b), pairwise_sq_dists_broadcast(a, b))
+        if n == m:
+            assert np.array_equal(pairwise_sq_dists(a, a), pairwise_sq_dists_broadcast(a, a))
+
+    def test_holds_one_array_of_the_output_size(self, rng):
+        # measured 1.06 N·M at 1000 x 800: the output, one row block of the
+        # outer norm sum and numpy's broadcast buffers; forming the sum and
+        # the product whole took 2.0
+        a = rng.standard_normal((1000, 32))
+        b = rng.standard_normal((800, 32))
+        assert alloc_peak(pairwise_sq_dists, a, b) <= 1.2 * 1000 * 800 * 8
 
 
 class TestPipelineConfig:

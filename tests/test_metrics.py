@@ -76,6 +76,35 @@ class TestPairAccuracy:
         )
 
 
+class TestPairCountsMatchTheDoubleLoop:
+    """The per-code counts give the quadratic oracle's exact fractions."""
+
+    @pytest.mark.parametrize("include_self", [True, False], ids=["self", "no-self"])
+    def test_random_labels_with_noise(self, rng, include_self):
+        for _ in range(20):
+            na = int(rng.integers(1, 25))
+            nb = na if not include_self else int(rng.integers(1, 25))
+            pa, pb = rng.integers(-1, 4, size=na), rng.integers(-1, 4, size=nb)
+            ga, gb = rng.integers(0, 3, size=na), rng.integers(0, 3, size=nb)
+            got = pair_accuracy_recall(pa, pb, ga, gb, include_self)
+            assert got == (oracles.pair_accuracy(pa, pb, ga, gb, include_self),
+                           oracles.pair_recall(pa, pb, ga, gb, include_self))
+
+    def test_extreme_ids_and_labels(self):
+        # codes, not the values themselves, form the joint (label, id) key
+        big = np.iinfo(np.int64).max
+        pa, pb = ids(big, 0, big, NOISE), ids(big, big, 5, 0)
+        ga, gb = ids(-big, 2, -big, 2), ids(-big, -big, 2, 2)
+        for include_self in (True, False):
+            assert pair_accuracy_recall(pa, pb, ga, gb, include_self) == (
+                oracles.pair_accuracy(pa, pb, ga, gb, include_self),
+                oracles.pair_recall(pa, pb, ga, gb, include_self))
+
+    def test_no_self_needs_equal_lengths(self):
+        with pytest.raises(XmodError, match="^self pairs only exist between equal-length sides$"):
+            pair_accuracy_recall(ids(0, 1), ids(0), ids(0, 1), ids(0), include_self=False)
+
+
 class TestPairRecall:
     def test_one_cluster_two_ids(self):
         gt = ids(0, 0, 1, 1)
