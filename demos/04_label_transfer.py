@@ -8,9 +8,9 @@ the disagreement energy disappears in the first few iterations; late steps may
 wobble by a hair while individual labels settle, but the final energy never
 exceeds the initial one. The loop stops once an update moves the entries by
 no more than epsilon0 in total, as it does here after 32 iterations at
-epsilon0 = 1e-6, or at the iteration cap. The run is the V2R direction of
-mult_associate with its trace collected, over the true identities as both
-sides' clusters.
+epsilon0 = 1e-6, or at the iteration cap. The demo reads the V2R half of a
+traced mult_associate run, which transfers labels both ways over the true
+identities as both sides' clusters.
 """
 
 import numpy as np
@@ -19,7 +19,7 @@ from xmod.baselines import associate_otla_only
 from xmod.clustering import ClusterAssignment
 from xmod.core import PipelineConfig
 from xmod.synth import GapMode, SynthSpec, generate
-from xmod.transfer import Direction, mult_associate
+from xmod.transfer import mult_associate
 
 
 def main() -> None:
@@ -29,12 +29,12 @@ def main() -> None:
     cfg = PipelineConfig(kappa=6, ot_lambda=20.0, epsilon0=1e-6, max_transfer_iters=10_000)
     av, ar = ClusterAssignment(gt.ids_v, 5), ClusterAssignment(gt.ids_r, 5)
 
-    result = mult_associate(fv, fr, av, ar, cfg, Direction.V2R, collect_trace=True)
+    result = mult_associate(fv, fr, av, ar, cfg, collect_trace=True)
     trace = result.traces["v2r"]
     energies = [entry["weighted_total"] for entry in trace]
     steps = trace[1:]
     # the cross labels the transfer starts from
-    start = associate_otla_only(fv, fr, av, ar, cfg, Direction.V2R)
+    start = associate_otla_only(fv, fr, av, ar, cfg)
     init_acc = (start.hard("cross_r") == gt.ids_r).mean()
     final_acc = (result.hard("cross_r") == gt.ids_r).mean()
 

@@ -42,7 +42,8 @@ def k_reciprocal_sets(features, kappa: int) -> np.ndarray:
     member = np.empty((n, n), dtype=bool)
     for lo in range(0, n, _KNN_BLOCK_ROWS):
         block = d[lo:lo + _KNN_BLOCK_ROWS]
-        kth = np.partition(block, k - 1, axis=1)[:, k - 1:k]
+        # A copy, not a view: a view keeps the block's whole partition alive.
+        kth = np.partition(block, k - 1, axis=1)[:, k - 1:k].copy()
         near = member[lo:lo + _KNN_BLOCK_ROWS]
         np.less_equal(block, kth, out=near)
         tied = np.flatnonzero(np.count_nonzero(near, axis=1) > k)

@@ -15,7 +15,6 @@ from .transport import otla_init
 from .transfer import (
     AssociationResult,
     ClusteredSide,
-    Direction,
     associate_directions,
     clustered_side,
 )
@@ -31,7 +30,6 @@ def associate_otla_only(
     assign_v: ClusterAssignment,
     assign_r: ClusterAssignment,
     cfg: PipelineConfig,
-    direction: Direction = Direction.BOTH,
 ) -> AssociationResult:
     """No transfer: intra labels are the one-hot cluster ids, cross labels are
     the balanced transport assignment onto the source prototypes (the exact
@@ -43,7 +41,7 @@ def associate_otla_only(
 
     v = clustered_side(features_v, assign_v)
     r = clustered_side(features_r, assign_r)
-    return associate_directions(v, r, direction, one_way)
+    return associate_directions(v, r, one_way)
 
 
 def _greedy_match(dist: np.ndarray) -> np.ndarray:
@@ -79,7 +77,6 @@ def associate_greedy_centroid(
     assign_v: ClusterAssignment,
     assign_r: ClusterAssignment,
     cfg: PipelineConfig,
-    direction: Direction = Direction.BOTH,
 ) -> AssociationResult:
     """Cluster-level greedy matching on centroid distances: every target
     instance inherits the source cluster its own cluster was matched to."""
@@ -95,4 +92,4 @@ def associate_greedy_centroid(
         cross = SoftLabelMatrix.one_hot(match[tgt.assign.labels], bank_src.k)
         return _one_hot_intra(src), cross
 
-    return associate_directions(v, r, direction, one_way)
+    return associate_directions(v, r, one_way)

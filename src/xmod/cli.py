@@ -40,9 +40,12 @@ from .losses import ModeBanks, TrainingMode, loss_report, mean_reports, pass_bat
 from .metrics import GroundTruth, report_from_hard
 from .pipeline import discover_snapshots, run_trace
 from .synth import GapMode, SynthSpec, generate
-from .transfer import LABELS, Direction, mult_associate
+from .transfer import LABELS, mult_associate
 
 _METRICS = {"euclidean": DistanceMetric.EUCLIDEAN, "jaccard": DistanceMetric.JACCARD_DISTANCE}
+
+# The label files each --direction writes, keyed as its trace files are named.
+_DIRECTIONS = {"v2r": ("intra_v", "cross_r"), "r2v": ("intra_r", "cross_v")}
 
 
 def _load_config(args) -> PipelineConfig:
@@ -77,14 +80,6 @@ def _cmd_cluster(args) -> int:
     return 0
 
 
-def _write_association(out_dir, result) -> None:
-    os.makedirs(out_dir, exist_ok=True)
-    for name in LABELS:
-        hard = result.hard(name)
-        if hard is not None:
-            write_labels(os.path.join(out_dir, f"{name}.csv"), hard, result.soft(name))
-
-
 def _cmd_associate(args) -> int:
     if args.trace and args.method != "mult":
         print(f"error: --trace is for --method mult only, not {args.method}", file=sys.stderr)
@@ -94,19 +89,20 @@ def _cmd_associate(args) -> int:
     fr = read_features(args.features_r, Modality.INFRARED)
     assign_v = dbscan(fv, cfg.dbscan_eps, cfg.dbscan_min_samples, kappa=cfg.kappa)
     assign_r = dbscan(fr, cfg.dbscan_eps, cfg.dbscan_min_samples, kappa=cfg.kappa)
-    direction = Direction(args.direction)
     if args.method == "mult":
-        result = mult_associate(
-            fv, fr, assign_v, assign_r, cfg, direction, collect_trace=bool(args.trace)
-        )
+        result = mult_associate(fv, fr, assign_v, assign_r, cfg, collect_trace=bool(args.trace))
     elif args.method == "otla":
-        result = associate_otla_only(fv, fr, assign_v, assign_r, cfg, direction)
+        result = associate_otla_only(fv, fr, assign_v, assign_r, cfg)
     else:
-        result = associate_greedy_centroid(fv, fr, assign_v, assign_r, cfg, direction)
-    _write_association(args.out, result)
+        result = associate_greedy_centroid(fv, fr, assign_v, assign_r, cfg)
+    tags = list(_DIRECTIONS) if args.direction == "both" else [args.direction]
+    os.makedirs(args.out, exist_ok=True)
+    for name in (name for tag in tags for name in _DIRECTIONS[tag]):
+        write_labels(os.path.join(args.out, f"{name}.csv"), result.hard(name), result.soft(name))
     if args.trace:
         os.makedirs(args.trace, exist_ok=True)
-        for tag, entries in result.traces.items():
+        for tag in tags:
+            entries = result.traces[tag]
             # A longer earlier run of this direction must not leave its later steps.
             stale = re.compile(rf"{tag}_t\d{{3,}}\.json")
             for name in os.listdir(args.trace):
@@ -209,7 +205,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--features-v", required=True)
     p.add_argument("--features-r", required=True)
     p.add_argument("--method", choices=["mult", "otla", "greedy"], default="mult")
-    p.add_argument("--direction", choices=[d.value for d in Direction], default="both")
+    p.add_argument("--direction", choices=[*_DIRECTIONS, "both"], default="both",
+                   help="which direction's label files (and --trace files) to write; "
+                   "both directions are always computed, since they share the plan, "
+                   "the graphs and the composites")
     p.add_argument("--config")
     p.add_argument("--trace", help="directory for per-iteration disagreement JSONs "
                    "(--method mult only)")

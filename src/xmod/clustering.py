@@ -7,6 +7,7 @@ from enum import Enum
 import numpy as np
 
 from .core import (
+    MIN_TEMPERATURE,
     NOISE,
     XmodError,
     feature_data,
@@ -144,13 +145,13 @@ def centroids(features, assign: ClusterAssignment) -> MemoryBank:
 
 
 def memory_probabilities(features, bank: MemoryBank, tau: float) -> np.ndarray:
-    """Softmax over prototype similarities at temperature ``tau`` > 0: row i
-    is P(f_i | bank, tau).
+    """Softmax over prototype similarities at temperature ``tau`` >=
+    MIN_TEMPERATURE: row i is P(f_i | bank, tau).
 
     Computed with max subtraction so extreme temperatures stay finite.
     """
-    if not tau > 0.0:
-        raise ValueError(f"tau must be positive, got {tau!r}")
+    if not tau >= MIN_TEMPERATURE:
+        raise ValueError(f"tau must be at least {MIN_TEMPERATURE!r}, got {tau!r}")
     data = feature_data(features)
     if data.shape[1] != bank.dim:
         raise XmodError("feature dim does not match bank dim")

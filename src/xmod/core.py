@@ -25,6 +25,10 @@ _ZERO_NORM = 1e-12
 # Tolerance for "already normalized" checks on ingestion.
 _UNIT_TOL = 1e-6
 
+# The smallest softmax temperature: unit-row similarities lie in [-1, 1], so
+# at a normal temperature every logit is finite; at a subnormal one they overflow.
+MIN_TEMPERATURE = float(np.finfo(np.float64).tiny)
+
 
 class Modality(Enum):
     VISIBLE = "visible"
@@ -182,8 +186,6 @@ class PipelineConfig:
                 kind = "a finite number"
             if isinstance(value, bool) or not ok:
                 raise ValueError(f"{f.name} must be {kind}, got {value!r}")
-        if not (0.0 < self.tau):
-            raise ValueError("tau must be positive")
         if self.kappa < 1:
             raise ValueError("kappa must be >= 1")
         if self.ot_lambda <= 0.0:
@@ -198,6 +200,10 @@ class PipelineConfig:
             raise ValueError("bad transfer loop parameters")
         if self.sharpen_divisor <= 0.0:
             raise ValueError("sharpen_divisor must be positive")
+        sharp = self.tau / self.sharpen_divisor
+        for name, t in (("tau", self.tau), ("tau / sharpen_divisor", sharp)):
+            if t < MIN_TEMPERATURE:
+                raise ValueError(f"{name} must be at least {MIN_TEMPERATURE!r}, got {t!r}")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
 

@@ -120,10 +120,6 @@ def report_from_hard(hard: dict, gt: GroundTruth, include_self: bool = True) -> 
 
 def full_report(result: AssociationResult, gt: GroundTruth) -> MetricsReport:
     """Harden all four association outputs and score them against identities."""
-    hard = {name: result.hard(name) for name in LABELS}
-    for name, labels in hard.items():
-        if labels is None:
-            raise XmodError(f"full_report needs both directions; {name} missing")
     if gt.ids_v.shape[0] != result.n_visible or gt.ids_r.shape[0] != result.n_infrared:
         raise XmodError("ground-truth sizes do not match the association")
-    return report_from_hard(hard, gt)
+    return report_from_hard({name: result.hard(name) for name in LABELS}, gt)

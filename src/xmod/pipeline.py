@@ -18,7 +18,7 @@ from .losses import (
     LossReport, ModeBanks, TrainingMode, loss_report, mean_reports, pass_batches,
 )
 from .metrics import GroundTruth, MetricsReport, full_report
-from .transfer import LABELS, AssociationResult, Direction, mult_associate
+from .transfer import LABELS, AssociationResult, mult_associate
 
 _SNAPSHOT_RE = re.compile(r"^epoch(\d{3}|[1-9]\d{3,})_(visible|infrared)\.mfv1$")
 
@@ -53,7 +53,7 @@ def run_epoch(
 ) -> EpochResult:
     assign_v = dbscan(features_v, cfg.dbscan_eps, cfg.dbscan_min_samples, kappa=cfg.kappa)
     assign_r = dbscan(features_r, cfg.dbscan_eps, cfg.dbscan_min_samples, kappa=cfg.kappa)
-    result = mult_associate(features_v, features_r, assign_v, assign_r, cfg, Direction.BOTH)
+    result = mult_associate(features_v, features_r, assign_v, assign_r, cfg)
     mode = TrainingMode.V_BASED if epoch_index % 2 == 0 else TrainingMode.R_BASED
     banks = make_banks(mode, features_v, features_r, assign_v, assign_r)
     labels = {name: (result.hard(name), result.soft(name)) for name in LABELS}

@@ -30,7 +30,6 @@ the trace energies) is float64.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from enum import Enum
 
 import numpy as np
 
@@ -53,12 +52,6 @@ _CLAMP = 1e-12
 # and cross, then R2V's; each with the modality whose every instance it covers.
 LABELS = dict(intra_v=Modality.VISIBLE, cross_r=Modality.INFRARED,
               intra_r=Modality.INFRARED, cross_v=Modality.VISIBLE)
-
-
-class Direction(Enum):
-    V2R = "v2r"
-    R2V = "r2v"
-    BOTH = "both"
 
 
 def smoothed_transport(ho: np.ndarray, he: np.ndarray) -> np.ndarray:
@@ -273,34 +266,32 @@ class LabeledSubset:
 
 @dataclass(frozen=True)
 class AssociationResult:
-    """The up-to-four label matrices one associator run produces.
+    """The four label matrices one associator run produces.
 
     intra_v / cross_r live in the visible cluster space, intra_r / cross_v in
-    the infrared one. Fields for a direction that was not run are None, as
-    is ``traces`` unless mult_associate collects each direction's trace.
+    the infrared one. ``traces`` is None unless mult_associate collects each
+    direction's trace.
     """
 
     n_visible: int
     n_infrared: int
-    intra_v: LabeledSubset | None = None
-    cross_r: LabeledSubset | None = None
-    intra_r: LabeledSubset | None = None
-    cross_v: LabeledSubset | None = None
+    intra_v: LabeledSubset
+    cross_r: LabeledSubset
+    intra_r: LabeledSubset
+    cross_v: LabeledSubset
     traces: dict | None = None
 
     def _total(self, name: str) -> int:
         return self.n_visible if LABELS[name] is Modality.VISIBLE else self.n_infrared
 
-    def hard(self, name: str) -> np.ndarray | None:
+    def hard(self, name: str) -> np.ndarray:
         """The named matrix's hard labels over every instance of its modality
-        (LabeledSubset.hard_full); None if its direction was not run."""
-        subset = getattr(self, name)
-        return None if subset is None else subset.hard_full(self._total(name))
+        (LabeledSubset.hard_full)."""
+        return getattr(self, name).hard_full(self._total(name))
 
-    def soft(self, name: str) -> np.ndarray | None:
+    def soft(self, name: str) -> np.ndarray:
         """As hard, for the soft rows (LabeledSubset.soft_full)."""
-        subset = getattr(self, name)
-        return None if subset is None else subset.soft_full(self._total(name))
+        return getattr(self, name).soft_full(self._total(name))
 
 
 @dataclass(frozen=True)
@@ -325,20 +316,16 @@ def clustered_side(features, assign: ClusterAssignment) -> ClusteredSide:
     return ClusteredSide(idx, data[idx], sub_assign, assign.n)
 
 
-def associate_directions(
-    v: ClusteredSide, r: ClusteredSide, direction: Direction, one_way
-) -> AssociationResult:
-    """Run ``one_way(src, tgt, v2r) -> (intra, cross)`` for each requested
-    direction (V2R has visible as the source) and place its labels, both in
-    the source cluster space."""
+def associate_directions(v: ClusteredSide, r: ClusteredSide, one_way) -> AssociationResult:
+    """Run ``one_way(src, tgt, v2r) -> (intra, cross)`` for V2R (visible is
+    the source), then R2V, and place each direction's labels, both in its
+    source cluster space."""
     fields: dict = {}
     names = iter(LABELS)  # in file order, each direction's intra then cross
-    for way, src, tgt in ((Direction.V2R, v, r), (Direction.R2V, r, v)):
-        intra_name, cross_name = next(names), next(names)
-        if direction in (way, Direction.BOTH):
-            intra, cross = one_way(src, tgt, way is Direction.V2R)
-            fields[intra_name] = LabeledSubset(src.indices, intra)
-            fields[cross_name] = LabeledSubset(tgt.indices, cross)
+    for v2r, src, tgt in ((True, v, r), (False, r, v)):
+        intra, cross = one_way(src, tgt, v2r)
+        fields[next(names)] = LabeledSubset(src.indices, intra)
+        fields[next(names)] = LabeledSubset(tgt.indices, cross)
     return AssociationResult(n_visible=v.total, n_infrared=r.total, **fields)
 
 
@@ -348,10 +335,10 @@ def mult_associate(
     assign_v: ClusterAssignment,
     assign_r: ClusterAssignment,
     cfg: PipelineConfig,
-    direction: Direction = Direction.BOTH,
     collect_trace: bool = False,
 ) -> AssociationResult:
-    """Full association pass. DBSCAN-noise instances sit out entirely.
+    """Full association pass in both directions. DBSCAN-noise instances sit
+    out entirely.
 
     V2R treats visible as the source (labels live in the visible cluster
     space); R2V is the same computation with the modalities swapped. The
@@ -359,13 +346,13 @@ def mult_associate(
     shared by both directions, in an order that bounds the N×N arrays alive
     at any time:
 
-    1. every requested direction's initial labels (N×K arrays, made before
-       any N×N array exists);
+    1. both directions' initial labels (N×K arrays, made before any N×N
+       array exists);
     2. the plan, row-normalized both ways into he_vr and he_rv;
     3. one modality at a time, its graph ho, the anchors α·½(ho + I)·init
-       of the initial labels on that modality (V2R's intra and R2V's cross
-       on the visible side), then its composite ½(ho + I)·he. Unless the
-       trace energies need ho, it is rounded to float32 and the float64
+       of the two initial labels on that modality (V2R's intra and R2V's
+       cross on the visible side), then its composite ½(ho + I)·he. Unless
+       the trace energies need ho, it is rounded to float32 and the float64
        graph dropped before the composite is built.
 
     The loops then hold the two plan factors and the two composites, all
@@ -374,33 +361,29 @@ def mult_associate(
     """
     v = clustered_side(features_v, assign_v)
     r = clustered_side(features_r, assign_r)
-    starts = {}  # keyed by v2r, like the directions one_way runs
-    if direction is not Direction.R2V:
-        starts[True] = init_labels(v.rows, r.rows, v.assign, cfg)
-    if direction is not Direction.V2R:
-        starts[False] = init_labels(r.rows, v.rows, r.assign, cfg)
+    # keyed by v2r, like the directions one_way runs
+    starts = {True: init_labels(v.rows, r.rows, v.assign, cfg),
+              False: init_labels(r.rows, v.rows, r.assign, cfg)}
     he_vr, he_rv = heterogeneous_affinity(v.rows, r.rows, cfg.ot_lambda)
-    anchors = {v2r: [None, None] for v2r in starts}
 
-    def smooth(side: ClusteredSide, he: np.ndarray):
-        # The side's composite, and the anchor of every start label on it.
+    def smooth(side: ClusteredSide, he: np.ndarray, *inits):
+        # The side's composite, and the anchors of the two start labels on it.
         ho = homogeneous_affinity(side.rows, cfg.kappa)
-        for v2r, start in starts.items():
-            is_src = (side is v) == v2r  # the side is this direction's source
-            init = start.intra0 if is_src else start.cross0
-            anchors[v2r][0 if is_src else 1] = smoothed_anchor(ho, init, cfg.alpha)
+        anchors = [smoothed_anchor(ho, init, cfg.alpha) for init in inits]
         if not collect_trace:
             # The composite reads ho rounded to float32 only, so the float64
             # graph goes before the SGEMM's output is allocated.
             ho = ho.astype(np.float32)
-        return (ho if collect_trace else None), smoothed_transport(ho, he)
+        return anchors, (ho if collect_trace else None), smoothed_transport(ho, he)
 
-    ho_v, a_vr = smooth(v, he_vr)
-    ho_r, a_rv = smooth(r, he_rv)
+    (v2r_intra, r2v_cross), ho_v, a_vr = smooth(v, he_vr, starts[True].intra0, starts[False].cross0)
+    (v2r_cross, r2v_intra), ho_r, a_rv = smooth(r, he_rv, starts[True].cross0, starts[False].intra0)
+    anchors = {True: (v2r_intra, v2r_cross), False: (r2v_intra, r2v_cross)}
+    del v2r_intra, v2r_cross, r2v_intra, r2v_cross  # so each run's pop frees its pair
     aff_v2r = DirectionAffinities(ho_v, ho_r, he_vr, he_rv, a_st=a_vr, a_ts=a_rv)
     affs = {True: aff_v2r, False: aff_v2r.swapped()}
 
-    traces = {}  # keyed by Direction.value, as the --trace files are named
+    traces = {}  # keyed as the --trace files are named
 
     def one_way(src: ClusteredSide, tgt: ClusteredSide, v2r: bool):
         # Both directions run this one routine on their own affinities.
@@ -408,7 +391,7 @@ def mult_associate(
         state = starts.pop(v2r)
         on_step = None
         if collect_trace:
-            trace = traces[(Direction.V2R if v2r else Direction.R2V).value] = [
+            trace = traces["v2r" if v2r else "r2v"] = [
                 dict(inconsistency(state, aff, cfg.alpha), t=0, epsilon=None)]
 
             def on_step(st: TransferState) -> None:
@@ -418,5 +401,5 @@ def mult_associate(
         state = run_transfer(state, aff, cfg, anchors.pop(v2r), on_step=on_step)
         return fuse_labels(state, cfg.beta)
 
-    result = associate_directions(v, r, direction, one_way)
-    return replace(result, traces=traces or None)
+    result = associate_directions(v, r, one_way)
+    return replace(result, traces=traces if collect_trace else None)

@@ -27,7 +27,6 @@ from xmod.losses import ModeBanks, TrainingMode, loss_report, soft_cross_entropy
 from xmod.metrics import GroundTruth, MetricsReport, full_report, report_from_hard
 from xmod.synth import GapMode, SynthSpec, generate
 from xmod.transfer import (
-    Direction,
     DirectionAffinities,
     inconsistency,
     init_labels,
@@ -270,7 +269,7 @@ def test_soft_labels_stay_row_stochastic():
         cfg = PipelineConfig(kappa=6, epsilon0=1e-4, max_transfer_iters=500)
         emitted = []
         for associate in (mult_associate, associate_otla_only, associate_greedy_centroid):
-            result = associate(f_v.data, f_r.data, a_v, a_r, cfg, Direction.BOTH)
+            result = associate(f_v.data, f_r.data, a_v, a_r, cfg)
             emitted += [
                 result.intra_v.labels,
                 result.cross_r.labels,

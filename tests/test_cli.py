@@ -54,8 +54,8 @@ def workdir(tmp_path):
     return tmp_path
 
 
-def run_associate(workdir, method="mult", direction="both", trace=None):
-    out = workdir / f"labels_{method}_{direction}"
+def run_associate(workdir, method="mult", direction="both", trace=None, out=None):
+    out = out or workdir / f"labels_{method}_{direction}"
     argv = [
         "associate",
         "--features-v", str(workdir / "data" / "visible.mfv1"),
@@ -236,6 +236,18 @@ class TestAssociate:
         assert code == 0
         present = sorted(p.name for p in out.iterdir())
         assert present == ["cross_r.csv", "intra_v.csv"]
+
+    @pytest.mark.parametrize("method", ["mult", "otla", "greedy"])
+    def test_split_run_writes_the_bytes_of_one_both_run(self, workdir, method):
+        code, both = run_associate(workdir, method=method)
+        assert code == 0
+        split = workdir / "split"
+        assert run_associate(workdir, method=method, direction="v2r", out=split)[0] == 0
+        assert sorted(p.name for p in split.iterdir()) == ["cross_r.csv", "intra_v.csv"]
+        assert run_associate(workdir, method=method, direction="r2v", out=split)[0] == 0
+        written = {p.name: p.read_bytes() for p in split.iterdir()}
+        assert written == {p.name: p.read_bytes() for p in both.iterdir()}
+        assert len(written) == 4
 
     @pytest.mark.parametrize("method", ["otla", "greedy"])
     def test_baseline_methods(self, workdir, method):
@@ -885,13 +897,20 @@ class TestErrors:
         assert code == 2
         assert "no_such_knob" in capsys.readouterr().err
 
+    # Each error line names what is wrong. A temperature below the smallest
+    # normal float64 would overflow the softmax logits.
     @pytest.mark.parametrize(
-        "config",
-        [{"kappa": "30"}, {"kappa": 2.5}, {"batch_size": True}, [1, 2],
-         {"mu": 0.1}, {"seed": 0}, {"lambda": 10.0, "ot_lambda": 20.0}],
-        ids=["str-int", "float-int", "bool-int", "list", "mu", "seed", "lambda"],
+        "config, named",
+        [({"kappa": "30"}, "kappa"), ({"kappa": 2.5}, "kappa"),
+         ({"batch_size": True}, "batch_size"), ([1, 2], "JSON object"),
+         ({"mu": 0.1}, "'mu'"), ({"seed": 0}, "'seed'"),
+         ({"lambda": 10.0, "ot_lambda": 20.0}, "'lambda'"),
+         ({"tau": 1e-320}, "tau must be"),
+         ({"tau": 1e-307, "sharpen_divisor": 1e3}, "tau / sharpen_divisor must be")],
+        ids=["str-int", "float-int", "bool-int", "list", "mu", "seed", "lambda",
+             "subnormal-tau", "subnormal-sharp-tau"],
     )
-    def test_bad_config_value_exit_2_one_line(self, workdir, capsys, config):
+    def test_bad_config_value_exit_2_one_line(self, workdir, capsys, config, named):
         bad = workdir / "bad.json"
         bad.write_text(json.dumps(config))
         code = main([
@@ -902,8 +921,9 @@ class TestErrors:
         ])
         err = capsys.readouterr().err
         assert code == 2
-        assert err.startswith("error:") and err.count("\n") == 1
+        assert err.startswith("error:") and err.count("\n") == 1 and named in err
         assert "Traceback" not in err
+        assert not (workdir / "x").exists()
 
     @pytest.mark.parametrize(
         "command,has_seed",

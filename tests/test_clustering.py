@@ -231,6 +231,21 @@ class TestMemoryProbability:
         assert np.isfinite(p).all()
         assert np.allclose(p.sum(axis=1), 1.0, atol=1e-9)
 
+    @pytest.mark.parametrize("tau", [0.0, -1.0, 1e-320, float("nan")])
+    def test_temperature_below_the_smallest_normal_refused(self, rng, tau):
+        bank = MemoryBank(random_unit_rows(rng, 2, 4))
+        with pytest.raises(ValueError, match="^tau must be at least "):
+            memory_probabilities(random_unit_rows(rng, 3, 4), bank, tau)
+
+    def test_smallest_normal_temperature_stays_finite(self, rng):
+        # logits up to 1 / tiny ≈ 4.5e307 and their gaps to the row max stay
+        # below the float64 maximum; the run fails on any overflow warning
+        feats = random_unit_rows(rng, 4, 8)
+        bank = MemoryBank(np.vstack([feats[:2], -feats[:2]]))
+        p = memory_probabilities(feats, bank, float(np.finfo(np.float64).tiny))
+        assert np.isfinite(p).all()
+        assert np.allclose(p.sum(axis=1), 1.0, atol=1e-9)
+
     def test_dim_mismatch(self, rng):
         bank = MemoryBank(random_unit_rows(rng, 2, 4))
         with pytest.raises(XmodError, match="^feature dim does not match bank dim$"):

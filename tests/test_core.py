@@ -205,11 +205,26 @@ class TestPipelineConfig:
          ("sharpen_divisor", 0.0), ("batch_size", 0),
          ("kappa", "30"), ("kappa", 2.5), ("kappa", True), ("batch_size", None),
          ("tau", "0.05"), ("tau", False), ("ot_lambda", [25.0]),
-         ("dbscan_eps", float("nan")), ("epsilon0", float("inf"))],
+         ("dbscan_eps", float("nan")), ("epsilon0", float("inf")),
+         ("tau", 1e-320), ("tau", 2.2e-308)],
     )
     def test_validation(self, field, value):
         with pytest.raises(ValueError):
             PipelineConfig(**{field: value})
+
+    # A subnormal softmax temperature overflows the logits; the smallest
+    # normal float64 does not.
+    @pytest.mark.parametrize("overrides, named", [
+        ({"tau": 1e-320}, "tau"),
+        ({"tau": 1e-307, "sharpen_divisor": 1e3}, "tau / sharpen_divisor"),
+    ], ids=["tau", "sharp-tau"])
+    def test_temperature_below_the_normal_range_names_its_setting(self, overrides, named):
+        with pytest.raises(ValueError, match=f"^{re.escape(named)} must be at least "):
+            PipelineConfig(**overrides)
+
+    def test_smallest_normal_temperature_accepted(self):
+        tiny = float(np.finfo(np.float64).tiny)
+        assert PipelineConfig(tau=tiny, sharpen_divisor=1.0).tau == tiny
 
     def test_int_accepted_for_float_field(self):
         assert PipelineConfig(ot_lambda=25).ot_lambda == 25

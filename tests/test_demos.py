@@ -20,8 +20,10 @@ def test_demo_runs(demo):
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
+    # The subprocess does not see pytest's filterwarnings, so the flag fails
+    # a demo on a RuntimeWarning as the test run itself would.
     proc = subprocess.run(
-        [sys.executable, str(demo)], cwd=ROOT, env=env,
+        [sys.executable, "-W", "error::RuntimeWarning", str(demo)], cwd=ROOT, env=env,
         capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr

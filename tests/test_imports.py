@@ -138,7 +138,7 @@ def test_every_module_level_import_is_used(path):
 
 
 def test_detects_a_private_import():
-    source = "from __future__ import annotations\nfrom .transfer import Direction, _subset\n"
+    source = "from __future__ import annotations\nfrom .transfer import LABELS, _subset\n"
     assert private_imports(source) == ["transfer._subset (line 2)"]
 
 

@@ -213,17 +213,6 @@ class TestFullReport:
         rep = full_report(result, gt)
         assert all(v == 1.0 for v in rep.to_dict().values())
 
-    def test_missing_direction_raises(self):
-        spec = SynthSpec(num_ids=2, per_id_v=4, per_id_r=4, dim=8, seed=3)
-        fv, fr, gt = generate(spec)
-        av = ClusterAssignment(gt.ids_v.astype(np.int64), 2)
-        ar = ClusterAssignment(gt.ids_r.astype(np.int64), 2)
-        from xmod.transfer import Direction
-
-        half = mult_associate(fv, fr, av, ar, PipelineConfig(kappa=4), Direction.V2R)
-        with pytest.raises(XmodError, match="^full_report needs both directions; intra_r missing$"):
-            full_report(half, gt)
-
     def test_size_mismatch_raises(self):
         spec = SynthSpec(num_ids=2, per_id_v=4, per_id_r=4, dim=8, seed=3)
         fv, fr, gt = generate(spec)

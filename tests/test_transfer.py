@@ -16,7 +16,6 @@ from xmod.synth import GapMode, SynthSpec, generate
 from xmod.transfer import (
     LABELS,
     AssociationResult,
-    Direction,
     DirectionAffinities,
     LabeledSubset,
     TransferState,
@@ -638,8 +637,8 @@ class TestMultAssociate:
             labels_v[3] = NOISE
             av = ClusterAssignment(labels_v, av.k)
         cfg = PipelineConfig(kappa=8)
-        ab = METHODS[method](fv, fr, av, ar, cfg, Direction.BOTH)
-        ba = METHODS[method](fr, fv, ar, av, cfg, Direction.BOTH)
+        ab = METHODS[method](fv, fr, av, ar, cfg)
+        ba = METHODS[method](fr, fv, ar, av, cfg)
         for mine, theirs in ((ab.intra_v, ba.intra_r), (ab.cross_r, ba.cross_v),
                              (ab.intra_r, ba.intra_v), (ab.cross_v, ba.cross_r)):
             assert np.array_equal(mine.indices, theirs.indices)
@@ -691,7 +690,7 @@ class TestMultAssociate:
         monkeypatch.setattr(transfer, "heterogeneous_affinity",
                             counted("heterogeneous", transfer.heterogeneous_affinity))
         fv, fr, av, ar, _ = blob_instance(seed=3)
-        mult_associate(fv, fr, av, ar, PipelineConfig(kappa=8), Direction.BOTH)
+        mult_associate(fv, fr, av, ar, PipelineConfig(kappa=8))
         assert calls == {"homogeneous": 2, "heterogeneous": 1}
 
     @pytest.mark.parametrize("swap", [False, True], ids=["v-fewer", "r-fewer"])
@@ -713,8 +712,7 @@ class TestMultAssociate:
         # are the OTLA plans, one per direction
         assert sorted(shapes) == [(21, 3), (21, 27), (27, 3)]
 
-    @pytest.mark.parametrize("direction", list(Direction), ids=lambda d: d.value)
-    def test_each_composite_built_once(self, monkeypatch, direction):
+    def test_each_composite_built_once(self, monkeypatch):
         built, used = [], []
 
         def counted(ho, he):
@@ -728,11 +726,10 @@ class TestMultAssociate:
         monkeypatch.setattr(transfer, "smoothed_transport", counted)
         monkeypatch.setattr(transfer, "run_transfer", recorded)
         fv, fr, av, ar, _ = blob_instance(seed=3, per_id_v=9, per_id_r=7)
-        mult_associate(fv, fr, av, ar, PipelineConfig(kappa=8), direction)
+        mult_associate(fv, fr, av, ar, PipelineConfig(kappa=8))
         assert built == [(27, 21), (21, 27)]
-        if direction is Direction.BOTH:
-            v2r, r2v = used
-            assert r2v.a_st is v2r.a_ts and r2v.a_ts is v2r.a_st
+        v2r, r2v = used
+        assert r2v.a_st is v2r.a_ts and r2v.a_ts is v2r.a_st
 
     @pytest.mark.parametrize("collect_trace", [False, True], ids=["untraced", "traced"])
     def test_graphs_are_dropped_before_the_loops_unless_traced(self, monkeypatch,
@@ -785,18 +782,6 @@ class TestMultAssociate:
             tracemalloc.stop()
         assert peak <= 8 * (budget * n * n + 8.0 * n * k)
 
-    @pytest.mark.parametrize("direction", [Direction.V2R, Direction.R2V], ids=["v2r", "r2v"])
-    @pytest.mark.parametrize("method", METHODS)
-    def test_single_direction_leaves_other_empty(self, method, direction):
-        fv, fr, av, ar, _ = blob_instance(seed=3)
-        result = METHODS[method](fv, fr, av, ar, PipelineConfig(kappa=8), direction)
-        run = (result.intra_v, result.cross_r)
-        idle = (result.intra_r, result.cross_v)
-        if direction is Direction.R2V:
-            run, idle = idle, run
-        assert all(subset is not None for subset in run)
-        assert all(subset is None for subset in idle)
-
     def test_noise_instances_sit_out(self):
         fv, fr, av, ar, _ = blob_instance(seed=7)
         labels_v = av.labels.copy()
@@ -812,17 +797,14 @@ class TestMultAssociate:
 
     def test_trace_collection(self):
         fv, fr, av, ar, _ = blob_instance(seed=2)
-        for direction in Direction:
-            result = mult_associate(fv, fr, av, ar, PipelineConfig(kappa=8), direction,
-                                    collect_trace=True)
-            ran = ["v2r", "r2v"] if direction is Direction.BOTH else [direction.value]
-            assert list(result.traces) == ran
-            for trace in result.traces.values():
-                assert trace[0]["t"] == 0
-                assert trace[0]["epsilon"] is None
-                assert trace[0]["self_src"] == 0.0
-                assert [e["t"] for e in trace] == list(range(len(trace)))
-                assert all("weighted_total" in e for e in trace)
+        result = mult_associate(fv, fr, av, ar, PipelineConfig(kappa=8), collect_trace=True)
+        assert list(result.traces) == ["v2r", "r2v"]
+        for trace in result.traces.values():
+            assert trace[0]["t"] == 0
+            assert trace[0]["epsilon"] is None
+            assert trace[0]["self_src"] == 0.0
+            assert [e["t"] for e in trace] == list(range(len(trace)))
+            assert all("weighted_total" in e for e in trace)
 
     def test_no_trace_by_default(self):
         fv, fr, av, ar, _ = blob_instance(seed=2)
@@ -833,18 +815,19 @@ class TestMultAssociate:
 
     @pytest.mark.parametrize("per_id_v, per_id_r", [(8, 8), (9, 7)],
                              ids=["equal-sizes", "unequal-sizes"])
-    @pytest.mark.parametrize("direction", [Direction.V2R, Direction.R2V], ids=lambda d: d.value)
+    @pytest.mark.parametrize("direction", ["v2r", "r2v"])
     def test_matches_the_one_direction_run_assembled_by_hand(self, direction,
                                                               per_id_v, per_id_r):
+        # Each half of the run is checked against that direction alone.
         # Equal sizes, so composites or anchors assembled in the wrong roles
         # pass every shape check; a gap and a small ε0, so the loop runs
         # several steps.
         fv, fr, av, ar, _ = blob_instance(seed=6, gap=0.4, gap_mode=GapMode.PER_ID_OFFSET,
                                           per_id_v=per_id_v, per_id_r=per_id_r)
         cfg = PipelineConfig(kappa=6, epsilon0=1e-9)
-        result = mult_associate(fv, fr, av, ar, cfg, direction, collect_trace=True)
+        result = mult_associate(fv, fr, av, ar, cfg, collect_trace=True)
         names = ["intra_v", "cross_r"]
-        if direction is Direction.R2V:
+        if direction == "r2v":
             fv, fr, av, names = fr, fv, ar, ["intra_r", "cross_v"]
         start = init_labels(fv.data, fr.data, av, cfg)
         aff = one_way_affinities(homogeneous_affinity(fv.data, cfg.kappa),
@@ -858,7 +841,7 @@ class TestMultAssociate:
 
         final = run_transfer(start, aff, cfg, one_way_anchors(start, aff, cfg.alpha), on_step)
         assert final.t > 3
-        assert result.traces == {direction.value: trace}
+        assert result.traces[direction] == trace
         for name, labels in zip(names, fuse_labels(final, cfg.beta)):
             assert getattr(result, name).labels.probs.tobytes() == labels.probs.tobytes()
 
@@ -871,11 +854,11 @@ class TestLabelTable:
         assert list(LABELS.items()) == [("intra_v", v), ("cross_r", r),
                                         ("intra_r", r), ("cross_v", v)]
 
-    @pytest.mark.parametrize("direction, noise", [
-        (Direction.V2R, False), (Direction.R2V, False), (Direction.BOTH, True),
+    @pytest.mark.parametrize("names, noise", [
+        (["intra_v", "cross_r"], False), (["intra_r", "cross_v"], False), (list(LABELS), True),
     ], ids=["v2r", "r2v", "noise-rows"])
     @pytest.mark.parametrize("method", METHODS)
-    def test_accessors_are_the_subsets_over_their_modality(self, method, direction, noise):
+    def test_accessors_are_the_subsets_over_their_modality(self, method, names, noise):
         # unequal sides, so a matrix placed over the wrong modality shows
         fv, fr, av, ar, _ = blob_instance(seed=4, per_id_v=9, per_id_r=7)
         if noise:
@@ -883,25 +866,17 @@ class TestLabelTable:
             labels_v[[0, 5]] = NOISE
             labels_r[3] = NOISE
             av, ar = ClusterAssignment(labels_v, av.k), ClusterAssignment(labels_r, ar.k)
-        result = METHODS[method](fv, fr, av, ar, PipelineConfig(kappa=6), direction)
+        result = METHODS[method](fv, fr, av, ar, PipelineConfig(kappa=6))
         sides = {Modality.VISIBLE: (fv.n, av), Modality.INFRARED: (fr.n, ar)}
-        ran = []
-        for name, modality in LABELS.items():
+        for name in names:
             subset = getattr(result, name)
-            if subset is None:
-                assert result.hard(name) is None and result.soft(name) is None
-                continue
-            ran.append(name)
-            total, assign = sides[modality]
+            total, assign = sides[LABELS[name]]
             assert np.array_equal(subset.indices, assign.clustered_indices())
             hard, soft = result.hard(name), result.soft(name)
             assert hard.shape == (total,) and soft.shape == (total, subset.labels.space_size)
             assert np.array_equal(hard, subset.hard_full(total))
             assert soft.tobytes() == subset.soft_full(total).tobytes()
             assert np.array_equal(hard == NOISE, assign.labels == NOISE)
-        expected = {Direction.V2R: ["intra_v", "cross_r"], Direction.R2V: ["intra_r", "cross_v"],
-                    Direction.BOTH: list(LABELS)}
-        assert ran == expected[direction]
 
 
 class TestStationarity:
