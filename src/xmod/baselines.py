@@ -1,9 +1,10 @@
 """Reference associators the transfer engine is measured against.
 
-Each supplies only its cross-label rule for one direction to
-``transfer.associate_directions``, the shell the full engine runs in, so
-noise handling and result assembly are the same for every method. Intra
-labels are the one-hot cluster ids.
+Each computes its four label matrices on the clustered rows that
+``transfer.clustered_side`` keeps and hands them to
+``AssociationResult.place``, as the full engine does, so noise handling and
+result assembly are the same for every method. Intra labels are the one-hot
+cluster ids.
 """
 from __future__ import annotations
 
@@ -12,12 +13,7 @@ import numpy as np
 from .core import PipelineConfig, SoftLabelMatrix, pairwise_sq_dists
 from .clustering import ClusterAssignment, centroids
 from .transport import otla_init
-from .transfer import (
-    AssociationResult,
-    ClusteredSide,
-    associate_directions,
-    clustered_side,
-)
+from .transfer import AssociationResult, ClusteredSide, clustered_side
 
 
 def _one_hot_intra(side: ClusteredSide) -> SoftLabelMatrix:
@@ -34,14 +30,13 @@ def associate_otla_only(
     """No transfer: intra labels are the one-hot cluster ids, cross labels are
     the balanced transport assignment onto the source prototypes (the exact
     matrices the full engine starts from, minus the intra softening)."""
-
-    def one_way(src, tgt, v2r):
-        bank = centroids(src.rows, src.assign)
-        return _one_hot_intra(src), otla_init(tgt.rows, bank, cfg.ot_lambda)
-
     v = clustered_side(features_v, assign_v)
     r = clustered_side(features_r, assign_r)
-    return associate_directions(v, r, one_way)
+    bank_v = centroids(v.rows, v.assign)
+    bank_r = centroids(r.rows, r.assign)
+    return AssociationResult.place(v, r, dict(
+        intra_v=_one_hot_intra(v), cross_r=otla_init(r.rows, bank_v, cfg.ot_lambda),
+        intra_r=_one_hot_intra(r), cross_v=otla_init(v.rows, bank_r, cfg.ot_lambda)))
 
 
 def _greedy_match(dist: np.ndarray) -> np.ndarray:
@@ -71,6 +66,13 @@ def _greedy_match(dist: np.ndarray) -> np.ndarray:
     return match
 
 
+def _greedy_cross(bank_src, bank_tgt, tgt: ClusteredSide) -> SoftLabelMatrix:
+    """The one-hot source cluster each target cluster was matched to, on
+    every one of its instances."""
+    dist = np.sqrt(pairwise_sq_dists(bank_tgt.prototypes, bank_src.prototypes))
+    return SoftLabelMatrix.one_hot(_greedy_match(dist)[tgt.assign.labels], bank_src.k)
+
+
 def associate_greedy_centroid(
     features_v,
     features_r,
@@ -84,12 +86,6 @@ def associate_greedy_centroid(
     r = clustered_side(features_r, assign_r)
     bank_v = centroids(v.rows, v.assign)
     bank_r = centroids(r.rows, r.assign)
-
-    def one_way(src, tgt, v2r):
-        bank_src, bank_tgt = (bank_v, bank_r) if v2r else (bank_r, bank_v)
-        dist = np.sqrt(pairwise_sq_dists(bank_tgt.prototypes, bank_src.prototypes))
-        match = _greedy_match(dist)
-        cross = SoftLabelMatrix.one_hot(match[tgt.assign.labels], bank_src.k)
-        return _one_hot_intra(src), cross
-
-    return associate_directions(v, r, one_way)
+    return AssociationResult.place(v, r, dict(
+        intra_v=_one_hot_intra(v), cross_r=_greedy_cross(bank_v, bank_r, r),
+        intra_r=_one_hot_intra(r), cross_v=_greedy_cross(bank_r, bank_v, v)))

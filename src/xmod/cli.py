@@ -40,12 +40,9 @@ from .losses import ModeBanks, TrainingMode, loss_report, mean_reports, pass_bat
 from .metrics import GroundTruth, report_from_hard
 from .pipeline import discover_snapshots, run_trace
 from .synth import GapMode, SynthSpec, generate
-from .transfer import LABELS, mult_associate
+from .transfer import DIRECTIONS, LABELS, mult_associate
 
 _METRICS = {"euclidean": DistanceMetric.EUCLIDEAN, "jaccard": DistanceMetric.JACCARD_DISTANCE}
-
-# The label files each --direction writes, keyed as its trace files are named.
-_DIRECTIONS = {"v2r": ("intra_v", "cross_r"), "r2v": ("intra_r", "cross_v")}
 
 
 def _load_config(args) -> PipelineConfig:
@@ -95,9 +92,9 @@ def _cmd_associate(args) -> int:
         result = associate_otla_only(fv, fr, assign_v, assign_r, cfg)
     else:
         result = associate_greedy_centroid(fv, fr, assign_v, assign_r, cfg)
-    tags = list(_DIRECTIONS) if args.direction == "both" else [args.direction]
+    tags = list(DIRECTIONS) if args.direction == "both" else [args.direction]
     os.makedirs(args.out, exist_ok=True)
-    for name in (name for tag in tags for name in _DIRECTIONS[tag]):
+    for name in (name for tag in tags for name in DIRECTIONS[tag]):
         write_labels(os.path.join(args.out, f"{name}.csv"), result.hard(name), result.soft(name))
     if args.trace:
         os.makedirs(args.trace, exist_ok=True)
@@ -205,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--features-v", required=True)
     p.add_argument("--features-r", required=True)
     p.add_argument("--method", choices=["mult", "otla", "greedy"], default="mult")
-    p.add_argument("--direction", choices=[*_DIRECTIONS, "both"], default="both",
+    p.add_argument("--direction", choices=[*DIRECTIONS, "both"], default="both",
                    help="which direction's label files (and --trace files) to write; "
                    "both directions are always computed, since they share the plan, "
                    "the graphs and the composites")

@@ -16,7 +16,7 @@ import numpy as np
 
 from .core import NOISE, Modality, XmodError, feature_data
 from .clustering import MemoryBank, memory_probabilities
-from .transfer import LABELS
+from .transfer import DIRECTIONS, LABELS
 
 # Floor inside the log so one-hot targets against zero predictions stay finite.
 _LOG_FLOOR = 1e-30
@@ -51,9 +51,8 @@ def pass_batches(features_v, features_r, labels: dict, batch_size: int) -> Itera
                 raise XmodError(f"{name} has {m.shape[0]}{kind} rows, "
                                 f"but the {modality.value} features have {n}")
     labeled = {name: labels[name][0] != NOISE for name in LABELS}
-    sides = {}  # modality -> its first matrix in LABELS, whose rows the other must match
-    for name, modality in LABELS.items():
-        sides.setdefault(modality, name)
+    # modality -> its intra matrix, whose rows its cross matrix must match
+    sides = {LABELS[intra]: intra for intra, _ in DIRECTIONS.values()}
     n = min(int(labeled[name].sum()) for name in sides.values())
     if n == 0:
         raise XmodError("no labeled instances to report on")

@@ -53,6 +53,11 @@ _CLAMP = 1e-12
 LABELS = dict(intra_v=Modality.VISIBLE, cross_r=Modality.INFRARED,
               intra_r=Modality.INFRARED, cross_v=Modality.VISIBLE)
 
+# Each direction's (intra, cross) matrices, keyed as its --trace files are
+# named: the source's intra labels and the target's cross labels, both in the
+# source's cluster space.
+DIRECTIONS = {"v2r": ("intra_v", "cross_r"), "r2v": ("intra_r", "cross_v")}
+
 
 def smoothed_transport(ho: np.ndarray, he: np.ndarray) -> np.ndarray:
     """½(ho + I)·he in float32 whatever the inputs' dtype: one SGEMM, then
@@ -281,6 +286,16 @@ class AssociationResult:
     cross_v: LabeledSubset
     traces: dict | None = None
 
+    @classmethod
+    def place(cls, v: ClusteredSide, r: ClusteredSide, labels: dict,
+              traces=None) -> AssociationResult:
+        """Put each matrix of ``labels``, keyed by the names in LABELS, on
+        the clustered rows of its modality."""
+        sides = {Modality.VISIBLE: v, Modality.INFRARED: r}
+        return cls(v.total, r.total, traces=traces, **{
+            name: LabeledSubset(sides[modality].indices, labels[name])
+            for name, modality in LABELS.items()})
+
     def _total(self, name: str) -> int:
         return self.n_visible if LABELS[name] is Modality.VISIBLE else self.n_infrared
 
@@ -316,19 +331,6 @@ def clustered_side(features, assign: ClusterAssignment) -> ClusteredSide:
     return ClusteredSide(idx, data[idx], sub_assign, assign.n)
 
 
-def associate_directions(v: ClusteredSide, r: ClusteredSide, one_way) -> AssociationResult:
-    """Run ``one_way(src, tgt, v2r) -> (intra, cross)`` for V2R (visible is
-    the source), then R2V, and place each direction's labels, both in its
-    source cluster space."""
-    fields: dict = {}
-    names = iter(LABELS)  # in file order, each direction's intra then cross
-    for v2r, src, tgt in ((True, v, r), (False, r, v)):
-        intra, cross = one_way(src, tgt, v2r)
-        fields[next(names)] = LabeledSubset(src.indices, intra)
-        fields[next(names)] = LabeledSubset(tgt.indices, cross)
-    return AssociationResult(n_visible=v.total, n_infrared=r.total, **fields)
-
-
 def mult_associate(
     features_v,
     features_r,
@@ -357,13 +359,15 @@ def mult_associate(
 
     The loops then hold the two plan factors and the two composites, all
     float32, and the N×K labels. The factors stay referenced by
-    DirectionAffinities, because the trace energies read them.
+    DirectionAffinities, because the trace energies read them. V2R runs
+    first, then R2V, both through one routine that differs only in the start
+    state, the affinities (R2V's are V2R's swapped), the anchors and the
+    trace tag; V2R's start labels and anchors are dropped before R2V's loop.
     """
     v = clustered_side(features_v, assign_v)
     r = clustered_side(features_r, assign_r)
-    # keyed by v2r, like the directions one_way runs
-    starts = {True: init_labels(v.rows, r.rows, v.assign, cfg),
-              False: init_labels(r.rows, v.rows, r.assign, cfg)}
+    start_v2r = init_labels(v.rows, r.rows, v.assign, cfg)
+    start_r2v = init_labels(r.rows, v.rows, r.assign, cfg)
     he_vr, he_rv = heterogeneous_affinity(v.rows, r.rows, cfg.ot_lambda)
 
     def smooth(side: ClusteredSide, he: np.ndarray, *inits):
@@ -376,30 +380,25 @@ def mult_associate(
             ho = ho.astype(np.float32)
         return anchors, (ho if collect_trace else None), smoothed_transport(ho, he)
 
-    (v2r_intra, r2v_cross), ho_v, a_vr = smooth(v, he_vr, starts[True].intra0, starts[False].cross0)
-    (v2r_cross, r2v_intra), ho_r, a_rv = smooth(r, he_rv, starts[True].cross0, starts[False].intra0)
-    anchors = {True: (v2r_intra, v2r_cross), False: (r2v_intra, r2v_cross)}
-    del v2r_intra, v2r_cross, r2v_intra, r2v_cross  # so each run's pop frees its pair
-    aff_v2r = DirectionAffinities(ho_v, ho_r, he_vr, he_rv, a_st=a_vr, a_ts=a_rv)
-    affs = {True: aff_v2r, False: aff_v2r.swapped()}
-
+    (v2r_intra, r2v_cross), ho_v, a_vr = smooth(v, he_vr, start_v2r.intra0, start_r2v.cross0)
+    (v2r_cross, r2v_intra), ho_r, a_rv = smooth(r, he_rv, start_v2r.cross0, start_r2v.intra0)
+    aff = DirectionAffinities(ho_v, ho_r, he_vr, he_rv, a_st=a_vr, a_ts=a_rv)
     traces = {}  # keyed as the --trace files are named
 
-    def one_way(src: ClusteredSide, tgt: ClusteredSide, v2r: bool):
-        # Both directions run this one routine on their own affinities.
-        aff = affs[v2r]
-        state = starts.pop(v2r)
+    def transfer(tag: str, state: TransferState, aff: DirectionAffinities, anchors) -> dict:
+        # One direction's loop and fusion, its two matrices keyed by name.
         on_step = None
         if collect_trace:
-            trace = traces["v2r" if v2r else "r2v"] = [
-                dict(inconsistency(state, aff, cfg.alpha), t=0, epsilon=None)]
+            trace = traces[tag] = [dict(inconsistency(state, aff, cfg.alpha), t=0, epsilon=None)]
 
             def on_step(st: TransferState) -> None:
                 entry = inconsistency(st, aff, cfg.alpha)
                 trace.append(dict(entry, t=st.t, epsilon=float(st.epsilon)))
 
-        state = run_transfer(state, aff, cfg, anchors.pop(v2r), on_step=on_step)
-        return fuse_labels(state, cfg.beta)
+        state = run_transfer(state, aff, cfg, anchors, on_step=on_step)
+        return dict(zip(DIRECTIONS[tag], fuse_labels(state, cfg.beta)))
 
-    result = associate_directions(v, r, one_way)
-    return replace(result, traces=traces if collect_trace else None)
+    labels = transfer("v2r", start_v2r, aff, (v2r_intra, v2r_cross))
+    del start_v2r, v2r_intra, v2r_cross  # so V2R's start and anchors go before R2V's loop
+    labels |= transfer("r2v", start_r2v, aff.swapped(), (r2v_intra, r2v_cross))
+    return AssociationResult.place(v, r, labels, traces if collect_trace else None)

@@ -378,7 +378,8 @@ class TestPassBatches:
         hard, soft = hard.copy(), soft.copy()
         hard[row], soft[row] = NOISE, 0.0
         labels["cross_r"] = (hard, soft)
-        with pytest.raises(XmodError, match=f"label different infrared rows, first at row {row}$"):
+        with pytest.raises(XmodError, match=(
+                f"^intra_r and cross_r label different infrared rows, first at row {row}$")):
             next(pass_batches(fv, fr, labels, self.CFG.batch_size))
 
     # case: (the matrix edited, its (hard, soft) edit, the error given the

@@ -16,19 +16,25 @@ Row permutation: no stage reads a row's index, so permuting each modality's
 rows permutes the clusters, their ids and the labels with them. Pair metrics
 count pairs, so they stay bitwise equal. Hard labels stay equal up to one
 renumbering of each cluster space, shared by the two matrices that live in
-it (intra_v with cross_r, intra_r with cross_v), and soft labels whose
-columns follow that renumbering stay equal up to rounding.
+it (a direction's intra and cross matrices, transfer.DIRECTIONS), and soft
+labels whose columns follow that renumbering stay equal up to rounding. The
+same holds for ``xmod associate`` on row-permuted MFV1 files, and ``xmod
+eval`` of its label files writes the plain run's JSON bytes.
 """
+import json
+
 import numpy as np
 import pytest
 
 from xmod.baselines import associate_greedy_centroid, associate_otla_only
+from xmod.cli import main
 from xmod.clustering import dbscan
 from xmod.core import NOISE, FeatureMatrix, Modality, PipelineConfig
+from xmod.fileio import read_labels, write_features, write_ground_truth
 from xmod.metrics import GroundTruth, full_report
 from xmod.pipeline import run_epoch
 from xmod.synth import GapMode, SynthSpec, generate
-from xmod.transfer import LABELS, mult_associate
+from xmod.transfer import DIRECTIONS, LABELS, mult_associate
 from xmod.transport import _row_order
 
 SETS = {
@@ -135,22 +141,47 @@ def test_a_far_noise_row_leaves_every_other_label_as_it_was(gap_mode, side, seed
             assert np.array_equal(soft, want.soft(label)), (name, label)
 
 
-# The two matrices of each cluster space: a side's intra labels and the
-# other side's cross labels.
-SPACES = (("intra_v", "cross_r"), ("intra_r", "cross_v"))
+def label_table(result) -> dict:
+    """{name: (hard, soft)} over every instance of each matrix's modality."""
+    return {name: (result.hard(name), result.soft(name)) for name in LABELS}
 
 
-@pytest.mark.parametrize("seed", range(6))
-@pytest.mark.parametrize("gap_mode", list(GapMode), ids=lambda g: g.value)
-def test_permuting_each_modalitys_rows_permutes_the_labels(gap_mode, seed):
+def assert_permuted(want: dict, got: dict, back: dict, context) -> None:
+    """got's label table is want's with each modality's rows moved (back[m][i]
+    is the moved row of plain row i) and each cluster space renumbered once:
+    the space's two matrices, a direction's intra and cross (DIRECTIONS),
+    share the renumbering. Hard labels must match exactly, soft labels whose
+    columns follow the renumbering within KEPT_TOL."""
+    for space in DIRECTIONS.values():
+        moved_hard = np.concatenate([got[label][0][back[LABELS[label]]] for label in space])
+        plain_hard = np.concatenate([want[label][0] for label in space])
+        assert partition(moved_hard) == partition(plain_hard), (context, space)
+        # the same renumbering orders the soft columns
+        cols, moved_cols = first_seen(plain_hard), first_seen(moved_hard)
+        assert cols.size == want[space[0]][1].shape[1], (context, space)
+        for label in space:
+            moved_soft = got[label][1][back[LABELS[label]]][:, moved_cols]
+            assert np.abs(moved_soft - want[label][1][:, cols]).max() <= KEPT_TOL, (
+                context, label)
+
+
+def permuted_instance(gap_mode, seed):
+    """A set with unequal sides (so the plan's orientation is fixed), the
+    same set with each modality's rows permuted, and back (see assert_permuted)."""
     fv, fr, gt = generate(SynthSpec(num_ids=10, per_id_v=10, per_id_r=12, dim=16,
                                     modality_gap=0.3, gap_mode=gap_mode, seed=seed))
     rng = np.random.default_rng(seed)
     perm = {Modality.VISIBLE: rng.permutation(fv.n), Modality.INFRARED: rng.permutation(fr.n)}
     pv, pr = (FeatureMatrix(f.data[perm[f.modality]], f.modality) for f in (fv, fr))
-    back = {m: np.argsort(p) for m, p in perm.items()}  # moved row of each plain row
-    truth = GroundTruth(gt.ids_v, gt.ids_r)
     moved = GroundTruth(gt.ids_v[perm[Modality.VISIBLE]], gt.ids_r[perm[Modality.INFRARED]])
+    back = {m: np.argsort(p) for m, p in perm.items()}
+    return (fv, fr, GroundTruth(gt.ids_v, gt.ids_r)), (pv, pr, moved), back
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("gap_mode", list(GapMode), ids=lambda g: g.value)
+def test_permuting_each_modalitys_rows_permutes_the_labels(gap_mode, seed):
+    (fv, fr, truth), (pv, pr, moved), back = permuted_instance(gap_mode, seed)
     cfg = PipelineConfig(kappa=8)
 
     def cluster(features):
@@ -160,14 +191,36 @@ def test_permuting_each_modalitys_rows_permutes_the_labels(gap_mode, seed):
         want = associate(fv, fr, cluster(fv), cluster(fr), cfg)
         got = associate(pv, pr, cluster(pv), cluster(pr), cfg)
         assert full_report(got, moved) == full_report(want, truth), name
-        for space in SPACES:
-            moved_hard = np.concatenate([got.hard(label)[back[LABELS[label]]] for label in space])
-            plain_hard = np.concatenate([want.hard(label) for label in space])
-            assert partition(moved_hard) == partition(plain_hard), (name, space)
-            # the same renumbering orders the soft columns
-            cols, moved_cols = first_seen(plain_hard), first_seen(moved_hard)
-            assert cols.size == want.soft(space[0]).shape[1], (name, space)
-            for label in space:
-                moved_soft = got.soft(label)[back[LABELS[label]]][:, moved_cols]
-                assert np.abs(moved_soft - want.soft(label)[:, cols]).max() <= KEPT_TOL, (
-                    name, label)
+        assert_permuted(label_table(want), label_table(got), back, name)
+
+
+@pytest.mark.parametrize("gap_mode", list(GapMode), ids=lambda g: g.value)
+def test_the_cli_on_row_permuted_files_permutes_the_label_files(tmp_path, gap_mode):
+    plain, permuted, back = permuted_instance(gap_mode, seed=0)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"kappa": 8}))
+
+    def write_set(name, features_v, features_r, truth):
+        d = tmp_path / name
+        d.mkdir()
+        write_features(d / "visible.mfv1", features_v)
+        write_features(d / "infrared.mfv1", features_r)
+        write_ground_truth(d / "ground_truth.csv", truth.ids_v, truth.ids_r)
+        return d
+
+    sets = {"plain": write_set("plain", *plain), "permuted": write_set("permuted", *permuted)}
+    for method in ASSOCIATORS:
+        tables, reports = {}, {}
+        for kind, d in sets.items():
+            out = d / method
+            assert main(["associate", "--features-v", str(d / "visible.mfv1"),
+                         "--features-r", str(d / "infrared.mfv1"), "--method", method,
+                         "--config", str(config), "--out", str(out)]) == 0
+            label_args = [arg for name in LABELS for arg in (
+                f"--labels-{name.replace('_', '-')}", str(out / f"{name}.csv"))]
+            assert main(["eval", *label_args, "--gt", str(d / "ground_truth.csv"),
+                         "--out", str(out / "metrics.json")]) == 0
+            tables[kind] = {name: read_labels(out / f"{name}.csv") for name in LABELS}
+            reports[kind] = (out / "metrics.json").read_bytes()
+        assert_permuted(tables["plain"], tables["permuted"], back, method)
+        assert reports["permuted"] == reports["plain"], method

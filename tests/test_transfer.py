@@ -759,6 +759,29 @@ class TestMultAssociate:
             assert np.array_equal(getattr(result, name).labels.probs,
                                   getattr(other, name).labels.probs)
 
+    @pytest.mark.parametrize("collect_trace", [False, True], ids=["untraced", "traced"])
+    def test_v2r_start_and_anchors_are_dropped_before_r2v_runs(self, monkeypatch,
+                                                               collect_trace):
+        starts, anchors_seen, alive = [], [], []
+
+        def recorded_init(*args):
+            state = init_labels(*args)
+            starts.append([weakref.ref(state.intra0), weakref.ref(state.cross0)])
+            return state
+
+        def recorded_run(state, aff, cfg, anchors, on_step=None):
+            anchors_seen.append([weakref.ref(a) for a in anchors])
+            alive.append([ref() is not None for ref in starts[0] + anchors_seen[0]])
+            return run_transfer(state, aff, cfg, anchors, on_step)
+
+        monkeypatch.setattr(transfer, "init_labels", recorded_init)
+        monkeypatch.setattr(transfer, "run_transfer", recorded_run)
+        fv, fr, av, ar, _ = blob_instance(seed=3, per_id_v=9, per_id_r=7)
+        mult_associate(fv, fr, av, ar, PipelineConfig(kappa=8), collect_trace=collect_trace)
+        assert len(starts) == 2
+        # V2R's start arrays and anchors live through its own loop, not R2V's
+        assert alive == [[True] * 4, [False] * 4]
+
     @pytest.mark.parametrize("num_ids, per_id, budget", [(30, 20, 3.3), (120, 5, 3.15)],
                              ids=["k30", "k120"])
     def test_untraced_peak_memory_budget(self, num_ids, per_id, budget):
