@@ -29,7 +29,7 @@ def main() -> None:
     cfg = PipelineConfig(kappa=6, ot_lambda=20.0, epsilon0=1e-6, max_transfer_iters=10_000)
     av, ar = ClusterAssignment(gt.ids_v, 5), ClusterAssignment(gt.ids_r, 5)
 
-    result = mult_associate(fv, fr, av, ar, cfg, collect_trace=True)
+    result = mult_associate(fv, fr, av, ar, cfg, collect_trace=["v2r"])
     trace = result.traces["v2r"]
     energies = [entry["weighted_total"] for entry in trace]
     steps = trace[1:]

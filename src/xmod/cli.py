@@ -86,13 +86,14 @@ def _cmd_associate(args) -> int:
     fr = read_features(args.features_r, Modality.INFRARED)
     assign_v = dbscan(fv, cfg.dbscan_eps, cfg.dbscan_min_samples, kappa=cfg.kappa)
     assign_r = dbscan(fr, cfg.dbscan_eps, cfg.dbscan_min_samples, kappa=cfg.kappa)
+    tags = list(DIRECTIONS) if args.direction == "both" else [args.direction]
     if args.method == "mult":
-        result = mult_associate(fv, fr, assign_v, assign_r, cfg, collect_trace=bool(args.trace))
+        result = mult_associate(fv, fr, assign_v, assign_r, cfg,
+                                collect_trace=tags if args.trace else ())
     elif args.method == "otla":
         result = associate_otla_only(fv, fr, assign_v, assign_r, cfg)
     else:
         result = associate_greedy_centroid(fv, fr, assign_v, assign_r, cfg)
-    tags = list(DIRECTIONS) if args.direction == "both" else [args.direction]
     os.makedirs(args.out, exist_ok=True)
     for name in (name for tag in tags for name in DIRECTIONS[tag]):
         write_labels(os.path.join(args.out, f"{name}.csv"), result.hard(name), result.soft(name))
@@ -205,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--direction", choices=[*DIRECTIONS, "both"], default="both",
                    help="which direction's label files (and --trace files) to write; "
                    "both directions are always computed, since they share the plan, "
-                   "the graphs and the composites")
+                   "the graphs and the composites, but only these are traced")
     p.add_argument("--config")
     p.add_argument("--trace", help="directory for per-iteration disagreement JSONs "
                    "(--method mult only)")

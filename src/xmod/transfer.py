@@ -274,8 +274,8 @@ class AssociationResult:
     """The four label matrices one associator run produces.
 
     intra_v / cross_r live in the visible cluster space, intra_r / cross_v in
-    the infrared one. ``traces`` is None unless mult_associate collects each
-    direction's trace.
+    the infrared one. ``traces`` holds the trace of each direction
+    mult_associate was asked to trace, keyed by its tag; None if none was.
     """
 
     n_visible: int
@@ -337,7 +337,7 @@ def mult_associate(
     assign_v: ClusterAssignment,
     assign_r: ClusterAssignment,
     cfg: PipelineConfig,
-    collect_trace: bool = False,
+    collect_trace=(),
 ) -> AssociationResult:
     """Full association pass in both directions. DBSCAN-noise instances sit
     out entirely.
@@ -363,22 +363,32 @@ def mult_associate(
     first, then R2V, both through one routine that differs only in the start
     state, the affinities (R2V's are V2R's swapped), the anchors and the
     trace tag; V2R's start labels and anchors are dropped before R2V's loop.
+
+    ``collect_trace`` names the directions (tags of DIRECTIONS) whose
+    per-step energies are collected into ``traces``; an empty collection
+    collects none, and an untraced direction computes no energy. Each
+    modality's cluster ids go with its rows to the plan solve, as the
+    coarse space of its Newton steps.
     """
+    traced = set(collect_trace)
+    if not traced <= DIRECTIONS.keys():
+        raise XmodError(f"unknown trace directions {sorted(traced - DIRECTIONS.keys())}")
     v = clustered_side(features_v, assign_v)
     r = clustered_side(features_r, assign_r)
     start_v2r = init_labels(v.rows, r.rows, v.assign, cfg)
     start_r2v = init_labels(r.rows, v.rows, r.assign, cfg)
-    he_vr, he_rv = heterogeneous_affinity(v.rows, r.rows, cfg.ot_lambda)
+    he_vr, he_rv = heterogeneous_affinity(v.rows, r.rows, cfg.ot_lambda,
+                                          v.assign.labels, r.assign.labels)
 
     def smooth(side: ClusteredSide, he: np.ndarray, *inits):
         # The side's composite, and the anchors of the two start labels on it.
         ho = homogeneous_affinity(side.rows, cfg.kappa)
         anchors = [smoothed_anchor(ho, init, cfg.alpha) for init in inits]
-        if not collect_trace:
+        if not traced:
             # The composite reads ho rounded to float32 only, so the float64
             # graph goes before the SGEMM's output is allocated.
             ho = ho.astype(np.float32)
-        return anchors, (ho if collect_trace else None), smoothed_transport(ho, he)
+        return anchors, (ho if traced else None), smoothed_transport(ho, he)
 
     (v2r_intra, r2v_cross), ho_v, a_vr = smooth(v, he_vr, start_v2r.intra0, start_r2v.cross0)
     (v2r_cross, r2v_intra), ho_r, a_rv = smooth(r, he_rv, start_v2r.cross0, start_r2v.intra0)
@@ -388,7 +398,7 @@ def mult_associate(
     def transfer(tag: str, state: TransferState, aff: DirectionAffinities, anchors) -> dict:
         # One direction's loop and fusion, its two matrices keyed by name.
         on_step = None
-        if collect_trace:
+        if tag in traced:
             trace = traces[tag] = [dict(inconsistency(state, aff, cfg.alpha), t=0, epsilon=None)]
 
             def on_step(st: TransferState) -> None:
@@ -401,4 +411,4 @@ def mult_associate(
     labels = transfer("v2r", start_v2r, aff, (v2r_intra, v2r_cross))
     del start_v2r, v2r_intra, v2r_cross  # so V2R's start and anchors go before R2V's loop
     labels |= transfer("r2v", start_r2v, aff.swapped(), (r2v_intra, r2v_cross))
-    return AssociationResult.place(v, r, labels, traces if collect_trace else None)
+    return AssociationResult.place(v, r, labels, traces or None)

@@ -19,18 +19,39 @@ from .affinity import row_normalize
 from .clustering import MemoryBank
 
 
+def _group_index(groups, n: int, side: str) -> np.ndarray | None:
+    """``groups`` as indices 0..k-1, one per group label, or None if None."""
+    if groups is None:
+        return None
+    labels = np.asarray(groups)
+    if labels.shape != (n,) or not np.issubdtype(labels.dtype, np.integer):
+        raise XmodError(f"{side} groups must be {n} integers, one per {side}")
+    return np.unique(labels, return_inverse=True)[1].reshape(n)
+
+
 @dataclass(frozen=True)
 class TransportProblem:
-    """Positive marginals and the log-kernel -lam * cost; the cost is not kept."""
+    """Positive marginals and the log-kernel -lam * cost; the cost is not kept.
+
+    ``row_groups`` / ``col_groups`` optionally label the rows / columns by
+    group (equal labels, one group; e.g. cluster ids). They change no
+    optimum: the Newton steps use the Schur side's groups as a coarse space
+    for their conjugate gradient (``_newton_direction``). Kept as indices
+    0..k-1.
+    """
 
     cost: InitVar[np.ndarray]
     row_marginal: np.ndarray
     col_marginal: np.ndarray
     lam: float
+    row_groups: np.ndarray | None = None
+    col_groups: np.ndarray | None = None
     log_k: np.ndarray = field(init=False)
 
     def __post_init__(self, cost):
         c = finite_matrix(cost, "transport cost")
+        object.__setattr__(self, "row_groups", _group_index(self.row_groups, c.shape[0], "row"))
+        object.__setattr__(self, "col_groups", _group_index(self.col_groups, c.shape[1], "column"))
         r = np.asarray(self.row_marginal, dtype=np.float64)
         s = np.asarray(self.col_marginal, dtype=np.float64)
         if r.shape != (c.shape[0],) or s.shape != (c.shape[1],):
@@ -113,17 +134,27 @@ def _dual_value(f, g, r, c, mass) -> float:
     return float(f @ r + g @ c - mass)
 
 
-def _conjugate_gradient(apply_s, rhs, diag, forcing):
-    """Solve S x = rhs by conjugate gradient preconditioned by diag(S).
+def _conjugate_gradient(apply_s, rhs, diag, forcing, coarse=None):
+    """Solve S x = rhs by conjugate gradient preconditioned by diag(S), or by
+    the two-level diag(S)^-1 + Z E^-1 Z^T when ``coarse`` is given.
 
-    ``apply_s`` maps p to S p. Starts from zero and stops once the residual
-    norm is at most ``forcing`` times rhs's, or after as many iterations as
-    S has unknowns. A breakdown (p^T S p <= 0 or a non-finite value) ends
-    the solve at the current iterate.
+    ``apply_s`` maps p to S p, and ``coarse`` maps a residual to
+    Z E^-1 Z^T res, the exact solve on the coarse space Z (E = Z^T S Z).
+    Without it CG starts from zero; with it, from the coarse solution
+    x0 = Z E^-1 Z^T rhs, whose residual has no component in Z, so a coarse
+    space that spans everything ends the solve at the first residual check.
+    Stops once the residual norm is at most ``forcing`` times rhs's, or after
+    as many iterations as S has unknowns. A breakdown (p^T S p <= 0 or a
+    non-finite value) ends the solve at the current iterate.
     """
-    x = np.zeros_like(rhs)
-    res = rhs.copy()
-    z = res / diag
+    if coarse is None:
+        x = np.zeros_like(rhs)
+        res = rhs.copy()
+        z = res / diag
+    else:
+        x = coarse(rhs)
+        res = rhs - apply_s(x)
+        z = res / diag + coarse(res)
     p = z.copy()
     rz = res @ z
     stop_sq = forcing * forcing * (rhs @ rhs)
@@ -138,13 +169,38 @@ def _conjugate_gradient(apply_s, rhs, diag, forcing):
         x += alpha * p
         res -= alpha * q
         np.divide(res, diag, out=z)
+        if coarse is not None:
+            z += coarse(res)
         rz, rz_old = res @ z, rz
         p *= rz / rz_old
         p += z
     return x
 
 
-def _newton_direction(plan, a, b, r, c, forcing):
+def _coarse_solve(plan, da, db, groups):
+    """Z E^-1 Z^T as a map on the Schur side's vectors, or None if there are
+    no groups.
+
+    Z is the 0/1 indicator of ``groups`` (indices 0..k-1) on the plan's
+    columns and S = diag(db) - P^T diag(1/da) P, so E = Z^T S Z is
+    diag(group sums of db) - (PZ)^T diag(1/da) (PZ): one plan product with
+    an m x k matrix, made for that product alone. Z^T x is a bincount and
+    Z y an index, so the map holds no indicator.
+    """
+    if groups is None:
+        return None
+    k = int(groups.max()) + 1
+    pz = plan @ np.eye(k)[groups]
+    e = np.diag(np.bincount(groups, weights=db, minlength=k)) - (pz / da[:, None]).T @ pz
+    e_inv = np.linalg.inv(e)
+
+    def coarse(res):
+        return (e_inv @ np.bincount(groups, weights=res, minlength=k))[groups]
+
+    return coarse
+
+
+def _newton_direction(plan, a, b, r, c, forcing, row_groups=None, col_groups=None):
     """Newton direction (df, dg) of the dual at ``plan``, by block elimination.
 
     The ridged system is ([[diag a, P], [P^T, diag b]] + ridge*I) [df; dg] =
@@ -153,18 +209,24 @@ def _newton_direction(plan, a, b, r, c, forcing):
     of the longer side leaves the min(n, m)-square Schur complement: for
     n >= m, S = diag(b + ridge) - P^T diag(1/(a + ridge)) P solves for dg,
     and df follows by back-substitution. S is never formed: conjugate
-    gradient applies it as two plan mat-vecs per iteration, preconditioned
-    by its diagonal b + ridge - sum_i P_ij^2 / (a_i + ridge), and stops once
+    gradient applies it as two plan mat-vecs per iteration and stops once
     the residual falls to ``forcing`` times the right-hand side's norm
-    (inexact Newton) or after dim(S) iterations. The subnormal entries of
-    ``plan`` are flushed to zero in place, after a and b were summed; the
-    diagonal is one pass over the plan, so no squared plan is stored.
+    (inexact Newton) or after dim(S) iterations. It is preconditioned by
+    S's diagonal b + ridge - sum_i P_ij^2 / (a_i + ridge), and, when the
+    Schur side (the columns for n >= m, else the rows) has groups, by the
+    exact solve on the span of their indicators too (``_coarse_solve``):
+    the groups' near-null block shifts, which the diagonal cannot see, are
+    then solved in one k x k system, so cluster groups cut the CG several-
+    fold and singleton groups solve S exactly before the first iteration.
+    The subnormal entries of ``plan`` are flushed to zero in place, after a
+    and b were summed; the diagonal is one pass over the plan, so no squared
+    plan is stored.
     """
     ridge = 1e-12 * max(a.max(), b.max()) + 1e-300
     plan[plan < _TINY] = 0.0
     flip = plan.shape[0] < plan.shape[1]
     if flip:
-        plan, a, b, r, c = plan.T, b, a, c, r
+        plan, a, b, r, c, col_groups = plan.T, b, a, c, r, row_groups
     da = a + ridge
     db = b + ridge
     diag = db - np.einsum("ij,ij,i->j", plan, plan, 1.0 / da)
@@ -173,18 +235,19 @@ def _newton_direction(plan, a, b, r, c, forcing):
     def apply_s(p):
         return db * p - ((plan @ p) / da) @ plan
 
-    y = _conjugate_gradient(apply_s, rhs, diag, forcing)
+    y = _conjugate_gradient(apply_s, rhs, diag, forcing, _coarse_solve(plan, da, db, col_groups))
     x = ((r - a) - plan @ y) / da
     return (y, x) if flip else (x, y)
 
 
-def _newton_step(f, g, kernel, u, v, r, c, a, b, plan, forcing):
+def _newton_step(f, g, kernel, u, v, r, c, a, b, plan, forcing, groups=(None, None)):
     """One damped Newton step on the dual potentials f + log u and g + log v,
     or None if it fails.
 
     a and b are the plan's row and column sums at (u, v). The step builds
     that plan once, diag(u) K diag(v), into ``plan`` (a multiply, no
-    ``exp``) for the direction (``_newton_direction``). The dual Hessian is
+    ``exp``) for the direction (``_newton_direction``, with the problem's
+    (row, column) ``groups``). The dual Hessian is
     -[[diag(P1), P], [P^T, diag(P^T 1)]]; it is singular along the constant
     shift (f+s, g-s), so a tiny ridge pins the solve, which conjugate
     gradient runs to relative residual ``forcing``. A halving line search
@@ -198,7 +261,7 @@ def _newton_step(f, g, kernel, u, v, r, c, a, b, plan, forcing):
     pot_f = f + np.log(u)
     pot_g = g + np.log(v)
     base = _dual_value(pot_f, pot_g, r, c, a.sum())
-    df, dg = _newton_direction(plan, a, b, r, c, forcing)
+    df, dg = _newton_direction(plan, a, b, r, c, forcing, *groups)
     if not (np.isfinite(df).all() and np.isfinite(dg).all()):
         return None
     t = 1.0
@@ -260,7 +323,11 @@ def sinkhorn(problem: TransportProblem) -> TransportPlan:
     scalings once and solves a min(n, m)-unknown system by conjugate
     gradient, to a relative residual of min(0.1, error) (``_newton_step``),
     so a K-column OTLA init solves K-unknown systems however many rows it
-    has; its line search costs one kernel mat-vec per trial.
+    has; its line search costs one kernel mat-vec per trial. The problem's
+    groups on that side (``TransportProblem.row_groups`` / ``col_groups``)
+    give the CG a coarse space (``_newton_direction``): cluster groups cut
+    the hard plan solve's CG several-fold, and the OTLA init's singleton
+    prototype groups make each K-unknown solve exact.
     A Newton step whose line search fails falls back to a plain sweep, and
     the next attempt waits for more plain sweeps: one after the first
     rejection, doubling with each consecutive rejection, back to one after
@@ -274,6 +341,7 @@ def sinkhorn(problem: TransportProblem) -> TransportPlan:
     log_k = problem.log_k
     r = problem.row_marginal
     c = problem.col_marginal
+    groups = (problem.row_groups, problem.col_groups)
     kernel = np.empty_like(log_k)
     f = _log_scaling(log_k, np.zeros_like(c), np.log(r), 1, kernel)
     g = _log_scaling(log_k, f, np.log(c), 0, kernel)
@@ -299,7 +367,7 @@ def sinkhorn(problem: TransportProblem) -> TransportPlan:
             if plan is None:
                 plan = np.empty_like(kernel)
             step = _newton_step(f, g, kernel, u, v, r, c, row_mass, col_mass, plan,
-                                min(0.1, err))
+                                min(0.1, err), groups)
             if step is None:
                 wait, backoff = backoff, 2 * backoff
             else:
@@ -326,18 +394,22 @@ def sinkhorn(problem: TransportProblem) -> TransportPlan:
     return TransportPlan(kernel, u, v, used, float(err), converged)
 
 
-def heterogeneous_plan(features_v, features_r, lam: float) -> TransportPlan:
+def heterogeneous_plan(features_v, features_r, lam: float, row_groups=None,
+                       col_groups=None) -> TransportPlan:
     """Uniform-marginal transport between two row sets.
 
     Cost is squared Euclidean distance; rows carry mass 1/Nv each, columns
     1/Nr each, so every row of either set contributes equal total mass.
+    Optional groups of either set go to the problem (``TransportProblem``),
+    checked against the row counts before the cost is built.
     """
     fv = feature_data(features_v)
     fr = feature_data(features_r)
     nv, nr = fv.shape[0], fr.shape[0]
-    problem = TransportProblem(
-        pairwise_sq_dists(fv, fr), np.full(nv, 1.0 / nv), np.full(nr, 1.0 / nr), lam
-    )
+    row_groups = _group_index(row_groups, nv, "row")
+    col_groups = _group_index(col_groups, nr, "column")
+    problem = TransportProblem(pairwise_sq_dists(fv, fr), np.full(nv, 1.0 / nv),
+                               np.full(nr, 1.0 / nr), lam, row_groups, col_groups)
     return sinkhorn(problem)
 
 
@@ -368,7 +440,7 @@ def _factor(kernel, scale) -> np.ndarray:
 
 
 def heterogeneous_affinity(
-    features_a, features_b, lam: float
+    features_a, features_b, lam: float, groups_a=None, groups_b=None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Row-normalized transport plan in both directions: (S_ab, S_ba), float32.
 
@@ -381,11 +453,14 @@ def heterogeneous_affinity(
     float64 and rounded to float32 once, a row block at a time. So no
     float64 plan or transposed copy is made; the kernel is the one float64
     N x M array alive after the solve, and it does not outlive the call.
+    Optional groups of either set (its cluster ids) go with their set to the
+    solve's coarse space, so the swap stays bit for bit with them too.
     """
     a, b = feature_data(features_a), feature_data(features_b)
     order = _row_order(a, b)
     rows, cols = (b, a) if order > 0 else (a, b)
-    result = heterogeneous_plan(rows, cols, lam)
+    row_groups, col_groups = (groups_b, groups_a) if order > 0 else (groups_a, groups_b)
+    result = heterogeneous_plan(rows, cols, lam, row_groups, col_groups)
     s_rows = _factor(result.kernel, result.v)
     if order == 0:
         return s_rows, s_rows
@@ -400,8 +475,11 @@ def otla_init(features_tgt, bank_src: MemoryBank, lam: float) -> SoftLabelMatrix
     prototypes (uniform mass 1/K), then one-hot at each row's argmax. The
     equal column marginals spread the instances across clusters instead of
     letting one prototype absorb everything. A row's scaling u_i does not
-    move its argmax, so it is taken over K_ij v_j.
+    move its argmax, so it is taken over K_ij v_j. Each prototype is its own
+    group, so with at most as many prototypes as instances every Newton
+    direction solves its K-unknown Schur system exactly, in one K x K solve.
     """
-    result = heterogeneous_plan(features_tgt, bank_src.prototypes, lam)
+    k = bank_src.prototypes.shape[0]
+    result = heterogeneous_plan(features_tgt, bank_src.prototypes, lam, col_groups=np.arange(k))
     return SoftLabelMatrix.one_hot(np.argmax(result.kernel * result.v, axis=1),
                                    result.kernel.shape[1])

@@ -426,17 +426,18 @@ def _kernel_allocating(f, log_k, g):
     return kernel
 
 
-def _newton_step_allocating(f, g, kernel, u, v, r, c, a, b, forcing):
+def _newton_step_allocating(f, g, kernel, u, v, r, c, a, b, forcing, groups):
     """The library's damped Newton step on f + log u and g + log v, with the
     step's plan and every trial scaling allocated anew.
 
-    The direction itself comes from ``transport._newton_direction``, which
-    ``newton_direction_dense`` checks on its own.
+    The direction itself comes from ``transport._newton_direction``, with
+    the problem's (row, column) ``groups``, which ``newton_direction_dense``
+    checks on its own.
     """
     plan = kernel * u[:, None] * v
     pot_f, pot_g = f + np.log(u), g + np.log(v)
     base = transport._dual_value(pot_f, pot_g, r, c, a.sum())
-    df, dg = transport._newton_direction(plan, a, b, r, c, forcing)
+    df, dg = transport._newton_direction(plan, a, b, r, c, forcing, *groups)
     if not (np.isfinite(df).all() and np.isfinite(dg).all()):
         return None
     t = 1.0
@@ -483,7 +484,7 @@ def sinkhorn_allocating(problem):
         step = None
         if stalled and wait == 0:
             step = _newton_step_allocating(f, g, kernel, u, v, r, c, row_mass, col_mass,
-                                           min(0.1, err))
+                                           min(0.1, err), (problem.row_groups, problem.col_groups))
             if step is None:
                 wait, backoff = backoff, 2 * backoff
             else:

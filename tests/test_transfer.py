@@ -14,6 +14,7 @@ from xmod.affinity import homogeneous_affinity
 from xmod.metrics import full_report
 from xmod.synth import GapMode, SynthSpec, generate
 from xmod.transfer import (
+    DIRECTIONS,
     LABELS,
     AssociationResult,
     DirectionAffinities,
@@ -591,7 +592,7 @@ METHODS = {
     "greedy": associate_greedy_centroid,
 }
 SWAP_CASES = {"equal-sizes": (8, 8, False), "unequal-sizes": (9, 7, False),
-              "noise-row": (8, 8, True)}
+              "noise-row": (8, 8, True), "hard": (20, 20, False)}
 
 
 class TestMultAssociate:
@@ -626,12 +627,32 @@ class TestMultAssociate:
         [pytest.param(method, *case, id=name if method == "mult" else f"{method}-{name}")
          for method in METHODS for name, case in SWAP_CASES.items()],
     )
-    def test_swapped_modalities_swap_outputs_bitwise(self, method, per_id_v, per_id_r,
-                                                     noise_v):
+    def test_swapped_modalities_swap_outputs_bitwise(self, monkeypatch, method, per_id_v,
+                                                     per_id_r, noise_v):
         # mult solves the plan once, with the subset that sorts first by (row
-        # count, bytes) on the rows; each case sees both orientations.
-        fv, fr, av, ar, _ = blob_instance(seed=11, gap=0.2, per_id_v=per_id_v,
-                                          per_id_r=per_id_r)
+        # count, bytes) on the rows; each case sees both orientations. The
+        # hard case's plan solve (10 identities, per-identity gap) reaches
+        # Newton, so its groups must swap with the features too.
+        hard = per_id_v == 20
+        newton = []
+        step = transport._newton_step
+
+        def counted(f, g, kernel, *args):
+            newton.append(kernel.shape)
+            return step(f, g, kernel, *args)
+
+        monkeypatch.setattr(transport, "_newton_step", counted)
+        if hard:
+            spec = SynthSpec(num_ids=10, per_id_v=per_id_v, per_id_r=per_id_r, dim=32,
+                             blob_std=0.08, modality_gap=1.2,
+                             gap_mode=GapMode.PER_ID_OFFSET, seed=11)
+            fv, fr, gt = generate(spec)
+            av = ClusterAssignment(gt.ids_v.astype(np.int64), 10)
+            # infrared identities merged in pairs, so the two sides' groups differ
+            ar = ClusterAssignment((gt.ids_r // 2).astype(np.int64), 5)
+        else:
+            fv, fr, av, ar, _ = blob_instance(seed=11, gap=0.2, per_id_v=per_id_v,
+                                              per_id_r=per_id_r)
         if noise_v:
             labels_v = av.labels.copy()
             labels_v[3] = NOISE
@@ -639,6 +660,8 @@ class TestMultAssociate:
         cfg = PipelineConfig(kappa=8)
         ab = METHODS[method](fv, fr, av, ar, cfg)
         ba = METHODS[method](fr, fv, ar, av, cfg)
+        if hard and method == "mult":
+            assert (200, 200) in newton  # the plan solve took Newton steps
         for mine, theirs in ((ab.intra_v, ba.intra_r), (ab.cross_r, ba.cross_v),
                              (ab.intra_r, ba.intra_v), (ab.cross_v, ba.cross_r)):
             assert np.array_equal(mine.indices, theirs.indices)
@@ -701,9 +724,9 @@ class TestMultAssociate:
         assert fv.data.tobytes() > fr.data.tobytes()
         shapes = []
 
-        def recording(rows, cols, lam):
+        def recording(rows, cols, lam, *groups, **kwargs):
             shapes.append((len(rows), len(cols)))
-            return heterogeneous_plan(rows, cols, lam)
+            return heterogeneous_plan(rows, cols, lam, *groups, **kwargs)
 
         monkeypatch.setattr(transport, "heterogeneous_plan", recording)
         args = (fr, fv, ar, av) if swap else (fv, fr, av, ar)
@@ -731,7 +754,7 @@ class TestMultAssociate:
         v2r, r2v = used
         assert r2v.a_st is v2r.a_ts and r2v.a_ts is v2r.a_st
 
-    @pytest.mark.parametrize("collect_trace", [False, True], ids=["untraced", "traced"])
+    @pytest.mark.parametrize("collect_trace", [(), tuple(DIRECTIONS)], ids=["untraced", "traced"])
     def test_graphs_are_dropped_before_the_loops_unless_traced(self, monkeypatch,
                                                                collect_trace):
         graphs, alive = [], []
@@ -752,14 +775,15 @@ class TestMultAssociate:
         cfg = PipelineConfig(kappa=8)
         result = mult_associate(fv, fr, av, ar, cfg, collect_trace=collect_trace)
         assert len(graphs) == 2
-        assert alive == [[collect_trace, collect_trace]] * 4
+        kept = bool(collect_trace)
+        assert alive == [[kept, kept]] * 4
         # keeping the graphs changes no label bit
-        other = mult_associate(fv, fr, av, ar, cfg, collect_trace=not collect_trace)
+        other = mult_associate(fv, fr, av, ar, cfg, collect_trace=() if kept else DIRECTIONS)
         for name in ("intra_v", "cross_r", "intra_r", "cross_v"):
             assert np.array_equal(getattr(result, name).labels.probs,
                                   getattr(other, name).labels.probs)
 
-    @pytest.mark.parametrize("collect_trace", [False, True], ids=["untraced", "traced"])
+    @pytest.mark.parametrize("collect_trace", [(), tuple(DIRECTIONS)], ids=["untraced", "traced"])
     def test_v2r_start_and_anchors_are_dropped_before_r2v_runs(self, monkeypatch,
                                                                collect_trace):
         starts, anchors_seen, alive = [], [], []
@@ -820,7 +844,8 @@ class TestMultAssociate:
 
     def test_trace_collection(self):
         fv, fr, av, ar, _ = blob_instance(seed=2)
-        result = mult_associate(fv, fr, av, ar, PipelineConfig(kappa=8), collect_trace=True)
+        result = mult_associate(fv, fr, av, ar, PipelineConfig(kappa=8),
+                                collect_trace=DIRECTIONS)
         assert list(result.traces) == ["v2r", "r2v"]
         for trace in result.traces.values():
             assert trace[0]["t"] == 0
@@ -828,6 +853,28 @@ class TestMultAssociate:
             assert trace[0]["self_src"] == 0.0
             assert [e["t"] for e in trace] == list(range(len(trace)))
             assert all("weighted_total" in e for e in trace)
+
+    @pytest.mark.parametrize("direction", ["v2r", "r2v"])
+    def test_untraced_direction_computes_no_energy(self, monkeypatch, direction):
+        # 27 visible rows against 21 infrared: a direction's source rows name it
+        sources = []
+
+        def recorded(state, aff, alpha):
+            sources.append(state.intra.shape[0])
+            return inconsistency(state, aff, alpha)
+
+        monkeypatch.setattr(transfer, "inconsistency", recorded)
+        fv, fr, av, ar, _ = blob_instance(seed=2, per_id_v=9, per_id_r=7)
+        result = mult_associate(fv, fr, av, ar, PipelineConfig(kappa=8),
+                                collect_trace=[direction])
+        assert list(result.traces) == [direction]
+        assert set(sources) == {27 if direction == "v2r" else 21}
+        assert len(sources) == len(result.traces[direction])
+
+    def test_unknown_trace_direction_is_refused(self):
+        fv, fr, av, ar, _ = blob_instance(seed=2)
+        with pytest.raises(XmodError, match="unknown trace directions"):
+            mult_associate(fv, fr, av, ar, PipelineConfig(kappa=8), collect_trace="v2r")
 
     def test_no_trace_by_default(self):
         fv, fr, av, ar, _ = blob_instance(seed=2)
@@ -848,7 +895,8 @@ class TestMultAssociate:
         fv, fr, av, ar, _ = blob_instance(seed=6, gap=0.4, gap_mode=GapMode.PER_ID_OFFSET,
                                           per_id_v=per_id_v, per_id_r=per_id_r)
         cfg = PipelineConfig(kappa=6, epsilon0=1e-9)
-        result = mult_associate(fv, fr, av, ar, cfg, collect_trace=True)
+        result = mult_associate(fv, fr, av, ar, cfg, collect_trace=[direction])
+        assert list(result.traces) == [direction]
         names = ["intra_v", "cross_r"]
         if direction == "r2v":
             fv, fr, av, names = fr, fv, ar, ["intra_r", "cross_v"]

@@ -63,6 +63,27 @@ def record_cg_dims(monkeypatch) -> list:
     return dims
 
 
+def record_cg_iterations(monkeypatch) -> list:
+    """Wrap transport._conjugate_gradient; record the number of S products
+    (``apply_s`` calls) of every system it solves."""
+    counts = []
+    solve = transport._conjugate_gradient
+
+    def recording(apply_s, rhs, *args):
+        calls = [0]
+
+        def counted(p):
+            calls[0] += 1
+            return apply_s(p)
+
+        out = solve(counted, rhs, *args)
+        counts.append(calls[0])
+        return out
+
+    monkeypatch.setattr(transport, "_conjugate_gradient", recording)
+    return counts
+
+
 def shift_free(df, dg) -> np.ndarray:
     """(df, dg) with its component along the dual's null direction
     (f + s, g - s) removed; the plan does not depend on that component."""
@@ -493,6 +514,61 @@ class TestNewtonStep:
         # so each solver may land anywhere along it by ~1e-5
         got, want = shift_free(*got), shift_free(*want)
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("groups", ["random", "singletons"])
+    @pytest.mark.parametrize("shape", [(40, 7), (7, 40), (12, 12)], ids=["n>m", "n<m", "n=m"])
+    def test_grouped_direction_matches_dense_hessian_oracle(self, rng, shape, groups):
+        n, m = shape
+        plan = rng.random(shape)
+        plan /= 1.3 * plan.sum()
+        r = np.full(n, 1.0 / n)
+        c = np.full(m, 1.0 / m)
+        want = newton_direction_dense(plan, r, c)
+        if groups == "random":
+            row_groups, col_groups = rng.integers(0, 3, size=n), rng.integers(0, 3, size=m)
+        else:
+            row_groups, col_groups = np.arange(n), np.arange(m)
+        got = transport._newton_direction(plan, plan.sum(axis=1), plan.sum(axis=0), r, c, 0.0,
+                                          transport._group_index(row_groups, n, "row"),
+                                          transport._group_index(col_groups, m, "column"))
+        got, want = shift_free(*got), shift_free(*want)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_cluster_groups_cut_the_hard_plan_solves_cg_threefold(self, monkeypatch):
+        # 400 + 400 hard rows grouped by identity: 47 S products over the 7
+        # Newton directions, where the diagonal CG takes 230
+        fv, fr, gt = hard_snapshot(num_ids=20, per_id_v=20, per_id_r=20)
+        totals = []
+        for groups in ((None, None), (gt.ids_v, gt.ids_r)):
+            counts = record_cg_iterations(monkeypatch)
+            assert heterogeneous_plan(fv, fr, 25.0, *groups).converged
+            totals.append(sum(counts))
+        assert totals[0] > 0
+        assert 3 * totals[1] <= totals[0]
+
+    def test_otla_directions_take_one_s_product(self, monkeypatch):
+        # singleton prototype groups: E = S, so the coarse start solves the
+        # K-unknown system and CG stops at its first residual check
+        fv, fr, gt = hard_snapshot(num_ids=20, per_id_v=20, per_id_r=20)
+        protos = np.stack([fv.data[gt.ids_v == i].mean(axis=0) for i in range(20)])
+        protos /= np.linalg.norm(protos, axis=1, keepdims=True)
+        counts = record_cg_iterations(monkeypatch)
+        otla_init(fr, MemoryBank(protos), lam=25.0)
+        assert counts and max(counts) == 1
+
+    @pytest.mark.parametrize("side", ["row", "col"])
+    def test_groups_of_another_length_are_refused_before_the_cost(self, rng, side):
+        a, b = random_unit_rows(rng, 1500, 8), random_unit_rows(rng, 1000, 8)
+        groups = {"row_groups": None, "col_groups": None}
+        groups[f"{side}_groups"] = np.zeros(999, dtype=np.int64)
+        tracemalloc.start()
+        try:
+            with pytest.raises(XmodError, match="groups must be"):
+                heterogeneous_plan(a, b, 25.0, **groups)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.1 * 8 * 1500 * 1000
 
     def test_otla_init_solves_k_by_k_systems(self, monkeypatch):
         fv, fr, gt = hard_snapshot(num_ids=20, per_id_v=20, per_id_r=20)
